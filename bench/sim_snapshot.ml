@@ -67,10 +67,10 @@ let bv1 v = Avp_logic.Bv.of_int ~width:1 v
    visible outputs (for cross-checking the engines).  Inputs go in
    through [poke_id] and one [step] per cycle — the same batch-poke
    pattern the vector drivers use. *)
-let drive ?(inputs = free_inputs) design sim ~cycles =
+let drive design sim ~cycles =
   lcg := 0x5DEECE66D;
   let uid name = Hashtbl.find design.Elab.by_name name in
-  let inputs = List.map (fun (name, w) -> (uid name, w)) inputs in
+  let inputs = List.map (fun (name, w) -> (uid name, w)) free_inputs in
   let out_ids = List.map uid [ "stall"; "dstall_out"; "istall_out" ] in
   Sim.set sim "rst" (bv1 1);
   Sim.step sim "clk";
@@ -90,71 +90,6 @@ let drive ?(inputs = free_inputs) design sim ~cycles =
           (acc lsl 2)
           lor
           match Avp_logic.Bv.to_int (Sim.get_id sim id) with
-          | Some v -> v
-          | None -> 2)
-        0 out_ids
-    in
-    Bytes.set trace i (Char.chr byte)
-  done;
-  (Obs.Timer.elapsed_s timer, trace)
-
-(* A configured SKU of the control module: the D-side datapath strapped
-   (D-cache always hits, memory always grants, lines never dirty or
-   conflicting), which is how a concrete product configuration retires
-   whole control cones.  The abstract interpreter proves the strapped
-   cone constant and the compiler folds it. *)
-let tied_source =
-  Avp_pp.Control_hdl.source
-  ^ {|
-module pp_tied (clk, rst, i_hit, instr, inbox_rdy, outbox_rdy,
-                stall, dstall_out, istall_out);
-  input clk, rst;
-  input i_hit;       // avp free
-  input [2:0] instr; // avp free
-  input inbox_rdy;   // avp free
-  input outbox_rdy;  // avp free
-  output stall, dstall_out, istall_out;
-
-  // avp clock clk
-  // avp reset rst
-
-  pp_control u0 (.clk(clk), .rst(rst), .i_hit(i_hit), .d_hit(1'b1),
-                 .instr(instr), .inbox_rdy(inbox_rdy),
-                 .outbox_rdy(outbox_rdy), .mem_adv(1'b1), .dirty(1'b0),
-                 .same_line(1'b0), .stall(stall),
-                 .dstall_out(dstall_out), .istall_out(istall_out));
-endmodule
-|}
-
-let tied_free_inputs =
-  [ ("i_hit", 1); ("instr", 3); ("inbox_rdy", 1); ("outbox_rdy", 1) ]
-
-(* Same protocol as [drive], through the compiled kernel directly so
-   the folded and unfolded programs race on identical footing. *)
-let drive_compiled design sim ~inputs ~cycles =
-  lcg := 0x5DEECE66D;
-  let uid name = Hashtbl.find design.Elab.by_name name in
-  let ins = List.map (fun (name, w) -> (uid name, w)) inputs in
-  let out_ids = List.map uid [ "stall"; "dstall_out"; "istall_out" ] in
-  let clk = uid "clk" in
-  Compile.set_id sim (uid "rst") (bv1 1);
-  Compile.step sim ~edge:Ast.Posedge clk;
-  Compile.step sim ~edge:Ast.Posedge clk;
-  Compile.set_id sim (uid "rst") (bv1 0);
-  let trace = Bytes.create cycles in
-  let timer = Obs.Timer.start () in
-  for i = 0 to cycles - 1 do
-    List.iter
-      (fun (id, w) ->
-        Compile.poke_id sim id (Avp_logic.Bv.of_int ~width:w (rand_bits w)))
-      ins;
-    Compile.step sim ~edge:Ast.Posedge clk;
-    let byte =
-      List.fold_left
-        (fun acc id ->
-          (acc lsl 2)
-          lor
-          match Avp_logic.Bv.to_int (Compile.get_id sim id) with
           | Some v -> v
           | None -> 2)
         0 out_ids
@@ -244,51 +179,6 @@ let () =
   end;
   let sliced_cps = float_of_int cycles /. sliced_s in
   let sliced_lane_cps = sliced_cps *. float_of_int sliced_lanes in
-  (* Invariant folding on the configured SKU: the abstract interpreter
-     proves the strapped cone constant, Compile folds it, and the
-     folded kernel must stay classification-byte-identical to both the
-     unfolded kernel and the tree-walking interpreter oracle. *)
-  let tied_design =
-    Elab.elaborate ~top:"pp_tied" (Parser.parse tied_source)
-  in
-  let tied_inv = Avp_analysis.Absint.analyze tied_design in
-  let tied_facts = Avp_analysis.Absint.facts tied_inv in
-  let folded_nets = Compile.facts_count tied_facts in
-  if folded_nets = 0 then begin
-    prerr_endline "FATAL: absint proved no constants on the strapped SKU";
-    exit 1
-  end;
-  let need = function
-    | Some c -> c
-    | None ->
-      prerr_endline "FATAL: compiled engine rejected the strapped SKU";
-      exit 1
-  in
-  let oracle = Sim.create ~engine:`Interp tied_design in
-  let _, trace_oracle =
-    drive ~inputs:tied_free_inputs tied_design oracle ~cycles
-  in
-  let plain_s, trace_plain =
-    drive_compiled tied_design
-      (need (Compile.create tied_design))
-      ~inputs:tied_free_inputs ~cycles
-  in
-  let folded_s, trace_folded =
-    drive_compiled tied_design
-      (need (Compile.create ~facts:tied_facts tied_design))
-      ~inputs:tied_free_inputs ~cycles
-  in
-  if not (Bytes.equal trace_folded trace_oracle) then begin
-    prerr_endline "FATAL: folded kernel diverged from the interpreter oracle";
-    exit 1
-  end;
-  if not (Bytes.equal trace_plain trace_oracle) then begin
-    prerr_endline "FATAL: unfolded kernel diverged from the interpreter oracle";
-    exit 1
-  end;
-  let plain_cps = float_of_int cycles /. plain_s in
-  let folded_cps = float_of_int cycles /. folded_s in
-  let fold_speedup = folded_cps /. plain_cps in
   (* Campaign replay: tour vectors over 1/2/4 domains. *)
   let tr = Avp_pp.Control_hdl.translate () in
   let graph = State_graph.enumerate tr.Avp_fsm.Translate.model in
@@ -355,11 +245,6 @@ let () =
      \"lane_cycles_per_s\": %.1f, \"lane_cycles_over_compiled\": %.2f},\n"
     sliced_lanes sliced_cps sliced_lane_cps (sliced_lane_cps /. compiled_cps);
   p
-    "  \"absint_folded\": {\"design\": \"pp_tied\", \"folded_nets\": %d, \
-     \"plain_cycles_per_s\": %.1f, \"folded_cycles_per_s\": %.1f, \
-     \"speedup\": %.3f, \"oracle_checked\": true},\n"
-    folded_nets plain_cps folded_cps fold_speedup;
-  p
     "  \"batched_replay\": {\"traces\": %d, \"cycles\": %d, \
      \"scalar_s\": %.4f, \"batched_s\": %.4f, \"speedup\": %.2f},\n"
     batch_traces batch_cycles scalar_b_s batch_s batch_speedup;
@@ -377,11 +262,9 @@ let () =
   close_out oc;
   History.append ~bench:"sim" ~preset:"pp_control"
     [
-      ("folded_nets", float_of_int folded_nets);
       ("interp_cycles_per_s", interp_cps);
       ("compiled_cycles_per_s", compiled_cps);
       ("sliced_lane_cycles_per_s", sliced_lane_cps);
-      ("fold_speedup", fold_speedup);
       ("batched_replay_speedup", batch_speedup);
     ];
   Printf.printf "wrote %s (%d cores):\n" out cores;
@@ -392,10 +275,6 @@ let () =
      compiled)\n"
     sliced_cps sliced_lanes sliced_lane_cps
     (sliced_lane_cps /. compiled_cps);
-  Printf.printf
-    "  absint fold (pp_tied)  %d nets folded  %.0f -> %.0f cycles/s  \
-     (%.3fx, oracle checked)\n"
-    folded_nets plain_cps folded_cps fold_speedup;
   Printf.printf
     "  batched replay  %d traces  %d cycles  scalar %.3fs  batched %.3fs  \
      speedup %.2fx\n"

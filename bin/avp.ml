@@ -11,12 +11,21 @@ open Avp_fsm
 open Avp_enum
 open Avp_tour
 
+(* The file the running command read: front-end errors escaping to the
+   handler at the bottom of this file are reported against it. *)
+let source_name = ref "avp"
+
 let read_file path =
+  source_name := path;
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
   s
+
+(* Verilog source text: a file, or the built-in control module. *)
+let source file =
+  if file = "pp" then Avp_pp.Control_hdl.source else read_file file
 
 (* ---------------------------------------------------------------- *)
 (* Shared arguments                                                 *)
@@ -206,10 +215,7 @@ let write_report report ~dir =
 (* ---------------------------------------------------------------- *)
 
 let load_translation file top =
-  let src =
-    if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-  in
-  Translate.translate (Elab.elaborate ?top (Parser.parse src))
+  Translate.translate (Elab.elaborate ?top (Parser.parse (source file)))
 
 (* Enumerate/tour also accept models in the Synchronous-Murphi-style
    text language (.sml files). *)
@@ -255,31 +261,15 @@ let translate_cmd =
     Term.(const run $ file_arg $ top_arg $ murphi_arg)
 
 let enumerate_cmd =
-  let run file top all_conditions dot domains trace metrics profile absint =
+  let run file top all_conditions dot domains trace metrics profile =
     with_obs ~profile ~trace ~metrics @@ fun () ->
     let progress = make_progress "enumerate" in
-    (* --absint: prove per-net state invariants first and use them as
-       a frontier filter.  The filter is sound, so the graph must be
-       identical and stats.pruned must stay 0 — a nonzero count means
-       the abstract interpreter claimed an invariant the real design
-       violates, which is exactly what the exit code reports. *)
-    let model, admit =
-      if absint && not (Filename.check_suffix file ".sml") then begin
-        let tr = load_translation file top in
-        let inv = Avp_analysis.Absint.analyze tr.Translate.elab in
-        (tr.Translate.model, Avp_analysis.Absint.admit inv tr)
-      end
-      else (load_model file top, None)
+    let g =
+      State_graph.enumerate ~all_conditions ?domains ~progress
+        (load_model file top)
     in
-    let g = State_graph.enumerate ~all_conditions ?domains ~progress ?admit model in
     Avp_obs.Progress.finish progress;
     Format.printf "%a@." State_graph.pp_stats g.State_graph.stats;
-    let pruned = g.State_graph.stats.State_graph.pruned in
-    if absint && pruned > 0 then
-      Format.printf
-        "UNSOUND: the absint frontier filter rejected %d reachable-state \
-         occurrences@."
-        pruned;
     (match State_graph.absorbing_states g with
      | [] -> ()
      | dead ->
@@ -295,7 +285,7 @@ let enumerate_cmd =
        Format.fprintf ppf "%a@." State_graph.pp_dot g;
        close_out oc;
        Format.printf "wrote %s@." path);
-    if absint && pruned > 0 then 1 else 0
+    0
   in
   let dot_arg =
     Arg.(
@@ -303,20 +293,11 @@ let enumerate_cmd =
       & opt (some string) None
       & info [ "dot" ] ~docv:"OUT" ~doc:"Write a Graphviz rendering.")
   in
-  let absint_arg =
-    Arg.(
-      value & flag
-      & info [ "absint" ]
-          ~doc:"Prove per-net state invariants by abstract interpretation \
-                first and use them as a sound frontier filter; exits 1 if \
-                the filter ever fires (it proved something false).  \
-                Verilog inputs only.")
-  in
   Cmd.v
     (Cmd.info "enumerate" ~doc:"Fully enumerate the control state graph.")
     Term.(
       const run $ file_arg $ top_arg $ all_conditions_arg $ dot_arg
-      $ domains_arg $ trace_arg $ metrics_arg $ profile_arg $ absint_arg)
+      $ domains_arg $ trace_arg $ metrics_arg $ profile_arg)
 
 let tour_cmd =
   let run file top all_conditions limit domains trace metrics =
@@ -378,9 +359,7 @@ let mutate_cmd =
   let run file top ops seed budget json domains limit gate engine trace
       metrics profile report_dir =
     with_obs ~profile ~trace ~metrics @@ fun () ->
-    let src =
-      if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-    in
+    let src = source file in
     let names =
       List.concat_map (String.split_on_char ',') ops
       |> List.filter (fun s -> s <> "")
@@ -514,9 +493,7 @@ let fuzz_cmd =
   let run file top seed budget batch engine domains corpus_out replay_in
       mutants json gate trace metrics profile report_dir =
     with_obs ~profile ~trace ~metrics @@ fun () ->
-    let src =
-      if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-    in
+    let src = source file in
     let design = Parser.parse src in
     let tr = Translate.translate (Elab.elaborate ?top design) in
     let graph = State_graph.enumerate ?domains tr.Translate.model in
@@ -1018,9 +995,7 @@ let lint_cmd =
           Finding.sort (Analysis.filter ~only ~ignore:ignored guards @ model)
         end
         else begin
-          let src =
-            if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-          in
+          let src = source file in
           let elab = Elab.elaborate ?top (Parser.parse src) in
           let netlist = Analysis.run ~only ~ignore:ignored ~absint elab in
           let fsm_findings =
@@ -1135,19 +1110,17 @@ let invariants_cmd =
   let open Avp_analysis in
   let run file top json =
     let fname = if file = "pp" then "pp_control.v" else file in
-    let src =
-      if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-    in
+    let src = source file in
     let elab = Elab.elaborate ?top (Parser.parse src) in
     let inv = Absint.analyze elab in
-    let facts = Absint.facts inv in
     let n = Array.length elab.Elab.nets in
     (* Every net the analysis proved something about, id order: the
        output is deterministic and independent of -j anywhere. *)
-    let rows = ref [] in
+    let rows = ref [] and constants = ref 0 in
     for id = n - 1 downto 0 do
       if not inv.Absint.tops.(id) then begin
         let a = inv.Absint.steady.(id) in
+        if Absint.is_const a then incr constants;
         let r = inv.Absint.run.(id) in
         let show_run = inv.Absint.run_distinct && Absint.interesting r in
         if Absint.interesting a || show_run then
@@ -1167,8 +1140,7 @@ let invariants_cmd =
         (Printf.sprintf
            "{\n  \"design\": %s,\n  \"run_distinct\": %b,\n  \
             \"proven_constants\": %d,\n  \"nets\": [" (str fname)
-           inv.Absint.run_distinct
-           (Compile.facts_count facts));
+           inv.Absint.run_distinct !constants);
       List.iteri
         (fun i (name, w, all_s, run_s) ->
           Buffer.add_string b (if i = 0 then "\n" else ",\n");
@@ -1185,8 +1157,7 @@ let invariants_cmd =
     end
     else begin
       Format.printf "%s: %d nets, %d with proven invariants, %d constant@."
-        fname n (List.length rows)
-        (Compile.facts_count facts);
+        fname n (List.length rows) !constants;
       if not inv.Absint.run_distinct then
         Format.printf
           "(no clock/reset directives: post-reset analysis not run)@.";
@@ -1386,4 +1357,26 @@ let main =
       profile_cmd; errata_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* Malformed or unreadable input is the user's error, not an internal
+   one: report it against the source with its position and exit 2
+   (lint's error code).  Anything else is a bug and keeps cmdliner's
+   internal-error exit 125, so it never passes for a finding. *)
+let () =
+  let fail fmt =
+    Format.kasprintf (fun msg -> Format.eprintf "%s@." msg; exit 2) fmt
+  in
+  match Cmd.eval' ~catch:false main with
+  | code -> exit code
+  | exception (Lexer.Error (msg, loc) | Parser.Error (msg, loc)) ->
+    fail "%s:%d:%d: %s" !source_name loc.Ast.line loc.Ast.col msg
+  | exception (Elab.Error msg | Translate.Unsupported msg) ->
+    fail "%s: %s" !source_name msg
+  | exception Sml.Error (msg, line) -> fail "%s:%d: %s" !source_name line msg
+  | exception State_graph.Too_many_states n ->
+    fail "%s: more than %d reachable states" !source_name n
+  | exception Sys_error msg -> fail "%s" msg
+  | exception e ->
+    let bt = Printexc.get_backtrace () in
+    Format.eprintf "avp: internal error, uncaught exception:@\n%s@\n%s@?"
+      (Printexc.to_string e) bt;
+    exit Cmd.Exit.internal_error

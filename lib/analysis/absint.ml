@@ -9,8 +9,6 @@
    - [all]: holds at EVERY program point of every execution whose
      stimulus pokes or forces only unconstrained nets: power-on
      values, mid-settle transients and seq-blocking overlays included.
-     This is the contract [Compile.facts] wants, so [facts] feeds the
-     kernel specializer directly.
 
    - [run]: holds at every settled observation point of the
      translate/replay protocol (reset held for [reset_cycles] posedge
@@ -874,26 +872,9 @@ let analyze ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
   let reset_id = Option.bind reset find in
   let tops = Array.make n false in
   Array.iteri (fun i b -> if b then tops.(i) <- true) d.Elab.top_inputs;
-  (* A net declared free in a reused module may be strapped by the
-     instantiating wrapper (a configured SKU): once it has a driver it
-     keeps the driver's semantics instead of going unconstrained —
-     this is exactly what lets the analysis prove a strapped cone
-     constant. *)
-  let driven = Array.make n false in
-  Array.iter
-    (fun p ->
-      let ws =
-        match p with
-        | Elab.Assign (lv, _) -> Elab.lv_nets lv
-        | Elab.Comb body | Elab.Seq (_, body) -> Elab.stmt_writes body
-      in
-      List.iter (fun id -> driven.(id) <- true) ws)
-    d.Elab.processes;
   Array.iter
     (fun (net : Elab.enet) ->
-      if
-        (Hashtbl.mem frees net.Elab.name || Hashtbl.mem ties net.Elab.name)
-        && not driven.(net.Elab.id)
+      if Hashtbl.mem frees net.Elab.name || Hashtbl.mem ties net.Elab.name
       then tops.(net.Elab.id) <- true)
     d.Elab.nets;
   Option.iter (fun id -> tops.(id) <- true) clock_id;
@@ -1022,34 +1003,6 @@ let analyze ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
 (* ------------------------------------------------------------------ *)
 (* Consumers                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let facts inv =
-  let consts = ref [] in
-  Array.iteri
-    (fun id a ->
-      if not inv.tops.(id) then
-        match to_bv a with
-        | Some bv -> consts := (id, bv) :: !consts
-        | None -> ())
-    inv.steady;
-  Compile.make_facts inv.design (List.rev !consts)
-
-let admit inv (tr : Avp_fsm.Translate.result) =
-  if not inv.run_distinct then None
-  else begin
-    let checks =
-      Array.map
-        (fun (b : Avp_fsm.Translate.binding) ->
-          let a = inv.run.(b.Avp_fsm.Translate.net.Elab.id) in
-          fun x -> x land a.kv = a.v && x >= a.lo && x <= a.hi)
-        tr.Avp_fsm.Translate.state_bindings
-    in
-    Some
-      (fun (vals : int array) ->
-        let ok = ref true in
-        Array.iteri (fun i chk -> if not (chk vals.(i)) then ok := false) checks;
-        !ok)
-  end
 
 (* A mutant provably diverges when some checked net has a bit (or a
    disjoint interval) proven differently in the two protocol

@@ -11,9 +11,7 @@
 
     - {b all}: holds at every program point of every execution whose
       stimulus only pokes or forces unconstrained nets (power-on
-      values, settle transients and seq-blocking overlays included) —
-      the exact contract of {!Avp_hdl.Compile.facts}, so {!facts}
-      feeds the kernel specializer directly.
+      values, settle transients and seq-blocking overlays included).
     - {b run}: holds at every settled observation point of the
       translate/replay protocol (reset held, released, only the clock
       stepped) — what the state enumerator and the mutation campaign
@@ -59,8 +57,8 @@ type invariants = {
   steady : av array;
       (** net id -> invariant over every value an expression can read
           (registers still include power-on X, but memoryless comb
-          nets shed their power-on Z) — the environment {!facts}
-          draws from.  Equals [all] unless [latch_free]. *)
+          nets shed their power-on Z) — where the proven constants
+          come from.  Equals [all] unless [latch_free]. *)
   run : av array;  (** net id -> post-reset observation invariant *)
   tops : bool array;  (** nets left unconstrained (inputs, frees, ties,
                           clock, reset) *)
@@ -80,19 +78,6 @@ val analyze :
 (** Clock and reset default to the design's [// avp clock/reset]
     directives; without both, only the [all] analysis runs.
     [reset_cycles] (default 1) mirrors {!Avp_fsm.Translate.translate}. *)
-
-val facts : invariants -> Compile.facts
-(** The proven constants of the [steady] environment, ready for
-    {!Compile.specialize} / [Compile.create ?facts] /
-    [Sliced.create ?facts]. *)
-
-val admit : invariants -> Avp_fsm.Translate.result -> (int array -> bool) option
-(** A sound frontier filter for {!Avp_enum.State_graph.enumerate}: a
-    state valuation (in [state_bindings] order) passes iff every
-    variable lies inside its proven known-bits/range invariant.
-    Soundness means a truly reachable state is never rejected — the
-    cross-validation suite asserts the filtered graph is identical.
-    [None] when the protocol analysis did not run. *)
 
 val divergence :
   nets:string list -> invariants -> invariants -> (string * string) option

@@ -9,7 +9,6 @@ type stats = {
   heap_mb : float;
   domains : int;
   level_times : (int * float) array;
-  pruned : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -68,12 +67,15 @@ let shard_bits = 6
 
 type index = {
   key_size : int;
+  pack_into : int array -> Bytes.t -> unit;
   shards : (Bytes.t, int) Hashtbl.t array;
 }
 
-let index_create key_size =
+let index_create model =
+  let key_size, pack_into = make_packer model in
   {
     key_size;
+    pack_into;
     shards = Array.init (1 lsl shard_bits) (fun _ -> Hashtbl.create 256);
   }
 
@@ -135,7 +137,7 @@ let batch_edge_cap = 1 lsl 20
 let default_parallel_threshold = 4096
 
 let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
-    ?(parallel_threshold = default_parallel_threshold) ?progress ?admit
+    ?(parallel_threshold = default_parallel_threshold) ?progress
     (model : Model.t) =
   let t0 = Obs.Clock.now_s () in
   (* Telemetry is per BFS level / batch, never per state: with spans
@@ -156,8 +158,8 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
      single HDL simulator instance) enumerate sequentially. *)
   let domains = if model.Model.parallel_safe then requested else 1 in
   let nvars = Array.length model.Model.reset in
-  let key_size, pack_into = make_packer model in
-  let index = index_create key_size in
+  let index = index_create model in
+  let key_size = index.key_size and pack_into = index.pack_into in
   let states = Dyn.create [||] in
   let adj = Dyn.create [||] in
   let num_choices = Model.num_choices model in
@@ -166,16 +168,6 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
   in
   let edge_count = ref 0 in
   let level_times = ref [] in
-  (* Frontier filter: a successor unknown to the intern table is only
-     admitted (interned, edge recorded) when [admit] accepts its
-     valuation.  With a sound filter — one accepting every truly
-     reachable state, e.g. {!Avp_analysis.Absint.admit} — the graph is
-     unchanged and [stats.pruned] stays 0; the counter existing is the
-     cross-validation hook.  Checked only on the deterministic merge
-     side, so the count is identical for any domain count.  The reset
-     state is always admitted. *)
-  let pruned = ref 0 in
-  let admits v = match admit with None -> true | Some f -> f v in
   (* Intern the reset state as id 0. *)
   let reset = Array.copy model.Model.reset in
   let reset_key = Bytes.create key_size in
@@ -237,14 +229,11 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
           match index_find index key with
           | Some id -> record_edge id ci
           | None ->
-            if admits nxt then begin
-              let id = states.Dyn.len in
-              if id >= max_states then raise (Too_many_states max_states);
-              index_add index (Bytes.copy key) id;
-              Dyn.push states (Array.copy nxt);
-              record_edge id ci
-            end
-            else incr pruned
+            let id = states.Dyn.len in
+            if id >= max_states then raise (Too_many_states max_states);
+            index_add index (Bytes.copy key) id;
+            Dyn.push states (Array.copy nxt);
+            record_edge id ci
         done;
         Dyn.push adj (Array.of_list (List.rev !out))
       done;
@@ -336,8 +325,7 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
           else begin
             let v = new_vals.(base + ci) in
             new_vals.(base + ci) <- [||];
-            if admits v then record_edge (intern_new v) ci
-            else incr pruned
+            record_edge (intern_new v) ci
           end
         done;
         Dyn.push adj (Array.of_list (List.rev !out))
@@ -389,7 +377,6 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
         heap_mb;
         domains = !used_domains;
         level_times = Array.of_list (List.rev !level_times);
-        pruned = !pruned;
       };
   }
 
@@ -397,20 +384,10 @@ let reset_id _ = 0
 let num_states t = Array.length t.states
 let num_edges t = t.stats.num_edges
 
-let lookup_valuation t valuation =
+let find_state t valuation =
   let key = Bytes.create t.index.key_size in
-  let _, pack_into = make_packer t.model in
-  pack_into valuation key;
+  t.index.pack_into valuation key;
   index_find t.index key
-
-let find_state t valuation = lookup_valuation t valuation
-
-let make_index t =
-  let _, pack_into = make_packer t.model in
-  fun valuation ->
-    let key = Bytes.create t.index.key_size in
-    pack_into valuation key;
-    index_find t.index key
 
 let out_degree t s = Array.length t.adj.(s)
 
@@ -427,8 +404,7 @@ let pp_stats ppf s =
     "states=%d bits/state=%d edges=%d time=%.2fs heap=%.1fMB domains=%d \
      levels=%d"
     s.num_states s.state_bits s.num_edges s.elapsed_s s.heap_mb s.domains
-    (Array.length s.level_times);
-  if s.pruned > 0 then Format.fprintf ppf " pruned=%d" s.pruned
+    (Array.length s.level_times)
 
 let pp_dot ppf t =
   Format.fprintf ppf "@[<v 2>digraph %s {@," t.model.Model.model_name;

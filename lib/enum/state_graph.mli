@@ -28,10 +28,6 @@ type stats = {
   domains : int;  (** domains actually used (1 = sequential) *)
   level_times : (int * float) array;
       (** per BFS batch: (sources expanded, seconds) *)
-  pruned : int;
-      (** successor occurrences the [admit] filter rejected (0 without
-          a filter — and 0 with a sound one: that is the
-          cross-validation invariant) *)
 }
 
 type index
@@ -59,21 +55,10 @@ val enumerate :
   ?domains:int ->
   ?parallel_threshold:int ->
   ?progress:Avp_obs.Progress.t ->
-  ?admit:(int array -> bool) ->
   Model.t ->
   t
 (** [domains] defaults to [default_domains ()] and is clamped to 1
     when the model is not {!Model.t.parallel_safe}.
-
-    [admit] is a frontier filter: a successor valuation not already
-    interned is discarded (counted in [stats.pruned]) unless the
-    filter accepts it.  A {e sound} filter — one accepting every truly
-    reachable state, such as the abstract interpreter's proven state
-    invariants ([Avp_analysis.Absint.admit]) — never changes the
-    graph; [stats.pruned] staying 0 is the cross-validation check.
-    The filter runs on the deterministic merge side, so results and
-    counts are identical for any domain count.  The reset state is
-    always admitted.
 
     [parallel_threshold] (default 4096): even with [domains > 1],
     enumeration starts sequentially and only switches to the
@@ -97,10 +82,6 @@ val num_edges : t -> int
 val find_state : t -> int array -> int option
 (** Look up a state id by valuation — a constant-time probe of the
     enumeration-time index. *)
-
-val make_index : t -> int array -> int option
-(** Constant-time valuation lookup (reuses the enumeration-time
-    index; kept for compatibility with [find_state]-style tooling). *)
 
 val out_degree : t -> int -> int
 

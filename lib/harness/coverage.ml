@@ -19,14 +19,14 @@ let pp = Avp_obs.Coverage.pp
 
 type accumulator = {
   cfg : Control_model.cfg;
-  index : int array -> int option;
+  graph : Avp_enum.State_graph.t;
   counter : Avp_obs.Coverage.t;
 }
 
 let create cfg graph =
   {
     cfg;
-    index = Avp_enum.State_graph.make_index graph;
+    graph;
     counter = Avp_obs.Coverage.of_graph graph.Avp_enum.State_graph.adj;
   }
 
@@ -38,7 +38,7 @@ let run ?config ?(max_cycles = 20_000) acc (stim : Drive.stimulus) =
   let prev = ref None in
   let record () =
     let v = Control_model.valuation_of_obs acc.cfg (Rtl.observe rtl) in
-    match acc.index v with
+    match Avp_enum.State_graph.find_state acc.graph v with
     | None ->
       Avp_obs.Coverage.mark_unmapped acc.counter;
       prev := None

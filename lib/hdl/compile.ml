@@ -165,152 +165,6 @@ let rec fold (e : Elab.eexpr) : Elab.eexpr =
      | _ -> Elab.Repeat (n, a))
 
 (* ------------------------------------------------------------------ *)
-(* Proven-invariant folding                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* [facts.(id) = Some c] promises the net holds [c] (possibly with
-   x/z bits) at EVERY program point of every reachable execution —
-   power-on values, mid-settle transients and intra-process blocking
-   overlays included.  Under that contract substituting the constant
-   for any read of the net is behavior-preserving in both engines.
-   The promise extends over stimulus too: a caller may only poke or
-   force nets its facts left unconstrained. *)
-type facts = Bv.t option array
-
-let make_facts (d : Elab.t) consts : facts =
-  let fx = Array.make (Array.length d.Elab.nets) None in
-  List.iter
-    (fun (id, c) ->
-      fx.(id) <- Some (Bv.resize c d.Elab.nets.(id).Elab.width))
-    consts;
-  fx
-
-let facts_count (fx : facts) =
-  Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n) 0 fx
-
-let rec subst (fx : facts) (e : Elab.eexpr) : Elab.eexpr =
-  match e with
-  | Elab.Const _ -> e
-  | Elab.Net id -> (
-    match fx.(id) with Some c -> Elab.Const c | None -> e)
-  | Elab.Range (id, hi, lo) -> (
-    match fx.(id) with
-    | Some c -> Elab.Const (Bv.select c ~hi ~lo)
-    | None -> e)
-  | Elab.Index (id, i) -> Elab.Index (id, subst fx i)
-  | Elab.Unop (op, a) -> Elab.Unop (op, subst fx a)
-  | Elab.Binop (op, a, b) -> Elab.Binop (op, subst fx a, subst fx b)
-  | Elab.Ternary (c, a, b) ->
-    Elab.Ternary (subst fx c, subst fx a, subst fx b)
-  | Elab.Concat es -> Elab.Concat (List.map (subst fx) es)
-  | Elab.Repeat (n, a) -> Elab.Repeat (n, subst fx a)
-
-let fold_facts fx e = fold (subst fx e)
-
-(* Truth of a constant condition under engine semantics: both the
-   interpreter and the kernels take the else path unless the value is
-   definitely true (op_jf: "jump unless definitely true"). *)
-let const_truth c =
-  match Bv.planes c with
-  | Some (v, u) -> v land lnot u <> 0
-  | None -> Bv.to_bool c = Some true
-
-let rec subst_lv fx (lv : Elab.elv) : Elab.elv =
-  match lv with
-  | Elab.Lnet _ | Elab.Lrange _ -> lv
-  | Elab.Lindex (id, i) -> Elab.Lindex (id, fold_facts fx i)
-  | Elab.Lconcat ls -> Elab.Lconcat (List.map (subst_lv fx) ls)
-
-let rec simpl_stmt fx (s : Elab.estmt) : Elab.estmt =
-  match s with
-  | Elab.Nop -> Elab.Nop
-  | Elab.Block ss -> (
-    match
-      List.filter
-        (fun s -> s <> Elab.Nop)
-        (List.map (simpl_stmt fx) ss)
-    with
-    | [] -> Elab.Nop
-    | [ s ] -> s
-    | ss -> Elab.Block ss)
-  | Elab.Blocking (lv, e) -> Elab.Blocking (subst_lv fx lv, fold_facts fx e)
-  | Elab.Nonblocking (lv, e) ->
-    Elab.Nonblocking (subst_lv fx lv, fold_facts fx e)
-  | Elab.If (c, tb, eb) -> (
-    let c = fold_facts fx c in
-    match const_of c with
-    | Some vc ->
-      if const_truth vc then simpl_stmt fx tb
-      else (
-        match eb with Some s -> simpl_stmt fx s | None -> Elab.Nop)
-    | None ->
-      Elab.If (c, simpl_stmt fx tb, Option.map (simpl_stmt fx) eb))
-  | Elab.Case (sel, items, dflt) -> (
-    let sel = fold_facts fx sel in
-    let items =
-      List.map
-        (fun (labels, body) -> (List.map (fold_facts fx) labels, body))
-        items
-    in
-    let static =
-      match const_of sel with
-      | None -> None
-      | Some vs ->
-        (* The chain tests case-equality, which is total on 4-state
-           values, so a fully-constant chain decides statically. *)
-        let rec pick = function
-          | [] ->
-            Some (match dflt with Some s -> simpl_stmt fx s | None -> Elab.Nop)
-          | (labels, body) :: rest ->
-            let rec label_match = function
-              | [] -> Some false
-              | l :: ls -> (
-                match const_of l with
-                | None -> None
-                | Some vl ->
-                  if Bv.to_int (binop_val Ast.Ceq vs vl) = Some 1 then
-                    Some true
-                  else label_match ls)
-            in
-            (match label_match labels with
-             | Some true -> Some (simpl_stmt fx body)
-             | Some false -> pick rest
-             | None -> None)
-        in
-        pick items
-    in
-    match static with
-    | Some s -> s
-    | None ->
-      Elab.Case
-        ( sel,
-          List.map (fun (ls, body) -> (ls, simpl_stmt fx body)) items,
-          Option.map (simpl_stmt fx) dflt ))
-
-(* Specialize a design under proven invariants: constants substituted
-   into every expression, guards that become constant resolved to
-   their taken branch.  The process array keeps its shape (nothing is
-   ever removed, bodies may shrink to Nop), so unit numbering and the
-   schemata IR's process-for-process mirror stay intact; re-running
-   [units] on the result recomputes the reader lists, which is where
-   the settle-time win comes from — pruned reads stop waking their
-   old units.  Both engines consume the result: the scalar kernel
-   through [compile ?facts], the bit-sliced kernel through
-   [Sliced.create ?facts]. *)
-let specialize (fx : facts) (d : Elab.t) : Elab.t =
-  {
-    d with
-    Elab.processes =
-      Array.map
-        (function
-          | Elab.Assign (lv, e) ->
-            Elab.Assign (subst_lv fx lv, fold_facts fx e)
-          | Elab.Comb s -> Elab.Comb (simpl_stmt fx s)
-          | Elab.Seq (edges, s) -> Elab.Seq (edges, simpl_stmt fx s))
-        d.Elab.processes;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Opcodes                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1428,22 +1282,14 @@ type prog = {
   pmax_temps : int;
 }
 
-let compile ?u ?facts (d : Elab.t) =
+let compile ?u (d : Elab.t) =
   (* Bytecode assembly is paid once per design (or per mutant in a
      campaign) — a span makes its share visible next to the per-trace
      replay spans in the profile. *)
   Avp_obs.Obs.span ~cat:"hdl" "hdl.compile"
     ~args:[ ("nets", Avp_obs.Obs.Int (Array.length d.Elab.nets)) ]
   @@ fun () ->
-  let d, u =
-    match facts with
-    | None -> (d, (match u with Some u -> u | None -> units d))
-    | Some fx ->
-      (* The specialized processes have different reads, so a caller's
-         pre-facts analysis cannot be reused. *)
-      let d = specialize fx d in
-      (d, units d)
-  in
+  let u = match u with Some u -> u | None -> units d in
   let n = Array.length d.Elab.nets in
   let max_stack = ref 1 and max_temps = ref 1 in
   let finish a =
@@ -1540,6 +1386,6 @@ let instantiate (p : prog) =
     last_changed = -1;
   }
 
-let create ?u ?facts (d : Elab.t) =
-  Option.map instantiate (compile ?u ?facts d)
+let create ?u (d : Elab.t) =
+  Option.map instantiate (compile ?u d)
 let prog_units p = p.pu

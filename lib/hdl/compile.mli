@@ -30,20 +30,6 @@ type units = {
 
 val units : Elab.t -> units
 
-(** {1 Proven-invariant folding}
-
-    [facts.(id) = Some c] promises net [id] holds the 4-state value
-    [c] whenever any expression reading it is evaluated — settled
-    values, register power-on values and intra-process blocking
-    overlays included (the contract the abstract interpreter in
-    [Avp_analysis.Absint] proves with its [steady] environment; a
-    memoryless comb net's pre-first-settle Z is unobservable by
-    expressions and need not be covered).
-    Under it {!specialize} substitutes the constants into every
-    expression and resolves guards that become constant to their
-    taken branch, so both engines skip the pruned work.  The promise
-    covers stimulus: a caller must only poke or force nets its facts
-    left unconstrained. *)
 val unop_val : Ast.unop -> Bv.t -> Bv.t
 
 val binop_val : Ast.binop -> Bv.t -> Bv.t -> Bv.t
@@ -51,22 +37,6 @@ val binop_val : Ast.binop -> Bv.t -> Bv.t -> Bv.t
     width is the left operand's, comparisons yield one bit) — the
     ground truth abstract transfer functions collapse to on fully
     known operands. *)
-
-type facts = Avp_logic.Bv.t option array
-
-val make_facts : Elab.t -> (Elab.uid * Avp_logic.Bv.t) list -> facts
-(** Constants resized to their net's declared width; unlisted nets
-    stay unconstrained. *)
-
-val facts_count : facts -> int
-(** How many nets the facts pin. *)
-
-val specialize : facts -> Elab.t -> Elab.t
-(** The invariant-folded design: same nets, same process shape
-    (bodies may shrink to [Nop], none are removed), constants
-    substituted and dead guards resolved.  Re-run {!units} on the
-    result — the specialized processes read fewer nets, which is
-    where the settle-time win comes from. *)
 
 type t
 
@@ -78,10 +48,9 @@ type prog
     per replay trace, hundreds of traces) compile once and
     instantiate per run. *)
 
-val compile : ?u:units -> ?facts:facts -> Elab.t -> prog option
+val compile : ?u:units -> Elab.t -> prog option
 (** [None] when the design cannot be compiled (fall back to the
-    interpreter).  Pass [?u] to reuse an existing analysis; [?facts]
-    applies {!apply_facts} to it first. *)
+    interpreter).  Pass [?u] to reuse an existing analysis. *)
 
 val instantiate : prog -> t
 (** A fresh simulator (nets at their reset-free initial X/Z values)
@@ -90,7 +59,7 @@ val instantiate : prog -> t
 
 val prog_units : prog -> units
 
-val create : ?u:units -> ?facts:facts -> Elab.t -> t option
+val create : ?u:units -> Elab.t -> t option
 (** [compile] followed by {!instantiate}. *)
 
 val design : t -> Elab.t

@@ -374,34 +374,23 @@ let poke_id_i t id v =
 (* Public interface: engine dispatch                                  *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(engine = `Auto) (d : Elab.t) =
+let create ?(engine = `Compiled) (d : Elab.t) =
   let u = Compile.units d in
-  let want_compiled =
-    match engine with
-    | `Compiled | `Sliced -> true
-    | `Interp -> false
-    | `Auto ->
-      (match Sys.getenv_opt "AVP_SIM_ENGINE" with
-       | Some "interp" -> false
-       | Some _ | None -> true)
+  let compiled () =
+    match Compile.create ~u d with
+    | Some c -> C c
+    | None -> I (create_interp d u)
   in
   let eng =
     match engine with
+    | `Interp -> I (create_interp d u)
+    | `Compiled -> compiled ()
     | `Sliced -> (
-      (* One-lane batched kernel; falls back like [`Auto] when the
+      (* One-lane batched kernel; falls back like [`Compiled] when the
          design is outside the sliced engine's coverage. *)
       match Sliced.create ~u ~lanes:1 d with
       | Some s -> S s
-      | None -> (
-        match Compile.create ~u d with
-        | Some c -> C c
-        | None -> I (create_interp d u)))
-    | _ ->
-      if want_compiled then
-        match Compile.create ~u d with
-        | Some c -> C c
-        | None -> I (create_interp d u)
-      else I (create_interp d u)
+      | None -> compiled ())
   in
   { eng; obs = None }
 
@@ -410,18 +399,9 @@ let create ?(engine = `Auto) (d : Elab.t) =
    elaboration analysis and bytecode assembly once. *)
 type template = { td : Elab.t; tu : Compile.units; tp : Compile.prog option }
 
-let template ?(engine = `Auto) (d : Elab.t) =
+let template (d : Elab.t) =
   let u = Compile.units d in
-  let want_compiled =
-    match engine with
-    | `Compiled -> true
-    | `Interp -> false
-    | `Auto ->
-      (match Sys.getenv_opt "AVP_SIM_ENGINE" with
-       | Some "interp" -> false
-       | Some _ | None -> true)
-  in
-  { td = d; tu = u; tp = (if want_compiled then Compile.compile ~u d else None) }
+  { td = d; tu = u; tp = Compile.compile ~u d }
 
 let instantiate tpl =
   let eng =

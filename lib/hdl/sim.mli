@@ -18,16 +18,15 @@ exception Comb_loop of string
 (** Raised when combinational settling fails to converge, naming a
     net that keeps changing. *)
 
-val create : ?engine:[ `Auto | `Interp | `Compiled | `Sliced ] -> Elab.t -> t
-(** [`Auto] (the default) uses the compiled bytecode kernel whenever
-    {!Compile.create} supports the design, falling back to the
-    tree-walking interpreter otherwise; setting [AVP_SIM_ENGINE=interp]
-    in the environment forces the interpreter, which serves as the
-    differential oracle for the compiled engine.  [`Sliced] runs a
-    one-lane instance of the bit-sliced batched kernel ({!Sliced}) —
-    mainly for differential testing; batch users drive {!Sliced}
-    directly — and falls back like [`Auto] when the design is outside
-    its coverage. *)
+val create : ?engine:[ `Interp | `Compiled | `Sliced ] -> Elab.t -> t
+(** [`Compiled] (the default) uses the compiled bytecode kernel
+    whenever {!Compile.create} supports the design, falling back to
+    the tree-walking interpreter otherwise.  [`Interp] forces the
+    interpreter, which serves as the differential oracle for the
+    compiled engine.  [`Sliced] runs a one-lane instance of the
+    bit-sliced batched kernel ({!Sliced}) — mainly for differential
+    testing; batch users drive {!Sliced} directly — and falls back
+    like [`Compiled] when the design is outside its coverage. *)
 
 val engine : t -> [ `Interp | `Compiled | `Sliced ]
 (** Which engine [create] actually selected. *)
@@ -40,7 +39,10 @@ val engine : t -> [ `Interp | `Compiled | `Sliced ]
 
 type template
 
-val template : ?engine:[ `Auto | `Interp | `Compiled ] -> Elab.t -> template
+val template : Elab.t -> template
+(** The compiled program, or the interpreter when the compiler does
+    not support the design — [create]'s default choice. *)
+
 val instantiate : template -> t
 (** A fresh simulator at power-on state. *)
 

@@ -1221,16 +1221,9 @@ let build ?u ~lanes (d : Elab.t) (procs : xp array) =
   reinit t;
   t
 
-let create ?u ?facts ~lanes (d : Elab.t) =
+let create ?u ~lanes (d : Elab.t) =
   if lanes < 1 || lanes > Sl.lanes_limit then
     invalid_arg "Sliced.create: lane count out of range";
-  (* Folding rewrites the processes' reads, so a caller's pre-facts
-     static analysis cannot be reused. *)
-  let d, u =
-    match facts with
-    | None -> (d, u)
-    | Some fx -> (Compile.specialize fx d, None)
-  in
   let procs = Array.map inj_p d.Elab.processes in
   match build ?u ~lanes d procs with
   | t -> Some t

@@ -22,14 +22,11 @@ open Avp_logic
 
 type t
 
-val create :
-  ?u:Compile.units -> ?facts:Compile.facts -> lanes:int -> Elab.t -> t option
+val create : ?u:Compile.units -> lanes:int -> Elab.t -> t option
 (** A batched simulator with [lanes] identical copies of the design
     (1..62).  [None] when the design uses a construct the kernel does
     not cover (currently: ternaries with unequal arm widths, as the
-    scalar compiled engine).  Pass [?u] to reuse a static analysis;
-    [?facts] compiles the {!Compile.specialize}d design instead
-    (ignoring [?u], whose reader lists no longer apply). *)
+    scalar compiled engine).  Pass [?u] to reuse a static analysis. *)
 
 val create_schemata :
   ?u:Compile.units -> base:Elab.t -> Elab.t array -> (t * bool array) option

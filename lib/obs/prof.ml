@@ -4,8 +4,8 @@
    identical in-process (--profile) and offline (avp profile over a
    --trace capture).  Nesting is reconstructed per domain from the
    tick intervals [o, c] — the same relation Obs.well_formed checks —
-   never from timestamps, so retrospective [complete] spans nest
-   exactly as they were emitted. *)
+   and, for retrospective [complete] spans, which have no tick
+   interval, from the time windows they enclose. *)
 
 type span_stat = {
   s_cat : string;
@@ -85,9 +85,25 @@ let fanout_names = [ "enum.batch" ]
 (* Nesting: direct parents and self time                              *)
 (* ------------------------------------------------------------------ *)
 
-(* For every span, its direct parent within its domain (or -1): spans
-   sorted by open tick, a stack of currently-open spans; [p] encloses
-   [e] iff p.o < e.o && e.c < p.c.  O(n log n). *)
+(* For every span, its direct parent within its domain (or -1).
+
+   Bracketed spans nest by their tick intervals: spans sorted by open
+   tick, a stack of currently-open spans; [p] encloses [e] iff
+   p.o < e.o && e.c < p.c.  O(n log n).
+
+   Retrospective point-tick spans (o = c: an enum.run emitted after
+   its levels, a classify after its equivalence check) carry no tick
+   nesting of their own, and their windows may enclose bracketed spans
+   as well as other point spans.  Each is parented to the innermost
+   span whose time window contains it: among the spans sharing its tick
+   parent, taken in close-tick order, a point span adopts every
+   earlier top-level one that started no earlier than it did — what
+   closed before it was emitted and started after its timer did ran
+   inside its window.  The start comparison allows 1 ns for the
+   rounding of [Obs.complete]'s start stamp; a zero-length span on the
+   boundary stays a sibling.  A span never adopts one of its own
+   (cat, name): the per-lane spans of one sliced pass share a start
+   and run side by side, and no emitter times an instance of itself. *)
 let compute_parents (spans : Obs.event array) =
   let n = Array.length spans in
   let order = Array.init n (fun i -> i) in
@@ -98,7 +114,7 @@ let compute_parents (spans : Obs.event array) =
       | 0 -> compare eb.Obs.c ea.Obs.c
       | c -> c)
     order;
-  let parent = Array.make n (-1) in
+  let tick_parent = Array.make n (-1) in
   let stack = ref [] in
   Array.iter
     (fun i ->
@@ -112,53 +128,38 @@ let compute_parents (spans : Obs.event array) =
         | [] -> []
       in
       stack := unwind !stack;
-      (match !stack with p :: _ -> parent.(i) <- p | [] -> ());
+      (match !stack with p :: _ -> tick_parent.(i) <- p | [] -> ());
       stack := i :: !stack)
     order;
-  parent
-
-(* Second pass: retrospective point-tick spans (o = c) carry no tick
-   nesting of their own — an enum.run emitted after its levels, a
-   batch after its shards — but their measured [ts, ts+dur] windows
-   do nest.  Fill in parents for still-parentless point spans by
-   temporal containment: the same stack sweep over (dom, start asc,
-   end desc).  Bracketed spans keep their pure tick semantics. *)
-let complete_parents (spans : Obs.event array) (parent : int array) =
-  let n = Array.length spans in
-  let order = Array.init n (fun i -> i) in
-  let end_ (e : Obs.event) = e.Obs.ts_ns + e.Obs.dur_ns in
-  Array.sort
-    (fun a b ->
-      let ea = spans.(a) and eb = spans.(b) in
-      match
-        compare (ea.Obs.dom, ea.Obs.ts_ns) (eb.Obs.dom, eb.Obs.ts_ns)
-      with
-      | 0 -> (
-        match compare (end_ eb) (end_ ea) with 0 -> compare a b | c -> c)
-      | c -> c)
-    order;
-  let stack = ref [] in
+  let key i = (spans.(i).Obs.dom, tick_parent.(i), spans.(i).Obs.c) in
+  Array.sort (fun a b -> compare (key a) (key b)) order;
+  let parent = Array.copy tick_parent in
+  let encloses (e : Obs.event) (s : Obs.event) =
+    (s.Obs.cat, s.Obs.name) <> (e.Obs.cat, e.Obs.name)
+    && s.Obs.ts_ns + 1 >= e.Obs.ts_ns
+    && s.Obs.ts_ns + s.Obs.dur_ns > e.Obs.ts_ns
+  in
+  let group = ref (-1, -2) and top = ref [] in
   Array.iter
     (fun i ->
       let e = spans.(i) in
-      let rec unwind = function
-        | p :: rest ->
-          let pe = spans.(p) in
-          if
-            pe.Obs.dom = e.Obs.dom
-            && pe.Obs.ts_ns <= e.Obs.ts_ns
-            && end_ e <= end_ pe
-            && not (pe.Obs.ts_ns = e.Obs.ts_ns && end_ pe = end_ e)
-          then p :: rest
-          else unwind rest
-        | [] -> []
-      in
-      stack := unwind !stack;
-      (match !stack with
-       | p :: _ when parent.(i) = -1 && e.Obs.o = e.Obs.c -> parent.(i) <- p
-       | _ -> ());
-      stack := i :: !stack)
-    order
+      let g = (e.Obs.dom, tick_parent.(i)) in
+      if g <> !group then begin
+        group := g;
+        top := []
+      end;
+      if e.Obs.o = e.Obs.c then begin
+        let rec adopt = function
+          | s :: rest when encloses e spans.(s) ->
+            parent.(s) <- i;
+            adopt rest
+          | rest -> rest
+        in
+        top := adopt !top
+      end;
+      top := i :: !top)
+    order;
+  parent
 
 let of_events ?(counters = []) (evs : Obs.event list) =
   let all = Array.of_list evs in
@@ -167,13 +168,30 @@ let of_events ?(counters = []) (evs : Obs.event list) =
   in
   let n = Array.length spans in
   let parent = compute_parents spans in
-  complete_parents spans parent;
-  (* Self time: duration minus the directly nested spans'. *)
-  let child_ns = Array.make n 0 in
-  Array.iteri
-    (fun i p -> if p >= 0 then child_ns.(p) <- child_ns.(p) + spans.(i).Obs.dur_ns)
-    parent;
-  let self_ns = Array.init n (fun i -> spans.(i).Obs.dur_ns - child_ns.(i)) in
+  (* Self time: the stretch of a span's window its direct children
+     leave uncovered.  Children normally run one after another, so this
+     is the duration minus theirs; the per-lane spans of one sliced
+     pass all cover the same window, and their overlap is counted once,
+     so self time is never negative. *)
+  let children = Array.make n [] in
+  Array.iteri (fun i p -> if p >= 0 then children.(p) <- i :: children.(p)) parent;
+  let self_ns =
+    Array.init n (fun i ->
+        let e = spans.(i) in
+        let hi = e.Obs.ts_ns + e.Obs.dur_ns in
+        let by_start a b = compare spans.(a).Obs.ts_ns spans.(b).Obs.ts_ns in
+        let covered, _ =
+          List.fold_left
+            (fun (covered, reach) k ->
+              let c = spans.(k) in
+              let a = max reach c.Obs.ts_ns
+              and b = min hi (c.Obs.ts_ns + c.Obs.dur_ns) in
+              if b > a then (covered + b - a, b) else (covered, reach))
+            (0, e.Obs.ts_ns)
+            (List.sort by_start children.(i))
+        in
+        e.Obs.dur_ns - covered)
+  in
   (* Aggregation per (cat, name). *)
   let groups : (string * string, int list ref * int ref * int ref * int ref
                 * (int, int ref) Hashtbl.t) Hashtbl.t =
@@ -240,13 +258,12 @@ let of_events ?(counters = []) (evs : Obs.event list) =
     else path parent.(i) ^ ";" ^ frame
   in
   Array.iteri
-    (fun i _ ->
+    (fun i v ->
       let p = path i in
-      let v = max 0 self_ns.(i) in
       match Hashtbl.find_opt folded p with
       | Some old -> Hashtbl.replace folded p (old + v)
       | None -> Hashtbl.add folded p v)
-    spans;
+    self_ns;
   let folded =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) folded []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)

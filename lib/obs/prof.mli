@@ -4,10 +4,13 @@
     Three views over one event list:
 
     - {b span aggregation} — per (category, name) label: call count,
-      total and self time (children's time attributed away using the
-      per-domain tick nesting), exact p50/p95/max from the recorded
+      total and self time, exact p50/p95/max from the recorded
       durations, allocation totals when the tracer sampled them, and a
-      per-domain busy breakdown;
+      per-domain busy breakdown.  Bracketed spans nest by their
+      per-domain tick intervals; a retrospective [Obs.complete] span
+      has no tick interval of its own and is parented to the innermost
+      span whose time window contains it (never to another span of its
+      own label, so per-lane spans of one pass stay siblings);
     - {b folded stacks} — the per-domain nesting chains collapsed to
       [dom0;parent;child self_ns] lines (the inferno / speedscope /
       flamegraph.pl input format) plus a self-contained static HTML
@@ -29,7 +32,10 @@ type span_stat = {
   s_name : string;
   s_count : int;
   s_total_ns : int;
-  s_self_ns : int;  (** total minus time in directly nested spans *)
+  s_self_ns : int;
+      (** the part of each span's window its direct children leave
+          uncovered, summed: overlapping children count once, so it is
+          never negative *)
   s_min_ns : int;
   s_p50_ns : int;
   s_p95_ns : int;

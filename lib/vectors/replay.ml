@@ -67,12 +67,10 @@ let run_nets ~tpl ~(tr : Translate.result) ~(nets : string array) ~predict
    they gain: stay sequential unless every domain gets at least this
    many cycles of work (the same shape as the enumerator's frontier
    threshold). *)
-let default_parallel_threshold = 4096
+let parallel_threshold = 4096
 
-let effective_domains ~parallel_threshold ~domains ~total_cycles =
-  let domains = max 1 domains in
-  if parallel_threshold <= 0 then domains
-  else max 1 (min domains (total_cycles / parallel_threshold))
+let effective_domains ~domains ~total_cycles =
+  max 1 (min domains (total_cycles / parallel_threshold))
 
 let sharded ?progress ~domains ~n run =
   let results = Array.make n (0, None) in
@@ -156,10 +154,8 @@ let cycles_until (vectors : Vector.t array) (m : mismatch) =
   done;
   !acc + max 0 (m.cycle + 1)
 
-let check ?dut ?(domains = 1)
-    ?(parallel_threshold = default_parallel_threshold) ?progress
-    ?vectors:vecs (tr : Translate.result) (graph : Avp_enum.State_graph.t)
-    (tours : Avp_tour.Tour_gen.t) =
+let check ?dut ?(domains = 1) ?progress ?vectors:vecs (tr : Translate.result)
+    (graph : Avp_enum.State_graph.t) (tours : Avp_tour.Tour_gen.t) =
   let design = Option.value ~default:tr.Translate.elab dut in
   let traces = tours.Avp_tour.Tour_gen.traces in
   let n = Array.length traces in
@@ -167,8 +163,7 @@ let check ?dut ?(domains = 1)
   let nets = state_nets tr in
   let tpl = Avp_hdl.Sim.template design in
   let domains =
-    effective_domains ~parallel_threshold ~domains
-      ~total_cycles:(total_cycles vectors)
+    effective_domains ~domains ~total_cycles:(total_cycles vectors)
   in
   sharded ?progress ~domains ~n (fun ti ->
       let trace = traces.(ti) in
@@ -198,15 +193,13 @@ let record ?dut (tr : Translate.result) ~(nets : string array)
     ~on_cycle:(fun i -> snap (i + 1));
   rows
 
-let check_nets ~dut ?(domains = 1)
-    ?(parallel_threshold = default_parallel_threshold) ?progress
-    (tr : Translate.result) ~(nets : string array)
-    ~(predicted : int array array array) (vectors : Vector.t array) =
+let check_nets ~dut ?(domains = 1) ?progress (tr : Translate.result)
+    ~(nets : string array) ~(predicted : int array array array)
+    (vectors : Vector.t array) =
   let n = Array.length vectors in
   let tpl = Avp_hdl.Sim.template dut in
   let domains =
-    effective_domains ~parallel_threshold ~domains
-      ~total_cycles:(total_cycles vectors)
+    effective_domains ~domains ~total_cycles:(total_cycles vectors)
   in
   sharded ?progress ~domains ~n (fun ti ->
       let rows = predicted.(ti) in
@@ -231,8 +224,7 @@ let check_nets ~dut ?(domains = 1)
    loop runs every trace and the exception escapes the scan — and
    otherwise the lowest-numbered mismatch is reported. *)
 let check_batch ?dut ?(lanes = Avp_logic.Bv_sliced.lanes_limit)
-    ?(domains = 1) ?(parallel_threshold = default_parallel_threshold)
-    ?progress ?vectors:vecs (tr : Translate.result)
+    ?(domains = 1) ?progress ?vectors:vecs (tr : Translate.result)
     (graph : Avp_enum.State_graph.t) (tours : Avp_tour.Tour_gen.t) =
   let design = Option.value ~default:tr.Translate.elab dut in
   let traces = tours.Avp_tour.Tour_gen.traces in
@@ -243,8 +235,7 @@ let check_batch ?dut ?(lanes = Avp_logic.Bv_sliced.lanes_limit)
   match Avp_hdl.Sliced.create ~u:units ~lanes:(min lanes (max 1 n)) design with
   | None ->
     (* Design outside the sliced kernel's coverage: scalar path. *)
-    check ?dut ~domains ~parallel_threshold ?progress ~vectors tr graph
-      tours
+    check ?dut ~domains ?progress ~vectors tr graph tours
   | Some _ ->
     let nets = state_nets tr in
     let net_ids =
@@ -398,8 +389,7 @@ let check_batch ?dut ?(lanes = Avp_logic.Bv_sliced.lanes_limit)
       done
     in
     let domains =
-      effective_domains ~parallel_threshold ~domains
-        ~total_cycles:(total_cycles vectors)
+      effective_domains ~domains ~total_cycles:(total_cycles vectors)
     in
     let domains = max 1 (min domains (max 1 chunks)) in
     if domains = 1 then

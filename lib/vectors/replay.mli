@@ -39,7 +39,6 @@ val state_nets : Avp_fsm.Translate.result -> string array
 val check :
   ?dut:Avp_hdl.Elab.t ->
   ?domains:int ->
-  ?parallel_threshold:int ->
   ?progress:Avp_obs.Progress.t ->
   ?vectors:Vector.t array ->
   Avp_fsm.Translate.result ->
@@ -59,10 +58,10 @@ val check :
     one simulator per domain, traces sharded round-robin.  The result
     is deterministic and identical to the sequential run: vector
     generation stays on the calling domain, and the merge reports the
-    lowest-numbered failing trace.  [?parallel_threshold] (default
-    4096) keeps the replay sequential unless every requested domain
-    would get at least that many cycles of work — small replays lose
-    more to domain spawn and cache contention than they gain.
+    lowest-numbered failing trace.  The replay stays sequential unless
+    every requested domain would get at least 4096 cycles of work —
+    small replays lose more to domain spawn and cache contention than
+    they gain.
 
     [?dut] substitutes a different elaborated design as the device
     under test (it must declare the same annotated nets): vectors
@@ -74,7 +73,6 @@ val check_batch :
   ?dut:Avp_hdl.Elab.t ->
   ?lanes:int ->
   ?domains:int ->
-  ?parallel_threshold:int ->
   ?progress:Avp_obs.Progress.t ->
   ?vectors:Vector.t array ->
   Avp_fsm.Translate.result ->
@@ -107,7 +105,6 @@ val record :
 val check_nets :
   dut:Avp_hdl.Elab.t ->
   ?domains:int ->
-  ?parallel_threshold:int ->
   ?progress:Avp_obs.Progress.t ->
   Avp_fsm.Translate.result ->
   nets:string array ->

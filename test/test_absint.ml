@@ -1,8 +1,7 @@
 (* Abstract interpretation: the soundness property (every concrete
-   simulation stays inside the proven invariants), the consumer
-   plumbing (facts for the compiler, the enumerator's frontier
-   filter, the mutation prune), the scheduling-race goldens, and the
-   README rules-table drift check. *)
+   simulation and every enumerated state stays inside the proven
+   invariants), the mutation prune, the scheduling-race goldens, and
+   the README rules-table drift check. *)
 
 open Avp_hdl
 open Avp_analysis
@@ -225,14 +224,13 @@ let test_absq_invariants () =
      claim may survive on the input cone. *)
   Alcotest.(check bool) "acc stays top" false
     (Absint.interesting (run "acc"));
-  (* facts feeds the compiler: exactly the proven constants. *)
-  let facts = Absint.facts inv in
-  (match facts.(get_net inv "gated") with
+  (match Absint.to_bv (steady "gated") with
    | Some bv ->
-     Alcotest.(check string) "gated fact" "0000" (Avp_logic.Bv.to_string bv)
-   | None -> Alcotest.fail "gated not in facts");
-  Alcotest.(check bool) "free input has no fact" true
-    (facts.(get_net inv "in") = None)
+     Alcotest.(check string) "gated constant" "0000"
+       (Avp_logic.Bv.to_string bv)
+   | None -> Alcotest.fail "gated not proven constant");
+  Alcotest.(check bool) "free input not constant" false
+    (Absint.is_const (steady "in"))
 
 let test_absq_findings () =
   let inv = Lazy.force absq_inv in
@@ -249,25 +247,32 @@ let test_absq_findings () =
     fs
 
 (* ------------------------------------------------------------------ *)
-(* Enumerator cross-validation: the frontier filter is sound          *)
+(* Enumerator cross-validation: every reachable state is inside [run] *)
 (* ------------------------------------------------------------------ *)
 
-let test_enumerate_filter_sound () =
+(* Every enumerated state, the reset state included, is a post-reset
+   observation of the translated design, so each state variable's
+   value must conform to its net's [run] invariant: known bits and
+   value range. *)
+let test_enumerated_states_inside_run () =
   let tr = Avp_pp.Control_hdl.translate () in
   let inv = Lazy.force pp_inv in
-  match Absint.admit inv tr with
-  | None -> Alcotest.fail "admit filter unavailable for pp"
-  | Some admit ->
-    let plain = Avp_enum.State_graph.enumerate ~domains:1 tr.Avp_fsm.Translate.model in
-    let filtered =
-      Avp_enum.State_graph.enumerate ~domains:1 ~admit tr.Avp_fsm.Translate.model
-    in
-    Alcotest.(check int) "no reachable state pruned" 0
-      filtered.Avp_enum.State_graph.stats.Avp_enum.State_graph.pruned;
-    Alcotest.(check bool) "identical states" true
-      (filtered.Avp_enum.State_graph.states = plain.Avp_enum.State_graph.states);
-    Alcotest.(check bool) "identical adjacency" true
-      (filtered.Avp_enum.State_graph.adj = plain.Avp_enum.State_graph.adj)
+  Alcotest.(check bool) "protocol analysis ran" true inv.Absint.run_distinct;
+  let g =
+    Avp_enum.State_graph.enumerate ~domains:1 tr.Avp_fsm.Translate.model
+  in
+  Array.iteri
+    (fun sid vals ->
+      Array.iteri
+        (fun i (b : Avp_fsm.Translate.binding) ->
+          let net = b.Avp_fsm.Translate.net in
+          let a = inv.Absint.run.(get_net inv net.Elab.name) in
+          let bv = Avp_logic.Bv.of_int ~width:net.Elab.width vals.(i) in
+          if not (conforms a bv) then
+            Alcotest.failf "state %d: %s = %d escapes proven %s" sid
+              net.Elab.name vals.(i) (Absint.av_str a))
+        tr.Avp_fsm.Translate.state_bindings)
+    g.Avp_enum.State_graph.states
 
 (* ------------------------------------------------------------------ *)
 (* Mutation prune: divergence proofs and their absence                *)
@@ -362,8 +367,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pp_sound;
     Alcotest.test_case "absq proven invariants" `Quick test_absq_invariants;
     Alcotest.test_case "absq invariant findings" `Quick test_absq_findings;
-    Alcotest.test_case "enumerate frontier filter sound" `Slow
-      test_enumerate_filter_sound;
+    Alcotest.test_case "enumerated states inside run" `Slow
+      test_enumerated_states_inside_run;
     Alcotest.test_case "prune divergent mutant" `Quick
       test_prune_divergent_mutant;
     Alcotest.test_case "sched-race golden" `Quick test_sched_race_golden;

@@ -80,7 +80,6 @@ let test_obs_mapping_reaches_model () =
      reachable abstract states. *)
   let cfg = Control_model.default in
   let g = State_graph.enumerate (Control_model.model cfg) in
-  let index = State_graph.make_index g in
   let program =
     [|
       Isa.Alui (Isa.Add, 1, 0, 3);
@@ -99,7 +98,10 @@ let test_obs_mapping_reaches_model () =
     if (not (Rtl.halted rtl)) && Rtl.cycle rtl < 500 then begin
       Rtl.step rtl ~inbox_ready:true ~outbox_ready:true;
       incr total;
-      (match index (Control_model.valuation_of_obs cfg (Rtl.observe rtl)) with
+      (match
+         State_graph.find_state g
+           (Control_model.valuation_of_obs cfg (Rtl.observe rtl))
+       with
        | Some _ -> incr mapped
        | None -> ());
       loop ()

@@ -1,7 +1,8 @@
 (* Profiler tests: self-time conservation over random span forests
-   (qcheck), a golden folded-stack, -j invariance of the normalized
-   profile JSON, the parallel-efficiency analyzer on a synthetic
-   two-domain trace, and the GC counters behind the profiling gate. *)
+   with retrospective spans (qcheck), golden folded stacks, -j
+   invariance of the normalized profile JSON, the parallel-efficiency
+   analyzer on a synthetic two-domain trace, and the GC counters
+   behind the profiling gate. *)
 
 module Obs = Avp_obs.Obs
 module Prof = Avp_obs.Prof
@@ -21,6 +22,9 @@ let span ?(cat = "") ?(dom = 0) ?(args = []) ?o ?c ~ts ~dur name =
     c = Option.value ~default:(ts + dur) c;
     args;
   }
+
+let self_ns prof name =
+  (List.find (fun s -> s.Prof.s_name = name) prof.Prof.p_spans).Prof.s_self_ns
 
 (* {2 Golden folded stacks} *)
 
@@ -66,24 +70,109 @@ let test_point_span_nesting () =
     "dom0;enum.run 10\ndom0;enum.run;enum.level 90\n"
     (Prof.folded_string prof)
 
+(* The shape [avp mutate] emits, where the span table once showed
+   mutate.run with a negative self time.  Inside the bracketed
+   mutate.run, the word pass and every per-mutant classify are
+   retrospective.  One classify ran an equivalence check: a bracketed
+   hdl.compile, then the enumeration's levels and its enum.run, all
+   emitted before the classify itself.  A zero-length classify sits on
+   that check's start boundary and stays its sibling. *)
+let test_retrospective_mutate_shape () =
+  let evs =
+    [
+      span ~cat:"mutate" ~ts:0 ~dur:1000 ~o:0 ~c:20 "mutate.run";
+      span ~cat:"mutate" ~ts:10 ~dur:5 ~o:1 ~c:1 "mutate.classify";
+      span ~cat:"mutate" ~ts:20 ~dur:200 ~o:2 ~c:2 "mutate.pass";
+      span ~cat:"mutate" ~ts:225 ~dur:0 ~o:3 ~c:3 "mutate.classify";
+      span ~cat:"hdl" ~ts:230 ~dur:10 ~o:4 ~c:5 "hdl.compile";
+      span ~cat:"enum" ~ts:245 ~dur:300 ~o:6 ~c:6 "enum.level";
+      span ~cat:"enum" ~ts:550 ~dur:400 ~o:7 ~c:7 "enum.level";
+      span ~cat:"enum" ~ts:242 ~dur:710 ~o:8 ~c:8 "enum.run";
+      span ~cat:"mutate" ~ts:225 ~dur:730 ~o:9 ~c:9 "mutate.classify";
+      span ~cat:"mutate" ~ts:960 ~dur:0 ~o:10 ~c:10 "mutate.classify";
+    ]
+  in
+  let prof = Prof.of_events evs in
+  let self = self_ns prof in
+  List.iter
+    (fun (name, want) -> Alcotest.(check int) (name ^ " self") want (self name))
+    [
+      ("mutate.run", 65);
+      ("mutate.classify", 15);
+      ("mutate.pass", 200);
+      ("hdl.compile", 10);
+      ("enum.run", 10);
+      ("enum.level", 700);
+    ];
+  Alcotest.(check string) "folded"
+    "dom0;mutate.run 65\n\
+     dom0;mutate.run;mutate.classify 15\n\
+     dom0;mutate.run;mutate.classify;enum.run 10\n\
+     dom0;mutate.run;mutate.classify;enum.run;enum.level 700\n\
+     dom0;mutate.run;mutate.classify;hdl.compile 10\n\
+     dom0;mutate.run;mutate.pass 200\n"
+    (Prof.folded_string prof)
+
+(* One sliced pass emits a span per lane, each covering the pass: the
+   windows overlap without nesting.  The round's self time counts the
+   covered stretch once, not once per lane.  Lanes mostly share one
+   start (the clock ticks in microseconds), and a later lane whose
+   window contains an earlier one still stays its sibling. *)
+let test_overlapping_lane_spans () =
+  let evs =
+    [
+      span ~cat:"fuzz" ~ts:10 ~dur:80 ~o:1 ~c:1 "fuzz.exec";
+      span ~cat:"fuzz" ~ts:12 ~dur:79 ~o:2 ~c:2 "fuzz.exec";
+      span ~cat:"fuzz" ~ts:0 ~dur:100 ~o:3 ~c:3 "fuzz.round";
+    ]
+  in
+  let prof = Prof.of_events evs in
+  let self = self_ns prof in
+  Alcotest.(check int) "round self = window minus the lanes' union" 19
+    (self "fuzz.round");
+  Alcotest.(check int) "lanes keep their own time" 159 (self "fuzz.exec");
+  let equal_start =
+    Prof.of_events
+      [
+        span ~cat:"fuzz" ~ts:10 ~dur:80 ~o:1 ~c:1 "fuzz.exec";
+        span ~cat:"fuzz" ~ts:10 ~dur:85 ~o:2 ~c:2 "fuzz.exec";
+        span ~cat:"fuzz" ~ts:0 ~dur:100 ~o:3 ~c:3 "fuzz.round";
+      ]
+  in
+  Alcotest.(check string) "equal-start lanes are both children of the round"
+    "dom0;fuzz.round 15\ndom0;fuzz.round;fuzz.exec 165\n"
+    (Prof.folded_string equal_start)
+
 (* {2 Self-time conservation} *)
 
 (* Random well-nested forests: spans strictly inside their parent's
-   tick interval, siblings disjoint.  Returns the events plus the
-   total duration of the roots — self time distributes the roots'
-   time among the tree without inventing or losing any. *)
+   time window, siblings disjoint.  A bracketed span's ticks follow
+   its window; a retrospective one ([Obs.complete]) takes a single
+   tick at its end, after everything it encloses.  Names carry their
+   depth: like the real emitters, no span nests an instance of itself.
+   Returns the events plus the total duration of the roots — self time
+   distributes the roots' time among the tree without inventing or
+   losing any. *)
 let rec gen_forest ~dom ~lo ~hi ~depth st =
   if hi - lo < 4 || depth > 4 || QCheck.Gen.int_bound 3 st = 0 then ([], 0)
   else begin
     let a = QCheck.Gen.int_range lo (hi - 4) st in
     let b = QCheck.Gen.int_range (a + 3) hi st in
-    let name = [| "alpha"; "beta"; "gamma" |].(QCheck.Gen.int_bound 2 st) in
+    let name =
+      Printf.sprintf "%s%d"
+        [| "alpha"; "beta"; "gamma" |].(QCheck.Gen.int_bound 2 st)
+        depth
+    in
     let kids, _ = gen_forest ~dom ~lo:(a + 1) ~hi:(b - 1) ~depth:(depth + 1) st in
     let rest, rest_total =
       if b + 1 >= hi then ([], 0)
       else gen_forest ~dom ~lo:(b + 1) ~hi ~depth st
     in
-    (span ~dom ~ts:a ~dur:(b - a) name :: (kids @ rest), (b - a) + rest_total)
+    let e =
+      if QCheck.Gen.bool st then span ~dom ~ts:a ~dur:(b - a) ~o:b ~c:b name
+      else span ~dom ~ts:a ~dur:(b - a) name
+    in
+    (e :: (kids @ rest), (b - a) + rest_total)
   end
 
 let forest_gen st =
@@ -107,7 +196,8 @@ let test_self_conservation =
       let folded_sum =
         List.fold_left (fun a (_, v) -> a + v) 0 prof.Prof.p_folded
       in
-      self_sum = root_total && folded_sum = root_total)
+      self_sum = root_total && folded_sum = root_total
+      && List.for_all (fun s -> s.Prof.s_self_ns >= 0) prof.Prof.p_spans)
 
 (* {2 -j invariance of the normalized profile} *)
 
@@ -234,6 +324,10 @@ let suite =
     Alcotest.test_case "golden folded stacks" `Quick test_folded_golden;
     Alcotest.test_case "point-span temporal nesting" `Quick
       test_point_span_nesting;
+    Alcotest.test_case "retrospective mutate shape" `Quick
+      test_retrospective_mutate_shape;
+    Alcotest.test_case "overlapping lane spans" `Quick
+      test_overlapping_lane_spans;
     QCheck_alcotest.to_alcotest test_self_conservation;
     Alcotest.test_case "normalized profile -j 1/2/4" `Quick
       test_normalized_profile_invariance;
