@@ -2,7 +2,7 @@
 
      dune exec bench/sim_snapshot.exe [-- OUT.json]
 
-   Two measurements over the PP control HDL (the paper's annotated
+   Three measurements over the PP control HDL (the paper's annotated
    Verilog control section):
 
    - raw simulation throughput: the same pseudo-random stimulus is
@@ -17,11 +17,7 @@
 
    - bit-sliced throughput: the same stimulus broadcast through a
      62-lane sliced kernel (lane 0 cross-checked against the scalar
-     engines), recording word cycles/s and effective lane-cycles/s;
-
-   - batched replay: a segmented tour (many traces) replayed
-     sequentially with one scalar simulator per trace vs word-parallel
-     through Replay.check_batch, traces packed 62 to the machine word.
+     engines), recording word cycles/s and effective lane-cycles/s.
 
    AVP_SIM_CYCLES overrides the raw-throughput cycle count;
    AVP_BENCH_TRACE=FILE records a telemetry trace of the measured
@@ -202,35 +198,6 @@ let () =
         (d, c, s, float_of_int c /. s, base_s /. s))
       [ 1; 2; 4 ]
   in
-  (* Batched replay: segment the tour into many shorter traces so the
-     62-lane word fills, then race one-scalar-simulator-per-trace
-     against the word-parallel kernel on identical vectors. *)
-  let tours_b = Avp_tour.Tour_gen.generate ~instr_limit:100 graph in
-  let vecs_b = Avp_vectors.Replay.vectors tr tours_b in
-  let time_check f =
-    let timer = Obs.Timer.start () in
-    match f () with
-    | Error m ->
-      Format.eprintf "FATAL: batched-replay mismatch: %a@."
-        Avp_vectors.Replay.pp_mismatch m;
-      exit 1
-    | Ok stats ->
-      (stats.Avp_vectors.Replay.cycles, Obs.Timer.elapsed_s timer)
-  in
-  let batch_traces = Array.length tours_b.Avp_tour.Tour_gen.traces in
-  let scalar_cycles, scalar_b_s =
-    time_check (fun () ->
-        Avp_vectors.Replay.check ~vectors:vecs_b tr graph tours_b)
-  in
-  let batch_cycles, batch_s =
-    time_check (fun () ->
-        Avp_vectors.Replay.check_batch ~vectors:vecs_b tr graph tours_b)
-  in
-  if scalar_cycles <> batch_cycles then begin
-    prerr_endline "FATAL: batched replay consumed a different cycle count";
-    exit 1
-  end;
-  let batch_speedup = scalar_b_s /. batch_s in
   let oc = open_out out in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -244,10 +211,6 @@ let () =
   p "  \"sliced\": {\"lanes\": %d, \"cycles_per_s\": %.1f, \
      \"lane_cycles_per_s\": %.1f, \"lane_cycles_over_compiled\": %.2f},\n"
     sliced_lanes sliced_cps sliced_lane_cps (sliced_lane_cps /. compiled_cps);
-  p
-    "  \"batched_replay\": {\"traces\": %d, \"cycles\": %d, \
-     \"scalar_s\": %.4f, \"batched_s\": %.4f, \"speedup\": %.2f},\n"
-    batch_traces batch_cycles scalar_b_s batch_s batch_speedup;
   p "  \"replay\": [\n";
   List.iteri
     (fun i (d, c, s, vps, speedup) ->
@@ -265,7 +228,6 @@ let () =
       ("interp_cycles_per_s", interp_cps);
       ("compiled_cycles_per_s", compiled_cps);
       ("sliced_lane_cycles_per_s", sliced_lane_cps);
-      ("batched_replay_speedup", batch_speedup);
     ];
   Printf.printf "wrote %s (%d cores):\n" out cores;
   Printf.printf "  interp   %.0f cycles/s\n" interp_cps;
@@ -275,10 +237,6 @@ let () =
      compiled)\n"
     sliced_cps sliced_lanes sliced_lane_cps
     (sliced_lane_cps /. compiled_cps);
-  Printf.printf
-    "  batched replay  %d traces  %d cycles  scalar %.3fs  batched %.3fs  \
-     speedup %.2fx\n"
-    batch_traces batch_cycles scalar_b_s batch_s batch_speedup;
   List.iter
     (fun (d, c, s, vps, speedup) ->
       Printf.printf

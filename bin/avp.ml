@@ -702,10 +702,12 @@ let fuzz_cmd =
       value
       & opt (enum [ ("sliced", `Sliced); ("scalar", `Scalar) ]) `Sliced
       & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Candidate evaluation backend: $(b,sliced) (default) runs up \
-                to 62 candidates word-parallel through one bit-sliced \
-                kernel; $(b,scalar) one at a time.  The corpus is \
-                byte-identical either way.")
+          ~doc:"Simulation backend for candidate evaluation and for the \
+                generator comparison's kill scoring: $(b,sliced) (default) \
+                runs up to 62 candidates, or 62 mutants, word-parallel \
+                through one bit-sliced kernel; $(b,scalar) one at a time. \
+                The corpus and the comparison are byte-identical either \
+                way.")
   in
   let corpus_arg =
     Arg.(

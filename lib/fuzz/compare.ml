@@ -3,6 +3,7 @@ module Obs = Avp_obs.Obs
 module Json = Avp_obs.Json
 module Coverage = Avp_obs.Coverage
 module Replay = Avp_vectors.Replay
+module Campaign = Avp_mutate.Campaign
 
 (* The generator comparison the Report's fuzz section carries: tours
    vs size-matched pure random vs the distilled fuzz corpus, scored
@@ -24,12 +25,14 @@ module Replay = Avp_vectors.Replay
    - candidates: vetted mutants minus graph-equivalent escapees (only
      mutants every method missed are checked for equivalence).
 
-   An x/z escape on a checked net counts as a kill at vector cost 1
-   (the scalar oracle does not localize the escape cycle).
+   Kill scoring goes through the mutation campaign's replay path
+   ({!Avp_mutate.Campaign.detect}) on the fuzz run's engine.  An x/z
+   escape on a checked net counts as a kill at vector cost 1 (the
+   scalar oracle does not localize the escape cycle).
 
-   Everything reported is deterministic: mutant sharding over domains
-   is positionally merged, and no timings or domain counts appear in
-   the JSON. *)
+   Everything reported is deterministic: detection outcomes are the
+   same for any engine and domain count, and no timings or domain
+   counts appear in the JSON. *)
 
 type method_stats = {
   m_name : string;
@@ -64,44 +67,12 @@ let random_walks ~seed (model : Model.t) (graph : Avp_enum.State_graph.t)
     (lengths : int array) =
   let rng = Random.State.make [| 0x667a7272; seed |] in
   let num_choices = Model.num_choices model in
-  let traces =
-    Array.map
-      (fun len ->
-        let cur = ref (Avp_enum.State_graph.reset_id graph) in
-        Array.init len (fun _ ->
-            let src = !cur in
-            let choice = Random.State.int rng num_choices in
-            let nxt =
-              model.Model.next
-                graph.Avp_enum.State_graph.states.(src)
-                (Model.choice_of_index model choice)
-            in
-            let dst =
-              match Avp_enum.State_graph.find_state graph nxt with
-              | Some id -> id
-              | None -> assert false
-            in
-            cur := dst;
-            { Avp_tour.Tour_gen.src; dst; choice; fresh = false }))
-      lengths
-  in
-  let total = Array.fold_left (fun n t -> n + Array.length t) 0 traces in
-  let longest =
-    Array.fold_left (fun n t -> max n (Array.length t)) 0 traces
-  in
-  {
-    Avp_tour.Tour_gen.traces;
-    stats =
-      {
-        Avp_tour.Tour_gen.num_traces = Array.length traces;
-        edge_traversals = total;
-        instructions = total;
-        longest_trace_edges = longest;
-        longest_trace_instructions = longest;
-        traces_hitting_limit = 0;
-        gen_time_s = 0.;
-      };
-  }
+  Avp_tour.Tour_gen.of_traces
+    (Array.map
+       (fun len ->
+         Avp_tour.Tour_gen.walk model graph
+           (Array.init len (fun _ -> Random.State.int rng num_choices)))
+       lengths)
 
 (* Coverage of a vector set, computed from its walk (every method's
    walk is exact on the pristine design — the replay theorems; for
@@ -125,26 +96,6 @@ let coverage_of_tours (graph : Avp_enum.State_graph.t)
     tours.Avp_tour.Tour_gen.traces;
   cov
 
-let output_ports (design : Avp_hdl.Ast.design) ~top =
-  match Avp_hdl.Ast.find_module design top with
-  | None -> [||]
-  | Some m ->
-    List.concat_map
-      (function
-        | Avp_hdl.Ast.Port_decl (Avp_hdl.Ast.Output, _, names, _) -> names
-        | _ -> [])
-      m.Avp_hdl.Ast.m_items
-    |> Array.of_list
-
-(* First-detection vector cost of one oracle run, or None if clean.
-   An x/z escape counts as a kill at cost 1. *)
-let cost ~vecs f =
-  match f () with
-  | Ok _ -> None
-  | Error m -> Some (Replay.cycles_until vecs m)
-  | exception Translate.Unsupported _ -> Some 1
-  | exception _ -> Some 1
-
 let min_cost a b =
   match (a, b) with
   | Some a, Some b -> Some (min a b)
@@ -166,10 +117,21 @@ let run ?(seed = 0) ?mutant_budget ?(domains = 1)
   let tvecs = Replay.vectors tr tours in
   let rvecs = Replay.vectors tr rtours in
   let fvecs = Replay.vectors tr ftours in
-  let outs = output_ports design ~top in
-  let tour_out = Array.map (Replay.record tr ~nets:outs) tvecs in
-  let rand_out = Array.map (Replay.record tr ~nets:outs) rvecs in
-  let fuzz_out = Array.map (Replay.record tr ~nets:outs) fvecs in
+  let outs = Campaign.output_ports design ~top in
+  let rows vecs = Array.map (Replay.record tr ~nets:outs) vecs in
+  (* Five single-oracle phases.  A method's cost is the earlier of
+     its oracles' detections, so they must not chain: a chain stops
+     the output oracle on the mutants the state oracle flagged. *)
+  let phase vectors oracle = { Campaign.vectors; chain = [| oracle |] } in
+  let phases =
+    [|
+      phase tvecs (Campaign.States tours);
+      phase tvecs (Campaign.Nets (outs, rows tvecs));
+      phase rvecs (Campaign.Nets (outs, rows rvecs));
+      phase fvecs (Campaign.States ftours);
+      phase fvecs (Campaign.Nets (outs, rows fvecs));
+    |]
+  in
   (* Mutants. *)
   let mutants =
     let all = Avp_mutate.Gen.all design in
@@ -187,32 +149,29 @@ let run ?(seed = 0) ?mutant_budget ?(domains = 1)
         | `Stillborn _ | `Static _ -> None)
       mutants
   in
-  (* Per-mutant, per-method first-detection cost; sharded round-robin
-     over domains, positionally merged. *)
+  let cands =
+    Array.of_list
+      (List.filter_map
+         (fun i -> Option.map (fun dut -> (i, dut)) vetted.(i))
+         (List.init n Fun.id))
+  in
+  (* First-detection vector cost of phase [k]'s outcome, or None if
+     clean. *)
+  let cost k = function
+    | Campaign.Clean -> None
+    | Campaign.Mismatch m -> Some (Replay.cycles_until phases.(k).vectors m)
+    | Campaign.Escape _ -> Some 1
+  in
   let costs = Array.make n (None, None, None) in
-  let job i =
-    match vetted.(i) with
-    | None -> ()
-    | Some dut ->
-      let t0 = Obs.Clock.now_s () in
-      let tour_cost =
-        min_cost
-          (cost ~vecs:tvecs (fun () ->
-               Replay.check ~dut ~vectors:tvecs tr graph tours))
-          (cost ~vecs:tvecs (fun () ->
-               Replay.check_nets ~dut tr ~nets:outs ~predicted:tour_out tvecs))
-      in
-      let rand_cost =
-        cost ~vecs:rvecs (fun () ->
-            Replay.check_nets ~dut tr ~nets:outs ~predicted:rand_out rvecs)
-      in
-      let fuzz_cost =
-        min_cost
-          (cost ~vecs:fvecs (fun () ->
-               Replay.check ~dut ~vectors:fvecs tr graph ftours))
-          (cost ~vecs:fvecs (fun () ->
-               Replay.check_nets ~dut tr ~nets:outs ~predicted:fuzz_out fvecs))
-      in
+  Campaign.detect ~engine:fuzz.Loop.config.Loop.engine ~domains
+    ~lanes:Avp_logic.Bv_sliced.lanes_limit ~tr ~graph phases
+    (Array.map snd cands)
+    ~on_done:(fun ~t0 j o ->
+      let i = fst cands.(j) in
+      let c k = cost k o.(k) in
+      let tour_cost = min_cost (c 0) (c 1)
+      and rand_cost = c 2
+      and fuzz_cost = min_cost (c 3) (c 4) in
       costs.(i) <- (tour_cost, rand_cost, fuzz_cost);
       if Obs.enabled () then
         Obs.complete ~cat:"fuzz" "fuzz.kill"
@@ -226,21 +185,7 @@ let run ?(seed = 0) ?mutant_budget ?(domains = 1)
             ];
       match progress with
       | Some p -> Avp_obs.Progress.tick p
-      | None -> ()
-  in
-  let domains = max 1 (min domains (max 1 n)) in
-  if domains = 1 then
-    for i = 0 to n - 1 do
-      job i
-    done
-  else
-    Avp_enum.Pool.with_pool ~domains (fun pool ->
-        Avp_enum.Pool.run pool (fun slot ->
-            let i = ref slot in
-            while !i < n do
-              job !i;
-              i := !i + domains
-            done));
+      | None -> ());
   (* Escapees of all three methods: graph equivalence decides whether
      they count as candidates at all. *)
   let equivalent = Array.make n false in

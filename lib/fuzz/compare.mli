@@ -18,8 +18,16 @@
     - mutants every method misses are checked for graph equivalence
       and excluded from the candidate denominator.
 
-    Deterministic: mutant evaluation shards positionally over
-    domains, and the JSON carries no timings or domain counts. *)
+    Kill scoring goes through the mutation campaign's replay path,
+    {!Avp_mutate.Campaign.detect}, on the fuzz run's engine
+    ([config.engine]): five single-oracle phases (tour states, tour
+    outputs, random outputs, fuzz states, fuzz outputs), so on the
+    sliced engine each chunk of up to 62 mutants costs five schemata
+    passes.  A method's vectors-to-kill is the earlier of its
+    oracles' detections; an x/z escape costs 1.
+
+    Deterministic: the outcomes are identical for any engine and
+    domain count, and the JSON carries no timings or domain counts. *)
 
 type method_stats = {
   m_name : string;
@@ -62,8 +70,9 @@ val run :
   unit ->
   t
 (** Emits one [fuzz.kill] span per vetted mutant.  [mutant_budget]
-    samples the mutant population (default: exhaustive);
-    [progress] ticks once per vetted mutant. *)
+    samples the mutant population (default: exhaustive); [domains]
+    shards the scalar replays; [progress] ticks once per vetted
+    mutant. *)
 
 val find_method : t -> string -> method_stats option
 val json_value : t -> Avp_obs.Json.t

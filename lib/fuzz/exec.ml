@@ -24,28 +24,7 @@ type planned = {
 
 let plan (model : Model.t) (graph : Avp_enum.State_graph.t)
     (entry : Corpus.entry) =
-  let cur = ref (Avp_enum.State_graph.reset_id graph) in
-  let trace =
-    Array.map
-      (fun choice ->
-        let src = !cur in
-        let nxt =
-          model.Model.next
-            graph.Avp_enum.State_graph.states.(src)
-            (Model.choice_of_index model choice)
-        in
-        let dst =
-          match Avp_enum.State_graph.find_state graph nxt with
-          | Some id -> id
-          | None ->
-            (* Enumeration is total over reachable states. *)
-            assert false
-        in
-        cur := dst;
-        { Avp_tour.Tour_gen.src; dst; choice; fresh = false })
-      entry
-  in
-  { choices = entry; trace }
+  { choices = entry; trace = Avp_tour.Tour_gen.walk model graph entry }
 
 (* The state ids the plan predicts: index 0 is the post-reset state,
    index i+1 the state after cycle i. *)
@@ -130,12 +109,12 @@ let run_scalar ?(domains = 1) ?progress (tr : Translate.result)
       | None -> ());
   results
 
-let run_sliced ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ?(domains = 1)
-    ?progress (tr : Translate.result) (graph : Avp_enum.State_graph.t)
-    (planned : planned array) (vectors : Avp_vectors.Vector.t array) =
+let run_sliced ?(domains = 1) ?progress (tr : Translate.result)
+    (graph : Avp_enum.State_graph.t) (planned : planned array)
+    (vectors : Avp_vectors.Vector.t array) =
   let design = tr.Translate.elab in
   let n = Array.length planned in
-  let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
+  let lanes = Avp_logic.Bv_sliced.lanes_limit in
   let units = Avp_hdl.Compile.units design in
   match
     Avp_hdl.Sliced.create ~u:units ~lanes:(min lanes (max 1 n)) design
@@ -155,9 +134,11 @@ let run_sliced ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ?(domains = 1)
     in
     let one = Avp_logic.Bv.of_int ~width:1 1
     and zero = Avp_logic.Bv.of_int ~width:1 0 in
-    (* Same pointer-equality cache as [Replay.check_batch]: the
-       realized vectors share one physical string per choice
-       variable. *)
+    (* The hot loop resolves a net name per (lane, action); the
+       realized vectors share one physical string per choice variable,
+       so a tiny pointer-equality cache beats hashing the string every
+       time (a distinct physical copy of a name merely adds a
+       duplicate entry with the same uid). *)
     let lookup =
       let cache = ref [] in
       fun nm ->
@@ -214,7 +195,11 @@ let run_sliced ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ?(domains = 1)
       Avp_hdl.Sliced.set_id sim reset zero;
       observe (-1);
       (* Per-lane stimulus, grouped per net and applied once per cycle
-         — the [Replay.check_batch] pending-force discipline. *)
+         ([Sliced.force_lanes]): nothing observes the nets between the
+         actions and the clock edge, so deferring the forces to the
+         end of the action list is invisible — except to a same-cycle
+         same-net Release on the same lane, which cancels the pending
+         force exactly as the sequential order would. *)
       let nnets = Array.length design.Avp_hdl.Elab.nets in
       let pending = Array.make nnets [||] in
       let pending_ids = ref [] in
@@ -260,13 +245,13 @@ let run_sliced ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ?(domains = 1)
     shard ~domains chunks run_chunk;
     Some results
 
-let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?lanes ?domains ?progress
+let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?domains ?progress
     (tr : Translate.result) (graph : Avp_enum.State_graph.t)
     (planned : planned array) =
   let vectors = vectors_of tr planned in
   match engine with
   | `Scalar -> run_scalar ?domains ?progress tr graph planned vectors
   | `Sliced -> (
-    match run_sliced ?lanes ?domains ?progress tr graph planned vectors with
+    match run_sliced ?domains ?progress tr graph planned vectors with
     | Some r -> r
     | None -> run_scalar ?domains ?progress tr graph planned vectors)

@@ -20,7 +20,6 @@ val planned_ids : planned -> int array
 
 val run :
   ?engine:[ `Scalar | `Sliced ] ->
-  ?lanes:int ->
   ?domains:int ->
   ?progress:Avp_obs.Progress.t ->
   Avp_fsm.Translate.result ->
@@ -32,11 +31,12 @@ val run :
     that did not project onto the enumerated space — impossible on a
     pristine translated design).
 
-    [engine] (default [`Sliced]) packs up to [lanes] (default 62)
-    candidates word-parallel per kernel, each lane under its own
+    [engine] (default [`Sliced]) packs up to
+    {!Avp_logic.Bv_sliced.lanes_limit} (62) candidates word-parallel
+    per kernel, each lane under its own
     stimulus; the scalar engine replays one candidate per simulator
     instance.  [domains] shards candidates (scalar) or whole chunks
     (sliced) over OCaml domains; results are positionally indexed, so
-    observations are identical for any engine, lane or domain count.
+    observations are identical for any engine or domain count.
     Emits one [fuzz.exec] span per candidate with deterministic
     args. *)

@@ -380,24 +380,7 @@ let run ?progress ~config (tr : Translate.result)
   finish_result ~tr ~config ~rounds:!round st
 
 let tours_of_kept (r : result) =
-  let traces = Array.map (fun k -> k.trace) r.kept in
-  let total = Array.fold_left (fun n t -> n + Array.length t) 0 traces in
-  let longest =
-    Array.fold_left (fun n t -> max n (Array.length t)) 0 traces
-  in
-  {
-    Avp_tour.Tour_gen.traces;
-    stats =
-      {
-        Avp_tour.Tour_gen.num_traces = Array.length traces;
-        edge_traversals = total;
-        instructions = total;
-        longest_trace_edges = longest;
-        longest_trace_instructions = longest;
-        traces_hitting_limit = 0;
-        gen_time_s = 0.;
-      };
-  }
+  Avp_tour.Tour_gen.of_traces (Array.map (fun k -> k.trace) r.kept)
 
 let replay ?progress ~config (c : Corpus.t) (tr : Translate.result)
     (graph : Avp_enum.State_graph.t) =

@@ -93,6 +93,7 @@ type scope = {
 let scope_lookup scope name =
   match Hashtbl.find_opt scope.table name with
   | Some entry -> entry
+  | None when scope.prefix = "" -> fail "unknown identifier %s" name
   | None -> fail "unknown identifier %s in scope %s" name scope.prefix
 
 (* ------------------------------------------------------------------ *)

@@ -616,6 +616,13 @@ let parse_module st : Ast.module_decl =
         []
       end
       else begin
+        (match peek_tok st with
+         | Lexer.Input | Lexer.Output | Lexer.Inout ->
+           fail
+             "ANSI-style port declarations are not supported; list port \
+              names in the header and declare them in the body"
+             (peek_loc st)
+         | _ -> ());
         let names = parse_name_list st in
         expect st Lexer.Rparen;
         names

@@ -1081,26 +1081,6 @@ let check_net ?mask t id ~predicted =
     (bad, !neq land mask land lnot bad)
   end
 
-let check_net_lanes ?mask t id ~(predicted : int array) =
-  let st = t.st in
-  let mask = Option.value ~default:st.amask mask land st.amask in
-  let w = st.widths.(id) in
-  if w > Bv.packed_width_limit then (mask, 0)
-  else begin
-    let nv = st.nv.(id) and nu = st.nu.(id) in
-    let bad = ref 0 and neq = ref 0 in
-    for j = 0 to w - 1 do
-      bad := !bad lor nu.(j);
-      let p = ref 0 in
-      Array.iteri
-        (fun l pv -> if (pv lsr j) land 1 = 1 then p := !p lor (1 lsl l))
-        predicted;
-      neq := !neq lor (nv.(j) lxor !p)
-    done;
-    let bad = !bad land mask in
-    (bad, !neq land mask land lnot bad)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -109,9 +109,3 @@ val check_net : ?mask:int -> t -> Elab.uid -> predicted:int -> int * int
     the scalar checker's failure), [neq] the remaining lanes whose
     defined value differs from [predicted].  The masks are disjoint
     and confined to [?mask] (default: all active lanes). *)
-
-val check_net_lanes :
-  ?mask:int -> t -> Elab.uid -> predicted:int array -> int * int
-(** As {!check_net} with a per-lane predicted value (index = lane) —
-    the shape batched trace replay needs, where every lane follows a
-    different tour trace. *)

@@ -39,6 +39,14 @@ type report = {
   random_cycles : int;
 }
 
+let class_name = function
+  | Stillborn _ -> "stillborn"
+  | Killed_static _ -> "killed-static"
+  | Killed_absint _ -> "killed-absint"
+  | Killed _ -> "killed"
+  | Equivalent -> "equivalent"
+  | Survived _ -> "survived"
+
 (* ---------------------------------------------------------------- *)
 (* Random baseline                                                  *)
 (* ---------------------------------------------------------------- *)
@@ -47,50 +55,16 @@ let random_tours ~seed (model : Model.t) (graph : State_graph.t)
     (tours : Avp_tour.Tour_gen.t) =
   let rng = Random.State.make [| 0x6261736c; seed |] in
   let num_choices = Model.num_choices model in
-  let traces =
-    Array.map
-      (fun trace ->
-        let len = Array.length trace in
-        let cur = ref (State_graph.reset_id graph) in
-        Array.init len (fun _ ->
-            let src = !cur in
-            let choice = Random.State.int rng num_choices in
-            let nxt =
-              model.Model.next
-                graph.State_graph.states.(src)
-                (Model.choice_of_index model choice)
-            in
-            let dst =
-              match State_graph.find_state graph nxt with
-              | Some id -> id
-              | None ->
-                (* Enumeration is total over reachable states. *)
-                assert false
-            in
-            cur := dst;
-            { Avp_tour.Tour_gen.src; dst; choice; fresh = false }))
-      tours.Avp_tour.Tour_gen.traces
-  in
-  let total = Array.fold_left (fun n t -> n + Array.length t) 0 traces in
-  let longest =
-    Array.fold_left (fun n t -> max n (Array.length t)) 0 traces
-  in
-  {
-    Avp_tour.Tour_gen.traces;
-    stats =
-      {
-        Avp_tour.Tour_gen.num_traces = Array.length traces;
-        edge_traversals = total;
-        instructions = total;
-        longest_trace_edges = longest;
-        longest_trace_instructions = longest;
-        traces_hitting_limit = 0;
-        gen_time_s = 0.;
-      };
-  }
+  Avp_tour.Tour_gen.of_traces
+    (Array.map
+       (fun trace ->
+         Avp_tour.Tour_gen.walk model graph
+           (Array.init (Array.length trace) (fun _ ->
+                Random.State.int rng num_choices)))
+       tours.Avp_tour.Tour_gen.traces)
 
 (* ---------------------------------------------------------------- *)
-(* Per-mutant classification                                        *)
+(* Mutant detection                                                 *)
 (* ---------------------------------------------------------------- *)
 
 let output_ports (design : Avp_hdl.Ast.design) ~top =
@@ -104,19 +78,52 @@ let output_ports (design : Avp_hdl.Ast.design) ~top =
       m.Avp_hdl.Ast.m_items
     |> Array.of_list
 
+type oracle =
+  | States of Avp_tour.Tour_gen.t
+  | Nets of string array * int array array array
+
+type phase = { vectors : Avp_vectors.Vector.t array; chain : oracle array }
+
+type outcome =
+  | Clean
+  | Mismatch of Avp_vectors.Replay.mismatch
+  | Escape of string
+
+let escaped msg = Escape ("checked net left the defined domain: " ^ msg)
+
 let guard f =
   match f () with
-  | Ok _ -> None
-  | Error m -> Some (Format.asprintf "%a" Avp_vectors.Replay.pp_mismatch m)
+  | Ok _ -> Clean
+  | Error m -> Mismatch m
   | exception Translate.Unsupported msg ->
     (* The mutant drove a checked net to X/Z: the predicted/actual
        comparison itself becomes impossible — the Z-latch shape. *)
-    Some ("checked net left the defined domain: " ^ msg)
-  | exception e -> Some ("replay raised: " ^ Printexc.to_string e)
+    escaped msg
+  | exception e -> Escape ("replay raised: " ^ Printexc.to_string e)
+
+(* One phase on the scalar engine: the chain's oracles replay in
+   order, and the first issue ends the chain. *)
+let check_phase ~tr ~graph dut { vectors; chain } =
+  Array.fold_left
+    (fun acc oracle ->
+      match acc with
+      | Clean ->
+        guard (fun () ->
+            match oracle with
+            | States tours ->
+              Avp_vectors.Replay.check ~dut ~vectors tr graph tours
+            | Nets (nets, predicted) ->
+              Avp_vectors.Replay.check_nets ~dut tr ~nets ~predicted vectors)
+      | issue -> issue)
+    Clean chain
+
+let detail = function
+  | Clean -> None
+  | Mismatch m -> Some (Format.asprintf "%a" Avp_vectors.Replay.pp_mismatch m)
+  | Escape d -> Some d
 
 (* Assemble the final classification from the two oracle outcomes
-   ([Some detail] = caught) — shared by the scalar path and the
-   sliced schemata path, so both produce byte-identical reports. *)
+   ([Some detail] = caught). *)
 let verdict ~max_equiv_states ~graph ~dut tour random =
   match (tour, random) with
   | None, None -> (
@@ -126,56 +133,19 @@ let verdict ~max_equiv_states ~graph ~dut tour random =
   | Some d, r -> Killed { by_tour = true; by_random = r <> None; detail = d }
   | None, Some d -> Killed { by_tour = false; by_random = true; detail = d }
 
-let classify_vetted ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs ~outs
-    ~tour_out ~rand_out dut =
-  (* Tour oracle: per-cycle state predictions from the enumerated
-     graph (the tour knows the transition taken every cycle), plus
-     the expected outputs.  Random oracle: outputs only — golden-
-     model lockstep is all the observability random vectors have. *)
-  let tour =
-    match
-      guard (fun () ->
-          Avp_vectors.Replay.check ~dut ~vectors:tvecs tr graph tours)
-    with
-    | Some d -> Some d
-    | None ->
-      guard (fun () ->
-          Avp_vectors.Replay.check_nets ~dut tr ~nets:outs
-            ~predicted:tour_out tvecs)
-  in
-  let random =
-    guard (fun () ->
-        Avp_vectors.Replay.check_nets ~dut tr ~nets:outs ~predicted:rand_out
-          rvecs)
-  in
-  verdict ~max_equiv_states ~graph ~dut tour random
-
-let classify ~top ~prune ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs
-    ~outs ~tour_out ~rand_out (m : Gen.mutant) =
-  match Filter.vet ?top m.Gen.design with
-  | `Stillborn msg -> Stillborn msg
-  | `Static msg -> Killed_static msg
-  | `Ok dut -> (
-    match prune dut with
-    | Some why -> Killed_absint why
-    | None ->
-      classify_vetted ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs ~outs
-        ~tour_out ~rand_out dut)
-
 (* ---------------------------------------------------------------- *)
 (* Bit-sliced schemata passes                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* One replay of one vector set, all lanes word-parallel, serving a
-   CHAIN of oracles: stimulus is broadcast (every mutant sees the
-   same vectors), only the checks are per lane.  Oracle [k] is
-   consumed by the caller only for lanes every earlier oracle passed
-   clean — the [classify_vetted] chain (state oracle, then output
-   oracle) — so a lane with an issue in oracle [j] stops checking in
-   every oracle after [j].  [o_need] names the lanes whose result the
-   caller will consume at all; the rest never simulate.  Returns, per
-   oracle per lane, the detail string the scalar [guard] would have
-   produced, or [None] for a clean pass.
+(* One phase on the sliced engine: one replay of its vector set, all
+   lanes word-parallel, serving its CHAIN of oracles.  Stimulus is
+   broadcast (every mutant sees the same vectors), only the checks are
+   per lane.  Oracle [k]'s result counts only for lanes every earlier
+   oracle passed clean — the [check_phase] chain — so a lane with an
+   issue in oracle [j] stops checking in every oracle after [j].
+   [need] names the lanes whose outcome the caller will consume at
+   all; the rest never simulate.  Returns, per lane, the outcome the
+   scalar [check_phase] would have produced.
 
    Scalar fidelity rules, per oracle, lane by lane:
    - the first mismatch (lowest trace, then lowest cycle, then
@@ -193,18 +163,17 @@ let classify ~top ~prune ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs
    only the live lanes' settle activity), and the trace is abandoned
    outright once every lane has stopped everywhere — the batched
    analogue of the scalar replay's first-mismatch early exit.
-   Fusing the state and output oracles into ONE replay of the tour
-   vectors also halves the tour passes: both oracles watch the same
-   simulation, which is sound because checks never perturb it. *)
-type oracle = {
+   Chaining two oracles in one phase also halves the passes: both
+   watch the same simulation, which is sound because checks never
+   perturb it. *)
+type lane_oracle = {
   o_ids : Avp_hdl.Elab.uid array;
   o_names : string array;
   o_predict : int -> int -> int -> int;  (* trace -> cycle -> net -> value *)
-  o_need : int;
 }
 
-let sliced_phases sim ~lookup ~clock ~reset (oracles : oracle array)
-    (vectors : Avp_vectors.Vector.t array) =
+let sliced_phase sim ~lookup ~clock ~reset ~need
+    (oracles : lane_oracle array) (vectors : Avp_vectors.Vector.t array) =
   let module S = Avp_hdl.Sliced in
   let lanes = S.lanes sim in
   let amask = S.amask sim in
@@ -221,9 +190,7 @@ let sliced_phases sim ~lookup ~clock ~reset (oracles : oracle array)
     for k = 0 to no - 1 do
       stopped.(k) <-
         amask
-        land lnot
-              (oracles.(k).o_need land lnot exn_mask.(k)
-              land lnot !irrelevant);
+        land lnot (need land lnot exn_mask.(k) land lnot !irrelevant);
       irrelevant := !irrelevant lor issue.(k)
     done;
     let frozen0 = Array.fold_left ( land ) amask stopped in
@@ -302,16 +269,150 @@ let sliced_phases sim ~lookup ~clock ~reset (oracles : oracle array)
       end
     end
   done;
-  Array.init no (fun k ->
-      Array.init lanes (fun l ->
-          match exn.(k).(l) with
-          | Some msg ->
-            Some ("checked net left the defined domain: " ^ msg)
-          | None -> (
-            match mis.(k).(l) with
-            | Some m ->
-              Some (Format.asprintf "%a" Avp_vectors.Replay.pp_mismatch m)
-            | None -> None)))
+  Array.init lanes (fun l ->
+      let rec first k =
+        if k = no then Clean
+        else
+          match (exn.(k).(l), mis.(k).(l)) with
+          | Some msg, _ -> escaped msg
+          | None, Some m -> Mismatch m
+          | None, None -> first (k + 1)
+      in
+      first 0)
+
+let detect ~engine ~domains ~lanes ~tr ~graph ~on_done (phases : phase array)
+    (duts : Avp_hdl.Elab.t array) =
+  let module Obs = Avp_obs.Obs in
+  let n = Array.length duts in
+  let check_scalar j =
+    let t0 = Obs.Clock.now_s () in
+    on_done ~t0 j (Array.map (check_phase ~tr ~graph duts.(j)) phases)
+  in
+  (* Mutant-level sharding: the scalar engine's whole run, and the
+     sliced engine's leftovers (unschedulable mutants, chunks the
+     kernel aborted on). *)
+  let scalar_pass indices =
+    let m = Array.length indices in
+    let domains = max 1 (min domains (max 1 m)) in
+    if domains = 1 then Array.iter check_scalar indices
+    else
+      Pool.with_pool ~domains (fun pool ->
+          Pool.run pool (fun slot ->
+              let i = ref slot in
+              while !i < m do
+                check_scalar indices.(!i);
+                i := !i + domains
+              done))
+  in
+  match engine with
+  | `Scalar -> scalar_pass (Array.init n Fun.id)
+  | `Sliced ->
+    let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
+    let base = tr.Translate.elab in
+    let units = Avp_hdl.Compile.units base in
+    let net_id nm = (Avp_hdl.Elab.net base nm).Avp_hdl.Elab.id in
+    let clock = net_id tr.Translate.clock
+    and reset = net_id tr.Translate.reset in
+    let lookup =
+      let tbl = Hashtbl.create 16 in
+      fun nm ->
+        match Hashtbl.find_opt tbl nm with
+        | Some id -> id
+        | None ->
+          let id = net_id nm in
+          Hashtbl.add tbl nm id;
+          id
+    in
+    let state_names = Avp_vectors.Replay.state_nets tr in
+    let state_ids = Array.map net_id state_names in
+    let lane_oracle = function
+      | States tours ->
+        let predict ti cycle vi =
+          let trace = tours.Avp_tour.Tour_gen.traces.(ti) in
+          let state =
+            if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
+            else trace.(cycle).Avp_tour.Tour_gen.dst
+          in
+          graph.State_graph.states.(state).(vi)
+        in
+        { o_ids = state_ids; o_names = state_names; o_predict = predict }
+      | Nets (names, rows) ->
+        {
+          o_ids = Array.map net_id names;
+          o_names = names;
+          o_predict = (fun ti cycle vi -> rows.(ti).(cycle + 1).(vi));
+        }
+    in
+    let lane_phases =
+      Array.map (fun p -> (p.vectors, Array.map lane_oracle p.chain)) phases
+    in
+    let fallback = ref [] in
+    let chunks = (n + lanes - 1) / lanes in
+    for ci = 0 to chunks - 1 do
+      let c0 = ci * lanes in
+      let k = min lanes (n - c0) in
+      let tc0 = Obs.Clock.now_s () in
+      let scheduled_n = ref 0 in
+      (* The pass span covers the word-parallel replay only; the
+         callers' per-mutant work runs after it closes. *)
+      let pass_span () =
+        if Obs.enabled () then
+          Obs.complete ~cat:"mutate" "mutate.pass"
+            ~dur_s:(Obs.Clock.now_s () -. tc0)
+            ~args:
+              [
+                ("pass", Obs.Int ci);
+                ("lanes", Obs.Int k);
+                ("scheduled", Obs.Int !scheduled_n);
+              ]
+      in
+      let fall_back () =
+        for j = c0 to c0 + k - 1 do
+          fallback := j :: !fallback
+        done
+      in
+      match
+        Avp_hdl.Sliced.create_schemata ~u:units ~base (Array.sub duts c0 k)
+      with
+      | None ->
+        pass_span ();
+        fall_back ()
+      | Some (sim, scheduled) -> (
+        (* Only scheduled lanes simulate. *)
+        let need = ref 0 in
+        Array.iteri
+          (fun l s ->
+            if s then begin
+              incr scheduled_n;
+              need := !need lor (1 lsl l)
+            end)
+          scheduled;
+        match
+          Array.map
+            (fun (vectors, oracles) ->
+              sliced_phase sim ~lookup ~clock ~reset ~need:!need oracles
+                vectors)
+            lane_phases
+        with
+        | outcomes ->
+          pass_span ();
+          Array.iteri
+            (fun l s ->
+              if not s then fallback := (c0 + l) :: !fallback
+              else
+                on_done ~t0:(Obs.Clock.now_s ()) (c0 + l)
+                  (Array.map (fun o -> o.(l)) outcomes))
+            scheduled
+        | exception _ ->
+          (* One lane drove the kernel outside its envelope (a
+             mutation-induced comb loop aborts the whole word): rerun
+             the chunk mutant by mutant on the scalar path, which
+             attributes the failure to the mutant that caused it. *)
+          scheduled_n := 0;
+          pass_span ();
+          fall_back ())
+    done;
+    scalar_pass (Array.of_list (List.rev !fallback))
 
 (* ---------------------------------------------------------------- *)
 (* The campaign                                                     *)
@@ -366,44 +467,11 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
           [
             ("mutant", Obs.Int mutants.(i).Gen.id);
             ("flow_in", Obs.Int 0);
-            ( "class",
-              Obs.Str
-                (match cls with
-                 | Stillborn _ -> "stillborn"
-                 | Killed_static _ -> "killed-static"
-                 | Killed_absint _ -> "killed-absint"
-                 | Killed _ -> "killed"
-                 | Equivalent -> "equivalent"
-                 | Survived _ -> "survived") );
+            ("class", Obs.Str (class_name cls));
           ];
     match progress with
     | Some p -> Avp_obs.Progress.tick p
     | None -> ()
-  in
-  let classify_scalar i =
-    let t0 = Obs.Clock.now_s () in
-    let cls =
-      classify ~top ~prune ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs
-        ~outs ~tour_out ~rand_out
-        mutants.(i)
-    in
-    finish ~t0 i cls
-  in
-  (* Mutant-level sharding: the scalar engine's whole campaign, and
-     the sliced engine's leftovers (unschedulable mutants, chunks the
-     kernel aborted on). *)
-  let scalar_pass indices =
-    let m = Array.length indices in
-    let domains = max 1 (min domains (max 1 m)) in
-    if domains = 1 then Array.iter classify_scalar indices
-    else
-      Pool.with_pool ~domains (fun pool ->
-          Pool.run pool (fun slot ->
-              let i = ref slot in
-              while !i < m do
-                classify_scalar indices.(!i);
-                i := !i + domains
-              done))
   in
   (* The parent span covers every pass and classification; the
      constant flow id draws the fan-out to the per-mutant spans in the
@@ -412,157 +480,34 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   Obs.span ~cat:"mutate" "mutate.run"
     ~args:[ ("mutants", Obs.Int n); ("flow_out", Obs.Int 0) ]
   @@ fun () ->
-  (match engine with
-   | `Scalar -> scalar_pass (Array.init n (fun i -> i))
-   | `Sliced ->
-     let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
-     let fallback = ref [] in
-     (match Avp_hdl.Elab.elaborate ?top design with
-      | exception _ ->
-        for i = n - 1 downto 0 do
-          fallback := i :: !fallback
-        done
-      | base ->
-        let units = Avp_hdl.Compile.units base in
-        (* Vet every mutant up front: stillborn and statically-killed
-           mutants classify without simulating, the survivors'
-           elaborations become schemata lanes. *)
-        let cands = ref [] in
-        for i = 0 to n - 1 do
-          let t0 = Obs.Clock.now_s () in
-          match Filter.vet ?top mutants.(i).Gen.design with
-          | `Stillborn msg -> finish ~t0 i (Stillborn msg)
-          | `Static msg -> finish ~t0 i (Killed_static msg)
-          | `Ok dut -> (
-            match prune dut with
-            | Some why -> finish ~t0 i (Killed_absint why)
-            | None -> cands := (i, dut) :: !cands)
-        done;
-        let cands = Array.of_list (List.rev !cands) in
-        let nc = Array.length cands in
-        let chunks = (nc + lanes - 1) / lanes in
-        let net_id nm = (Avp_hdl.Elab.net base nm).Avp_hdl.Elab.id in
-        let clock = net_id tr.Translate.clock
-        and reset = net_id tr.Translate.reset in
-        let lookup =
-          let tbl = Hashtbl.create 16 in
-          fun nm ->
-            match Hashtbl.find_opt tbl nm with
-            | Some id -> id
-            | None ->
-              let id = net_id nm in
-              Hashtbl.add tbl nm id;
-              id
-        in
-        let state_names = Avp_vectors.Replay.state_nets tr in
-        let state_ids = Array.map net_id state_names in
-        let out_ids = Array.map net_id outs in
-        let predict_tour ti cycle vi =
-          let trace = tours.Avp_tour.Tour_gen.traces.(ti) in
-          let state =
-            if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
-            else trace.(cycle).Avp_tour.Tour_gen.dst
-          in
-          graph.State_graph.states.(state).(vi)
-        in
-        let predict_rows rows ti cycle vi = rows.(ti).(cycle + 1).(vi) in
-        for ci = 0 to chunks - 1 do
-          let c0 = ci * lanes in
-          let k = min lanes (nc - c0) in
-          let group = Array.sub cands c0 k in
-          let tc0 = Obs.Clock.now_s () in
-          let scheduled_n = ref 0 in
-          (* The pass span covers the word-parallel replay only; the
-             verdicts (including the equivalence enumerations for the
-             escapees) run after it closes. *)
-          let pass_span () =
-            if Obs.enabled () then
-              Obs.complete ~cat:"mutate" "mutate.pass"
-                ~dur_s:(Obs.Clock.now_s () -. tc0)
-                ~args:
-                  [
-                    ("pass", Obs.Int ci);
-                    ("lanes", Obs.Int k);
-                    ("scheduled", Obs.Int !scheduled_n);
-                  ]
-          in
-          (match
-             Avp_hdl.Sliced.create_schemata ~u:units ~base
-               (Array.map snd group)
-           with
-           | None ->
-             pass_span ();
-             Array.iter (fun (i, _) -> fallback := i :: !fallback) group
-           | Some (sim, scheduled) -> (
-             Array.iter (fun s -> if s then incr scheduled_n) scheduled;
-             match
-               (* Only scheduled lanes simulate.  One fused replay of
-                  the tour vectors serves both tour oracles — the
-                  output oracle (p2) chains behind the state oracle
-                  (p1), whose issues make a lane's p2 result
-                  unconsumed — then one replay of the random
-                  vectors. *)
-               let smask = ref 0 in
-               Array.iteri
-                 (fun l s -> if s then smask := !smask lor (1 lsl l))
-                 scheduled;
-               let tp =
-                 sliced_phases sim ~lookup ~clock ~reset
-                   [|
-                     {
-                       o_ids = state_ids;
-                       o_names = state_names;
-                       o_predict = predict_tour;
-                       o_need = !smask;
-                     };
-                     {
-                       o_ids = out_ids;
-                       o_names = outs;
-                       o_predict = predict_rows tour_out;
-                       o_need = !smask;
-                     };
-                   |]
-                   tvecs
-               in
-               let rp =
-                 sliced_phases sim ~lookup ~clock ~reset
-                   [|
-                     {
-                       o_ids = out_ids;
-                       o_names = outs;
-                       o_predict = predict_rows rand_out;
-                       o_need = !smask;
-                     };
-                   |]
-                   rvecs
-               in
-               (tp.(0), tp.(1), rp.(0))
-             with
-             | p1, p2, p3 ->
-               pass_span ();
-               Array.iteri
-                 (fun l (i, dut) ->
-                   if not scheduled.(l) then fallback := i :: !fallback
-                   else begin
-                     let t0 = Obs.Clock.now_s () in
-                     let tour =
-                       match p1.(l) with Some d -> Some d | None -> p2.(l)
-                     in
-                     finish ~t0 i
-                       (verdict ~max_equiv_states ~graph ~dut tour p3.(l))
-                   end)
-                 group
-             | exception _ ->
-               (* One lane drove the kernel outside its envelope (a
-                  mutation-induced comb loop aborts the whole word):
-                  reclassify the chunk lane by lane on the scalar
-                  path, which attributes the failure to the mutant
-                  that caused it. *)
-               scheduled_n := 0;
-               pass_span ();
-               Array.iter (fun (i, _) -> fallback := i :: !fallback) group))
-        done);
-     scalar_pass (Array.of_list (List.rev !fallback)));
+  (* Vet every mutant up front: stillborn, statically-killed and
+     absint-pruned mutants classify without simulating, the survivors'
+     elaborations are replayed. *)
+  let cands = ref [] in
+  for i = 0 to n - 1 do
+    let t0 = Obs.Clock.now_s () in
+    match Filter.vet ?top mutants.(i).Gen.design with
+    | `Stillborn msg -> finish ~t0 i (Stillborn msg)
+    | `Static msg -> finish ~t0 i (Killed_static msg)
+    | `Ok dut -> (
+      match prune dut with
+      | Some why -> finish ~t0 i (Killed_absint why)
+      | None -> cands := (i, dut) :: !cands)
+  done;
+  let cands = Array.of_list (List.rev !cands) in
+  (* One fused replay of the tour vectors serves both tour oracles —
+     the output oracle chains behind the state oracle — then one
+     replay of the random vectors. *)
+  detect ~engine ~domains ~lanes ~tr ~graph
+    [|
+      { vectors = tvecs; chain = [| States tours; Nets (outs, tour_out) |] };
+      { vectors = rvecs; chain = [| Nets (outs, rand_out) |] };
+    |]
+    (Array.map snd cands)
+    ~on_done:(fun ~t0 j o ->
+      let i, dut = cands.(j) in
+      finish ~t0 i
+        (verdict ~max_equiv_states ~graph ~dut (detail o.(0)) (detail o.(1))));
   let results =
     Array.init n (fun i -> { mutant = mutants.(i); cls = out.(i) })
   in
@@ -632,14 +577,6 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
 (* ---------------------------------------------------------------- *)
 (* Rendering                                                        *)
 (* ---------------------------------------------------------------- *)
-
-let class_name = function
-  | Stillborn _ -> "stillborn"
-  | Killed_static _ -> "killed-static"
-  | Killed_absint _ -> "killed-absint"
-  | Killed _ -> "killed"
-  | Equivalent -> "equivalent"
-  | Survived _ -> "survived"
 
 let class_note = function
   | Stillborn m | Killed_static m | Killed_absint m | Survived m -> m

@@ -77,6 +77,67 @@ val random_tours :
     space by a seeded PRNG, successor states computed by the model
     (they always exist in the fully-enumerated graph). *)
 
+val output_ports : Avp_hdl.Ast.design -> top:string -> string array
+(** The output ports of module [top], in declaration order — the nets
+    a golden-model lockstep comparison can observe. *)
+
+(** {2 Mutant detection}
+
+    The one replay path every kill score goes through: the campaign
+    below and the fuzz generator comparison. *)
+
+type oracle =
+  | States of Avp_tour.Tour_gen.t
+      (** every annotated state net against the walk's predicted state,
+          per cycle ({!Avp_vectors.Replay.check}) *)
+  | Nets of string array * int array array array
+      (** the named nets against rows recorded on the pristine design
+          ({!Avp_vectors.Replay.check_nets}) *)
+
+type phase = {
+  vectors : Avp_vectors.Vector.t array;
+      (** realized once from the pristine model; one trace per walk of
+          every [States] oracle *)
+  chain : oracle array;
+      (** checked in order: an oracle's outcome counts only for mutants
+          every earlier oracle passed clean *)
+}
+
+type outcome =
+  | Clean
+  | Mismatch of Avp_vectors.Replay.mismatch  (** the first mismatch *)
+  | Escape of string
+      (** a checked net carried x/z bits (or the replay raised); the
+          string is the full detail text *)
+
+val detect :
+  engine:[ `Scalar | `Sliced ] ->
+  domains:int ->
+  lanes:int ->
+  tr:Avp_fsm.Translate.result ->
+  graph:Avp_enum.State_graph.t ->
+  on_done:(t0:float -> int -> outcome array -> unit) ->
+  phase array ->
+  Avp_hdl.Elab.t array ->
+  unit
+(** Replay every phase against every vetted mutant elaboration (each
+    an elaboration of a mutant of the design [tr] was translated from)
+    and report, per mutant, each phase's first issue.
+    [on_done ~t0 j outcomes] runs exactly once per mutant [j], with
+    one outcome per phase, on the domain that finished it; [t0] is
+    when work attributable to that mutant alone began.
+
+    [`Sliced] compiles [tr]'s design {e once} as mutant schemata
+    ({!Avp_hdl.Sliced.create_schemata}) and replays chunks of up to
+    [lanes] (clamped to 1..62) mutants word-parallel, one pass per
+    phase; each chunk emits one [mutate.pass] span.  Mutants the
+    schemata kernel cannot carry (structural divergence beyond one
+    expression site, or a mutation-induced comb loop that aborts the
+    shared word) fall back to the scalar path.  [`Scalar] replays
+    mutant by mutant, sharded over [domains].  Outcomes — escape
+    texts included — are identical for any engine, lane and domain
+    count. *)
+
 val run :
   ?families:Op.family list ->
   ?seed:int ->
@@ -98,17 +159,15 @@ val run :
     [domains] (default 1) parallelizes the per-mutant work.
 
     [engine] (default [`Sliced]) selects the replay backend.
-    [`Sliced] compiles the pristine design {e once} as mutant
-    schemata ({!Avp_hdl.Sliced.create_schemata}) and classifies up to
-    [lanes] (default 62) mutants word-parallel per replay pass —
-    ceil(candidates/lanes) passes instead of one full replay per
-    mutant.  Mutants the schemata kernel cannot carry (structural
-    divergence beyond one expression site, or a mutation-induced comb
-    loop that aborts the shared word) fall back to the scalar path,
-    sharded over [domains] as in [`Scalar] mode.  Classifications —
-    including kill details and x/z escape messages — are byte-
-    identical between engines and for any [lanes] value; {!to_json}
-    is the equality witness the test suite checks. *)
+    Mutants are vetted up front; the survivors go through {!detect}
+    in two phases: the tour vectors with the state oracle chained
+    before the output oracle (one fused pass), and the random vectors
+    with the output oracle.  [`Sliced] classifies up to [lanes]
+    (default 62) mutants word-parallel per pass —
+    ceil(candidates/lanes) chunks instead of one full replay per
+    mutant.  Classifications — including kill details and x/z escape
+    messages — are byte-identical between engines and for any [lanes]
+    value; {!to_json} is the equality witness the test suite checks. *)
 
 val to_json : report -> string
 (** Deterministic machine-readable report: header rates, per-family

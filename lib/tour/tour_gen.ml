@@ -165,6 +165,45 @@ let generate ?instr_limit ?(instructions_of_edge = fun ~src:_ ~choice:_ -> 1)
         ];
   { traces = Array.of_list (List.rev !traces); stats }
 
+let walk (model : Avp_fsm.Model.t) (graph : Avp_enum.State_graph.t)
+    (choices : int array) =
+  let cur = ref (Avp_enum.State_graph.reset_id graph) in
+  Array.map
+    (fun choice ->
+      let src = !cur in
+      let nxt =
+        model.Avp_fsm.Model.next
+          graph.Avp_enum.State_graph.states.(src)
+          (Avp_fsm.Model.choice_of_index model choice)
+      in
+      let dst =
+        match Avp_enum.State_graph.find_state graph nxt with
+        | Some id -> id
+        | None ->
+          (* Enumeration is total over reachable states. *)
+          assert false
+      in
+      cur := dst;
+      { src; dst; choice; fresh = false })
+    choices
+
+let of_traces traces =
+  let total = Array.fold_left (fun n t -> n + Array.length t) 0 traces in
+  let longest = Array.fold_left (fun n t -> max n (Array.length t)) 0 traces in
+  {
+    traces;
+    stats =
+      {
+        num_traces = Array.length traces;
+        edge_traversals = total;
+        instructions = total;
+        longest_trace_edges = longest;
+        longest_trace_instructions = longest;
+        traces_hitting_limit = 0;
+        gen_time_s = 0.;
+      };
+  }
+
 let covers_all_edges (graph : Avp_enum.State_graph.t) t =
   let adj = graph.Avp_enum.State_graph.adj in
   let offsets = Avp_enum.State_graph.edge_offsets graph in

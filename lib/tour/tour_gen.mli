@@ -43,6 +43,17 @@ val generate :
     processor model, stall-cycle edges issue no instruction while
     dual-issue edges issue two. *)
 
+val walk : Avp_fsm.Model.t -> Avp_enum.State_graph.t -> int array -> trace
+(** The model's walk from reset under a sequence of flat choice
+    indices, one step per choice.  Successor states are computed by
+    the model, so they always exist in the fully-enumerated graph.
+    The model's [next] may drive a shared reference simulator: walk
+    on the calling domain only. *)
+
+val of_traces : trace array -> t
+(** A tour set of unweighted traces: one instruction per edge, no
+    instruction limit, no generation time. *)
+
 val covers_all_edges : Avp_enum.State_graph.t -> t -> bool
 (** Union of all traces covers every arc of the state graph. *)
 

@@ -69,26 +69,6 @@ val check :
     implementation — the step-4 comparison at the HDL level.  Any
     divergence from the predicted state sequence is a caught bug. *)
 
-val check_batch :
-  ?dut:Avp_hdl.Elab.t ->
-  ?lanes:int ->
-  ?domains:int ->
-  ?progress:Avp_obs.Progress.t ->
-  ?vectors:Vector.t array ->
-  Avp_fsm.Translate.result ->
-  Avp_enum.State_graph.t ->
-  Avp_tour.Tour_gen.t ->
-  (stats, mismatch) result
-(** {!check} on the bit-sliced batched kernel: up to [lanes] (default
-    62) traces replay word-parallel through one compiled simulator,
-    each lane following its own trace's force/release stimulus, the
-    clock stepping every lane in lockstep.  The result — including
-    which mismatch is reported and which [Unsupported] escape is
-    raised — is identical to the sequential {!check}.  Falls back to
-    {!check} when the design is outside the sliced kernel's
-    coverage.  [?domains] shards whole chunks (one kernel per
-    domain); it composes with the lane-level parallelism. *)
-
 val record :
   ?dut:Avp_hdl.Elab.t ->
   Avp_fsm.Translate.result ->

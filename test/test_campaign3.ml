@@ -9,21 +9,25 @@ module Compare = Avp_fuzz.Compare
 module Isa_fuzz = Avp_fuzz.Isa_fuzz
 module Report = Avp_obs.Report
 
-let comparison =
+let inputs =
   lazy
     (let design = Avp_pp.Control_hdl.parse () in
      let tr = Avp_fsm.Translate.translate (Avp_hdl.Elab.elaborate design) in
      let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
      let tours = Avp_tour.Tour_gen.generate graph in
      let config = { Loop.default_config with Loop.budget = 128 } in
-     let fuzz = Loop.run ~config tr graph in
-     let cmp =
-       (* A sampled mutant population keeps the test quick; the bench
-          snapshot runs the exhaustive one. *)
-       Compare.run ~seed:0 ~mutant_budget:48 ~design ~tr ~graph ~tours ~fuzz
-         ()
-     in
-     (fuzz, cmp))
+     (design, tr, graph, tours, Loop.run ~config tr graph))
+
+(* A sampled mutant population keeps the test quick; the bench
+   snapshot runs the exhaustive one. *)
+let score fuzz =
+  let design, tr, graph, tours, _ = Lazy.force inputs in
+  Compare.run ~seed:0 ~mutant_budget:48 ~design ~tr ~graph ~tours ~fuzz ()
+
+let comparison =
+  lazy
+    (let _, _, _, _, fuzz = Lazy.force inputs in
+     (fuzz, score fuzz))
 
 let stats name =
   let _, cmp = Lazy.force comparison in
@@ -87,6 +91,19 @@ let test_fairness_protocol () =
     f.Compare.m_entries;
   Alcotest.(check bool) "corpus replay is cheaper than generation" true
     (f.Compare.m_cycles <= f.Compare.m_gen_cycles)
+
+(* Kill scoring runs on the fuzz run's engine: the sliced schemata
+   passes must score exactly as the scalar per-mutant replays. *)
+let test_engine_invariant () =
+  let _, _, _, _, fuzz = Lazy.force inputs in
+  let on engine =
+    Avp_obs.Json.to_string
+      (Compare.json_value
+         (score
+            { fuzz with Loop.config = { fuzz.Loop.config with Loop.engine } }))
+  in
+  Alcotest.(check string) "sliced comparison = scalar comparison"
+    (on `Scalar) (on `Sliced)
 
 (* {2 The competitive claim} *)
 
@@ -164,6 +181,8 @@ let suite =
     Alcotest.test_case "population accounting" `Quick
       test_population_accounting;
     Alcotest.test_case "fairness protocol" `Quick test_fairness_protocol;
+    Alcotest.test_case "kill scores invariant across engines" `Quick
+      test_engine_invariant;
     Alcotest.test_case "fuzz beats random" `Quick test_fuzz_beats_random;
     Alcotest.test_case "report fuzz section" `Quick test_report_section;
     Alcotest.test_case "isa fuzz deterministic" `Quick

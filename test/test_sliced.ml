@@ -1,6 +1,6 @@
 (* Differential tests for the bit-sliced batched engine.
 
-   Three layers:
+   Four layers:
 
    - transposed bitvector properties: every [Bv_sliced] operation on
      random lane arrays (lane counts 1..62, widths crossing the
@@ -13,7 +13,11 @@
 
    - mutant schemata differential: the pp control mutants compiled
      into one schemata kernel must each track a scalar simulator of
-     that mutant's own elaboration. *)
+     that mutant's own elaboration;
+
+   - mutant detection: [Campaign.detect]'s schemata passes must
+     report, per mutant and phase, the outcome of that mutant's own
+     scalar replays. *)
 
 open Avp_logic
 open Avp_hdl
@@ -398,70 +402,90 @@ let test_sim_sliced_engine () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Batched trace replay vs the sequential scalar replay               *)
+(* Mutant detection: schemata passes vs per-mutant scalar replays     *)
 (* ------------------------------------------------------------------ *)
 
-type replay_outcome =
-  | R_ok of int * int  (* traces, cycles *)
-  | R_mismatch of string
-  | R_exn of string
-
-let outcome f =
-  match f () with
-  | Ok (s : Avp_vectors.Replay.stats) ->
-    R_ok (s.Avp_vectors.Replay.traces, s.Avp_vectors.Replay.cycles)
-  | Error m ->
-    R_mismatch (Format.asprintf "%a" Avp_vectors.Replay.pp_mismatch m)
-  | exception Avp_fsm.Translate.Unsupported msg -> R_exn msg
-
 let pp_outcome = function
-  | R_ok (t, c) -> Printf.sprintf "ok traces=%d cycles=%d" t c
-  | R_mismatch m -> "mismatch: " ^ m
-  | R_exn m -> "exn: " ^ m
+  | Avp_mutate.Campaign.Clean -> "clean"
+  | Avp_mutate.Campaign.Mismatch m ->
+    Format.asprintf "mismatch: %a" Avp_vectors.Replay.pp_mismatch m
+  | Avp_mutate.Campaign.Escape d -> "escape: " ^ d
 
-let test_check_batch () =
-  let tr = Avp_pp.Control_hdl.translate () in
-  let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
-  let tours = Avp_tour.Tour_gen.generate graph in
-  let vectors = Avp_vectors.Replay.vectors tr tours in
-  let agree name scalar batched =
-    if scalar <> batched then
-      Alcotest.failf "%s: scalar %s but batched %s" name (pp_outcome scalar)
-        (pp_outcome batched)
-  in
-  (* Pristine design: both pass with identical stats, at several lane
-     counts. *)
-  let scalar =
-    outcome (fun () -> Avp_vectors.Replay.check ~vectors tr graph tours)
-  in
-  List.iter
-    (fun lanes ->
-      agree
-        (Printf.sprintf "pristine lanes=%d" lanes)
-        scalar
-        (outcome (fun () ->
-             Avp_vectors.Replay.check_batch ~lanes ~vectors tr graph tours)))
-    [ 1; 7; 62 ];
-  (* Mutant duts: killed, escaped and X-escaping mutants must report
-     byte-identical outcomes (same mismatch, same exception). *)
+(* Single-oracle phases, unchained — the shape the fuzz generator
+   comparison scores with — over the first 25 vetted pp mutants, a
+   mix of killed, escaping and X-escaping ones: every mutant must get
+   the same outcome per phase on both engines, whatever the lane
+   count.  The tour is segmented so that the replays span many
+   traces, like the fuzz corpus and the random baseline. *)
+let test_detect_engines () =
+  let module C = Avp_mutate.Campaign in
   let design = Avp_pp.Control_hdl.parse () in
+  let tr = Avp_fsm.Translate.translate (Elab.elaborate design) in
+  let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
+  let tours = Avp_tour.Tour_gen.generate ~instr_limit:100 graph in
+  let rtours = C.random_tours ~seed:1 tr.Avp_fsm.Translate.model graph tours in
+  let tvecs = Avp_vectors.Replay.vectors tr tours in
+  let rvecs = Avp_vectors.Replay.vectors tr rtours in
+  let outs = C.output_ports design ~top:tr.Avp_fsm.Translate.elab.Elab.top in
+  let rows vecs = Array.map (Avp_vectors.Replay.record tr ~nets:outs) vecs in
+  let phase vectors oracle = { C.vectors; chain = [| oracle |] } in
+  let phases =
+    [|
+      phase tvecs (C.States tours);
+      phase tvecs (C.Nets (outs, rows tvecs));
+      phase rvecs (C.Nets (outs, rows rvecs));
+      (* A wrong post-reset prediction in trace 0 makes every mutant
+         mismatch at once; a mutant that leaves the defined domain in
+         a later trace must still report the escape, as the scalar
+         replay of every trace does. *)
+      (let r = rows tvecs in
+       r.(0).(0).(0) <- r.(0).(0).(0) + 1;
+       phase tvecs (C.Nets (outs, r)));
+    |]
+  in
   let muts =
     Avp_mutate.Gen.all design
     |> List.filter_map (fun (m : Avp_mutate.Gen.mutant) ->
         match Avp_mutate.Filter.vet m.Avp_mutate.Gen.design with
         | `Ok dut -> Some (m.Avp_mutate.Gen.id, dut)
         | `Stillborn _ | `Static _ -> None)
+    |> List.filteri (fun i _ -> i < 25)
+    |> Array.of_list
   in
-  let muts = List.filteri (fun i _ -> i < 25) muts in
+  let detect engine ~lanes =
+    let got = Array.make (Array.length muts) [||] in
+    C.detect ~engine ~domains:1 ~lanes ~tr ~graph
+      ~on_done:(fun ~t0:_ j o -> got.(j) <- o)
+      phases (Array.map snd muts);
+    got
+  in
+  let scalar = detect `Scalar ~lanes:1 in
+  let kinds = Hashtbl.create 3 in
+  Array.iter
+    (Array.iter (fun o ->
+         Hashtbl.replace kinds
+           (match o with
+            | C.Clean -> "clean"
+            | C.Mismatch _ -> "mismatch"
+            | C.Escape _ -> "escape")
+           ()))
+    scalar;
+  Alcotest.(check int) "clean, mismatch and escape outcomes all occur" 3
+    (Hashtbl.length kinds);
   List.iter
-    (fun (mid, dut) ->
-      agree
-        (Printf.sprintf "mutant %d" mid)
-        (outcome (fun () ->
-             Avp_vectors.Replay.check ~dut ~vectors tr graph tours))
-        (outcome (fun () ->
-             Avp_vectors.Replay.check_batch ~dut ~vectors tr graph tours)))
-    muts
+    (fun lanes ->
+      let sliced = detect `Sliced ~lanes in
+      Array.iteri
+        (fun j (mid, _) ->
+          Array.iteri
+            (fun k o ->
+              if o <> sliced.(j).(k) then
+                Alcotest.failf "lanes=%d mutant %d phase %d: scalar %s but \
+                                sliced %s"
+                  lanes mid k (pp_outcome o) (pp_outcome sliced.(j).(k)))
+            scalar.(j))
+        muts)
+    [ 7; 62 ]
 
 let suite =
   [
@@ -479,6 +503,6 @@ let suite =
       test_schemata_differential;
     Alcotest.test_case "Sim `Sliced engine tracks the interpreter" `Quick
       test_sim_sliced_engine;
-    Alcotest.test_case "batched trace replay = sequential replay" `Quick
-      test_check_batch;
+    Alcotest.test_case "detect: schemata passes = scalar replays" `Quick
+      test_detect_engines;
   ]
