@@ -117,7 +117,7 @@ let () =
   let compiled = Sim.create ~engine:`Compiled design in
   (match Sim.engine compiled with
    | `Compiled -> ()
-   | `Interp | `Sliced ->
+   | `Interp ->
      prerr_endline "FATAL: compiled engine rejected the control design";
      exit 1);
   let interp_s, trace_i = drive design interp ~cycles in

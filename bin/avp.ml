@@ -324,10 +324,7 @@ let vectors_cmd =
     let map = Avp_vectors.Condition_map.of_translation tr in
     Array.iteri
       (fun i trace ->
-        let v =
-          Avp_vectors.Condition_map.vectors_of_trace map tr.Translate.model
-            trace
-        in
+        let v = Avp_vectors.Condition_map.vectors_of_trace map trace in
         let path = Printf.sprintf "%s/trace%04d.vec" out i in
         let oc = open_out path in
         output_string oc (Avp_vectors.Vector.to_string v);

@@ -93,7 +93,7 @@ let () =
   let checked = ref 0 in
   Array.iteri
     (fun ti trace ->
-      let vectors = Condition_map.vectors_of_trace map tr.Translate.model trace in
+      let vectors = Condition_map.vectors_of_trace map trace in
       let sim = Sim.create elab in
       let vcd =
         if ti = 0 then Some (Vcd.create sim ~nets:[ "count"; "drain"; "full"; "sending" ])

@@ -77,14 +77,13 @@ let () =
    | Error m -> Format.printf "MISMATCH: %a@." Replay.pp_mismatch m);
 
   let map = Condition_map.of_translation tr in
-  let model = tr.Translate.model in
 
   (* Show one trace's vector file. *)
   (match Array.length tours.Tour_gen.traces with
    | 0 -> ()
    | _ ->
      let vectors =
-       Condition_map.vectors_of_trace map model tours.Tour_gen.traces.(0)
+       Condition_map.vectors_of_trace map tours.Tour_gen.traces.(0)
      in
      Format.printf "@.First trace as a vector file:@.%s@."
        (String.concat "\n"

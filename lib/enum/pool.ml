@@ -61,8 +61,6 @@ let create ~domains =
         Domain.spawn (fun () -> worker t (i + 1)));
   t
 
-let size t = t.domains
-
 let run t f =
   if t.domains = 1 then f 0
   else begin
@@ -99,3 +97,18 @@ let shutdown t =
 let with_pool ~domains f =
   let t = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+let iter ~domains n job =
+  let domains = max 1 (min domains n) in
+  if domains = 1 then
+    for i = 0 to n - 1 do
+      job i
+    done
+  else
+    with_pool ~domains (fun pool ->
+        run pool (fun slot ->
+            let i = ref slot in
+            while !i < n do
+              job !i;
+              i := !i + domains
+            done))

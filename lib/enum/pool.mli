@@ -10,20 +10,20 @@
 
 type t
 
-val create : domains:int -> t
+val with_pool : domains:int -> (t -> 'a) -> 'a
 (** Spawn [domains - 1] worker domains ([domains] is clamped to at
-    least 1; a 1-domain pool runs jobs inline). *)
-
-val size : t -> int
+    least 1; a 1-domain pool runs jobs inline), run the callback, and
+    join the workers, robust to exceptions. *)
 
 val run : t -> (int -> unit) -> unit
 (** [run t job] executes [job slot] for every slot in
-    [0 .. size t - 1], slot 0 on the calling domain, and returns when
+    [0 .. domains - 1], slot 0 on the calling domain, and returns when
     all have finished.  If any slot raises, the first exception is
     re-raised here after the barrier. *)
 
-val shutdown : t -> unit
-(** Join the workers.  The pool must not be used afterwards. *)
-
-val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [create] / [shutdown] bracket, robust to exceptions. *)
+val iter : domains:int -> int -> (int -> unit) -> unit
+(** [iter ~domains n job] runs [job i] for every [i] in [0 .. n - 1],
+    sharded round-robin: domain [d] takes [d], [d + domains], ...
+    It runs sequentially, in index order, on the calling domain when
+    one domain suffices ([domains <= 1] or [n <= 1]).  Exceptions
+    propagate as in {!run}. *)

@@ -19,7 +19,8 @@ module Campaign = Avp_mutate.Campaign
      fraction of the replay vectors;
    - oracles: tours and fuzz carry per-cycle state-net predictions
      (their walks know the transition taken every cycle — for fuzz
-     that is exactly the feedback signal the loop observed) plus
+     that is exactly the walk the loop checked the state nets
+     against) plus
      output lockstep; pure random has output lockstep only, as in the
      mutation campaign.
    - candidates: vetted mutants minus graph-equivalent escapees (only
@@ -118,7 +119,7 @@ let run ?(seed = 0) ?mutant_budget ?(domains = 1)
   let rvecs = Replay.vectors tr rtours in
   let fvecs = Replay.vectors tr ftours in
   let outs = Campaign.output_ports design ~top in
-  let rows vecs = Array.map (Replay.record tr ~nets:outs) vecs in
+  let rows = Replay.record tr ~nets:outs in
   (* Five single-oracle phases.  A method's cost is the earlier of
      its oracles' detections, so they must not chain: a chain stops
      the output oracle on the mutants the state oracle flagged. *)

@@ -12,8 +12,8 @@
       cost is the full exploration budget ([explore_cycles]);
     - tours and fuzz detect through per-cycle state-net predictions
       {e and} output lockstep (their walks predict every transition —
-      for fuzz that is exactly the feedback signal the loop
-      observed); pure random detects through output lockstep only,
+      for fuzz that is exactly the walk the loop checked the state
+      nets against); pure random detects through output lockstep only,
       the observability asymmetry of the mutation campaign;
     - mutants every method misses are checked for graph equivalence
       and excluded from the candidate denominator.

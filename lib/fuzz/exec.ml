@@ -1,47 +1,54 @@
 open Avp_fsm
 module Obs = Avp_obs.Obs
+module Replay = Avp_vectors.Replay
+module Tour_gen = Avp_tour.Tour_gen
 
 (* Candidate evaluation: plan (model walk), realize (condition map),
-   execute (scalar or bit-sliced engine), observe (per-cycle state-id
-   projection).
+   then execute the vectors and check the design against the plan.
 
    Planning walks the translated model's [next] from reset — the
-   model may step a shared reference simulator, so planning is always
-   sequential on the calling domain (same constraint as
-   [Replay.vectors]).  Execution replays the realized force/release
-   vectors on fresh engine instances and reads the annotated state
-   nets back each cycle, projecting the valuation onto the enumerated
-   graph's state ids; that observation — not the plan — is what the
-   fuzzing loop feeds to coverage, so the feedback signal is the
-   executed hardware's behaviour, exactly like the RTL arc-coverage
-   harness.  On the pristine design observation and plan provably
-   agree (the replay theorems of PRs 2/4); the loop checks it. *)
+   model may step a shared reference simulator, so planning and
+   realization stay sequential on the calling domain (the same
+   constraint as [Replay.vectors]).  The plan is a candidate's only
+   record: the fuzzing loop commits its walk to coverage, and
+   execution checks that the design takes exactly that walk — every
+   annotated state net against the planned state's valuation, at
+   reset release and after every clock edge, the step-4 replay
+   check.  On the pristine design the two provably agree (the replay
+   theorems); a disagreement is a translation or replay bug, which
+   the loop reports. *)
 
 type planned = {
   choices : Corpus.entry;
-  trace : Avp_tour.Tour_gen.trace;
+  trace : Tour_gen.trace;
 }
 
 let plan (model : Model.t) (graph : Avp_enum.State_graph.t)
     (entry : Corpus.entry) =
-  { choices = entry; trace = Avp_tour.Tour_gen.walk model graph entry }
+  { choices = entry; trace = Tour_gen.walk model graph entry }
 
-(* The state ids the plan predicts: index 0 is the post-reset state,
-   index i+1 the state after cycle i. *)
-let planned_ids p =
-  let n = Array.length p.trace in
-  Array.init (n + 1) (fun i ->
-      if i = 0 then
-        if n = 0 then 0 else p.trace.(0).Avp_tour.Tour_gen.src
-      else p.trace.(i - 1).Avp_tour.Tour_gen.dst)
+let mismatch_detail m = Format.asprintf "%a" Replay.pp_mismatch m
 
-let vectors_of (tr : Translate.result) (planned : planned array) =
-  let map = Avp_vectors.Condition_map.of_translation tr in
-  Array.map
-    (fun p ->
-      Avp_vectors.Condition_map.vectors_of_trace map tr.Translate.model
-        p.trace)
-    planned
+(* The scalar engine is the replay checker itself, over the round's
+   plans as one tour set: it reports the lowest-numbered diverging
+   trace.  A state net at x/z escapes the checker as
+   [Translate.Unsupported], without a trace index, so that failure is
+   located by re-checking the candidates one at a time. *)
+let check_scalar ~domains ?progress (tr : Translate.result) graph
+    (planned : planned array) (vectors : Avp_vectors.Vector.t array) =
+  let tours = Tour_gen.of_traces (Array.map (fun p -> p.trace) planned) in
+  match Replay.check ~domains ?progress ~vectors tr graph tours with
+  | Ok _ -> Ok ()
+  | Error m -> Error (m.Replay.trace, mismatch_detail m)
+  | exception Translate.Unsupported _ ->
+    let rec locate i =
+      let one = Tour_gen.of_traces [| planned.(i).trace |] in
+      match Replay.check ~vectors:[| vectors.(i) |] tr graph one with
+      | Ok _ -> locate (i + 1)
+      | Error m -> Error (i, mismatch_detail { m with Replay.trace = i })
+      | exception Translate.Unsupported msg -> Error (i, msg)
+    in
+    locate 0
 
 let exec_span i cycles t0 =
   if Obs.enabled () then
@@ -54,62 +61,12 @@ let exec_span i cycles t0 =
           ("flow_in", Obs.Int 0);
         ]
 
-let shard ~domains n job =
-  let domains = max 1 (min domains (max 1 n)) in
-  if domains = 1 then
-    for i = 0 to n - 1 do
-      job i
-    done
-  else
-    Avp_enum.Pool.with_pool ~domains (fun pool ->
-        Avp_enum.Pool.run pool (fun slot ->
-            let i = ref slot in
-            while !i < n do
-              job !i;
-              i := !i + domains
-            done))
-
-let run_scalar ?(domains = 1) ?progress (tr : Translate.result)
-    (graph : Avp_enum.State_graph.t) (planned : planned array)
-    (vectors : Avp_vectors.Vector.t array) =
-  let design = tr.Translate.elab in
-  let nets = Avp_vectors.Replay.state_nets tr in
-  let tpl = Avp_hdl.Sim.template design in
-  let n = Array.length planned in
-  let results = Array.make n [||] in
-  shard ~domains n (fun i ->
-      let t0 = Obs.Clock.now_s () in
-      let len = Array.length vectors.(i) in
-      let sim = Avp_hdl.Sim.instantiate tpl in
-      let row = Array.make (len + 1) (-1) in
-      let buf = Array.make (Array.length nets) 0 in
-      let observe ri =
-        let ok = ref true in
-        Array.iteri
-          (fun vi net ->
-            match Translate.value_of_bv (Avp_hdl.Sim.get sim net) with
-            | v -> buf.(vi) <- v
-            | exception Translate.Unsupported _ -> ok := false)
-          nets;
-        row.(ri) <-
-          (if not !ok then -1
-           else
-             match Avp_enum.State_graph.find_state graph buf with
-             | Some id -> id
-             | None -> -1)
-      in
-      Avp_vectors.Condition_map.apply vectors.(i) sim
-        ~clock:tr.Translate.clock ~reset:tr.Translate.reset
-        ~on_reset:(fun () -> observe 0)
-        ~on_cycle:(fun c -> observe (c + 1));
-      results.(i) <- row;
-      exec_span i len t0;
-      match progress with
-      | Some p -> Avp_obs.Progress.tick p
-      | None -> ());
-  results
-
-let run_sliced ?(domains = 1) ?progress (tr : Translate.result)
+(* The sliced engine packs up to 62 candidates per kernel, each lane
+   under its own stimulus, and checks each lane's state nets against
+   its own plan every cycle.  A lane's first divergence is recorded in
+   the scalar checker's terms: the first mismatching net in state-net
+   order, or the message of a net that left the defined domain. *)
+let check_sliced ~domains ?progress (tr : Translate.result)
     (graph : Avp_enum.State_graph.t) (planned : planned array)
     (vectors : Avp_vectors.Vector.t array) =
   let design = tr.Translate.elab in
@@ -121,37 +78,15 @@ let run_sliced ?(domains = 1) ?progress (tr : Translate.result)
   with
   | None -> None (* design outside the sliced kernel's coverage *)
   | Some _ ->
-    let nets = Avp_vectors.Replay.state_nets tr in
-    let net_ids =
-      Array.map
-        (fun nm -> (Avp_hdl.Elab.net design nm).Avp_hdl.Elab.id)
-        nets
-    in
-    let clock =
-      (Avp_hdl.Elab.net design tr.Translate.clock).Avp_hdl.Elab.id
-    and reset =
-      (Avp_hdl.Elab.net design tr.Translate.reset).Avp_hdl.Elab.id
-    in
+    let nets = Replay.state_nets tr in
+    let net_id nm = (Avp_hdl.Elab.net design nm).Avp_hdl.Elab.id in
+    let net_ids = Array.map net_id nets in
+    let clock = net_id tr.Translate.clock
+    and reset = net_id tr.Translate.reset in
     let one = Avp_logic.Bv.of_int ~width:1 1
     and zero = Avp_logic.Bv.of_int ~width:1 0 in
-    (* The hot loop resolves a net name per (lane, action); the
-       realized vectors share one physical string per choice variable,
-       so a tiny pointer-equality cache beats hashing the string every
-       time (a distinct physical copy of a name merely adds a
-       duplicate entry with the same uid). *)
-    let lookup =
-      let cache = ref [] in
-      fun nm ->
-        let rec find = function
-          | [] ->
-            let id = (Avp_hdl.Elab.net design nm).Avp_hdl.Elab.id in
-            cache := (nm, id) :: !cache;
-            id
-          | (nm', id) :: rest -> if nm' == nm then id else find rest
-        in
-        find !cache
-    in
-    let results = Array.make n [||] in
+    let states = graph.Avp_enum.State_graph.states in
+    let failures = Array.make n None in
     let chunks = (n + lanes - 1) / lanes in
     let run_chunk ci =
       let c0 = ci * lanes in
@@ -162,38 +97,71 @@ let run_sliced ?(domains = 1) ?progress (tr : Translate.result)
         | Some s -> s
         | None -> assert false (* coverage probed above *)
       in
+      (* The hot loop resolves a net name per (lane, action); the
+         realized vectors share one physical string per choice
+         variable, so a tiny pointer-equality cache beats hashing the
+         string every time (a distinct physical copy of a name merely
+         adds a duplicate entry with the same uid). *)
+      let lookup =
+        let cache = ref [] in
+        fun nm ->
+          let rec find = function
+            | [] ->
+              let id = net_id nm in
+              cache := (nm, id) :: !cache;
+              id
+            | (nm', id) :: rest -> if nm' == nm then id else find rest
+          in
+          find !cache
+      in
       let len j = Array.length vectors.(c0 + j) in
       let maxlen = ref 0 in
-      let rows =
-        Array.init k (fun j ->
-            if len j > !maxlen then maxlen := len j;
-            Array.make (len j + 1) (-1))
-      in
-      let buf = Array.make (Array.length nets) 0 in
-      let observe cycle =
+      for j = 0 to k - 1 do
+        maxlen := max !maxlen (len j)
+      done;
+      let check cycle =
         for j = 0 to k - 1 do
-          if cycle < len j then begin
-            let ok = ref true in
-            Array.iteri
-              (fun vi id ->
-                let bv = Avp_hdl.Sliced.get_lane sim ~lane:j id in
-                match Translate.value_of_bv bv with
-                | v -> buf.(vi) <- v
-                | exception Translate.Unsupported _ -> ok := false)
-              net_ids;
-            rows.(j).(cycle + 1) <-
-              (if not !ok then -1
-               else
-                 match Avp_enum.State_graph.find_state graph buf with
-                 | Some id -> id
-                 | None -> -1)
+          let c = c0 + j in
+          if cycle < len j && failures.(c) = None then begin
+            let trace = planned.(c).trace in
+            let predicted =
+              states.(if cycle < 0 then trace.(0).Tour_gen.src
+                      else trace.(cycle).Tour_gen.dst)
+            in
+            let rec net vi =
+              if vi < Array.length net_ids then begin
+                let id = net_ids.(vi) and p = predicted.(vi) in
+                let bad, neq =
+                  Avp_hdl.Sliced.check_net ~mask:(1 lsl j) sim id ~predicted:p
+                in
+                if bad lor neq = 0 then net (vi + 1)
+                else
+                  failures.(c) <-
+                    Some
+                      (match
+                         Translate.value_of_bv
+                           (Avp_hdl.Sliced.get_lane sim ~lane:j id)
+                       with
+                       | actual ->
+                         mismatch_detail
+                           {
+                             Replay.trace = c;
+                             cycle;
+                             net = nets.(vi);
+                             actual;
+                             predicted = p;
+                           }
+                       | exception Translate.Unsupported msg -> msg)
+              end
+            in
+            net 0
           end
         done
       in
       Avp_hdl.Sliced.set_id sim reset one;
       Avp_hdl.Sliced.step sim clock;
       Avp_hdl.Sliced.set_id sim reset zero;
-      observe (-1);
+      check (-1);
       (* Per-lane stimulus, grouped per net and applied once per cycle
          ([Sliced.force_lanes]): nothing observes the nets between the
          actions and the clock edge, so deferring the forces to the
@@ -232,26 +200,38 @@ let run_sliced ?(domains = 1) ?progress (tr : Translate.result)
           !pending_ids;
         pending_ids := [];
         Avp_hdl.Sliced.step sim clock;
-        observe c
+        check c
       done;
       for j = 0 to k - 1 do
-        results.(c0 + j) <- rows.(j);
         exec_span (c0 + j) (len j) t0s.(j);
         match progress with
         | Some p -> Avp_obs.Progress.tick p
         | None -> ()
       done
     in
-    shard ~domains chunks run_chunk;
-    Some results
+    Avp_enum.Pool.iter ~domains chunks run_chunk;
+    let rec first i =
+      if i = n then Ok ()
+      else
+        match failures.(i) with
+        | Some detail -> Error (i, detail)
+        | None -> first (i + 1)
+    in
+    Some (first 0)
 
-let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?domains ?progress
+let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?(domains = 1) ?progress
     (tr : Translate.result) (graph : Avp_enum.State_graph.t)
     (planned : planned array) =
-  let vectors = vectors_of tr planned in
+  let map = Avp_vectors.Condition_map.of_translation tr in
+  let vectors =
+    Array.map
+      (fun p -> Avp_vectors.Condition_map.vectors_of_trace map p.trace)
+      planned
+  in
+  let scalar () = check_scalar ~domains ?progress tr graph planned vectors in
   match engine with
-  | `Scalar -> run_scalar ?domains ?progress tr graph planned vectors
+  | `Scalar -> scalar ()
   | `Sliced -> (
-    match run_sliced ?domains ?progress tr graph planned vectors with
+    match check_sliced ~domains ?progress tr graph planned vectors with
     | Some r -> r
-    | None -> run_scalar ?domains ?progress tr graph planned vectors)
+    | None -> scalar ())

@@ -6,25 +6,26 @@ module Coverage = Avp_obs.Coverage
 
    Rounds of [batch] candidates: each candidate is either a fresh
    random entry (while the corpus is empty) or a mutation of a corpus
-   seed picked by the energy schedule; the whole batch executes on
-   the chosen engine (domain-parallel, lane-parallel) and the keep
-   fold then runs sequentially in batch order.  A candidate is kept
-   iff committing its observed marks moves the coverage counters —
-   new state, new arc, or new (state, input-class) pair
-   ({!Coverage.delta}).  Candidates that add nothing commit nothing
-   (marking already-seen items is idempotent), so the kept corpus's
-   coverage IS the run's coverage — the replay invariant behind
-   [--replay].
+   seed picked by the energy schedule.  A round plans every candidate
+   as a model walk, executes the batch on the chosen engine
+   (domain-parallel, lane-parallel) checking that the design takes
+   exactly the planned walks, then folds the plans sequentially in
+   batch order.  A candidate is kept iff committing its walk's marks
+   moves the coverage counters — new state, new arc, or new (state,
+   input-class) pair ({!Coverage.delta}).  Candidates that add
+   nothing commit nothing (marking already-seen items is idempotent),
+   so the kept corpus's coverage IS the run's coverage — the replay
+   invariant behind [--replay].
 
    Determinism: candidate generation draws from one seeded PRNG
    before evaluation, evaluation is positionally indexed, and the
    fold is sequential in batch order — so the final corpus and
    coverage set are byte-identical for any engine and domain count.
 
-   Energy schedule: a corpus seed's energy is the sum over its
-   observed arcs of 1/(number of corpus entries that hit the arc) —
-   seeds holding rare arcs are favored as mutation parents, pushing
-   the walk toward the frontier instead of re-rolling the hot core. *)
+   Energy schedule: a corpus seed's energy is the sum over its arcs
+   of 1/(number of corpus entries that hit the arc) — seeds holding
+   rare arcs are favored as mutation parents, pushing the walk toward
+   the frontier instead of re-rolling the hot core. *)
 
 type config = {
   seed : int;
@@ -52,9 +53,6 @@ type kept = {
   trace : Avp_tour.Tour_gen.trace;
   round : int;
   gain : Coverage.counts;  (** the delta that earned the keep *)
-  frontier : int;
-      (** last cycle index that was novel at keep time, -1 if only
-          the post-reset state was (the extension point) *)
 }
 
 type result = {
@@ -68,39 +66,19 @@ type result = {
   explore_cycles : int;
 }
 
-(* Commit one candidate's observation.  [ids] is the observed
-   trajectory (validated against the plan by the caller), [choices]
-   the input classes applied.  Returns the last cycle index whose
-   marks were novel (-1 if none) — the frontier the extension
-   mutator resumes from. *)
-let commit cov ?pair_counts ~ids ~choices () =
-  let frontier = ref (-1) in
-  if ids.(0) < 0 then Coverage.mark_unmapped cov
-  else Coverage.mark_state cov ids.(0);
-  Array.iteri
-    (fun i cls ->
-      let src = ids.(i) and dst = ids.(i + 1) in
-      let new_pair =
-        src >= 0 && not (Coverage.seen_pair cov ~state:src ~cls)
-      in
-      let novel =
-        new_pair
-        || (dst >= 0 && not (Coverage.seen_state cov dst))
-        || src >= 0 && dst >= 0
-           && Coverage.arc_declared cov ~src ~dst
-           && not (Coverage.seen_arc cov ~src ~dst)
-      in
-      if new_pair then
-        Option.iter (fun pc -> pc.(src) <- pc.(src) + 1) pair_counts;
-      if dst < 0 then Coverage.mark_unmapped cov
-      else begin
-        Coverage.mark_state cov dst;
-        if src >= 0 then Coverage.mark_arc cov ~src ~dst
-      end;
-      if src >= 0 then Coverage.mark_pair cov ~state:src ~cls;
-      if novel then frontier := i)
-    choices;
-  !frontier
+(* Commit one candidate's walk — the walk its execution was checked
+   against — to coverage.  A (state, class) pair seen for the first
+   time bumps its state's saturation counter. *)
+let commit cov pair_counts (trace : Avp_tour.Tour_gen.trace) =
+  Coverage.mark_state cov trace.(0).Avp_tour.Tour_gen.src;
+  Array.iter
+    (fun { Avp_tour.Tour_gen.src; dst; choice = cls; _ } ->
+      if not (Coverage.seen_pair cov ~state:src ~cls) then
+        pair_counts.(src) <- pair_counts.(src) + 1;
+      Coverage.mark_state cov dst;
+      Coverage.mark_arc cov ~src ~dst;
+      Coverage.mark_pair cov ~state:src ~cls)
+    trace
 
 (* Distinct declared arcs of a trace, in first-occurrence order. *)
 let trace_arcs cov (trace : Avp_tour.Tour_gen.trace) =
@@ -120,91 +98,84 @@ let trace_arcs cov (trace : Avp_tour.Tour_gen.trace) =
 
 exception Diverged of string
 
-let check_observation ~round ~index planned ids =
-  let pids = Exec.planned_ids planned in
-  if pids <> ids then
-    raise
-      (Diverged
-         (Printf.sprintf
-            "fuzz: engine observation diverged from the model walk \
-             (round %d, candidate %d) — translation/replay bug" round index))
-
 type state = {
   cov : Coverage.t;
   pair_counts : int array;
       (* per state id: distinct input classes it has been driven with
          — the saturation measure the extension mutator cuts by *)
-  mutable keeps : kept list;  (* reversed *)
-  mutable arcs_of : (int * int) array list;  (* reversed, parallel *)
+  mutable store : (kept * (int * int) array) array;
+      (* in keep order: each kept entry with its distinct declared
+         arcs, the energy schedule's input *)
   arc_hits : (int * int, int ref) Hashtbl.t;
-  mutable n_kept : int;
   mutable lens : int list;  (* reversed *)
   mutable executed : int;
   mutable explore_cycles : int;
 }
 
-let fold_candidate st ~round ~index planned ids =
-  check_observation ~round ~index planned ids;
-  let len = Array.length planned.Exec.choices in
+let fold_candidate st ~round (p : Exec.planned) =
+  let len = Array.length p.Exec.choices in
   st.executed <- st.executed + 1;
   st.explore_cycles <- st.explore_cycles + len;
   st.lens <- len :: st.lens;
   let before = Coverage.counts st.cov in
-  let frontier =
-    commit st.cov ~pair_counts:st.pair_counts ~ids
-      ~choices:planned.Exec.choices ()
-  in
+  commit st.cov st.pair_counts p.Exec.trace;
   let gain = Coverage.delta ~before ~after:(Coverage.counts st.cov) in
-  if Coverage.progress gain then begin
-    let arcs = trace_arcs st.cov planned.Exec.trace in
+  let keep = Coverage.progress gain in
+  if keep then begin
+    let arcs = trace_arcs st.cov p.Exec.trace in
     Array.iter
       (fun a ->
         match Hashtbl.find_opt st.arc_hits a with
         | Some r -> incr r
         | None -> Hashtbl.add st.arc_hits a (ref 1))
       arcs;
-    st.keeps <-
-      {
-        entry = planned.Exec.choices;
-        trace = planned.Exec.trace;
-        round;
-        gain;
-        frontier;
-      }
-      :: st.keeps;
-    st.arcs_of <- arcs :: st.arcs_of;
-    st.n_kept <- st.n_kept + 1;
-    true
-  end
-  else false
+    let k = { entry = p.Exec.choices; trace = p.Exec.trace; round; gain } in
+    st.store <- Array.append st.store [| (k, arcs) |]
+  end;
+  keep
 
-(* Energy-weighted parent pick: cumulative scan under one PRNG draw.
-   Recomputed each round — corpus sizes stay in the hundreds. *)
-let pick_parent st rng (keeps_arr : kept array) =
-  let n = Array.length keeps_arr in
-  let arcs = Array.of_list (List.rev st.arcs_of) in
-  let energy k =
-    Array.fold_left
-      (fun s a -> s +. (1.0 /. float_of_int !(Hashtbl.find st.arc_hits a)))
-      0.0 arcs.(k)
+(* The parent table of one round.  Energies change only when the fold
+   keeps a candidate, so they are summed once per round, in keep
+   order. *)
+type parents = {
+  seeds : kept array;
+  weights : float array;
+  total : float;
+}
+
+let parents st =
+  let weights =
+    Array.map
+      (fun (_, arcs) ->
+        Array.fold_left
+          (fun s a -> s +. (1.0 /. float_of_int !(Hashtbl.find st.arc_hits a)))
+          0.0 arcs)
+      st.store
   in
-  let weights = Array.init n energy in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  if total <= 0.0 then keeps_arr.(Random.State.int rng n)
+  {
+    seeds = Array.map fst st.store;
+    weights;
+    total = Array.fold_left ( +. ) 0.0 weights;
+  }
+
+(* Energy-weighted parent pick: cumulative scan under one PRNG draw. *)
+let pick_parent rng p =
+  let n = Array.length p.seeds in
+  if p.total <= 0.0 then p.seeds.(Random.State.int rng n)
   else begin
-    let r = Random.State.float rng total in
+    let r = Random.State.float rng p.total in
     let acc = ref 0.0 in
     let chosen = ref (n - 1) in
     (try
        for k = 0 to n - 1 do
-         acc := !acc +. weights.(k);
+         acc := !acc +. p.weights.(k);
          if r < !acc then begin
            chosen := k;
            raise Exit
          end
        done
      with Exit -> ());
-    keeps_arr.(!chosen)
+    p.seeds.(!chosen)
   end
 
 let finish_result ~tr ~config ~rounds st =
@@ -213,7 +184,7 @@ let finish_result ~tr ~config ~rounds st =
     config;
     rounds;
     executed = st.executed;
-    kept = Array.of_list (List.rev st.keeps);
+    kept = Array.map fst st.store;
     lengths = Array.of_list (List.rev st.lens);
     coverage = st.cov;
     explore_cycles = st.explore_cycles;
@@ -224,10 +195,8 @@ let fresh_state graph =
     cov = Coverage.of_graph graph.Avp_enum.State_graph.adj;
     pair_counts =
       Array.make (Array.length graph.Avp_enum.State_graph.states) 0;
-    keeps = [];
-    arcs_of = [];
+    store = [||];
     arc_hits = Hashtbl.create 256;
-    n_kept = 0;
     lens = [];
     executed = 0;
     explore_cycles = 0;
@@ -243,11 +212,37 @@ let round_span ~round ~t0 st =
           ("round", Obs.Int round);
           ("flow_out", Obs.Int 0);
           ("executed", Obs.Int st.executed);
-          ("kept", Obs.Int st.n_kept);
+          ("kept", Obs.Int (Array.length st.store));
           ("arcs", Obs.Int c.Coverage.c_arcs);
           ("pairs", Obs.Int c.Coverage.c_pairs);
         ]
   end
+
+(* One round, shared by growing runs and replays: plan the
+   candidates, check their execution against the plans, fold them in
+   batch order, and close the round's span (opened at [t0]).  Returns
+   which candidates were kept. *)
+let play_round ?progress ~config ~round ~t0 st (tr : Translate.result) graph
+    candidates =
+  let planned = Array.map (Exec.plan tr.Translate.model graph) candidates in
+  (match
+     Exec.run ~engine:config.engine ~domains:config.domains ?progress tr
+       graph planned
+   with
+   | Ok () -> ()
+   | Error (i, detail) ->
+     raise
+       (Diverged
+          (Printf.sprintf
+             "fuzz: round %d, candidate %d left its model walk (%s) — \
+              translation/replay bug"
+             round i detail)));
+  let kept =
+    Array.init (Array.length planned) (fun i ->
+        fold_candidate st ~round planned.(i))
+  in
+  round_span ~round ~t0 st;
+  kept
 
 let run ?progress ~config (tr : Translate.result)
     (graph : Avp_enum.State_graph.t) =
@@ -345,15 +340,15 @@ let run ?progress ~config (tr : Translate.result)
     let bsize = min batch (budget - st.executed) in
     (* Candidate generation consumes the PRNG sequentially, before any
        parallel evaluation — the determinism anchor. *)
-    let keeps_arr = Array.of_list (List.rev st.keeps) in
-    let corpus = Array.map (fun k -> k.entry) keeps_arr in
+    let parents = parents st in
+    let corpus = Array.map (fun k -> k.entry) parents.seeds in
     let fresh_len () =
       config.init_len
       + Random.State.int rng (max 1 (config.max_len - config.init_len + 1))
     in
     let candidates =
       Array.init bsize (fun _ ->
-          if Array.length keeps_arr = 0 then
+          if Array.length parents.seeds = 0 then
             Mutator.random_entry sp rng ~len:config.init_len
           else
             match Random.State.int rng 8 with
@@ -363,18 +358,11 @@ let run ?progress ~config (tr : Translate.result)
                  neighbourhood *)
               Mutator.random_entry sp rng ~len:(fresh_len ())
             | 1 ->
-              Mutator.mutate sp rng ~corpus (pick_parent st rng keeps_arr).entry
-            | _ -> frontier_extend st ~corpus (pick_parent st rng keeps_arr))
+              Mutator.mutate sp rng ~corpus (pick_parent rng parents).entry
+            | _ -> frontier_extend st ~corpus (pick_parent rng parents))
     in
-    let planned = Array.map (Exec.plan model graph) candidates in
-    let obs =
-      Exec.run ~engine:config.engine ~domains:config.domains ?progress tr
-        graph planned
-    in
-    for i = 0 to bsize - 1 do
-      ignore (fold_candidate st ~round:!round ~index:i planned.(i) obs.(i))
-    done;
-    round_span ~round:!round ~t0 st;
+    ignore
+      (play_round ?progress ~config ~round:!round ~t0 st tr graph candidates);
     incr round
   done;
   finish_result ~tr ~config ~rounds:!round st
@@ -410,22 +398,13 @@ let replay ?progress ~config (c : Corpus.t) (tr : Translate.result)
     for round = 0 to rounds - 1 do
       let t0 = Obs.Clock.now_s () in
       let b0 = round * batch in
-      let bsize = min batch (n - b0) in
-      let planned =
-        Array.init bsize (fun i ->
-            Exec.plan model graph c.Corpus.entries.(b0 + i))
+      let kept =
+        play_round ?progress ~config ~round ~t0 st tr graph
+          (Array.sub c.Corpus.entries b0 (min batch (n - b0)))
       in
-      let obs =
-        Exec.run ~engine:config.engine ~domains:config.domains ?progress tr
-          graph planned
-      in
-      for i = 0 to bsize - 1 do
-        if
-          not (fold_candidate st ~round ~index:i planned.(i) obs.(i))
-          && !stale = None
-        then stale := Some (b0 + i)
-      done;
-      round_span ~round ~t0 st
+      Array.iteri
+        (fun i k -> if (not k) && !stale = None then stale := Some (b0 + i))
+        kept
     done;
     match !stale with
     | Some i ->

@@ -1,17 +1,20 @@
 (** The coverage-guided mutational fuzzing loop.
 
     Rounds of [batch] candidates — fresh random entries while the
-    corpus is empty, then mutations of energy-picked corpus seeds —
-    execute on the compiled or bit-sliced engine and fold
-    sequentially in batch order: a candidate is kept iff committing
-    its observed marks moves the coverage counters (new state, new
-    arc, or new (state, input-class) pair, via the incremental
-    {!Avp_obs.Coverage.delta}).  Discarded candidates commit nothing,
-    so the kept corpus's coverage is exactly the run's coverage — the
-    invariant {!replay} re-checks.
+    corpus is empty, then mutations of energy-picked corpus seeds.  A
+    round plans each candidate as a model walk ({!Exec.plan}),
+    executes the batch on the compiled or bit-sliced engine checking
+    that the design takes exactly the planned walks ({!Exec.run}),
+    and folds the plans sequentially in batch order: a candidate is
+    kept iff committing its walk's marks moves the coverage counters
+    (new state, new arc, or new (state, input-class) pair, via the
+    incremental {!Avp_obs.Coverage.delta}).  Discarded candidates
+    commit nothing, so the kept corpus's coverage is exactly the
+    run's coverage — the invariant {!replay} re-checks.
 
     The energy schedule favors rare arcs: a seed's weight is the sum
-    over its observed arcs of 1/(corpus entries hitting that arc).
+    over its arcs of 1/(corpus entries hitting that arc), computed
+    once per round.
 
     Determinism: candidate generation draws from one seeded PRNG
     before any parallel evaluation, and evaluation results are
@@ -37,9 +40,6 @@ type kept = {
   trace : Avp_tour.Tour_gen.trace;
   round : int;
   gain : Avp_obs.Coverage.counts;  (** the delta that earned the keep *)
-  frontier : int;
-      (** last cycle index that was novel at keep time, -1 if only
-          the post-reset state was (the extension point) *)
 }
 
 type result = {
@@ -54,8 +54,11 @@ type result = {
 }
 
 exception Diverged of string
-(** The engine observation disagreed with the model walk on the
-    pristine design — a translation/replay bug, not a user error. *)
+(** A candidate's execution left its planned model walk: a state net
+    mismatched the walk's predicted state or carried x/z bits.  The
+    message names the round, the candidate and the first divergence.
+    On the translated design itself this is a translation/replay bug,
+    not a user error. *)
 
 val run :
   ?progress:Avp_obs.Progress.t ->
@@ -63,8 +66,9 @@ val run :
   Avp_fsm.Translate.result ->
   Avp_enum.State_graph.t ->
   result
-(** Emits one [fuzz.round] span per round and one [fuzz.exec] span
-    per candidate, with deterministic args. *)
+(** Emits one [fuzz.round] span per round, with deterministic args,
+    around the execution spans {!Exec.run} emits for its engine.
+    @raise Diverged as described above. *)
 
 val replay :
   ?progress:Avp_obs.Progress.t ->

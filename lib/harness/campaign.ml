@@ -52,27 +52,20 @@ let detect_with ?max_cycles ?(domains = 1) ?progress config stimuli =
        below still reports exactly what the sequential scan would. *)
     let detected = Array.make n false in
     let first_hit = Atomic.make max_int in
-    Avp_enum.Pool.with_pool ~domains (fun pool ->
-        Avp_enum.Pool.run pool (fun slot ->
-            let i = ref slot in
-            while !i < n do
-              if !i < Atomic.get first_hit then begin
-                tick ();
-                (match run_stimulus ~config ?max_cycles stims.(!i) with
-                 | Compare.Match -> ()
-                 | Compare.Mismatch _ ->
-                   detected.(!i) <- true;
-                   let rec lower () =
-                     let cur = Atomic.get first_hit in
-                     if
-                       !i < cur
-                       && not (Atomic.compare_and_set first_hit cur !i)
-                     then lower ()
-                   in
-                   lower ())
-              end;
-              i := !i + domains
-            done));
+    Avp_enum.Pool.iter ~domains n (fun i ->
+        if i < Atomic.get first_hit then begin
+          tick ();
+          match run_stimulus ~config ?max_cycles stims.(i) with
+          | Compare.Match -> ()
+          | Compare.Mismatch _ ->
+            detected.(i) <- true;
+            let rec lower () =
+              let cur = Atomic.get first_hit in
+              if i < cur && not (Atomic.compare_and_set first_hit cur i)
+              then lower ()
+            in
+            lower ()
+        end);
     (* Deterministic merge: first detecting stimulus in list order. *)
     let rec scan i runs instructions =
       if i = n then { detected = false; runs; instructions }

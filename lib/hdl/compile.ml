@@ -1388,4 +1388,3 @@ let instantiate (p : prog) =
 
 let create ?u (d : Elab.t) =
   Option.map instantiate (compile ?u d)
-let prog_units p = p.pu

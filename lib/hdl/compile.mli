@@ -57,8 +57,6 @@ val instantiate : prog -> t
     running the given program.  Instances share only immutable data
     and may live on different domains. *)
 
-val prog_units : prog -> units
-
 val create : ?u:units -> Elab.t -> t option
 (** [compile] followed by {!instantiate}. *)
 

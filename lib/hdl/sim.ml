@@ -23,7 +23,7 @@ type interp = {
   overlay : (Elab.uid, Bv.t) Hashtbl.t;
 }
 
-type eng = I of interp | C of Compile.t | S of Sliced.t
+type eng = I of interp | C of Compile.t
 
 (* Observer hooks live at this dispatch layer, not inside the
    engines, so waveform dumpers and telemetry see the exact same
@@ -385,12 +385,6 @@ let create ?(engine = `Compiled) (d : Elab.t) =
     match engine with
     | `Interp -> I (create_interp d u)
     | `Compiled -> compiled ()
-    | `Sliced -> (
-      (* One-lane batched kernel; falls back like [`Compiled] when the
-         design is outside the sliced engine's coverage. *)
-      match Sliced.create ~u ~lanes:1 d with
-      | Some s -> S s
-      | None -> compiled ())
   in
   { eng; obs = None }
 
@@ -411,22 +405,19 @@ let instantiate tpl =
   in
   { eng; obs = None }
 
-let template_design tpl = tpl.td
-
 let engine t =
-  match t.eng with I _ -> `Interp | C _ -> `Compiled | S _ -> `Sliced
+  match t.eng with I _ -> `Interp | C _ -> `Compiled
 
 let design t =
   match t.eng with
   | I s -> s.d
   | C c -> Compile.design c
-  | S s -> Sliced.design s
 
 let time t =
   match t.eng with
   | I s -> s.time
   | C c -> Compile.time c
-  | S s -> Sliced.time s
+
 let set_observer t obs = t.obs <- obs
 let observer t = t.obs
 
@@ -439,7 +430,6 @@ let get_id t id =
   match t.eng with
   | I s -> s.values.(id)
   | C c -> Compile.get_id c id
-  | S s -> Sliced.get_lane s ~lane:0 id
 
 let get t name = get_id t (lookup_id t name)
 
@@ -447,19 +437,16 @@ let eval t e =
   match t.eng with
   | I s -> eval_with (fun id -> s.values.(id)) s.d e
   | C c -> eval_with (Compile.get_id c) (Compile.design c) e
-  | S s -> eval_with (Sliced.get_lane s ~lane:0) (Sliced.design s) e
 
 let settle t =
   match t.eng with
   | I s -> settle_i s
   | C c -> Compile.settle c
-  | S s -> Sliced.settle s
 
 let poke_id t id v =
   match t.eng with
   | I s -> poke_id_i s id v
   | C c -> Compile.poke_id c id v
-  | S s -> Sliced.poke_id s id v
 
 let set t name v =
   let id = lookup_id t name in
@@ -475,10 +462,7 @@ let force t name v =
      s.values.(id) <- Bv.resize v width;
      mark_net_changed s id;
      settle_i s
-   | C c -> Compile.force_id c id v
-   | S sl ->
-     Sliced.force_id sl id v;
-     Sliced.settle sl);
+   | C c -> Compile.force_id c id v);
   match t.obs with Some o -> o.on_force name v | None -> ()
 
 let release t name =
@@ -490,10 +474,7 @@ let release t name =
      enqueue_unit s id;
      mark_net_changed s id;
      settle_i s
-   | C c -> Compile.release_id c id
-   | S sl ->
-     Sliced.release_id sl id;
-     Sliced.settle sl);
+   | C c -> Compile.release_id c id);
   match t.obs with Some o -> o.on_release name | None -> ()
 
 let forced t name =
@@ -501,16 +482,11 @@ let forced t name =
   match t.eng with
   | I s -> s.forces.(id) <> None
   | C c -> Compile.forced_id c id
-  | S sl -> Sliced.forced_mask sl id <> 0
 
 let step ?(edge = Ast.Posedge) t clock =
   let clock_id = lookup_id t clock in
   (match t.eng with
    | I s -> step_i ~edge s clock_id
-   | C c -> Compile.step c ~edge clock_id
-   | S sl -> Sliced.step ~edge sl clock_id);
-  (* The sliced kernel counts its own steps (and lanes). *)
-  (match t.eng with
-   | S _ -> ()
-   | _ -> if Avp_obs.Obs.enabled () then Avp_obs.Obs.incr "sim.steps");
+   | C c -> Compile.step c ~edge clock_id);
+  if Avp_obs.Obs.enabled () then Avp_obs.Obs.incr "sim.steps";
   match t.obs with Some o -> o.on_step ~time:(time t) | None -> ()

@@ -18,17 +18,15 @@ exception Comb_loop of string
 (** Raised when combinational settling fails to converge, naming a
     net that keeps changing. *)
 
-val create : ?engine:[ `Interp | `Compiled | `Sliced ] -> Elab.t -> t
+val create : ?engine:[ `Interp | `Compiled ] -> Elab.t -> t
 (** [`Compiled] (the default) uses the compiled bytecode kernel
     whenever {!Compile.create} supports the design, falling back to
     the tree-walking interpreter otherwise.  [`Interp] forces the
     interpreter, which serves as the differential oracle for the
-    compiled engine.  [`Sliced] runs a one-lane instance of the
-    bit-sliced batched kernel ({!Sliced}) — mainly for differential
-    testing; batch users drive {!Sliced} directly — and falls back
-    like [`Compiled] when the design is outside its coverage. *)
+    compiled engine.  Batch users drive the bit-sliced kernel
+    ({!Sliced}) directly. *)
 
-val engine : t -> [ `Interp | `Compiled | `Sliced ]
+val engine : t -> [ `Interp | `Compiled ]
 (** Which engine [create] actually selected. *)
 
 (** {2 Compile-once templates}
@@ -45,8 +43,6 @@ val template : Elab.t -> template
 
 val instantiate : template -> t
 (** A fresh simulator at power-on state. *)
-
-val template_design : template -> Elab.t
 
 val design : t -> Elab.t
 

@@ -332,10 +332,8 @@ type t = {
   seq_fn : ((Ast.edge * Elab.uid) list * (unit -> unit)) array;
 }
 
-let design t = t.st.d
 let lanes t = t.st.lanes
 let amask t = t.st.amask
-let time t = t.st.time
 
 let enqueue st unit =
   if Bytes.get st.in_queue unit = '\000' then begin
@@ -1054,8 +1052,6 @@ let release_id ?mask t id =
   enqueue st id;
   mark_readers st id
 
-let forced_mask t id = t.st.forced.(id)
-
 let get_lane t ~lane id =
   let st = t.st in
   Sl.lane { Sl.w = st.widths.(id); v = st.nv.(id); u = st.nu.(id) } lane
@@ -1118,8 +1114,6 @@ let reinit t =
 let freeze t ~mask =
   let st = t.st in
   st.frozen <- st.frozen lor (mask land st.amask)
-
-let frozen_mask t = t.st.frozen
 
 let build ?u ~lanes (d : Elab.t) (procs : xp array) =
   let u = match u with Some u -> u | None -> Compile.units d in

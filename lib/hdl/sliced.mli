@@ -51,16 +51,10 @@ val freeze : t -> mask:int -> unit
     the union of the still-live lanes' activity.  Frozen lanes hold
     stale values — do not read them back. *)
 
-val frozen_mask : t -> int
-(** Lanes currently frozen. *)
-
-val design : t -> Elab.t
 val lanes : t -> int
 
 val amask : t -> int
 (** Active-lane mask, [(1 lsl lanes) - 1]. *)
-
-val time : t -> int
 
 val settle : t -> unit
 (** @raise Compile.Comb_loop when no fixpoint is reached. *)
@@ -95,9 +89,6 @@ val force_lanes : t -> Elab.uid -> Bv.t option array -> unit
 val release_id : ?mask:int -> t -> Elab.uid -> unit
 (** Unpin the masked lanes and re-enqueue the net's driver.  Does NOT
     settle, like {!force_id}. *)
-
-val forced_mask : t -> Elab.uid -> int
-(** Lanes in which the net is currently forced. *)
 
 val get_lane : t -> lane:int -> Elab.uid -> Bv.t
 (** One lane's value of a net as a scalar vector. *)

@@ -292,17 +292,8 @@ let detect ~engine ~domains ~lanes ~tr ~graph ~on_done (phases : phase array)
      sliced engine's leftovers (unschedulable mutants, chunks the
      kernel aborted on). *)
   let scalar_pass indices =
-    let m = Array.length indices in
-    let domains = max 1 (min domains (max 1 m)) in
-    if domains = 1 then Array.iter check_scalar indices
-    else
-      Pool.with_pool ~domains (fun pool ->
-          Pool.run pool (fun slot ->
-              let i = ref slot in
-              while !i < m do
-                check_scalar indices.(!i);
-                i := !i + domains
-              done))
+    Pool.iter ~domains (Array.length indices) (fun i ->
+        check_scalar indices.(i))
   in
   match engine with
   | `Scalar -> scalar_pass (Array.init n Fun.id)
@@ -437,8 +428,8 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
   let outs = output_ports design ~top:tr.Translate.elab.Avp_hdl.Elab.top in
-  let tour_out = Array.map (Avp_vectors.Replay.record tr ~nets:outs) tvecs in
-  let rand_out = Array.map (Avp_vectors.Replay.record tr ~nets:outs) rvecs in
+  let tour_out = Avp_vectors.Replay.record tr ~nets:outs tvecs in
+  let rand_out = Avp_vectors.Replay.record tr ~nets:outs rvecs in
   (* Pristine invariants, proven once; each vetted mutant is re-analysed
      and pruned when its invariants provably diverge on a checked net.
      The prune runs at vet time on BOTH engines, so scalar and sliced

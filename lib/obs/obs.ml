@@ -127,7 +127,6 @@ let create ?(gc = false) () =
 
 let cur : t option Atomic.t = Atomic.make None
 
-let set_tracer o = Atomic.set cur o
 let current () = Atomic.get cur
 let enabled () = Atomic.get cur <> None
 

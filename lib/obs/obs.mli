@@ -54,7 +54,6 @@ val create : ?gc:bool -> unit -> t
 
 (** {2 The global tracer} *)
 
-val set_tracer : t option -> unit
 val current : unit -> t option
 val enabled : unit -> bool
 

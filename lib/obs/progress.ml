@@ -86,7 +86,3 @@ let finish t =
     t.printed_width <- 0
   end;
   Mutex.unlock t.mutex
-
-let with_progress ?out ?interval_s ?enabled ?total ~label f =
-  let t = create ?out ?interval_s ?enabled ?total ~label () in
-  Fun.protect ~finally:(fun () -> finish t) (fun () -> f t)

@@ -24,12 +24,3 @@ val count : t -> int
 
 val finish : t -> unit
 (** Clears the progress line so subsequent output starts clean. *)
-
-val with_progress :
-  ?out:out_channel ->
-  ?interval_s:float ->
-  ?enabled:bool ->
-  ?total:int ->
-  label:string ->
-  (t -> 'a) ->
-  'a

@@ -1,8 +1,16 @@
 open Avp_fsm
 
-type t = Model.var -> int -> Vector.action list
+(* Every step taking choice index [c] realizes to the same cycle, so
+   the map realizes each index once and hands out the shared, immutable
+   cycle after that.  The memo is unsynchronized: one map serves one
+   realization call on one domain. *)
+type t = {
+  model : Model.t;
+  widths : (string, int) Hashtbl.t;  (* choice variable -> net width *)
+  memo : (int, Vector.cycle) Hashtbl.t;
+}
 
-let of_translation (r : Translate.result) : t =
+let of_translation (r : Translate.result) =
   (* Choice variables are named after their nets; value index k is the
      k-th domain value, i.e. the bit pattern k. *)
   let widths = Hashtbl.create 8 in
@@ -11,25 +19,32 @@ let of_translation (r : Translate.result) : t =
       Hashtbl.replace widths b.Translate.var.Model.name
         b.Translate.net.Avp_hdl.Elab.width)
     r.Translate.choice_bindings;
-  fun var value ->
-    match Hashtbl.find_opt widths var.Model.name with
-    | Some width ->
-      [ Vector.Force (var.Model.name, Avp_logic.Bv.of_int ~width value) ]
-    | None -> []
+  { model = r.Translate.model; widths; memo = Hashtbl.create 64 }
 
-let custom f = f
+let realize map choice =
+  let values = Model.choice_of_index map.model choice in
+  let actions =
+    Array.to_list map.model.Model.choice_vars
+    |> List.mapi (fun i (var : Model.var) ->
+        match Hashtbl.find_opt map.widths var.Model.name with
+        | Some width ->
+          let v = Avp_logic.Bv.of_int ~width values.(i) in
+          [ Vector.Force (var.Model.name, v) ]
+        | None -> [])
+    |> List.concat
+  in
+  { Vector.actions }
 
-let vectors_of_trace (map : t) (model : Model.t)
-    (trace : Avp_tour.Tour_gen.trace) : Vector.t =
+let vectors_of_trace map (trace : Avp_tour.Tour_gen.trace) : Vector.t =
   Array.map
     (fun (s : Avp_tour.Tour_gen.step) ->
-      let choices = Model.choice_of_index model s.Avp_tour.Tour_gen.choice in
-      let actions =
-        Array.to_list model.Model.choice_vars
-        |> List.mapi (fun i var -> map var choices.(i))
-        |> List.concat
-      in
-      { Vector.actions })
+      let c = s.Avp_tour.Tour_gen.choice in
+      match Hashtbl.find_opt map.memo c with
+      | Some cycle -> cycle
+      | None ->
+        let cycle = realize map c in
+        Hashtbl.add map.memo c cycle;
+        cycle)
     trace
 
 let apply ?(on_reset = fun () -> ()) (vectors : Vector.t) sim ~clock ~reset

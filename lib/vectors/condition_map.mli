@@ -12,13 +12,14 @@ type t
 val of_translation : Translate.result -> t
 (** The natural mapping for a model produced by {!Translate}: choice
     variable [v] with value [k] forces the identically-named net to
-    the [k]-th value of its domain. *)
+    the [k]-th value of its domain.  A map memoizes the cycle it
+    realizes per flat choice index, unsynchronized: use one map per
+    realization, on one domain. *)
 
-val custom : (Model.var -> int -> Vector.action list) -> t
-
-val vectors_of_trace :
-  t -> Model.t -> Avp_tour.Tour_gen.trace -> Vector.t
-(** One vector per tour edge, from the edge's recorded condition. *)
+val vectors_of_trace : t -> Avp_tour.Tour_gen.trace -> Vector.t
+(** One vector per tour edge, from the edge's recorded condition.
+    Edges with the same choice index share one physical (immutable)
+    cycle. *)
 
 val apply :
   ?on_reset:(unit -> unit) ->

@@ -103,19 +103,7 @@ let sharded ?progress ~domains ~n run =
      | None -> ());
     results.(ti) <- r
   in
-  let domains = max 1 (min domains (max 1 n)) in
-  if domains = 1 then
-    for ti = 0 to n - 1 do
-      job ti
-    done
-  else
-    Avp_enum.Pool.with_pool ~domains (fun pool ->
-        Avp_enum.Pool.run pool (fun slot ->
-            let ti = ref slot in
-            while !ti < n do
-              job !ti;
-              ti := !ti + domains
-            done));
+  Avp_enum.Pool.iter ~domains n job;
   let rec scan ti cycles =
     if ti = n then Ok { traces = n; cycles }
     else
@@ -130,9 +118,7 @@ let sharded ?progress ~domains ~n run =
    the cost and is embarrassingly parallel. *)
 let vectors (tr : Translate.result) (tours : Avp_tour.Tour_gen.t) =
   let map = Condition_map.of_translation tr in
-  Array.map
-    (Condition_map.vectors_of_trace map tr.Translate.model)
-    tours.Avp_tour.Tour_gen.traces
+  Array.map (Condition_map.vectors_of_trace map) tours.Avp_tour.Tour_gen.traces
 
 let state_nets (tr : Translate.result) =
   Array.map
@@ -176,22 +162,25 @@ let check ?dut ?(domains = 1) ?progress ?vectors:vecs (tr : Translate.result)
       in
       run_nets ~tpl ~tr ~nets ~predict ti vectors.(ti))
 
-let record ?dut (tr : Translate.result) ~(nets : string array)
-    (vectors : Vector.t) =
-  let design = Option.value ~default:tr.Translate.elab dut in
-  let rows = Array.make_matrix (Array.length vectors + 1) (Array.length nets) 0 in
-  let sim = Avp_hdl.Sim.create design in
-  let snap row =
-    Array.iteri
-      (fun vi net ->
-        rows.(row).(vi) <- Translate.value_of_bv (Avp_hdl.Sim.get sim net))
-      nets
-  in
-  Condition_map.apply vectors sim ~clock:tr.Translate.clock
-    ~reset:tr.Translate.reset
-    ~on_reset:(fun () -> snap 0)
-    ~on_cycle:(fun i -> snap (i + 1));
-  rows
+let record (tr : Translate.result) ~(nets : string array)
+    (vectors : Vector.t array) =
+  let tpl = Avp_hdl.Sim.template tr.Translate.elab in
+  Array.map
+    (fun (v : Vector.t) ->
+      let rows = Array.make_matrix (Array.length v + 1) (Array.length nets) 0 in
+      let sim = Avp_hdl.Sim.instantiate tpl in
+      let snap row =
+        Array.iteri
+          (fun vi net ->
+            rows.(row).(vi) <- Translate.value_of_bv (Avp_hdl.Sim.get sim net))
+          nets
+      in
+      Condition_map.apply v sim ~clock:tr.Translate.clock
+        ~reset:tr.Translate.reset
+        ~on_reset:(fun () -> snap 0)
+        ~on_cycle:(fun i -> snap (i + 1));
+      rows)
+    vectors
 
 let check_nets ~dut ?(domains = 1) ?progress (tr : Translate.result)
     ~(nets : string array) ~(predicted : int array array array)

@@ -70,15 +70,15 @@ val check :
     divergence from the predicted state sequence is a caught bug. *)
 
 val record :
-  ?dut:Avp_hdl.Elab.t ->
   Avp_fsm.Translate.result ->
   nets:string array ->
-  Vector.t ->
-  int array array
-(** Plays the vectors against the design once and records the value of
-    every named net: row 0 holds the post-reset values, row [i + 1]
-    the values after cycle [i].  With the pristine design this is the
-    golden trajectory a lockstep comparison checks against.
+  Vector.t array ->
+  int array array array
+(** Plays each trace's vectors against the pristine design once and
+    records the value of every named net: in trace [t]'s rows, row 0
+    holds the post-reset values and row [i + 1] the values after
+    cycle [i] — the golden trajectories a lockstep comparison checks
+    against.  The design is compiled once for the whole set.
     @raise Avp_fsm.Translate.Unsupported if a recorded net carries
     x/z bits. *)
 

@@ -236,6 +236,40 @@ let test_replay_rejects_foreign () =
   | Ok _ -> Alcotest.fail "malformed entry accepted"
   | Error _ -> ()
 
+(* {2 Plan check} *)
+
+(* Execution is checked against the plan: the pristine model plans
+   every candidate while a mutant's elaboration executes it.  One
+   mutant counts up by two, so its state net leaves the walk at the
+   first up-count; the other never leaves x after reset, so its state
+   net carries x from reset release on.  Both engines must raise
+   [Diverged] in the first round, naming the same candidate and
+   divergence. *)
+let test_divergence_raises () =
+  let tr, graph = Lazy.force pipeline in
+  List.iter
+    (fun (label, needle, replacement) ->
+      let mutant =
+        Avp_hdl.Elab.elaborate
+          (Avp_hdl.Parser.parse
+             (Str_replace.replace counter_src needle replacement))
+      in
+      let tr' = { tr with Avp_fsm.Translate.elab = mutant } in
+      let diverged engine =
+        match Loop.run ~config:{ small_config with Loop.engine } tr' graph with
+        | _ -> Alcotest.failf "%s: divergence not detected" label
+        | exception Loop.Diverged msg -> msg
+      in
+      let scalar = diverged `Scalar and sliced = diverged `Sliced in
+      Alcotest.(check bool)
+        (label ^ ": first round") true
+        (Str_replace.contains scalar "round 0,");
+      Alcotest.(check string) (label ^ ": engines agree") scalar sliced)
+    [
+      ("counts by two", "state + 3'b001", "state + 3'b010");
+      ("x after reset", "state <= 3'b000", "state <= state");
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_mutator_well_formed;
@@ -250,4 +284,6 @@ let suite =
     Alcotest.test_case "replay identity" `Quick test_replay_identity;
     Alcotest.test_case "replay rejects stale corpora" `Quick
       test_replay_rejects_foreign;
+    Alcotest.test_case "divergence from the plan raises" `Quick
+      test_divergence_raises;
   ]

@@ -369,36 +369,36 @@ let test_schemata_differential () =
       scalars
   done
 
-(* One-lane sliced engine behind the Sim dispatch must track the
-   interpreter on the control design. *)
-let test_sim_sliced_engine () =
+(* A one-lane sliced kernel must track the interpreter on the control
+   design, net for net. *)
+let test_one_lane_sliced () =
   let d = Avp_pp.Control_hdl.elaborate () in
-  let ss = Sim.create ~engine:`Sliced d in
-  let si = Sim.create ~engine:`Interp d in
-  Alcotest.(check bool) "sliced engine selected" true
-    (Sim.engine ss = `Sliced);
-  let rand = lcg 99 in
-  let both f =
-    f ss;
-    f si
+  let sliced =
+    match Sliced.create ~lanes:1 d with
+    | Some s -> s
+    | None -> Alcotest.fail "sliced engine rejected the control design"
   in
-  both (fun s -> Sim.set s "rst" (Bv.of_int ~width:1 1));
-  both (fun s -> Sim.step s "clk");
-  both (fun s -> Sim.set s "rst" (Bv.of_int ~width:1 0));
+  let interp = Sim.create ~engine:`Interp d in
+  let rand = lcg 99 in
+  let id n = Elab.net_id d n in
+  let clk = id "clk" in
+  let both_set n v =
+    Sliced.set_id sliced (id n) v;
+    Sim.set interp n v
+  in
+  let both_step () =
+    Sliced.step sliced clk;
+    Sim.step interp "clk"
+  in
+  both_set "rst" (Bv.of_int ~width:1 1);
+  both_step ();
+  both_set "rst" (Bv.of_int ~width:1 0);
   for cycle = 1 to 100 do
     List.iter
-      (fun (n, w) ->
-        let v = Bv.of_int ~width:w (rand (1 lsl w)) in
-        both (fun s -> Sim.set s n v))
+      (fun (n, w) -> both_set n (Bv.of_int ~width:w (rand (1 lsl w))))
       control_inputs;
-    both (fun s -> Sim.step s "clk");
-    Array.iter
-      (fun (net : Elab.enet) ->
-        if not (Bv.equal (Sim.get_id ss net.Elab.id) (Sim.get_id si net.Elab.id))
-        then
-          Alcotest.failf "cycle %d: %s diverged between sliced and interp"
-            cycle net.Elab.name)
-      d.Elab.nets
+    both_step ();
+    nets_agree_lane d sliced ~lane:0 interp ~cycle
   done
 
 (* ------------------------------------------------------------------ *)
@@ -427,7 +427,7 @@ let test_detect_engines () =
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
   let outs = C.output_ports design ~top:tr.Avp_fsm.Translate.elab.Elab.top in
-  let rows vecs = Array.map (Avp_vectors.Replay.record tr ~nets:outs) vecs in
+  let rows = Avp_vectors.Replay.record tr ~nets:outs in
   let phase vectors oracle = { C.vectors; chain = [| oracle |] } in
   let phases =
     [|
@@ -501,8 +501,8 @@ let suite =
       test_engine_differential;
     Alcotest.test_case "mutant schemata: each lane tracks its mutant" `Quick
       test_schemata_differential;
-    Alcotest.test_case "Sim `Sliced engine tracks the interpreter" `Quick
-      test_sim_sliced_engine;
+    Alcotest.test_case "one-lane kernel tracks the interpreter" `Quick
+      test_one_lane_sliced;
     Alcotest.test_case "detect: schemata passes = scalar replays" `Quick
       test_detect_engines;
   ]
