@@ -6,8 +6,9 @@
      dune exec bench/main.exe micro        -- bechamel microbenchmarks
 
    AVP_LARGE=1 additionally runs the large control-model preset for
-   Table 3.2 (about a minute of CPU; the paper's own enumeration took
-   18,307 DecStation seconds). *)
+   Tables 3.2 and 3.3 (about 3 minutes of CPU, and up to 4 GB of memory
+   for Table 3.3; the paper's own enumeration took 18,307 DecStation
+   seconds). *)
 
 open Avp_pp
 open Avp_fsm
@@ -29,16 +30,19 @@ let default_cfg = Control_model.default
 let default_graph =
   lazy (State_graph.enumerate (Control_model.model default_cfg))
 
-let weigh graph model ~src ~choice =
-  Control_model.instructions_of_edge default_cfg
+let large_graph =
+  lazy (State_graph.enumerate (Control_model.model Control_model.large))
+
+(* A preset's own instruction count per arc of its enumerated graph. *)
+let weigh cfg (graph : State_graph.t) ~src ~choice =
+  Control_model.instructions_of_edge cfg
     ~src:graph.State_graph.states.(src)
-    ~choice:(Model.choice_of_index model choice)
+    ~choice:(Model.choice_of_index graph.State_graph.model choice)
 
 let default_tours ?instr_limit () =
   let graph = Lazy.force default_graph in
-  let model = graph.State_graph.model in
   Tour_gen.generate ?instr_limit
-    ~instructions_of_edge:(weigh graph model)
+    ~instructions_of_edge:(weigh default_cfg graph)
     graph
 
 (* ------------------------------------------------------------------ *)
@@ -208,8 +212,7 @@ let table_3_2 () =
   print_speedup "default model" (Control_model.model default_cfg);
   if want_large () then begin
     note "";
-    let g = State_graph.enumerate (Control_model.model Control_model.large) in
-    print_enum_stats "large model" g;
+    print_enum_stats "large model" (Lazy.force large_graph);
     print_speedup "large model" (Control_model.model Control_model.large)
   end
   else note "(set AVP_LARGE=1 for the paper-scale preset: ~150k states)"
@@ -218,8 +221,7 @@ let table_3_2 () =
 (* Table 3.3 — test vector generation statistics                      *)
 (* ------------------------------------------------------------------ *)
 
-let print_tour_stats ~limit_label (t : Tour_gen.t) paper =
-  let s = t.Tour_gen.stats in
+let print_tour_stats ~limit_label (s : Tour_gen.stats) paper =
   let p_traces, p_trav, p_instr, p_long = paper in
   Printf.printf "%-34s %14s %14s\n"
     ("  [" ^ limit_label ^ "]")
@@ -246,11 +248,12 @@ let print_tour_stats ~limit_label (t : Tour_gen.t) paper =
 let table_3_3 () =
   section "Table 3.3: Test Vector Generation Statistics";
   let no_limit = default_tours () in
-  print_tour_stats ~limit_label:"no trace limit" no_limit
+  print_tour_stats ~limit_label:"no trace limit" no_limit.Tour_gen.stats
     ("1,296", "21,200,173", "8,521,468", "21,197,977");
   Printf.printf "\n";
   let limited = default_tours ~instr_limit:10_000 () in
-  print_tour_stats ~limit_label:"10,000-instruction limit" limited
+  print_tour_stats ~limit_label:"10,000-instruction limit"
+    limited.Tour_gen.stats
     ("1,296", "21,252,235", "8,557,660", "144,520");
   Printf.printf "\n";
   (* The paper's 10,000 limit is ~0.1%% of its unlimited longest trace;
@@ -258,22 +261,17 @@ let table_3_3 () =
      so a proportional limit (500) shows the same collapse. *)
   let limited500 = default_tours ~instr_limit:500 () in
   print_tour_stats ~limit_label:"500-instruction limit (proportional)"
-    limited500
+    limited500.Tour_gen.stats
     ("-", "-", "-", "-");
   if want_large () then begin
     note "";
     note "  [medium model, where the paper's own 10,000 limit bites]";
     let cfg = Control_model.medium in
-    let m = Control_model.model cfg in
-    let g = State_graph.enumerate m in
-    let weigh ~src ~choice =
-      Control_model.instructions_of_edge cfg
-        ~src:g.State_graph.states.(src)
-        ~choice:(Model.choice_of_index m choice)
-    in
-    let unlimited = Tour_gen.generate ~instructions_of_edge:weigh g in
+    let g = State_graph.enumerate (Control_model.model cfg) in
+    let unlimited = Tour_gen.generate ~instructions_of_edge:(weigh cfg g) g in
     let limited =
-      Tour_gen.generate ~instr_limit:10_000 ~instructions_of_edge:weigh g
+      Tour_gen.generate ~instr_limit:10_000 ~instructions_of_edge:(weigh cfg g)
+        g
     in
     Printf.printf
       "  %d states, %d arcs: traces %d -> %d, longest %d -> %d edges\n"
@@ -281,7 +279,26 @@ let table_3_3 () =
       unlimited.Tour_gen.stats.Tour_gen.num_traces
       limited.Tour_gen.stats.Tour_gen.num_traces
       unlimited.Tour_gen.stats.Tour_gen.longest_trace_edges
-      limited.Tour_gen.stats.Tour_gen.longest_trace_edges
+      limited.Tour_gen.stats.Tour_gen.longest_trace_edges;
+    note "";
+    note "  [large model, the paper's scale]";
+    let g = Lazy.force large_graph in
+    note "  %d states, %d arcs" (State_graph.num_states g)
+      (State_graph.num_edges g);
+    (* Keep only the stats, so that one tour (tens of millions of
+       steps) is alive at a time. *)
+    let tour_stats ?instr_limit () =
+      (Tour_gen.generate ?instr_limit
+         ~instructions_of_edge:(weigh Control_model.large g)
+         g)
+        .Tour_gen.stats
+    in
+    print_tour_stats ~limit_label:"large, no trace limit" (tour_stats ())
+      ("1,296", "21,200,173", "8,521,468", "21,197,977");
+    Printf.printf "\n";
+    print_tour_stats ~limit_label:"large, 10,000-instruction limit"
+      (tour_stats ~instr_limit:10_000 ())
+      ("1,296", "21,252,235", "8,557,660", "144,520")
   end;
   note "";
   note "Shape checks: trace counts identical with and without the limit";

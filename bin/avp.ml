@@ -1371,6 +1371,10 @@ let () =
   | exception (Elab.Error msg | Translate.Unsupported msg) ->
     fail "%s: %s" !source_name msg
   | exception Sml.Error (msg, line) -> fail "%s:%d: %s" !source_name line msg
+  | exception Sim.Comb_loop net ->
+    fail "%s: combinational loop through net %s does not settle (see avp \
+          lint %s)"
+      !source_name net !source_name
   | exception State_graph.Too_many_states n ->
     fail "%s: more than %d reachable states" !source_name n
   | exception Sys_error msg -> fail "%s" msg

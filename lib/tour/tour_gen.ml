@@ -13,6 +13,136 @@ type stats = {
 
 type t = { traces : trace array; stats : stats }
 
+(* Distances to the nearest target, for [generate]'s explore phase.  A
+   target is a state with an untraversed out-edge; [count.(v)] is v's
+   number of untraversed out-edges.  [dist.(v)] is the number of arcs
+   from v to the nearest target, [max_int] when none is reachable.
+
+   Targets only ever retire, so distances only grow.  [retire x] brings
+   them up to date once [count.(x)] has dropped to 0, in the two phases
+   of Ramalingam and Reps for unit weights.  (Raising distances one
+   level at a time would count to infinity once the only targets left
+   are unreachable.)
+   - Phase 1 collects in [set] the states whose distance grows: x, then
+     every state whose arcs one level down all lead into the set.
+     [live.(u)] counts u's arcs one level down that lead out of the
+     set so far; it is valid when [mark.(u) = round], and 0 puts u in
+     the set.
+   - Phase 2 seeds each collected state from its successors outside
+     the set, whose distances are final, then [settle]s the set in
+     distance order: the sorted seeds merged with a FIFO of states
+     lowered through a settled successor.  A settled state's [live]
+     is -1.
+   The initial distances are round 1 of [settle], with every state in
+   the set and the targets as seeds: a multi-source BFS over the
+   reverse arcs. *)
+let target_distances (adj : (int * int) array array) count =
+  let n = Array.length adj in
+  (* Reverse adjacency in CSR form, one entry per arc: the tails of the
+     arcs into v are [preds.(k)] for [pred_off.(v) <= k < pred_off.(v + 1)]. *)
+  let pred_off = Array.make (n + 1) 0 in
+  Array.iter
+    (Array.iter (fun (v, _) -> pred_off.(v + 1) <- pred_off.(v + 1) + 1))
+    adj;
+  for v = 1 to n do
+    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
+  done;
+  let preds = Array.make pred_off.(n) 0 in
+  let fill = Array.sub pred_off 0 n in
+  Array.iteri
+    (fun u out ->
+      Array.iter
+        (fun (v, _) ->
+          preds.(fill.(v)) <- u;
+          fill.(v) <- fill.(v) + 1)
+        out)
+    adj;
+  let dist = Array.init n (fun v -> if count.(v) > 0 then 0 else max_int) in
+  let set = Array.make n 0 in
+  let mark = Array.make n 1 in
+  let live = Array.make n 0 in
+  let round = ref 1 in
+  let in_set u = mark.(u) = !round && live.(u) = 0 in
+  let queue = Array.make n 0 in
+  let settle seeds =
+    let head = ref 0 and tail = ref 0 and next_seed = ref 0 in
+    while !next_seed < Array.length seeds || !head < !tail do
+      let u =
+        if
+          !head < !tail
+          && (!next_seed = Array.length seeds
+             || dist.(queue.(!head)) <= dist.(seeds.(!next_seed)))
+        then begin
+          incr head;
+          queue.(!head - 1)
+        end
+        else begin
+          incr next_seed;
+          seeds.(!next_seed - 1)
+        end
+      in
+      if live.(u) = 0 then begin
+        live.(u) <- -1;
+        for k = pred_off.(u) to pred_off.(u + 1) - 1 do
+          let p = preds.(k) in
+          if in_set p && dist.(p) > dist.(u) + 1 then begin
+            dist.(p) <- dist.(u) + 1;
+            queue.(!tail) <- p;
+            incr tail
+          end
+        done
+      end
+    done
+  in
+  settle
+    (Array.of_list (List.filter (fun v -> dist.(v) = 0) (List.init n Fun.id)));
+  let retire x =
+    incr round;
+    let r = !round in
+    mark.(x) <- r;
+    live.(x) <- 0;
+    set.(0) <- x;
+    let len = ref 1 and i = ref 0 in
+    while !i < !len do
+      let w = set.(!i) in
+      incr i;
+      for k = pred_off.(w) to pred_off.(w + 1) - 1 do
+        let u = preds.(k) in
+        if dist.(u) = dist.(w) + 1 then begin
+          if mark.(u) <> r then begin
+            mark.(u) <- r;
+            live.(u) <-
+              Array.fold_left
+                (fun c (v, _) -> if dist.(v) = dist.(w) then c + 1 else c)
+                0 adj.(u)
+          end;
+          live.(u) <- live.(u) - 1;
+          if live.(u) = 0 then begin
+            set.(!len) <- u;
+            incr len
+          end
+        end
+      done
+    done;
+    let seeds = ref [] in
+    for j = 0 to !len - 1 do
+      let u = set.(j) in
+      let best =
+        Array.fold_left
+          (fun b (v, _) -> if in_set v then b else min b dist.(v))
+          max_int adj.(u)
+      in
+      if best < max_int then begin
+        dist.(u) <- best + 1;
+        seeds := u :: !seeds
+      end
+      else dist.(u) <- max_int
+    done;
+    settle
+      (Array.of_list (List.sort (fun a b -> compare dist.(a) dist.(b)) !seeds))
+  in
+  (dist, retire)
+
 let generate ?instr_limit ?(instructions_of_edge = fun ~src:_ ~choice:_ -> 1)
     (graph : Avp_enum.State_graph.t) =
   let t0 = Avp_obs.Obs.Clock.now_s () in
@@ -21,54 +151,16 @@ let generate ?instr_limit ?(instructions_of_edge = fun ~src:_ ~choice:_ -> 1)
   let offsets = Avp_enum.State_graph.edge_offsets graph in
   let total_edges = offsets.(n) in
   let traversed = Array.make total_edges false in
+  (* An arc's weight, asked of [instructions_of_edge] once, when the
+     arc is first traversed: explore paths only re-walk traversed
+     arcs. *)
+  let weight = Array.make total_edges 0 in
   let untraversed_left = ref total_edges in
   (* Per-state: count of untraversed out-edges and a monotone cursor
      to the first possibly-untraversed position. *)
   let untraversed_count = Array.map Array.length adj in
   let cursor = Array.make n 0 in
-  (* Reusable epoch-stamped BFS state for the explore phase: parent
-     pointers record the (node, out-position) the BFS arrived from, so
-     no per-call allocation and no edge-position lookup afterwards. *)
-  let stamp = Array.make n 0 in
-  let epoch = ref 0 in
-  let parent_node = Array.make n (-1) in
-  let parent_pos = Array.make n (-1) in
-  let bfs_queue = Queue.create () in
-  (* Shortest path (as (node, position) pairs, in order) from [src] to
-     the nearest node with an untraversed out-edge; [] when none. *)
-  let explore_path src =
-    incr epoch;
-    let e = !epoch in
-    Queue.clear bfs_queue;
-    stamp.(src) <- e;
-    Queue.add src bfs_queue;
-    let found = ref (-1) in
-    while !found < 0 && not (Queue.is_empty bfs_queue) do
-      let u = Queue.pop bfs_queue in
-      let out = adj.(u) in
-      let k = Array.length out in
-      let i = ref 0 in
-      while !found < 0 && !i < k do
-        let v, _ = out.(!i) in
-        if stamp.(v) <> e then begin
-          stamp.(v) <- e;
-          parent_node.(v) <- u;
-          parent_pos.(v) <- !i;
-          if untraversed_count.(v) > 0 then found := v
-          else Queue.add v bfs_queue
-        end;
-        incr i
-      done
-    done;
-    if !found < 0 then []
-    else begin
-      let rec build v acc =
-        if v = src then acc
-        else build parent_node.(v) ((parent_node.(v), parent_pos.(v)) :: acc)
-      in
-      build !found []
-    end
-  in
+  let dist, retire = target_distances adj untraversed_count in
   let traces = ref [] in
   let num_traces = ref 0 in
   let edge_traversals = ref 0 in
@@ -78,24 +170,33 @@ let generate ?instr_limit ?(instructions_of_edge = fun ~src:_ ~choice:_ -> 1)
   let limit_hits = ref 0 in
   let reset = 0 in
   while !untraversed_left > 0 do
-    (* One trace, starting from reset. *)
-    let steps = ref [] in
+    (* One trace, starting from reset, its steps in a buffer that
+       doubles as it fills. *)
+    let steps = ref [||] in
     let steps_len = ref 0 in
     let trace_instr = ref 0 in
     let fresh_in_trace = ref 0 in
     let state = ref reset in
-    let take ~fresh (src, pos) =
+    let take ~fresh src pos =
       let dst, choice = adj.(src).(pos) in
+      let e = offsets.(src) + pos in
       if fresh then begin
-        traversed.(offsets.(src) + pos) <- true;
+        traversed.(e) <- true;
+        weight.(e) <- instructions_of_edge ~src ~choice;
         untraversed_count.(src) <- untraversed_count.(src) - 1;
         decr untraversed_left;
-        incr fresh_in_trace
+        incr fresh_in_trace;
+        if untraversed_count.(src) = 0 then retire src
       end;
-      steps := { src; dst; choice; fresh } :: !steps;
+      let step = { src; dst; choice; fresh } in
+      if !steps_len = Array.length !steps then begin
+        let grown = Array.make (max 64 (2 * !steps_len)) step in
+        Array.blit !steps 0 grown 0 !steps_len;
+        steps := grown
+      end;
+      !steps.(!steps_len) <- step;
       incr steps_len;
-      let w = instructions_of_edge ~src ~choice in
-      trace_instr := !trace_instr + w;
+      trace_instr := !trace_instr + weight.(e);
       state := dst
     in
     let over_limit () =
@@ -114,24 +215,32 @@ let generate ?instr_limit ?(instructions_of_edge = fun ~src:_ ~choice:_ -> 1)
         while traversed.(offsets.(s) + cursor.(s)) do
           cursor.(s) <- cursor.(s) + 1
         done;
-        take ~fresh:true (s, cursor.(s))
+        take ~fresh:true s cursor.(s)
       done;
       if over_limit () then begin
         incr limit_hits;
         continue_trace := false
       end
-      else begin
-        (* Explore phase: shortest path to the nearest state that
-           still has an untraversed out-edge.  By minimality every
-           edge of the path is already traversed. *)
-        match explore_path !state with
-        | [] -> continue_trace := false
-        | path -> List.iter (take ~fresh:false) path
-      end
+      else if dist.(!state) = max_int then continue_trace := false
+      else
+        (* Explore phase: walk down the distances to the nearest
+           target, taking at each state the first arc one level down.
+           That is the lexicographically first shortest path by arc
+           position, the one a BFS scanning arcs in order finds.  The
+           path's states have no untraversed out-edge, so its arcs
+           are all traversed and no distance changes on the way. *)
+        while dist.(!state) > 0 do
+          let s = !state in
+          let out = adj.(s) in
+          let pos = ref 0 in
+          while dist.(fst out.(!pos)) <> dist.(s) - 1 do
+            incr pos
+          done;
+          take ~fresh:false s !pos
+        done
     done;
     if !steps_len > 0 then begin
-      let arr = Array.of_list (List.rev !steps) in
-      traces := arr :: !traces;
+      traces := Array.sub !steps 0 !steps_len :: !traces;
       incr num_traces;
       edge_traversals := !edge_traversals + !steps_len;
       instructions := !instructions + !trace_instr;

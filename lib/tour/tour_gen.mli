@@ -2,14 +2,23 @@
     methodology), following the pseudo-code of Figure 3.3.
 
     A greedy depth-first traversal emits a vector for every edge
-    traversed; when no untraversed edge is reachable by DFS, a
-    breadth-first {e explore phase} finds the nearest state with an
-    untraversed out-edge and the shortest path there is appended
-    (re-traversing edges is cheap in simulation; backtracking is not).
-    When nothing is reachable, the trace is closed and a new one
-    starts from reset.  An optional per-trace instruction limit closes
-    traces early so that reaching any bug needs at most one bounded
-    re-simulation (the paper's Table 3.3 uses 10,000 instructions). *)
+    traversed.  When the current state has no untraversed out-edge, an
+    {e explore phase} appends a shortest path to the nearest state that
+    still has one (re-traversing edges is cheap in simulation;
+    backtracking is not).  When nothing is reachable, the trace is
+    closed and a new one starts from reset.  An optional per-trace
+    instruction limit closes traces early so that reaching any bug
+    needs at most one bounded re-simulation (the paper's Table 3.3 uses
+    10,000 instructions).
+
+    The explore phase does not search.  The generator keeps every
+    state's distance to the nearest state with an untraversed
+    out-edge, and updates it when a state's last untraversed out-edge
+    is taken.  Exploring is then a walk down those distances that
+    takes, at each state, the first arc by position that leads one
+    level down.  The walk is the lexicographically first shortest path
+    by arc position: the path a breadth-first search scanning each
+    state's arcs in order would return. *)
 
 type step = {
   src : int;
@@ -41,7 +50,13 @@ val generate :
 (** [instr_limit] is the paper's "MAX instructions per file";
     [instructions_of_edge] weighs each edge (default 1) — in a
     processor model, stall-cycle edges issue no instruction while
-    dual-issue edges issue two. *)
+    dual-issue edges issue two.
+
+    [instructions_of_edge] must be a function of [(src, choice)]: it
+    is called once per arc, when the tour first traverses it, and the
+    answer is reused on every later traversal.  A tour covers every
+    arc of a graph enumerated from reset, so the calls number
+    {!Avp_enum.State_graph.num_edges}. *)
 
 val walk : Avp_fsm.Model.t -> Avp_enum.State_graph.t -> int array -> trace
 (** The model's walk from reset under a sequence of flat choice

@@ -248,6 +248,196 @@ let prop_tour_with_limit_still_covers =
       let t = Tour_gen.generate ~instr_limit:limit g in
       Tour_gen.is_valid g t && Tour_gen.covers_all_edges g t)
 
+(* The explore phase as it first ran: a fresh breadth-first search from
+   the current state to the nearest state with an untraversed out-edge,
+   scanning each state's arcs in position order.  [Tour_gen.generate]
+   must return these traces and stats step for step. *)
+let reference_generate ?instr_limit
+    ?(instructions_of_edge = fun ~src:_ ~choice:_ -> 1) (g : State_graph.t) =
+  let adj = g.State_graph.adj in
+  let n = Array.length adj in
+  let offsets = State_graph.edge_offsets g in
+  let traversed = Array.make offsets.(n) false in
+  let untraversed_left = ref offsets.(n) in
+  let untraversed_count = Array.map Array.length adj in
+  let explore_path src =
+    let parent = Array.make n None in
+    let seen = Array.make n false in
+    let queue = Queue.create () in
+    seen.(src) <- true;
+    Queue.add src queue;
+    let found = ref None in
+    while !found = None && not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      Array.iteri
+        (fun pos (v, _) ->
+          if !found = None && not seen.(v) then begin
+            seen.(v) <- true;
+            parent.(v) <- Some (u, pos);
+            if untraversed_count.(v) > 0 then found := Some v
+            else Queue.add v queue
+          end)
+        adj.(u)
+    done;
+    let rec build v acc =
+      match parent.(v) with
+      | Some (u, pos) when v <> src -> build u ((u, pos) :: acc)
+      | _ -> acc
+    in
+    Option.map (fun v -> build v []) !found
+  in
+  let traces = ref [] in
+  let instructions = ref 0 in
+  let longest_instr = ref 0 in
+  let limit_hits = ref 0 in
+  while !untraversed_left > 0 do
+    let steps = ref [] in
+    let trace_instr = ref 0 in
+    let fresh_in_trace = ref 0 in
+    let state = ref 0 in
+    let take ~fresh (src, pos) =
+      let dst, choice = adj.(src).(pos) in
+      if fresh then begin
+        traversed.(offsets.(src) + pos) <- true;
+        untraversed_count.(src) <- untraversed_count.(src) - 1;
+        decr untraversed_left;
+        incr fresh_in_trace
+      end;
+      steps := { Tour_gen.src; dst; choice; fresh } :: !steps;
+      trace_instr := !trace_instr + instructions_of_edge ~src ~choice;
+      state := dst
+    in
+    let over_limit () =
+      match instr_limit with
+      | Some l -> !trace_instr >= l && !fresh_in_trace > 0
+      | None -> false
+    in
+    let continue_trace = ref true in
+    while !continue_trace do
+      while untraversed_count.(!state) > 0 && not (over_limit ()) do
+        let s = !state in
+        let pos = ref 0 in
+        while traversed.(offsets.(s) + !pos) do
+          incr pos
+        done;
+        take ~fresh:true (s, !pos)
+      done;
+      if over_limit () then begin
+        incr limit_hits;
+        continue_trace := false
+      end
+      else
+        match explore_path !state with
+        | None -> continue_trace := false
+        | Some path -> List.iter (take ~fresh:false) path
+    done;
+    if !steps = [] then untraversed_left := 0
+    else begin
+      traces := Array.of_list (List.rev !steps) :: !traces;
+      instructions := !instructions + !trace_instr;
+      longest_instr := max !longest_instr !trace_instr
+    end
+  done;
+  let traces = Array.of_list (List.rev !traces) in
+  let t = Tour_gen.of_traces traces in
+  {
+    t with
+    Tour_gen.stats =
+      {
+        t.Tour_gen.stats with
+        Tour_gen.instructions = !instructions;
+        longest_trace_instructions = !longest_instr;
+        traces_hitting_limit = !limit_hits;
+      };
+  }
+
+let same_tours (a : Tour_gen.t) (b : Tour_gen.t) =
+  let untimed (t : Tour_gen.t) =
+    { t.Tour_gen.stats with Tour_gen.gen_time_s = 0. }
+  in
+  a.Tour_gen.traces = b.Tour_gen.traces && untimed a = untimed b
+
+(* A state table over [states] states and one choice variable with
+   [choices] values: every fifth state on average is absorbing, and the
+   rest step to random successors, self-loops included. *)
+let table_model ~states ~choices seed =
+  let rng = Random.State.make [| seed |] in
+  let table =
+    Array.init states (fun s ->
+        if Random.State.int rng 5 = 0 then Array.make choices s
+        else Array.init choices (fun _ -> Random.State.int rng states))
+  in
+  let b = Model.Builder.create "table" in
+  let st = Model.Builder.state b "st" (Array.init states string_of_int) in
+  let c = Model.Builder.choice b "c" (Array.init choices string_of_int) in
+  Model.Builder.build b ~step:(fun ctx ->
+      let open Model.Builder in
+      set ctx st table.(get ctx st).(chosen ctx c))
+
+let prop_tour_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* states = int_range 2 40 in
+      let* choices = int_range 1 6 in
+      let* seed = int_bound 1_000_000 in
+      let* all_conditions = bool in
+      let* instr_limit = opt (int_range 1 30) in
+      let* weights = array_size (return (40 * 6)) (int_bound 3) in
+      return (states, choices, seed, all_conditions, instr_limit, weights))
+  in
+  let print (states, choices, seed, all_conditions, instr_limit, _) =
+    Printf.sprintf "states=%d choices=%d seed=%d all_conditions=%b limit=%s"
+      states choices seed all_conditions
+      (Option.fold ~none:"none" ~some:string_of_int instr_limit)
+  in
+  QCheck.Test.make ~name:"tours match the per-step BFS reference" ~count:300
+    (QCheck.make ~print gen)
+    (fun (states, choices, seed, all_conditions, instr_limit, weights) ->
+      let g =
+        State_graph.enumerate ~all_conditions
+          (table_model ~states ~choices seed)
+      in
+      let instructions_of_edge ~src ~choice = weights.((src * 6) + choice) in
+      same_tours
+        (Tour_gen.generate ?instr_limit ~instructions_of_edge g)
+        (reference_generate ?instr_limit ~instructions_of_edge g))
+
+let test_tour_matches_reference_pp_model () =
+  let cfg = Avp_pp.Control_model.default in
+  let m = Avp_pp.Control_model.model cfg in
+  let g = State_graph.enumerate m in
+  let instructions_of_edge ~src ~choice =
+    Avp_pp.Control_model.instructions_of_edge cfg
+      ~src:g.State_graph.states.(src)
+      ~choice:(Model.choice_of_index m choice)
+  in
+  List.iter
+    (fun instr_limit ->
+      Alcotest.(check bool) "same traces and stats" true
+        (same_tours
+           (Tour_gen.generate ?instr_limit ~instructions_of_edge g)
+           (reference_generate ?instr_limit ~instructions_of_edge g)))
+    [ None; Some 500; Some 10_000 ]
+
+let test_tour_weighs_each_arc_once () =
+  let check name g =
+    let calls = ref 0 in
+    let t =
+      Tour_gen.generate
+        ~instructions_of_edge:(fun ~src:_ ~choice:_ ->
+          incr calls;
+          1)
+        g
+    in
+    Alcotest.(check bool) (name ^ " re-walks arcs") true
+      (t.Tour_gen.stats.Tour_gen.edge_traversals > State_graph.num_edges g);
+    Alcotest.(check int) (name ^ " calls") (State_graph.num_edges g) !calls
+  in
+  check "handshake" (State_graph.enumerate (handshake_model ()));
+  check "pp-model"
+    (State_graph.enumerate
+       (Avp_pp.Control_model.model Avp_pp.Control_model.default))
+
 let suite =
   [
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
@@ -273,6 +463,11 @@ let suite =
       test_tour_instruction_weights;
     QCheck_alcotest.to_alcotest prop_tour_covers_random_models;
     QCheck_alcotest.to_alcotest prop_tour_with_limit_still_covers;
+    QCheck_alcotest.to_alcotest prop_tour_matches_reference;
+    Alcotest.test_case "tour matches reference on pp-model" `Quick
+      test_tour_matches_reference_pp_model;
+    Alcotest.test_case "weighs each arc once" `Quick
+      test_tour_weighs_each_arc_once;
   ]
 
 (* ---------------------------------------------------------------- *)
