@@ -115,6 +115,113 @@ module Dyn = struct
   let to_array t = Array.sub t.data 0 t.len
 end
 
+(* ------------------------------------------------------------------ *)
+(* Decision-tree expansion                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A state's successors come from a depth-first walk of its decision
+   tree.  The transition reads choices through [read] (the contract of
+   [Model.t.next_into]): the first read of an unread variable branches
+   on it, value 0 first, and each run of the transition ends at a leaf.
+   A leaf stands for a cube, the choice indices that agree with the
+   values read on its path; they all share the leaf's successor, and
+   the cube's lowest index has every unread variable at 0.  Each choice
+   index lies in exactly one cube.  Backtracking advances the deepest
+   read variable that still has a value left and forgets the ones read
+   after it.
+
+   Leaves are written into per-choice slots and merged in index order
+   afterwards; depth-first order is not index order, so nothing is
+   interned during the walk.  A slot holds a state id, [fresh] (the
+   successor is not interned yet; its valuation is in the matching
+   [new_vals] slot) or [unset] (no cube starts there). *)
+let fresh = -1
+let unset = -2
+
+(* [expander model index ~all_conditions] returns [expand cur dst_ids
+   new_vals base], which fills slots [base, base + num_choices) for
+   state [cur] against the current contents of [index].  One expander
+   per domain: it owns its scratch. *)
+let expander (model : Model.t) (index : index) ~all_conditions =
+  let card = Array.map Model.card model.Model.choice_vars in
+  let nc = Array.length card in
+  let stride = Array.make nc 1 in
+  for i = nc - 2 downto 0 do
+    stride.(i) <- stride.(i + 1) * card.(i + 1)
+  done;
+  let num_choices = Model.num_choices model in
+  let vals = Array.make nc 0 in
+  let is_read = Array.make nc false in
+  let order = Array.make nc 0 in
+  let depth = ref 0 in
+  let read i =
+    if not is_read.(i) then begin
+      is_read.(i) <- true;
+      order.(!depth) <- i;
+      incr depth
+    end;
+    vals.(i)
+  in
+  let rec backtrack () =
+    !depth > 0
+    &&
+    let i = order.(!depth - 1) in
+    if vals.(i) + 1 < card.(i) then begin
+      vals.(i) <- vals.(i) + 1;
+      true
+    end
+    else begin
+      vals.(i) <- 0;
+      is_read.(i) <- false;
+      decr depth;
+      backtrack ()
+    end
+  in
+  (* Write a leaf into its cube, from variable [i] on: into every index
+     under [all_conditions], else into the lowest (unread variables at
+     0) only. *)
+  let rec write_cube dst_ids new_vals id v i slot =
+    if i = nc then begin
+      dst_ids.(slot) <- id;
+      if id = fresh then new_vals.(slot) <- v
+    end
+    else if is_read.(i) then
+      write_cube dst_ids new_vals id v (i + 1) (slot + (vals.(i) * stride.(i)))
+    else if all_conditions then
+      for x = 0 to card.(i) - 1 do
+        write_cube dst_ids new_vals id v (i + 1) (slot + (x * stride.(i)))
+      done
+    else write_cube dst_ids new_vals id v (i + 1) slot
+  in
+  let nxt = Array.make (Array.length model.Model.reset) 0 in
+  let key = Bytes.create index.key_size in
+  (* This expansion's successors the index does not know yet, so that
+     each is copied once per state rather than once per leaf. *)
+  let new_succs : (Bytes.t, int array) Hashtbl.t = Hashtbl.create 16 in
+  let leaf_val = ref [||] in
+  fun cur dst_ids new_vals base ->
+    Array.fill dst_ids base num_choices unset;
+    Hashtbl.clear new_succs;
+    let more = ref true in
+    while !more do
+      model.Model.next_into cur read nxt;
+      index.pack_into nxt key;
+      let id =
+        match index_find index key with
+        | Some id -> id
+        | None ->
+          (match Hashtbl.find_opt new_succs key with
+           | Some v -> leaf_val := v
+           | None ->
+             let v = Array.copy nxt in
+             Hashtbl.add new_succs (Bytes.copy key) v;
+             leaf_val := v);
+          fresh
+      in
+      write_cube dst_ids new_vals id !leaf_val 0 base;
+      more := backtrack ()
+    done
+
 let default_domains () =
   match Sys.getenv_opt "AVP_DOMAINS" with
   | Some s ->
@@ -157,15 +264,11 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
   (* Transition functions that are not safe to share (e.g. they step a
      single HDL simulator instance) enumerate sequentially. *)
   let domains = if model.Model.parallel_safe then requested else 1 in
-  let nvars = Array.length model.Model.reset in
   let index = index_create model in
   let key_size = index.key_size and pack_into = index.pack_into in
   let states = Dyn.create [||] in
   let adj = Dyn.create [||] in
   let num_choices = Model.num_choices model in
-  let choices =
-    Array.init num_choices (fun i -> Model.choice_of_index model i)
-  in
   let edge_count = ref 0 in
   let level_times = ref [] in
   (* Intern the reset state as id 0. *)
@@ -205,14 +308,34 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
       Dyn.push states valuation;
       id
   in
+  (* Turn one source's slots into its adjacency row.  Walking them in
+     choice-index order gives each successor the lowest index reaching
+     it and interns new states in index order (DESIGN.md, "Parallel
+     enumeration"). *)
+  let merge_source dst_ids new_vals base =
+    Hashtbl.reset seen_dst;
+    out := [];
+    for ci = 0 to num_choices - 1 do
+      let d = dst_ids.(base + ci) in
+      if d >= 0 then record_edge d ci
+      else if d = fresh then begin
+        let v = new_vals.(base + ci) in
+        new_vals.(base + ci) <- [||];
+        record_edge (intern_new v) ci
+      end
+    done;
+    Dyn.push adj (Array.of_list (List.rev !out))
+  in
   (* ---------------------------------------------------------------- *)
-  (* Sequential fast path: the reference semantics.  BFS in id order; *)
-  (* successors append at the end, so ids are discovery order.        *)
+  (* Sequential path: the reference semantics.  BFS in id order, each *)
+  (* source expanded and merged before the next, so successors append *)
+  (* at the end and ids are discovery order.                          *)
   (* ---------------------------------------------------------------- *)
   let frontier = ref 0 in
   let run_sequential ~stop_at () =
-    let nxt = Array.make nvars 0 in
-    let key = Bytes.create key_size in
+    let expand = expander model index ~all_conditions in
+    let dst_ids = Array.make num_choices unset in
+    let new_vals = Array.make num_choices [||] in
     while !frontier < states.Dyn.len && states.Dyn.len < stop_at do
       let level_end = states.Dyn.len in
       let level_size = level_end - !frontier in
@@ -220,22 +343,8 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
       while !frontier < level_end do
         let src = !frontier in
         incr frontier;
-        let cur = Dyn.get states src in
-        Hashtbl.reset seen_dst;
-        out := [];
-        for ci = 0 to num_choices - 1 do
-          model.Model.next_into cur choices.(ci) nxt;
-          pack_into nxt key;
-          match index_find index key with
-          | Some id -> record_edge id ci
-          | None ->
-            let id = states.Dyn.len in
-            if id >= max_states then raise (Too_many_states max_states);
-            index_add index (Bytes.copy key) id;
-            Dyn.push states (Array.copy nxt);
-            record_edge id ci
-        done;
-        Dyn.push adj (Array.of_list (List.rev !out))
+        expand (Dyn.get states src) dst_ids new_vals 0;
+        merge_source dst_ids new_vals 0
       done;
       let dt = Obs.Clock.now_s () -. lt0 in
       level_times := (level_size, dt) :: !level_times;
@@ -245,11 +354,11 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
   (* ---------------------------------------------------------------- *)
   (* Parallel path: batch-synchronous BFS.  Each batch of pending     *)
   (* sources is split across the domains; every domain expands its    *)
-  (* slice against the frozen intern table into private buffers, and  *)
-  (* a deterministic single-threaded merge — in (source id, choice    *)
-  (* index) order, exactly the sequential processing order — assigns  *)
-  (* ids to the genuinely new states.  State numbering, [adj] and     *)
-  (* [stats.num_edges] are therefore identical to the sequential      *)
+  (* slice against the frozen intern table into its sources' slots,   *)
+  (* and a deterministic single-threaded merge — in (source id,       *)
+  (* choice index) order, exactly the sequential processing order —   *)
+  (* assigns ids to the genuinely new states.  State numbering, [adj] *)
+  (* and [stats.num_edges] are therefore identical to the sequential  *)
   (* result for any domain count.                                     *)
   (* ---------------------------------------------------------------- *)
   let run_parallel pool =
@@ -258,9 +367,7 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
        [enum.shard] spans (and, via flow_out/flow_in, draw handoff
        arrows in the Chrome trace viewer). *)
     let batch_no = ref 0 in
-    (* dst_ids.(k) >= 0: successor already interned before this batch.
-       -1: unknown to the frozen table; its valuation is in
-       new_vals.(k), resolved (or assigned a fresh id) during merge.
+    (* Source [j]'s slots are [j * num_choices, (j + 1) * num_choices).
        Grown to the largest batch actually seen, bounded by
        [batch_cap * num_choices] slots. *)
     let dst_ids = ref (Array.make (min 1024 batch_cap * num_choices) 0) in
@@ -270,6 +377,9 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
     (* Picks up where the sequential warm-up left off: [adj] already
        holds one row per source below [!frontier]. *)
     let processed = ref !frontier in
+    let expanders =
+      Array.init domains (fun _ -> expander model index ~all_conditions)
+    in
     while !processed < states.Dyn.len do
       let lo = !processed in
       let hi = min states.Dyn.len (lo + batch_cap) in
@@ -287,20 +397,9 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
           let st0 = if traced then Obs.Clock.now_s () else 0. in
           let j0 = cnt * slot / domains in
           let j1 = cnt * (slot + 1) / domains in
-          let nxt = Array.make nvars 0 in
-          let key = Bytes.create key_size in
+          let expand = expanders.(slot) in
           for j = j0 to j1 - 1 do
-            let cur = Dyn.get states (lo + j) in
-            let base = j * num_choices in
-            for ci = 0 to num_choices - 1 do
-              model.Model.next_into cur choices.(ci) nxt;
-              pack_into nxt key;
-              match index_find index key with
-              | Some id -> Array.unsafe_set dst_ids (base + ci) id
-              | None ->
-                Array.unsafe_set dst_ids (base + ci) (-1);
-                Array.unsafe_set new_vals (base + ci) (Array.copy nxt)
-            done
+            expand (Dyn.get states (lo + j)) dst_ids new_vals (j * num_choices)
           done;
           (* One retrospective span per domain per batch, emitted on
              the worker so its [dom] is the expanding domain — the
@@ -316,19 +415,7 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
                   ("flow_in", Obs.Int batch);
                 ]);
       for j = 0 to cnt - 1 do
-        let base = j * num_choices in
-        Hashtbl.reset seen_dst;
-        out := [];
-        for ci = 0 to num_choices - 1 do
-          let d = dst_ids.(base + ci) in
-          if d >= 0 then record_edge d ci
-          else begin
-            let v = new_vals.(base + ci) in
-            new_vals.(base + ci) <- [||];
-            record_edge (intern_new v) ci
-          end
-        done;
-        Dyn.push adj (Array.of_list (List.rev !out))
+        merge_source dst_ids new_vals (j * num_choices)
       done;
       processed := hi;
       let dt = Obs.Clock.now_s () -. lt0 in
@@ -385,9 +472,19 @@ let num_states t = Array.length t.states
 let num_edges t = t.stats.num_edges
 
 let find_state t valuation =
-  let key = Bytes.create t.index.key_size in
-  t.index.pack_into valuation key;
-  index_find t.index key
+  let vars = t.model.Model.state_vars in
+  (* The packed key masks each value to its bytes and trusts the
+     length, so anything outside the state space would alias a state. *)
+  if Array.length valuation <> Array.length vars
+     || not
+          (Array.for_all2 (fun var v -> v >= 0 && v < Model.card var) vars
+             valuation)
+  then None
+  else begin
+    let key = Bytes.create t.index.key_size in
+    t.index.pack_into valuation key;
+    index_find t.index key
+  end
 
 let out_degree t s = Array.length t.adj.(s)
 

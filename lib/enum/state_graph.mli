@@ -5,6 +5,18 @@
     the discovery of all reachable states, no matter how improbable a
     sequence of interactions is needed to reach it".
 
+    The permutation is a decision tree per state rather than one
+    transition evaluation per combination.  The transition reads its
+    choices through a function ({!Model.t.next_into}); the enumerator
+    branches on a choice variable at its first read, value 0 first,
+    and walks the tree depth first.  Each leaf costs one evaluation and
+    stands for a {e cube}: the choice indices that agree with the
+    values read on its path, which all share its successor.  Every
+    choice index belongs to exactly one leaf, so every combination is
+    still covered.  Leaves are merged in order of their cubes' lowest
+    index, which makes the state numbering and the edges exactly those
+    of trying the combinations one by one in index order.
+
     Each graph edge carries the choice combination (the {e condition})
     that caused the transition.  By default, as in the paper, "only
     one is recorded" per (src, dst) pair — the first condition tried.
@@ -81,7 +93,9 @@ val num_edges : t -> int
 
 val find_state : t -> int array -> int option
 (** Look up a state id by valuation — a constant-time probe of the
-    enumeration-time index. *)
+    enumeration-time index.  [None] for a valuation that is not an
+    enumerated state, including one of the wrong length or with a value
+    outside its variable's domain. *)
 
 val out_degree : t -> int -> int
 

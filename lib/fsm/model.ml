@@ -20,7 +20,7 @@ type t = {
   choice_vars : var array;
   reset : int array;
   next : int array -> int array -> int array;
-  next_into : int array -> int array -> int array -> unit;
+  next_into : int array -> (int -> int) -> int array -> unit;
   parallel_safe : bool;
 }
 
@@ -42,8 +42,9 @@ let create ?next_into ?(parallel_safe = true) ~name ~state_vars ~choice_vars
     match next_into with
     | Some f -> f
     | None ->
-      fun cur choices dst ->
-        let r = next cur choices in
+      let nchoices = Array.length choice_vars in
+      fun cur read dst ->
+        let r = next cur (Array.init nchoices read) in
         Array.blit r 0 dst 0 (Array.length r)
   in
   { model_name = name; state_vars; choice_vars; reset; next; next_into;
@@ -163,14 +164,14 @@ module Builder = struct
 
   type ctx = {
     mutable cur : int array;
-    mutable choices : int array;
+    mutable read : int -> int;
     mutable nxt : int array;
     assigned : bool array;
     vars : var array;
   }
 
   let get ctx sv = ctx.cur.(sv)
-  let chosen ctx cv = ctx.choices.(cv)
+  let chosen ctx cv = ctx.read cv
 
   let set ctx sv value =
     if ctx.assigned.(sv) then
@@ -192,13 +193,13 @@ module Builder = struct
        scratch must be neither shared nor re-allocated per step. *)
     let ctx_key =
       Domain.DLS.new_key (fun () ->
-          { cur = [||]; choices = [||]; nxt = [||];
+          { cur = [||]; read = Fun.id; nxt = [||];
             assigned = Array.make nvars false; vars })
     in
-    let next_into cur choices dst =
+    let next_into cur read dst =
       let ctx = Domain.DLS.get ctx_key in
       ctx.cur <- cur;
-      ctx.choices <- choices;
+      ctx.read <- read;
       ctx.nxt <- dst;
       Array.fill ctx.assigned 0 nvars false;
       Array.blit cur 0 dst 0 nvars;
@@ -206,7 +207,7 @@ module Builder = struct
     in
     let next cur choices =
       let dst = Array.make nvars 0 in
-      next_into cur choices dst;
+      next_into cur (Array.get choices) dst;
       dst
     in
     model_create ~name:b.b_name

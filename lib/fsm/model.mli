@@ -31,12 +31,26 @@ type t = {
   reset : int array;
   next : int array -> int array -> int array;
       (** [next state choices] must be pure and total *)
-  next_into : int array -> int array -> int array -> unit;
-      (** [next_into state choices dst] writes the successor valuation
-          into [dst] (length = number of state variables) without
-          allocating — the state-enumeration hot path.  Semantically
-          identical to [next]; when [parallel_safe] it must tolerate
-          concurrent calls from multiple domains. *)
+  next_into : int array -> (int -> int) -> int array -> unit;
+      (** [next_into state read dst] writes into [dst] (length = number
+          of state variables) the successor of [state] under the choice
+          valuation whose variable [i] has value [read i] — the
+          state-enumeration hot path.  Semantically identical to [next].
+
+          The contract on [read], which lets the enumerator expand a
+          state as a decision tree instead of trying every choice
+          combination:
+          - read a choice only through [read], and only where its value
+            can change the successor: every choice variable left unread
+            is taken to have no effect on it;
+          - reads must be deterministic: the same state and the same
+            answers give the same reads in the same order.  The
+            enumerator may run a state's transition many times, once
+            per leaf of its decision tree, and branches on a variable
+            at its first read.
+
+          When [parallel_safe] it must tolerate concurrent calls from
+          multiple domains. *)
   parallel_safe : bool;
       (** Whether [next]/[next_into] may be called concurrently from
           several domains.  False for transition functions that close
@@ -45,7 +59,7 @@ type t = {
 }
 
 val create :
-  ?next_into:(int array -> int array -> int array -> unit) ->
+  ?next_into:(int array -> (int -> int) -> int array -> unit) ->
   ?parallel_safe:bool ->
   name:string ->
   state_vars:var list ->
@@ -54,8 +68,9 @@ val create :
   next:(int array -> int array -> int array) ->
   unit ->
   t
-(** [next_into] defaults to calling [next] and blitting the result;
-    [parallel_safe] defaults to true (a pure [next]). *)
+(** [next_into] defaults to reading every choice in order, calling
+    [next] and blitting the result; [parallel_safe] defaults to true (a
+    pure [next]). *)
 
 val state_bits : t -> int
 (** Sum of per-variable encoding bits — the paper's "bits per state". *)
@@ -101,6 +116,9 @@ module Builder : sig
 
   val get : ctx -> svar -> int
   val chosen : ctx -> cvar -> int
+  (** Read a choice through the transition's reader: call it only
+      where the choice can change the successor (see {!t.next_into}). *)
+
   val set : ctx -> svar -> int -> unit
   (** Assign the next-cycle value.  Assigning twice in one step is an
       error, mirroring single-driver rules. *)

@@ -579,7 +579,7 @@ let parse src =
      update block from several domains at once. *)
   let nstates = List.length states in
   let assigned_key = Domain.DLS.new_key (fun () -> Array.make nstates false) in
-  let next_into st ch out =
+  let next_into st read out =
     Array.blit st 0 out 0 nstates;
     let assigned = Domain.DLS.get assigned_key in
     Array.fill assigned 0 nstates false;
@@ -588,7 +588,7 @@ let parse src =
       | Some i -> Some (actual_of_index state_arr.(i).d_ty st.(i))
       | None ->
         (match Hashtbl.find_opt choice_index n with
-         | Some i -> Some (actual_of_index choice_arr.(i).d_ty ch.(i))
+         | Some i -> Some (actual_of_index choice_arr.(i).d_ty (read i))
          | None -> None)
     in
     let rec exec stmts =
@@ -624,7 +624,7 @@ let parse src =
   in
   let next st ch =
     let out = Array.make nstates 0 in
-    next_into st ch out;
+    next_into st (Array.get ch) out;
     out
   in
   Model.create ~name ~next_into

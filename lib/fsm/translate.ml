@@ -271,43 +271,50 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
           (Bv.of_int ~width:d.Elab.nets.(id).Elab.width (max v 0)))
       ann.ties
   in
-  let poke_choices choices =
-    Array.iteri
-      (fun i b ->
-        Sim.poke_id sim b.net.Elab.id
-          (bv_of_value ~width:b.net.Elab.width choices.(i)))
-      choice_bindings
+  (* An HDL step needs all its inputs, so every choice is read.  Loops
+     rather than iterators: these run once per simulated cycle. *)
+  let poke_choices read =
+    for i = 0 to Array.length choice_bindings - 1 do
+      let net = choice_bindings.(i).net in
+      Sim.poke_id sim net.Elab.id (bv_of_value ~width:net.Elab.width (read i))
+    done
   in
-  let read_states what =
-    Array.map
-      (fun b ->
-        let v = Sim.get_id sim b.net.Elab.id in
-        if not (Bv.is_defined v) then
-          fail "state net %s is undefined (%s) after %s" b.net.Elab.name
-            (Bv.to_string v) what;
-        value_of_bv v)
-      state_bindings
+  let read_states_into what dst =
+    for i = 0 to Array.length state_bindings - 1 do
+      let net = state_bindings.(i).net in
+      let v = Sim.get_id sim net.Elab.id in
+      if not (Bv.is_defined v) then
+        fail "state net %s is undefined (%s) after %s" net.Elab.name
+          (Bv.to_string v) what;
+      dst.(i) <- value_of_bv v
+    done
   in
+  let nstates = Array.length state_bindings in
   (* Reset state. *)
   tie_all ();
   Sim.poke_id sim reset_id (Bv.of_int ~width:1 1);
-  poke_choices (Array.make (Array.length choice_bindings) 0);
+  poke_choices (fun _ -> 0);
   for _ = 1 to reset_cycles do
     Sim.step sim clock
   done;
   Sim.poke_id sim reset_id (Bv.of_int ~width:1 0);
-  let reset_state = read_states "reset" in
-  let next state choices =
+  let reset_state = Array.make nstates 0 in
+  read_states_into "reset" reset_state;
+  let next_into state read dst =
     Sim.poke_id sim reset_id (Bv.of_int ~width:1 0);
     tie_all ();
-    Array.iteri
-      (fun i b ->
-        Sim.poke_id sim b.net.Elab.id
-          (bv_of_value ~width:b.net.Elab.width state.(i)))
-      state_bindings;
-    poke_choices choices;
+    for i = 0 to nstates - 1 do
+      let net = state_bindings.(i).net in
+      Sim.poke_id sim net.Elab.id (bv_of_value ~width:net.Elab.width state.(i))
+    done;
+    poke_choices read;
     Sim.step sim clock;
-    read_states "step"
+    read_states_into "step" dst
+  in
+  let next state choices =
+    let dst = Array.make nstates 0 in
+    next_into state (Array.get choices) dst;
+    dst
   in
   let model =
     (* [next] steps the one shared simulator instance: correct from a
@@ -316,6 +323,6 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
       ~state_vars:(Array.to_list (Array.map (fun b -> b.var) state_bindings))
       ~choice_vars:(Array.to_list (Array.map (fun b -> b.var) choice_bindings))
       ~reset:(Array.to_list reset_state)
-      ~next ()
+      ~next ~next_into ()
   in
   { model; state_bindings; choice_bindings; elab = d; clock; reset; latches }

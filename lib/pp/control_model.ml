@@ -221,15 +221,19 @@ let choice_vars cfg =
 
 (* Writes the next state into [out] (same length as [st]) and returns
    the number of instructions issued.  Pure up to [out]: safe to call
-   concurrently from several domains with distinct buffers. *)
-let transition_into cfg (l : layout) (st : int array) (ch : int array)
+   concurrently from several domains with distinct buffers.  Choice
+   [i] is [read i], read where it is used and only once the state
+   tests that make it matter have passed, so state enumeration
+   branches on as few choices as possible (see [Model.t.next_into]). *)
+let transition_into cfg (l : layout) (st : int array) (read : int -> int)
     ~(out : int array) : int =
   let fc = cfg.fill_counters in
   let ifsm_fixup = 3 + fc in
   let dfsm_last_bg = 3 + fc in
   let spill_last_wb = 2 + fc in
   let get i default = if i < 0 then default else st.(i) in
-  let chg i default = if i < 0 then default else ch.(i) in
+  (* An absent choice reads as [default]. *)
+  let chg i default = if i < 0 then default else read i in
   let ifsm = st.(l.ifsm) in
   let dfsm = st.(l.dfsm) in
   let spill = get l.spill 0 in
@@ -240,23 +244,7 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
   let follow = if w >= 2 then pipe.(1) else 0 in
   let inbox_occ = get l.inbox_occ 0 in
   let outbox_occ = get l.outbox_occ 0 in
-  let instr = ch.(l.c_instr) + 1 in
-  let i_hit = ch.(l.c_ihit) = 1 in
-  let d_hit = ch.(l.c_dhit) = 1 in
-  let dirty = chg l.c_dirty 0 = 1 in
-  let same_line = chg l.c_same 0 = 1 in
-  let inbox_sig = chg l.c_inbox 1 = 1 in
-  let outbox_sig = chg l.c_outbox 1 = 1 in
-  let mem_adv = chg l.c_memadv 1 = 1 in
-  let pair = chg l.c_pair 0 = 1 in
-  let br_taken = chg l.c_taken 0 = 1 in
-  let fetch_gap = chg l.c_gap 0 = 1 in
   let credits = cfg.io_credits in
-  (* With occupancy modelling, the choice bits are arrival/drain
-     events of the abstract Inbox/Outbox; otherwise they are direct
-     ready lines. *)
-  let inbox_ready = if credits > 0 then inbox_occ > 0 else inbox_sig in
-  let outbox_ready = if credits > 0 then outbox_occ < credits else outbox_sig in
   (* next values *)
   let ifsm' = ref ifsm in
   let dfsm' = ref dfsm in
@@ -268,9 +256,12 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
   let outbox_occ' = ref outbox_occ in
   let issued = ref 0 in
   (* --- abstract Inbox/Outbox occupancy ---------------------------- *)
+  (* With occupancy modelling, the inbox/outbox choice bits are
+     arrival/drain events of the abstract Inbox/Outbox; otherwise they
+     are direct ready lines, read at SWITCH and SEND. *)
   if credits > 0 then begin
-    if inbox_sig && inbox_occ < credits then incr inbox_occ';
-    if outbox_sig && outbox_occ > 0 then decr outbox_occ'
+    if inbox_occ < credits && chg l.c_inbox 1 = 1 then incr inbox_occ';
+    if outbox_occ > 0 && chg l.c_outbox 1 = 1 then decr outbox_occ'
   end;
   (* --- memory port: D-refill, then spill, then I-refill ----------- *)
   let port_busy_now =
@@ -278,13 +269,14 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
   in
   let d_finished = ref false in
   (if dfsm = 1 then begin
-     if (not port_busy_now) && mem_adv then dfsm' := 2
+     if (not port_busy_now) && chg l.c_memadv 1 = 1 then dfsm' := 2
    end
    else if dfsm = 2 then begin
-     if mem_adv then dfsm' := 3  (* critical word delivered; restart *)
+     (* critical word delivered; restart *)
+     if chg l.c_memadv 1 = 1 then dfsm' := 3
    end
    else if dfsm >= 3 then
-     if mem_adv then
+     if chg l.c_memadv 1 = 1 then
        if dfsm = dfsm_last_bg then begin
          dfsm' := 0;
          d_finished := true
@@ -293,14 +285,15 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
   if !d_finished && spill = 1 then spill' := 2;
   (if spill >= 2 && cfg.with_spill then
      (* the write-back streams once the port is otherwise free *)
-     if mem_adv && dfsm < 2 && !dfsm' <> 2 then
+     if dfsm < 2 && !dfsm' <> 2 && chg l.c_memadv 1 = 1 then
        if spill = spill_last_wb then spill' := 0 else spill' := spill + 1);
   let d_granted = dfsm = 1 && !dfsm' = 2 in
   (if ifsm = 1 then begin
-     if (not port_busy_now) && (not d_granted) && mem_adv then ifsm' := 2
+     if (not port_busy_now) && (not d_granted) && chg l.c_memadv 1 = 1 then
+       ifsm' := 2
    end
    else if ifsm >= 2 && ifsm < ifsm_fixup then begin
-     if mem_adv then
+     if chg l.c_memadv 1 = 1 then
        if ifsm = 2 + fc then ifsm' := ifsm_fixup else ifsm' := ifsm + 1
    end
    else if ifsm = ifsm_fixup then ifsm' := 0);
@@ -313,10 +306,12 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
      | 1 (* ALU *) ->
        issued := 1;
        advanced := true;
-       if cfg.dual_issue && pair && follow = 1 then issued := 2
+       if cfg.dual_issue && follow = 1 && chg l.c_pair 0 = 1 then
+         issued := 2
      | 2 | 3 (* LD / SD *) ->
        let conflicts =
-         cfg.with_conflict && store = 1 && (head = 3 || same_line)
+         cfg.with_conflict && store = 1
+         && (head = 3 || chg l.c_same 0 = 1)
        in
        if conflicts then begin
          conflict' := 1;
@@ -326,13 +321,13 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
        end
        else begin
          if store = 1 then store' := 0;
-         if d_hit then begin
+         if read l.c_dhit = 1 then begin
            issued := 1;
            advanced := true;
            if head = 3 && cfg.with_conflict then store' := 1
          end
          else if dfsm = 0 then begin
-           if cfg.with_spill && dirty then begin
+           if cfg.with_spill && chg l.c_dirty 0 = 1 then begin
              if spill = 0 then begin
                spill' := 1;
                dfsm' := 1;
@@ -348,13 +343,18 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
          end
        end
      | 4 (* SWITCH *) ->
-       if (not cfg.with_interfaces) || inbox_ready then begin
+       if (not cfg.with_interfaces)
+          || (if credits > 0 then inbox_occ > 0 else chg l.c_inbox 1 = 1)
+       then begin
          issued := 1;
          advanced := true;
          if credits > 0 then decr inbox_occ'
        end
      | 5 (* SEND *) ->
-       if (not cfg.with_interfaces) || outbox_ready then begin
+       if (not cfg.with_interfaces)
+          || (if credits > 0 then outbox_occ < credits
+              else chg l.c_outbox 1 = 1)
+       then begin
          issued := 1;
          advanced := true;
          if credits > 0 then incr outbox_occ'
@@ -369,8 +369,8 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
   if !advanced then begin
     let fetch_new () =
       if !ifsm' <> 0 || ifsm <> 0 then 0 (* the I-stall feeds bubbles *)
-      else if fetch_gap then 0 (* fetch lagging behind issue *)
-      else if i_hit then instr
+      else if chg l.c_gap 0 = 1 then 0 (* fetch lagging behind issue *)
+      else if read l.c_ihit = 1 then read l.c_instr + 1
       else begin
         ifsm' := 1;
         0
@@ -385,7 +385,7 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
     pipe'.(w - consumed) <- fetch_new ();
     (* A taken squashing branch kills every younger instruction and
        redirects fetch; the abstract branch-outcome block decides. *)
-    if cfg.with_branches && head = 6 && br_taken then begin
+    if cfg.with_branches && head = 6 && chg l.c_taken 0 = 1 then begin
       for i = 0 to w - 1 do
         pipe'.(i) <- 0
       done;
@@ -413,7 +413,7 @@ let transition_into cfg (l : layout) (st : int array) (ch : int array)
 
 let transition cfg l st ch =
   let out = Array.make (Array.length st) 0 in
-  let issued = transition_into cfg l st ch ~out in
+  let issued = transition_into cfg l st (Array.get ch) ~out in
   (out, issued)
 
 let model cfg =
@@ -423,8 +423,8 @@ let model cfg =
   Model.create ~name:"pp_control" ~state_vars:svars
     ~choice_vars:(choice_vars cfg) ~reset
     ~next:(fun st ch -> fst (transition cfg l st ch))
-    ~next_into:(fun st ch dst ->
-      ignore (transition_into cfg l st ch ~out:dst))
+    ~next_into:(fun st read dst ->
+      ignore (transition_into cfg l st read ~out:dst))
     ()
 
 let instructions_of_edge cfg ~src ~choice =

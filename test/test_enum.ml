@@ -153,6 +153,159 @@ let prop_edges_are_consistent =
         g.State_graph.adj;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* The per-choice enumerator, kept as the oracle                       *)
+(* ------------------------------------------------------------------ *)
+
+(* BFS in id order that calls [next] on every [choice_of_index], in
+   index order, and interns each successor at its first discovery:
+   the enumerator before states were expanded as decision trees.
+   Returns the states and the adjacency with every condition. *)
+let reference_enumerate (m : Model.t) =
+  let ids = Hashtbl.create 256 and vals = Hashtbl.create 256 in
+  let intern v =
+    match Hashtbl.find_opt ids v with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids v id;
+      Hashtbl.add vals id v;
+      id
+  in
+  ignore (intern m.Model.reset);
+  let adj = ref [] and src = ref 0 in
+  while !src < Hashtbl.length ids do
+    let cur = Hashtbl.find vals !src in
+    adj :=
+      Array.init (Model.num_choices m) (fun ci ->
+          (intern (m.Model.next cur (Model.choice_of_index m ci)), ci))
+      :: !adj;
+    incr src
+  done;
+  (Array.init (Hashtbl.length ids) (Hashtbl.find vals),
+   Array.of_list (List.rev !adj))
+
+(* First-condition mode: the lowest choice index per successor. *)
+let first_conditions adj =
+  Array.map
+    (fun out ->
+      let seen = Hashtbl.create 16 in
+      Array.of_list
+        (List.filter
+           (fun (dst, _) ->
+             (not (Hashtbl.mem seen dst)) && (Hashtbl.add seen dst (); true))
+           (Array.to_list out)))
+    adj
+
+(* Both modes, sequential and parallel from the first state on. *)
+let matches_reference m =
+  let states, all_adj = reference_enumerate m in
+  List.for_all
+    (fun all_conditions ->
+      let adj = if all_conditions then all_adj else first_conditions all_adj in
+      let edges = Array.fold_left (fun n out -> n + Array.length out) 0 adj in
+      List.for_all
+        (fun (domains, parallel_threshold) ->
+          let g =
+            State_graph.enumerate ~all_conditions ~domains ~parallel_threshold
+              m
+          in
+          g.State_graph.states = states && g.State_graph.adj = adj
+          && State_graph.num_edges g = edges)
+        [ (1, max_int); (2, 1) ])
+    [ false; true ]
+
+(* A random Builder machine.  Each state reads a state-dependent
+   subset of the choices, starting from a state-dependent variable, so
+   depth-first order differs from index order; some paths stop reading
+   early, so the tree's leaves lie at different depths. *)
+type spec = { scards : int array; ccards : int array; salt : int }
+
+let arb_spec =
+  let open QCheck.Gen in
+  let gen =
+    map3
+      (fun scards ccards salt ->
+        { scards = Array.of_list scards; ccards = Array.of_list ccards; salt })
+      (list_size (int_range 2 4) (int_range 2 5))
+      (list_size (int_range 1 4) (int_range 2 4))
+      (int_bound 1_000_000)
+  in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  QCheck.make gen ~print:(fun s ->
+      Printf.sprintf "states [%s] choices [%s] salt %d" (ints s.scards)
+        (ints s.ccards) s.salt)
+
+let random_model spec =
+  let open Model.Builder in
+  let b = create "random" in
+  let values n = Array.init n string_of_int in
+  let sv =
+    Array.mapi (fun i c -> state b (Printf.sprintf "s%d" i) (values c))
+      spec.scards
+  in
+  let cv =
+    Array.mapi (fun i c -> choice b (Printf.sprintf "c%d" i) (values c))
+      spec.ccards
+  in
+  let ns = Array.length sv and nc = Array.length cv in
+  build b ~step:(fun ctx ->
+      let h =
+        Array.fold_left
+          (fun acc v -> ((acc * 31) + get ctx v) land 0xffffff)
+          spec.salt sv
+      in
+      let assigned = Array.make ns false in
+      let rec go k acc =
+        if k < nc then begin
+          let c = (h + k) mod nc in
+          if (h lsr (2 * k)) land 3 = 0 then go (k + 1) acc
+          else begin
+            let v = chosen ctx cv.(c) in
+            let t = ((h / 7) + c + v) mod ns in
+            if not assigned.(t) then begin
+              assigned.(t) <- true;
+              set ctx sv.(t) ((get ctx sv.(t) + v + acc) mod spec.scards.(t))
+            end;
+            if not (v = 0 && (h lsr (k + 9)) land 1 = 1) then
+              go (k + 1) (acc + v)
+          end
+        end
+      in
+      go 0 0)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"decision trees match the per-choice enumerator"
+    ~count:100 arb_spec (fun spec -> matches_reference (random_model spec))
+
+let test_control_matches_reference () =
+  let open Avp_pp.Control_model in
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check bool) name true (matches_reference (model cfg)))
+    [ ("tiny", tiny); ("default", default);
+      ("default with branches", { default with with_branches = true }) ]
+
+(* Transition evaluations, counted the way perfbench counts them. *)
+let evaluations (m : Model.t) =
+  let n = ref 0 in
+  let counted =
+    { m with Model.next_into = (fun s c d -> incr n; m.Model.next_into s c d) }
+  in
+  ignore (State_graph.enumerate ~domains:1 counted);
+  !n
+
+let test_evaluation_counts () =
+  (* idle and ack read [req]: two leaves each; req reads nothing. *)
+  Alcotest.(check int) "handshake: one per leaf" 5
+    (evaluations (handshake_model ()));
+  Alcotest.(check int) "pp-model-medium: choices read where they matter"
+    68_052
+    (evaluations Avp_pp.Control_model.(model medium));
+  (* An HDL step needs all its inputs: 121 states x 1,024 choices. *)
+  Alcotest.(check int) "translated pp: every choice" 123_904
+    (evaluations (Avp_pp.Control_hdl.translate ()).Translate.model)
+
 let suite =
   [
     Alcotest.test_case "enumerate handshake" `Quick test_enumerate_handshake;
@@ -166,4 +319,8 @@ let suite =
     Alcotest.test_case "hdl and hand model agree" `Quick
       test_hdl_and_hand_model_agree;
     QCheck_alcotest.to_alcotest prop_edges_are_consistent;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "control models match the reference" `Quick
+      test_control_matches_reference;
+    Alcotest.test_case "evaluation counts" `Quick test_evaluation_counts;
   ]

@@ -128,7 +128,17 @@ let test_find_state_index () =
     Array.map (fun _ -> 97) g.State_graph.states.(0)
   in
   Alcotest.(check (option int)) "bogus valuation absent" None
-    (State_graph.find_state g bogus)
+    (State_graph.find_state g bogus);
+  (* Valuations the packed key would alias onto a state. *)
+  let s3 = g.State_graph.states.(3) in
+  Alcotest.(check (option int)) "state 3 without its last variable" None
+    (State_graph.find_state g (Array.sub s3 0 (Array.length s3 - 1)));
+  let h = State_graph.enumerate (handshake_model ()) in
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check (option int)) what None (State_graph.find_state h v))
+    [ ("handshake: empty", [||]); ("handshake: 256", [| 256 |]);
+      ("handshake: -255", [| -255 |]); ("handshake: too long", [| 0; 0 |]) ]
 
 (* Regression: cardinalities beyond the two-byte packed key must be
    rejected loudly, not silently truncated. *)
