@@ -100,7 +100,7 @@ let () =
   let tr = Translate.translate (Elab.elaborate design) in
   let graph = Avp_enum.State_graph.enumerate tr.Translate.model in
   let tours = Avp_tour.Tour_gen.generate graph in
-  let domains = Avp_enum.State_graph.default_domains () in
+  let domains = Avp_enum.Pool.default_domains () in
   let cores = Domain.recommended_domain_count () in
   let config engine = { Loop.default_config with Loop.engine; domains } in
   (* Both engines at the default seed/budget; the trace (if

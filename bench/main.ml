@@ -179,41 +179,16 @@ let print_enum_stats name (g : State_graph.t) =
     (Printf.sprintf "%.1f MB" s.State_graph.heap_mb)
     "34 MB";
   row "Number of Edges" (string_of_int s.State_graph.num_edges) "1,172,848";
-  row "Enumeration domains" (string_of_int s.State_graph.domains) "1";
   let upper = Model.num_states_upper_bound g.State_graph.model in
   note "  states / 2^bits = %.2e (the FSM interlock prunes the product)"
     (float_of_int s.State_graph.num_states /. upper)
 
-(* Sequential vs parallel enumeration of the same model; the outputs
-   are bit-identical, so only the wall clock differs. *)
-let print_speedup name model =
-  let seq = State_graph.enumerate ~domains:1 model in
-  let domains = State_graph.default_domains () in
-  if domains > 1 then begin
-    let par = State_graph.enumerate ~domains model in
-    assert (
-      State_graph.num_states par = State_graph.num_states seq
-      && State_graph.num_edges par = State_graph.num_edges seq);
-    note "  [%s] sequential %.2fs, %d domains %.2fs: speedup %.2fx" name
-      seq.State_graph.stats.State_graph.elapsed_s domains
-      par.State_graph.stats.State_graph.elapsed_s
-      (seq.State_graph.stats.State_graph.elapsed_s
-      /. par.State_graph.stats.State_graph.elapsed_s)
-  end
-  else
-    note "  [%s] sequential %.2fs (1 core available; set AVP_DOMAINS to \
-          force parallel enumeration)" name
-      seq.State_graph.stats.State_graph.elapsed_s
-
 let table_3_2 () =
   section "Table 3.2: State Enumeration Statistics";
   print_enum_stats "default model" (Lazy.force default_graph);
-  note "";
-  print_speedup "default model" (Control_model.model default_cfg);
   if want_large () then begin
     note "";
-    print_enum_stats "large model" (Lazy.force large_graph);
-    print_speedup "large model" (Control_model.model Control_model.large)
+    print_enum_stats "large model" (Lazy.force large_graph)
   end
   else note "(set AVP_LARGE=1 for the paper-scale preset: ~150k states)"
 

@@ -119,7 +119,7 @@ let () =
   let tr = Translate.translate (Elab.elaborate design) in
   let graph = Avp_enum.State_graph.enumerate tr.Translate.model in
   let tours = Avp_tour.Tour_gen.generate graph in
-  let domains = Avp_enum.State_graph.default_domains () in
+  let domains = Avp_enum.Pool.default_domains () in
   let cores = Domain.recommended_domain_count () in
   (* Full campaign, both engines; the trace (if requested) watches the
      sliced one, whose report is the one embedded below. *)

@@ -20,7 +20,7 @@ let max_ratio = 1.5
 
 let enum_once model =
   let t = Obs.Timer.start () in
-  ignore (State_graph.enumerate ~domains:1 model);
+  ignore (State_graph.enumerate model);
   Obs.Timer.elapsed_s t
 
 let sim_once sim ~cycles =

@@ -67,9 +67,13 @@ let domains_arg =
     value
     & opt (some int) None
     & info [ "domains"; "j" ] ~docv:"N"
-        ~doc:"Domains (cores) for state enumeration.  Default: the \
+        ~doc:"Domains (cores) to shard the work over: mutants in \
+              $(b,mutate), candidates in $(b,fuzz), traces in \
+              $(b,replay), stimuli in $(b,validate).  Output is \
+              identical for any value.  Default: 1 for $(b,replay) and \
+              $(b,validate); for $(b,mutate) and $(b,fuzz), the \
               AVP_DOMAINS environment variable, else the recommended \
-              domain count.  State numbering is identical for any value.")
+              domain count.")
 
 (* ---------------------------------------------------------------- *)
 (* Telemetry plumbing                                                *)
@@ -183,7 +187,6 @@ let enum_section (s : State_graph.stats) : Avp_obs.Report.enum_section =
     num_edges = s.State_graph.num_edges;
     state_bits = s.State_graph.state_bits;
     enum_elapsed_s = s.State_graph.elapsed_s;
-    domains = s.State_graph.domains;
     levels = Array.length s.State_graph.level_times;
   }
 
@@ -205,9 +208,7 @@ let write_report report ~dir =
       { report with Avp_obs.Report.profile = Some (Avp_obs.Prof.of_tracer t) }
     | _ -> report
   in
-  Avp_obs.Report.write
-    (Avp_obs.Report.load_history (Avp_obs.Report.load_bench report))
-    ~dir;
+  Avp_obs.Report.write report ~dir;
   Format.eprintf "report: wrote %s/report.json and %s/report.html@." dir dir
 
 (* ---------------------------------------------------------------- *)
@@ -221,9 +222,6 @@ let load_translation file top =
    text language (.sml files). *)
 let load_model file top =
   match file with
-  (* The abstract Control_model presets have pure transition functions
-     (parallel_safe), unlike HDL translations — the way to exercise
-     the parallel BFS from the CLI. *)
   | "pp-model" -> Avp_pp.Control_model.(model default)
   | "pp-model-medium" -> Avp_pp.Control_model.(model medium)
   | "pp-model-large" -> Avp_pp.Control_model.(model large)
@@ -261,12 +259,11 @@ let translate_cmd =
     Term.(const run $ file_arg $ top_arg $ murphi_arg)
 
 let enumerate_cmd =
-  let run file top all_conditions dot domains trace metrics profile =
+  let run file top all_conditions dot trace metrics profile =
     with_obs ~profile ~trace ~metrics @@ fun () ->
     let progress = make_progress "enumerate" in
     let g =
-      State_graph.enumerate ~all_conditions ?domains ~progress
-        (load_model file top)
+      State_graph.enumerate ~all_conditions ~progress (load_model file top)
     in
     Avp_obs.Progress.finish progress;
     Format.printf "%a@." State_graph.pp_stats g.State_graph.stats;
@@ -297,14 +294,12 @@ let enumerate_cmd =
     (Cmd.info "enumerate" ~doc:"Fully enumerate the control state graph.")
     Term.(
       const run $ file_arg $ top_arg $ all_conditions_arg $ dot_arg
-      $ domains_arg $ trace_arg $ metrics_arg $ profile_arg)
+      $ trace_arg $ metrics_arg $ profile_arg)
 
 let tour_cmd =
-  let run file top all_conditions limit domains trace metrics =
+  let run file top all_conditions limit trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    let g =
-      State_graph.enumerate ~all_conditions ?domains (load_model file top)
-    in
+    let g = State_graph.enumerate ~all_conditions (load_model file top) in
     let t = Tour_gen.generate ?instr_limit:limit g in
     Format.printf "%a@." Tour_gen.pp_stats t.Tour_gen.stats;
     Format.printf "covers all arcs: %b@." (Tour_gen.covers_all_edges g t);
@@ -314,7 +309,7 @@ let tour_cmd =
     (Cmd.info "tour" ~doc:"Generate transition tours of the state graph.")
     Term.(
       const run $ file_arg $ top_arg $ all_conditions_arg $ limit_arg
-      $ domains_arg $ trace_arg $ metrics_arg)
+      $ trace_arg $ metrics_arg)
 
 let vectors_cmd =
   let run file top limit out =
@@ -378,12 +373,10 @@ let mutate_cmd =
       let families = match families with [] -> None | l -> Some l in
       let design = Parser.parse src in
       let tr = Translate.translate (Elab.elaborate ?top design) in
-      let graph = State_graph.enumerate ?domains tr.Translate.model in
+      let graph = State_graph.enumerate tr.Translate.model in
       let tours = Tour_gen.generate ?instr_limit:limit graph in
       let domains =
-        match domains with
-        | Some d -> d
-        | None -> State_graph.default_domains ()
+        match domains with Some d -> d | None -> Pool.default_domains ()
       in
       let progress = make_progress ~json "mutate" in
       let report =
@@ -493,11 +486,9 @@ let fuzz_cmd =
     let src = source file in
     let design = Parser.parse src in
     let tr = Translate.translate (Elab.elaborate ?top design) in
-    let graph = State_graph.enumerate ?domains tr.Translate.model in
+    let graph = State_graph.enumerate tr.Translate.model in
     let domains =
-      match domains with
-      | Some d -> d
-      | None -> State_graph.default_domains ()
+      match domains with Some d -> d | None -> Pool.default_domains ()
     in
     let config =
       {
@@ -1328,7 +1319,7 @@ let profile_cmd =
        ~doc:"Analyze a recorded trace: per-span self/total time and \
              percentiles, collapsed-stack flamegraph export, and the \
              parallel-efficiency report (per-domain utilization, \
-             per-level barrier wait, work imbalance, serial fraction).")
+             concurrency, serial fraction) of a multi-domain run.")
     Term.(
       const run $ trace_file_arg $ folded_out_arg $ flame_out_arg
       $ json_out_arg $ normalize_arg)

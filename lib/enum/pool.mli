@@ -1,29 +1,18 @@
-(** A fixed fork-join pool of OCaml 5 domains for level-synchronous
-    parallel work (plain [Domain]/[Mutex]/[Condition], no
-    dependencies).
+(** Fork-join over OCaml 5 domains (plain [Domain], no dependencies)
+    for the work that shards by index: mutants, fuzz candidates, replay
+    traces and validation stimuli.  State enumeration runs on one
+    domain and does not use it. *)
 
-    [run] hands every domain — the calling one included — the same job
-    with a distinct slot number and waits for all of them: a barrier.
-    Workers park on a condition variable between rounds, so a pool can
-    drive many short rounds (one per BFS level) without re-spawning
-    domains. *)
-
-type t
-
-val with_pool : domains:int -> (t -> 'a) -> 'a
-(** Spawn [domains - 1] worker domains ([domains] is clamped to at
-    least 1; a 1-domain pool runs jobs inline), run the callback, and
-    join the workers, robust to exceptions. *)
-
-val run : t -> (int -> unit) -> unit
-(** [run t job] executes [job slot] for every slot in
-    [0 .. domains - 1], slot 0 on the calling domain, and returns when
-    all have finished.  If any slot raises, the first exception is
-    re-raised here after the barrier. *)
+val default_domains : unit -> int
+(** The [AVP_DOMAINS] environment variable when set to a positive
+    integer, else [Domain.recommended_domain_count ()]. *)
 
 val iter : domains:int -> int -> (int -> unit) -> unit
 (** [iter ~domains n job] runs [job i] for every [i] in [0 .. n - 1],
-    sharded round-robin: domain [d] takes [d], [d + domains], ...
-    It runs sequentially, in index order, on the calling domain when
-    one domain suffices ([domains <= 1] or [n <= 1]).  Exceptions
-    propagate as in {!run}. *)
+    sharded round-robin: slot [d] takes [d], [d + domains], ...  Each
+    call spawns [domains - 1] domains (never more than [n - 1]), runs
+    slot 0 on the calling domain and joins every spawned domain before
+    it returns.  It runs sequentially, in index order, on the calling
+    domain when one domain suffices ([domains <= 1] or [n <= 1]).  If a
+    job raises, its slot stops; the exception is re-raised once every
+    domain has been joined (slot 0's first, then the lowest slot's). *)

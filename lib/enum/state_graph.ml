@@ -7,7 +7,6 @@ type stats = {
   state_bits : int;
   elapsed_s : float;
   heap_mb : float;
-  domains : int;
   level_times : (int * float) array;
 }
 
@@ -58,10 +57,7 @@ let make_packer (model : Model.t) =
 
 (* Packed key -> state id.  Sharded by the top bits of the structural
    hash (the low bits index buckets inside each [Hashtbl], so reusing
-   them for shard selection would leave most buckets empty).  The
-   table is read-mostly: during a parallel level every domain probes
-   it freely while nobody writes; all insertions happen in the
-   single-threaded merge between levels, so no locking is needed. *)
+   them for shard selection would leave most buckets empty). *)
 
 let shard_bits = 6
 
@@ -139,9 +135,8 @@ let fresh = -1
 let unset = -2
 
 (* [expander model index ~all_conditions] returns [expand cur dst_ids
-   new_vals base], which fills slots [base, base + num_choices) for
-   state [cur] against the current contents of [index].  One expander
-   per domain: it owns its scratch. *)
+   new_vals], which fills the [num_choices] slots for state [cur]
+   against the current contents of [index]. *)
 let expander (model : Model.t) (index : index) ~all_conditions =
   let card = Array.map Model.card model.Model.choice_vars in
   let nc = Array.length card in
@@ -199,8 +194,8 @@ let expander (model : Model.t) (index : index) ~all_conditions =
      each is copied once per state rather than once per leaf. *)
   let new_succs : (Bytes.t, int array) Hashtbl.t = Hashtbl.create 16 in
   let leaf_val = ref [||] in
-  fun cur dst_ids new_vals base ->
-    Array.fill dst_ids base num_choices unset;
+  fun cur dst_ids new_vals ->
+    Array.fill dst_ids 0 num_choices unset;
     Hashtbl.clear new_succs;
     let more = ref true in
     while !more do
@@ -218,52 +213,13 @@ let expander (model : Model.t) (index : index) ~all_conditions =
              leaf_val := v);
           fresh
       in
-      write_cube dst_ids new_vals id !leaf_val 0 base;
+      write_cube dst_ids new_vals id !leaf_val 0 0;
       more := backtrack ()
     done
 
-let default_domains () =
-  match Sys.getenv_opt "AVP_DOMAINS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> n
-     | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
-
-(* Upper bound on the successor slots buffered per parallel batch —
-   bounds the merge arrays to a few MB regardless of model size. *)
-let batch_edge_cap = 1 lsl 20
-
-(* Graphs below this many states enumerate sequentially even when
-   several domains were requested: spawning domains and running the
-   batch merge costs more than the expansion itself on small graphs
-   (the default PP preset's 649 states ran at 0.64x/0.44x of the
-   sequential time on 2/4 domains).  Enumeration that outgrows the
-   threshold switches to the parallel path mid-run, from the same
-   frontier — the result is bit-identical either way. *)
-let default_parallel_threshold = 4096
-
-let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
-    ?(parallel_threshold = default_parallel_threshold) ?progress
-    (model : Model.t) =
+let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
+    ?progress (model : Model.t) =
   let t0 = Obs.Clock.now_s () in
-  (* Telemetry is per BFS level / batch, never per state: with spans
-     off this adds one Atomic.get per level, so -j throughput is
-     unchanged (the 3%-overhead budget in DESIGN.md). *)
-  let level_span ?(extra = []) kind ~sources ~dur_s =
-    if Obs.enabled () then
-      Obs.complete ~cat:"enum" kind ~dur_s
-        ~args:(("sources", Obs.Int sources) :: extra);
-    match progress with
-    | Some p -> Avp_obs.Progress.tick ~n:sources p
-    | None -> ()
-  in
-  let requested =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  (* Transition functions that are not safe to share (e.g. they step a
-     single HDL simulator instance) enumerate sequentially. *)
-  let domains = if model.Model.parallel_safe then requested else 1 in
   let index = index_create model in
   let key_size = index.key_size and pack_into = index.pack_into in
   let states = Dyn.create [||] in
@@ -277,7 +233,6 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
   pack_into reset reset_key;
   index_add index reset_key 0;
   Dyn.push states reset;
-  (* Merge-side scratch, shared by both paths (single-threaded use). *)
   let merge_key = Bytes.create key_size in
   let seen_dst : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let out = ref [] in
@@ -310,129 +265,50 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
   in
   (* Turn one source's slots into its adjacency row.  Walking them in
      choice-index order gives each successor the lowest index reaching
-     it and interns new states in index order (DESIGN.md, "Parallel
-     enumeration"). *)
-  let merge_source dst_ids new_vals base =
+     it and interns new states in index order (DESIGN.md,
+     "Enumeration"). *)
+  let merge_source dst_ids new_vals =
     Hashtbl.reset seen_dst;
     out := [];
     for ci = 0 to num_choices - 1 do
-      let d = dst_ids.(base + ci) in
+      let d = dst_ids.(ci) in
       if d >= 0 then record_edge d ci
       else if d = fresh then begin
-        let v = new_vals.(base + ci) in
-        new_vals.(base + ci) <- [||];
+        let v = new_vals.(ci) in
+        new_vals.(ci) <- [||];
         record_edge (intern_new v) ci
       end
     done;
     Dyn.push adj (Array.of_list (List.rev !out))
   in
-  (* ---------------------------------------------------------------- *)
-  (* Sequential path: the reference semantics.  BFS in id order, each *)
-  (* source expanded and merged before the next, so successors append *)
-  (* at the end and ids are discovery order.                          *)
-  (* ---------------------------------------------------------------- *)
+  (* BFS in id order, each source expanded and merged before the next,
+     so successors append at the end and ids are discovery order. *)
+  let expand = expander model index ~all_conditions in
+  let dst_ids = Array.make num_choices unset in
+  let new_vals = Array.make num_choices [||] in
   let frontier = ref 0 in
-  let run_sequential ~stop_at () =
-    let expand = expander model index ~all_conditions in
-    let dst_ids = Array.make num_choices unset in
-    let new_vals = Array.make num_choices [||] in
-    while !frontier < states.Dyn.len && states.Dyn.len < stop_at do
-      let level_end = states.Dyn.len in
-      let level_size = level_end - !frontier in
-      let lt0 = Obs.Clock.now_s () in
-      while !frontier < level_end do
-        let src = !frontier in
-        incr frontier;
-        expand (Dyn.get states src) dst_ids new_vals 0;
-        merge_source dst_ids new_vals 0
-      done;
-      let dt = Obs.Clock.now_s () -. lt0 in
-      level_times := (level_size, dt) :: !level_times;
-      level_span "enum.level" ~sources:level_size ~dur_s:dt
-    done
-  in
-  (* ---------------------------------------------------------------- *)
-  (* Parallel path: batch-synchronous BFS.  Each batch of pending     *)
-  (* sources is split across the domains; every domain expands its    *)
-  (* slice against the frozen intern table into its sources' slots,   *)
-  (* and a deterministic single-threaded merge — in (source id,       *)
-  (* choice index) order, exactly the sequential processing order —   *)
-  (* assigns ids to the genuinely new states.  State numbering, [adj] *)
-  (* and [stats.num_edges] are therefore identical to the sequential  *)
-  (* result for any domain count.                                     *)
-  (* ---------------------------------------------------------------- *)
-  let run_parallel pool =
-    let batch_cap = max domains (max 1 (batch_edge_cap / max 1 num_choices)) in
-    (* Batch ids link the [enum.batch] parent span to the per-domain
-       [enum.shard] spans (and, via flow_out/flow_in, draw handoff
-       arrows in the Chrome trace viewer). *)
-    let batch_no = ref 0 in
-    (* Source [j]'s slots are [j * num_choices, (j + 1) * num_choices).
-       Grown to the largest batch actually seen, bounded by
-       [batch_cap * num_choices] slots. *)
-    let dst_ids = ref (Array.make (min 1024 batch_cap * num_choices) 0) in
-    let new_vals : int array array ref =
-      ref (Array.make (Array.length !dst_ids) [||])
-    in
-    (* Picks up where the sequential warm-up left off: [adj] already
-       holds one row per source below [!frontier]. *)
-    let processed = ref !frontier in
-    let expanders =
-      Array.init domains (fun _ -> expander model index ~all_conditions)
-    in
-    while !processed < states.Dyn.len do
-      let lo = !processed in
-      let hi = min states.Dyn.len (lo + batch_cap) in
-      let cnt = hi - lo in
-      if cnt * num_choices > Array.length !dst_ids then begin
-        dst_ids := Array.make (cnt * num_choices) 0;
-        new_vals := Array.make (cnt * num_choices) [||]
-      end;
-      let dst_ids = !dst_ids and new_vals = !new_vals in
-      let batch = !batch_no in
-      incr batch_no;
-      let lt0 = Obs.Clock.now_s () in
-      let traced = Obs.enabled () in
-      Pool.run pool (fun slot ->
-          let st0 = if traced then Obs.Clock.now_s () else 0. in
-          let j0 = cnt * slot / domains in
-          let j1 = cnt * (slot + 1) / domains in
-          let expand = expanders.(slot) in
-          for j = j0 to j1 - 1 do
-            expand (Dyn.get states (lo + j)) dst_ids new_vals (j * num_choices)
-          done;
-          (* One retrospective span per domain per batch, emitted on
-             the worker so its [dom] is the expanding domain — the
-             profiler's busy-timeline unit. *)
-          if traced then
-            Obs.complete ~cat:"enum" "enum.shard"
-              ~dur_s:(Obs.Clock.now_s () -. st0)
-              ~args:
-                [
-                  ("batch", Obs.Int batch);
-                  ("slot", Obs.Int slot);
-                  ("sources", Obs.Int (j1 - j0));
-                  ("flow_in", Obs.Int batch);
-                ]);
-      for j = 0 to cnt - 1 do
-        merge_source dst_ids new_vals (j * num_choices)
-      done;
-      processed := hi;
-      let dt = Obs.Clock.now_s () -. lt0 in
-      level_times := (cnt, dt) :: !level_times;
-      level_span "enum.batch" ~sources:cnt ~dur_s:dt
-        ~extra:[ ("batch", Obs.Int batch); ("flow_out", Obs.Int batch) ]
-    done
-  in
-  let used_domains = ref 1 in
-  if domains = 1 then run_sequential ~stop_at:max_int ()
-  else begin
-    run_sequential ~stop_at:(max 1 parallel_threshold) ();
-    if !frontier < states.Dyn.len then begin
-      used_domains := domains;
-      Pool.with_pool ~domains run_parallel
-    end
-  end;
+  while !frontier < states.Dyn.len do
+    let level_end = states.Dyn.len in
+    let level_size = level_end - !frontier in
+    let lt0 = Obs.Clock.now_s () in
+    while !frontier < level_end do
+      let src = !frontier in
+      incr frontier;
+      expand (Dyn.get states src) dst_ids new_vals;
+      merge_source dst_ids new_vals
+    done;
+    let dt = Obs.Clock.now_s () -. lt0 in
+    level_times := (level_size, dt) :: !level_times;
+    (* Telemetry is per BFS level, never per state: with spans off
+       this adds one Atomic.get per level (the 3%-overhead budget in
+       DESIGN.md). *)
+    if Obs.enabled () then
+      Obs.complete ~cat:"enum" "enum.level" ~dur_s:dt
+        ~args:[ ("sources", Obs.Int level_size) ];
+    match progress with
+    | Some p -> Avp_obs.Progress.tick ~n:level_size p
+    | None -> ()
+  done;
   let elapsed_s = Obs.Clock.now_s () -. t0 in
   if Obs.enabled () then begin
     Obs.complete ~cat:"enum" "enum.run" ~dur_s:elapsed_s
@@ -440,7 +316,6 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
         [
           ("states", Obs.Int states.Dyn.len);
           ("edges", Obs.Int !edge_count);
-          ("domains", Obs.Int !used_domains);
         ];
     Obs.incr ~by:states.Dyn.len "enum.states";
     Obs.incr ~by:!edge_count "enum.edges"
@@ -462,7 +337,6 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
         state_bits = Model.state_bits model;
         elapsed_s;
         heap_mb;
-        domains = !used_domains;
         level_times = Array.of_list (List.rev !level_times);
       };
   }
@@ -498,9 +372,8 @@ let edge_offsets t =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "states=%d bits/state=%d edges=%d time=%.2fs heap=%.1fMB domains=%d \
-     levels=%d"
-    s.num_states s.state_bits s.num_edges s.elapsed_s s.heap_mb s.domains
+    "states=%d bits/state=%d edges=%d time=%.2fs heap=%.1fMB levels=%d"
+    s.num_states s.state_bits s.num_edges s.elapsed_s s.heap_mb
     (Array.length s.level_times)
 
 let pp_dot ppf t =

@@ -24,10 +24,8 @@
     recording every distinct condition as a parallel edge (this is how
     the Figure 4.2 class of bug becomes detectable).
 
-    Enumeration can run on several OCaml domains
-    ([enumerate ?domains]); the result — state numbering, adjacency,
-    edge counts — is bit-identical to the sequential one for any
-    domain count.  See DESIGN.md, "Parallel enumeration". *)
+    Enumeration runs on the calling domain, one BFS level at a time.
+    See DESIGN.md, "Enumeration". *)
 
 open Avp_fsm
 
@@ -37,9 +35,8 @@ type stats = {
   state_bits : int;  (** the paper's "number of bits per state" *)
   elapsed_s : float;
   heap_mb : float;  (** major-heap size at completion, in MB *)
-  domains : int;  (** domains actually used (1 = sequential) *)
   level_times : (int * float) array;
-      (** per BFS batch: (sources expanded, seconds) *)
+      (** per BFS level: (sources expanded, seconds) *)
 }
 
 type index
@@ -57,28 +54,14 @@ type t = {
 
 exception Too_many_states of int
 
-val default_domains : unit -> int
-(** The [AVP_DOMAINS] environment variable when set to a positive
-    integer, else [Domain.recommended_domain_count ()]. *)
-
 val enumerate :
   ?all_conditions:bool ->
   ?max_states:int ->
   ?domains:int ->
-  ?parallel_threshold:int ->
   ?progress:Avp_obs.Progress.t ->
   Model.t ->
   t
-(** [domains] defaults to [default_domains ()] and is clamped to 1
-    when the model is not {!Model.t.parallel_safe}.
-
-    [parallel_threshold] (default 4096): even with [domains > 1],
-    enumeration starts sequentially and only switches to the
-    batch-parallel path once this many states have been discovered —
-    on small graphs the domain spawn and merge overhead costs more
-    than the expansion itself.  The result is bit-identical for any
-    threshold; [stats.domains] reports 1 when the parallel path never
-    engaged.
+(** [domains] is ignored, kept because perfbench/main.ml passes it.
 
     @raise Too_many_states when the [max_states] bound (default
     5_000_000) is exceeded.

@@ -21,11 +21,9 @@ type t = {
   reset : int array;
   next : int array -> int array -> int array;
   next_into : int array -> (int -> int) -> int array -> unit;
-  parallel_safe : bool;
 }
 
-let create ?next_into ?(parallel_safe = true) ~name ~state_vars ~choice_vars
-    ~reset ~next () =
+let create ?next_into ~name ~state_vars ~choice_vars ~reset ~next () =
   let state_vars = Array.of_list state_vars in
   let choice_vars = Array.of_list choice_vars in
   let reset = Array.of_list reset in
@@ -47,8 +45,7 @@ let create ?next_into ?(parallel_safe = true) ~name ~state_vars ~choice_vars
         let r = next cur (Array.init nchoices read) in
         Array.blit r 0 dst 0 (Array.length r)
   in
-  { model_name = name; state_vars; choice_vars; reset; next; next_into;
-    parallel_safe }
+  { model_name = name; state_vars; choice_vars; reset; next; next_into }
 
 let state_bits t =
   Array.fold_left (fun acc v -> acc + bits_for (card v)) 0 t.state_vars
@@ -189,8 +186,8 @@ module Builder = struct
     let vars = Array.of_list (List.rev b.b_state) in
     let nvars = Array.length vars in
     (* One reusable ctx per domain: the enumerator calls [next_into]
-       millions of times, concurrently from worker domains, and the
-       scratch must be neither shared nor re-allocated per step. *)
+       millions of times, and the scratch must be neither shared
+       between domains nor re-allocated per step. *)
     let ctx_key =
       Domain.DLS.new_key (fun () ->
           { cur = [||]; read = Fun.id; nxt = [||];

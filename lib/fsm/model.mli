@@ -4,7 +4,8 @@
     implicit clock) and {e choice variables} — the nondeterministic
     abstract blocks of the paper, which "try every combination of
     values" during state enumeration.  The transition function is a
-    pure function of a state valuation and a choice valuation.
+    pure function of a state valuation and a choice valuation; the
+    enumerator calls it from one domain.
 
     Valuations are [int array]s indexed by variable position, each
     entry in [0, card var - 1]. *)
@@ -47,20 +48,11 @@ type t = {
             answers give the same reads in the same order.  The
             enumerator may run a state's transition many times, once
             per leaf of its decision tree, and branches on a variable
-            at its first read.
-
-          When [parallel_safe] it must tolerate concurrent calls from
-          multiple domains. *)
-  parallel_safe : bool;
-      (** Whether [next]/[next_into] may be called concurrently from
-          several domains.  False for transition functions that close
-          over shared mutable machinery (e.g. an HDL simulator);
-          enumeration then falls back to a single domain. *)
+            at its first read. *)
 }
 
 val create :
   ?next_into:(int array -> (int -> int) -> int array -> unit) ->
-  ?parallel_safe:bool ->
   name:string ->
   state_vars:var list ->
   choice_vars:var list ->
@@ -69,8 +61,7 @@ val create :
   unit ->
   t
 (** [next_into] defaults to reading every choice in order, calling
-    [next] and blitting the result; [parallel_safe] defaults to true (a
-    pure [next]). *)
+    [next] and blitting the result. *)
 
 val state_bits : t -> int
 (** Sum of per-variable encoding bits — the paper's "bits per state". *)

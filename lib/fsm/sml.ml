@@ -575,8 +575,8 @@ let parse src =
   let state_arr = Array.of_list states in
   let choice_arr = Array.of_list choices in
   (* Transition function, writing into a caller-provided buffer; the
-     twice-assigned scratch is per-domain so enumeration can run the
-     update block from several domains at once. *)
+     twice-assigned scratch is per-domain, so the update block may run
+     on several domains at once. *)
   let nstates = List.length states in
   let assigned_key = Domain.DLS.new_key (fun () -> Array.make nstates false) in
   let next_into st read out =

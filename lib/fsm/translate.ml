@@ -319,7 +319,7 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
   let model =
     (* [next] steps the one shared simulator instance: correct from a
        single domain, a data race from several. *)
-    Model.create ~parallel_safe:false ~name:d.Elab.top
+    Model.create ~name:d.Elab.top
       ~state_vars:(Array.to_list (Array.map (fun b -> b.var) state_bindings))
       ~choice_vars:(Array.to_list (Array.map (fun b -> b.var) choice_bindings))
       ~reset:(Array.to_list reset_state)

@@ -28,56 +28,38 @@ let detect_with ?max_cycles ?(domains = 1) ?progress config stimuli =
   in
   let stims = Array.of_list stimuli in
   let n = Array.length stims in
-  let domains = max 1 (min domains (max 1 n)) in
-  if domains = 1 then begin
-    let rec go runs instructions = function
-      | [] -> { detected = false; runs; instructions }
-      | stim :: rest ->
-        let instructions =
-          instructions + Array.length stim.Drive.program - 1
-        in
+  (* Stimuli sharded round-robin over domains, each run on its own
+     pair of simulators inside [Compare.run].  [first_hit] lets workers
+     skip stimuli that can no longer be the answer: only indices above
+     an already-detected one are skipped, so the merge below reports
+     exactly what the sequential scan would. *)
+  let detected = Array.make n false in
+  let first_hit = Atomic.make max_int in
+  Avp_enum.Pool.iter ~domains n (fun i ->
+      if i < Atomic.get first_hit then begin
         tick ();
-        (match run_stimulus ~config ?max_cycles stim with
-         | Compare.Match -> go (runs + 1) instructions rest
-         | Compare.Mismatch _ ->
-           { detected = true; runs = runs + 1; instructions })
-    in
-    go 0 0 stimuli
-  end
-  else begin
-    (* Stimuli sharded round-robin over domains, each run on its own
-       pair of simulators inside [Compare.run].  [first_hit] lets
-       workers skip stimuli that can no longer be the answer: only
-       indices above an already-detected one are skipped, so the merge
-       below still reports exactly what the sequential scan would. *)
-    let detected = Array.make n false in
-    let first_hit = Atomic.make max_int in
-    Avp_enum.Pool.iter ~domains n (fun i ->
-        if i < Atomic.get first_hit then begin
-          tick ();
-          match run_stimulus ~config ?max_cycles stims.(i) with
-          | Compare.Match -> ()
-          | Compare.Mismatch _ ->
-            detected.(i) <- true;
-            let rec lower () =
-              let cur = Atomic.get first_hit in
-              if i < cur && not (Atomic.compare_and_set first_hit cur i)
-              then lower ()
-            in
-            lower ()
-        end);
-    (* Deterministic merge: first detecting stimulus in list order. *)
-    let rec scan i runs instructions =
-      if i = n then { detected = false; runs; instructions }
-      else
-        let instructions =
-          instructions + Array.length stims.(i).Drive.program - 1
-        in
-        if detected.(i) then { detected = true; runs = runs + 1; instructions }
-        else scan (i + 1) (runs + 1) instructions
-    in
-    scan 0 0 0
-  end
+        match run_stimulus ~config ?max_cycles stims.(i) with
+        | Compare.Match -> ()
+        | Compare.Mismatch _ ->
+          detected.(i) <- true;
+          let rec lower () =
+            let cur = Atomic.get first_hit in
+            if i < cur && not (Atomic.compare_and_set first_hit cur i) then
+              lower ()
+          in
+          lower ()
+      end);
+  (* Deterministic merge: first detecting stimulus in list order. *)
+  let rec scan i runs instructions =
+    if i = n then { detected = false; runs; instructions }
+    else
+      let instructions =
+        instructions + Array.length stims.(i).Drive.program - 1
+      in
+      if detected.(i) then { detected = true; runs = runs + 1; instructions }
+      else scan (i + 1) (runs + 1) instructions
+  in
+  scan 0 0 0
 
 let table_2_1 ?(seed = 1) ?max_cycles ?domains ?progress ?fuzz ~cfg ~graph
     ~tours () =

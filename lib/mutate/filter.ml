@@ -41,7 +41,7 @@ let equivalent ?(max_states = 10_000) ~(pristine : Avp_enum.State_graph.t)
       (* Give the mutant head-room: exceeding it proves the graphs
          differ without enumerating an unboundedly larger space. *)
       match
-        Avp_enum.State_graph.enumerate ~domains:1 ~max_states:((2 * n) + 16)
+        Avp_enum.State_graph.enumerate ~max_states:((2 * n) + 16)
           tr.Avp_fsm.Translate.model
       with
       | exception Avp_enum.State_graph.Too_many_states _ ->

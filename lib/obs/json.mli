@@ -1,6 +1,6 @@
 (** Minimal JSON values: enough to emit every telemetry artifact with
-    one deterministic printer and to parse back what we emit (the
-    trace round-trip tests and BENCH_*.json embedding in reports).
+    one deterministic printer and to parse back what we emit (trace
+    files and the bench records).
     Not a general-purpose JSON library — no streaming, no numbers
     beyond OCaml [int]/[float]. *)
 

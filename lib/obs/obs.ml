@@ -6,7 +6,7 @@
    compiled-sim stepping) pay nothing measurable.  When a tracer is
    installed, events and metrics accumulate in per-domain buffers
    (domain-local storage, registered once per domain under a mutex)
-   so the parallel BFS, replay shards and mutation kill campaigns
+   so replay shards, mutation kill campaigns and fuzz execution
    emit without locks, without cross-domain contention, and without
    perturbing the deterministic [-j] merges.  Serialization merges
    the buffers under a total order, so the output is reproducible. *)
@@ -514,9 +514,9 @@ let to_jsonl ?(normalize = false) t =
     evs;
   Buffer.contents buf
 
-(* Flow events: spans carrying a [flow_out] arg (a fan-out parent —
-   the batch merge, the replay driver) open a flow at their start
-   timestamp; spans carrying [flow_in] (the per-domain shard work)
+(* Flow events: spans carrying a [flow_out] arg (a fan-out parent
+   such as the replay driver) open a flow at their start timestamp;
+   spans carrying [flow_in] (the per-domain work it fans out)
    terminate it at theirs.  Chrome/Perfetto match on (name, cat, id),
    so cross-domain handoffs render as arrows from the coordinator's
    track to each worker track.  The flow events are derived at

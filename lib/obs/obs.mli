@@ -5,8 +5,8 @@
     plus a branch, so enumeration and compiled simulation keep their
     benchmarked throughput.  With a tracer installed, spans, instants,
     counters and histograms accumulate in per-domain buffers
-    (domain-local storage) — the parallel BFS, replay shards and
-    mutation campaigns emit lock-free, and serialization merges the
+    (domain-local storage) — replay shards, mutation campaigns and
+    fuzz execution emit lock-free, and serialization merges the
     buffers under a total order so output is reproducible. *)
 
 module Clock : sig
@@ -133,7 +133,7 @@ val to_chrome : t -> string
     [chrome://tracing] and Perfetto.  Spans carrying a [flow_out] /
     [flow_in] integer arg additionally emit [ph:"s"] / [ph:"f"] flow
     events (matched on category and id), so cross-domain handoffs —
-    batch merge to per-domain shards — render as arrows. *)
+    the replay driver to its per-trace work — render as arrows. *)
 
 val metrics_json : t -> string
 (** Counters and histogram summaries as deterministic pretty JSON. *)

@@ -21,24 +21,6 @@ type span_stat = {
   s_by_dom : (int * int) list;
 }
 
-type shard = {
-  sh_dom : int;
-  sh_slot : int;
-  sh_start_ns : int;
-  sh_dur_ns : int;
-}
-
-type level = {
-  lv_name : string;
-  lv_batch : int;
-  lv_sources : int;
-  lv_wall_ns : int;
-  lv_merge_ns : int;
-  lv_barrier_ns : int;
-  lv_imbalance : float;
-  lv_shards : shard list;
-}
-
 type parallel = {
   par_domains : int;
   par_wall_ns : int;
@@ -46,7 +28,6 @@ type parallel = {
   par_utilization : float;
   par_serial_fraction : float;
   par_concurrency : (int * int) list;
-  par_levels : level list;
   par_diagnosis : string;
 }
 
@@ -59,7 +40,7 @@ type t = {
   p_counters : (string * int) list;
 }
 
-(* Span names conventionally embed their category ("enum.shard" in cat
+(* Span names conventionally embed their category ("enum.level" in cat
    "enum"); don't print it twice. *)
 let label cat name =
   let pre = cat ^ "." in
@@ -74,12 +55,7 @@ let int_arg key (e : Obs.event) =
 (* The per-domain worker spans the busy/idle timeline is built from:
    each one is a contiguous stretch of real work on its domain. *)
 let worker_names =
-  [ "enum.shard"; "replay.trace"; "mutate.classify"; "mutate.pass";
-    "fuzz.exec" ]
-
-(* Parent spans of batch-synchronous fan-outs; a [batch] arg links
-   them to the shard spans carrying the same id. *)
-let fanout_names = [ "enum.batch" ]
+  [ "replay.trace"; "mutate.classify"; "mutate.pass"; "fuzz.exec" ]
 
 (* ------------------------------------------------------------------ *)
 (* Nesting: direct parents and self time                              *)
@@ -290,21 +266,29 @@ let of_events ?(counters = []) (evs : Obs.event list) =
       (List.filter (fun e -> List.mem e.Obs.name worker_names)
          (Array.to_list spans))
   in
+  (* Per-domain busy intervals, overlaps merged (nested worker spans —
+     a classify inside a pass — must not double-count). *)
+  let by_dom : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
+  Array.iter
+    (fun e ->
+      let iv = (e.Obs.ts_ns, e.Obs.ts_ns + e.Obs.dur_ns) in
+      match Hashtbl.find_opt by_dom e.Obs.dom with
+      | Some r -> r := iv :: !r
+      | None -> Hashtbl.add by_dom e.Obs.dom (ref [ iv ]))
+    workers;
+  let ndom = Hashtbl.length by_dom in
+  (* A parallel section needs worker spans on at least two domains;
+     a one-domain run has nothing to be efficient about. *)
   let parallel =
-    if Array.length workers = 0 then None
+    if ndom < 2 then None
     else begin
-      (* Envelope of the parallel section: worker and fan-out parent
-         spans (the parent extends past the last shard, covering the
-         serial merge). *)
-      let in_envelope e =
-        List.mem e.Obs.name worker_names
-        || List.mem e.Obs.name fanout_names
-        || e.Obs.name = "replay.run"
-      in
+      (* Envelope of the parallel section: the worker spans and the
+         replay parent that dispatches and merges them. *)
       let lo = ref max_int and hi = ref min_int in
       Array.iter
         (fun e ->
-          if in_envelope e then begin
+          if List.mem e.Obs.name worker_names || e.Obs.name = "replay.run"
+          then begin
             if e.Obs.ts_ns < !lo then lo := e.Obs.ts_ns;
             let e_end = e.Obs.ts_ns + e.Obs.dur_ns in
             if e_end > !hi then hi := e_end
@@ -312,31 +296,18 @@ let of_events ?(counters = []) (evs : Obs.event list) =
         spans;
       let win_lo = !lo and win_hi = !hi in
       let wall = max 1 (win_hi - win_lo) in
-      (* Per-domain busy intervals, overlaps merged (nested worker
-         spans — a classify inside a pass — must not double-count). *)
-      let by_dom : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-      Array.iter
-        (fun e ->
-          let iv = (e.Obs.ts_ns, e.Obs.ts_ns + e.Obs.dur_ns) in
-          match Hashtbl.find_opt by_dom e.Obs.dom with
-          | Some r -> r := iv :: !r
-          | None -> Hashtbl.add by_dom e.Obs.dom (ref [ iv ]))
-        workers;
-      let doms =
-        Hashtbl.fold (fun d _ acc -> d :: acc) by_dom [] |> List.sort compare
-      in
-      let ndom = List.length doms in
-      let merged_of d =
-        let ivs = List.sort compare !(Hashtbl.find by_dom d) in
+      let merged_of ivs =
         let rec merge = function
           | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 ->
             merge ((a1, max b1 b2) :: rest)
           | iv :: rest -> iv :: merge rest
           | [] -> []
         in
-        merge ivs
+        merge (List.sort compare !ivs)
       in
-      let merged = List.map merged_of doms in
+      let merged =
+        Hashtbl.fold (fun _ ivs acc -> merged_of ivs :: acc) by_dom []
+      in
       let busy =
         List.fold_left
           (fun acc ivs ->
@@ -362,134 +333,25 @@ let of_events ?(counters = []) (evs : Obs.event list) =
           cur := !cur + d)
         edges;
       if win_hi > !t then conc.(0) <- conc.(0) + (win_hi - !t);
-      let serial_ns = conc.(0) + (if ndom > 0 then conc.(1) else 0) in
+      let serial_ns = conc.(0) + conc.(1) in
       let serial_fraction = float_of_int serial_ns /. float_of_int wall in
-      (* Levels: fan-out parents joined to their shards on the shared
-         [batch] arg. *)
-      let shards_by_batch : (string * int, shard list ref) Hashtbl.t =
-        Hashtbl.create 32
-      in
-      Array.iter
-        (fun e ->
-          match int_arg "batch" e with
-          | None -> ()
-          | Some b ->
-            let sh =
-              {
-                sh_dom = e.Obs.dom;
-                sh_slot = Option.value ~default:(-1) (int_arg "slot" e);
-                sh_start_ns = e.Obs.ts_ns;
-                sh_dur_ns = e.Obs.dur_ns;
-              }
-            in
-            let key = ("shard", b) in
-            (match Hashtbl.find_opt shards_by_batch key with
-             | Some r -> r := sh :: !r
-             | None -> Hashtbl.add shards_by_batch key (ref [ sh ])))
-        workers;
-      let levels =
-        Array.to_list spans
-        |> List.filter_map (fun e ->
-               if not (List.mem e.Obs.name fanout_names) then None
-               else
-                 match int_arg "batch" e with
-                 | None -> None
-                 | Some b ->
-                   let shards =
-                     match Hashtbl.find_opt shards_by_batch ("shard", b) with
-                     | Some r ->
-                       List.sort
-                         (fun a b -> compare (a.sh_slot, a.sh_dom) (b.sh_slot, b.sh_dom))
-                         !r
-                     | None -> []
-                   in
-                   if shards = [] then None
-                   else begin
-                     let last_end =
-                       List.fold_left
-                         (fun acc s -> max acc (s.sh_start_ns + s.sh_dur_ns))
-                         min_int shards
-                     in
-                     let durs = List.map (fun s -> s.sh_dur_ns) shards in
-                     let maxd = List.fold_left max 0 durs in
-                     let sum = List.fold_left ( + ) 0 durs in
-                     let mean =
-                       float_of_int sum /. float_of_int (List.length durs)
-                     in
-                     let barrier =
-                       List.fold_left
-                         (fun acc s ->
-                           acc + (last_end - (s.sh_start_ns + s.sh_dur_ns)))
-                         0 shards
-                     in
-                     Some
-                       {
-                         lv_name = e.Obs.name;
-                         lv_batch = b;
-                         lv_sources =
-                           Option.value ~default:0 (int_arg "sources" e);
-                         lv_wall_ns = e.Obs.dur_ns;
-                         lv_merge_ns =
-                           max 0 (e.Obs.ts_ns + e.Obs.dur_ns - last_end);
-                         lv_barrier_ns = barrier;
-                         lv_imbalance =
-                           (if mean <= 0. then 1.
-                            else float_of_int maxd /. mean);
-                         lv_shards = shards;
-                       }
-                   end)
-        |> List.sort (fun a b -> compare a.lv_batch b.lv_batch)
-      in
-      (* Attribution of the serial fraction.  Merge tails and barrier
-         waits are measured; the remainder of the non-parallel time is
-         work outside the fan-out levels (warm-up, setup). *)
-      let merge_total = List.fold_left (fun a l -> a + l.lv_merge_ns) 0 levels in
-      let barrier_total =
-        List.fold_left (fun a l -> a + l.lv_barrier_ns) 0 levels
-      in
-      let pct x = 100. *. float_of_int x /. float_of_int wall in
+      let utilization = float_of_int busy /. float_of_int (ndom * wall) in
       let diagnosis =
-        if ndom <= 1 then
-          "single-domain trace: no parallel section to diagnose"
-        else begin
-          let culprits =
-            List.filter
-              (fun (_, v) -> v > 0.01)
-              [
-                ( "batch-synchronous merge (serial tail after the last \
-                   shard)",
-                  pct merge_total /. 100. );
-                ("barrier wait (shard imbalance)",
-                 pct barrier_total /. 100. /. float_of_int ndom);
-              ]
-            |> List.sort (fun (_, a) (_, b) -> compare b a)
-          in
-          let head =
-            Printf.sprintf
-              "utilization %.1f%%, serial fraction %.2f (Amdahl-limited to \
-               %.2fx at %d domains)"
-              (100. *. float_of_int busy /. float_of_int (ndom * wall))
-              serial_fraction
-              (1. /. (serial_fraction +. ((1. -. serial_fraction) /. float_of_int ndom)))
-              ndom
-          in
-          match culprits with
-          | [] -> head
-          | (c, v) :: _ ->
-            Printf.sprintf "%s; dominant serial cost: %s at %.1f%% of the \
-                            parallel wall" head c (100. *. v)
-        end
+        Printf.sprintf
+          "utilization %.1f%%, serial fraction %.2f (Amdahl-limited to \
+           %.2fx at %d domains)"
+          (100. *. utilization) serial_fraction
+          (1. /. (serial_fraction +. ((1. -. serial_fraction) /. float_of_int ndom)))
+          ndom
       in
       Some
         {
           par_domains = ndom;
           par_wall_ns = wall;
           par_busy_ns = busy;
-          par_utilization =
-            float_of_int busy /. float_of_int (max 1 (ndom * wall));
+          par_utilization = utilization;
           par_serial_fraction = serial_fraction;
           par_concurrency = Array.to_list (Array.mapi (fun k v -> (k, v)) conc);
-          par_levels = levels;
           par_diagnosis = diagnosis;
         }
     end
@@ -567,29 +429,6 @@ let json_of_span ?(normalize = false) (s : span_stat) =
                s.s_by_dom) );
       ]
 
-let json_of_level (l : level) =
-  Json.Obj
-    [
-      ("name", Json.Str l.lv_name);
-      ("batch", Json.Int l.lv_batch);
-      ("sources", Json.Int l.lv_sources);
-      ("wall_s", Json.Float (ns_s l.lv_wall_ns));
-      ("merge_s", Json.Float (ns_s l.lv_merge_ns));
-      ("barrier_wait_s", Json.Float (ns_s l.lv_barrier_ns));
-      ("imbalance", Json.Float l.lv_imbalance);
-      ( "shards",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("dom", Json.Int s.sh_dom);
-                   ("slot", Json.Int s.sh_slot);
-                   ("busy_s", Json.Float (ns_s s.sh_dur_ns));
-                 ])
-             l.lv_shards) );
-    ]
-
 let json_of_parallel (p : parallel) =
   Json.Obj
     [
@@ -603,7 +442,6 @@ let json_of_parallel (p : parallel) =
           (List.map
              (fun (k, ns) -> (string_of_int k, Json.Float (ns_s ns)))
              p.par_concurrency) );
-      ("levels", Json.List (List.map json_of_level p.par_levels));
       ("diagnosis", Json.Str p.par_diagnosis);
     ]
 
@@ -790,24 +628,4 @@ let pp ppf t =
           Format.fprintf ppf " %d-busy %.1f%%" k
             (100. *. float_of_int ns /. float_of_int p.par_wall_ns))
       p.par_concurrency;
-    Format.fprintf ppf "@.";
-    let shown = ref 0 in
-    List.iter
-      (fun l ->
-        if !shown < 12 then begin
-          incr shown;
-          Format.fprintf ppf
-            "  level %s#%d: %d sources, wall %.3fms, imbalance %.2f, \
-             barrier %.3fms, merge %.3fms (%d shards)@."
-            l.lv_name l.lv_batch l.lv_sources
-            (float_of_int l.lv_wall_ns /. 1e6)
-            l.lv_imbalance
-            (float_of_int l.lv_barrier_ns /. 1e6)
-            (float_of_int l.lv_merge_ns /. 1e6)
-            (List.length l.lv_shards)
-        end)
-      p.par_levels;
-    if List.length p.par_levels > !shown then
-      Format.fprintf ppf "  ... %d more levels@."
-        (List.length p.par_levels - !shown);
-    Format.fprintf ppf "  diagnosis: %s@." p.par_diagnosis
+    Format.fprintf ppf "@.  diagnosis: %s@." p.par_diagnosis

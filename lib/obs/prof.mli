@@ -16,12 +16,11 @@
       flamegraph.pl input format) plus a self-contained static HTML
       flame view;
     - {b parallel efficiency} — per-domain busy/idle timelines
-      reconstructed from the worker spans ([enum.shard],
-      [replay.trace], [mutate.classify], [mutate.pass], [fuzz.exec]),
-      reported as utilization, a concurrency histogram (how long
-      exactly [k] domains were busy), an Amdahl-style serial-fraction
-      estimate, and per-BFS-level barrier-wait / work-imbalance where
-      parent batch spans link to their shards.
+      reconstructed from the worker spans ([replay.trace],
+      [mutate.classify], [mutate.pass], [fuzz.exec]) when they come
+      from at least two domains, reported as utilization, a
+      concurrency histogram (how long exactly [k] domains were busy)
+      and an Amdahl-style serial-fraction estimate.
 
     Everything is computed from the events alone, so the same analysis
     runs in-process (behind [--profile]) and offline over a [--trace]
@@ -44,28 +43,6 @@ type span_stat = {
   s_by_dom : (int * int) list;  (** domain id -> busy ns, sorted *)
 }
 
-type shard = {
-  sh_dom : int;
-  sh_slot : int;  (** pool slot from the span's [slot] arg, -1 if none *)
-  sh_start_ns : int;
-  sh_dur_ns : int;
-}
-
-(** One batch-synchronous BFS level: a parent span (e.g. [enum.batch])
-    and the per-domain shard spans that carry its [batch] id. *)
-type level = {
-  lv_name : string;
-  lv_batch : int;  (** the shared [batch] arg value *)
-  lv_sources : int;
-  lv_wall_ns : int;  (** parent span duration *)
-  lv_merge_ns : int;  (** parent end minus last shard end: the serial
-                          merge + dispatch tail *)
-  lv_barrier_ns : int;  (** summed per-shard wait for the slowest
-                            shard (the barrier) *)
-  lv_imbalance : float;  (** max shard time / mean shard time *)
-  lv_shards : shard list;
-}
-
 type parallel = {
   par_domains : int;  (** distinct domains with worker spans *)
   par_wall_ns : int;  (** envelope of the parallel section *)
@@ -76,10 +53,8 @@ type parallel = {
           Amdahl-style serial-fraction estimate *)
   par_concurrency : (int * int) list;
       (** exactly-k-domains-busy -> ns, k = 0 .. domains *)
-  par_levels : level list;
   par_diagnosis : string;
-      (** machine-generated attribution of the serial fraction
-          (merge tails, barrier waits, time outside the levels) *)
+      (** utilization, serial fraction and the speedup it allows *)
 }
 
 type t = {
@@ -88,7 +63,8 @@ type t = {
   p_spans : span_stat list;  (** sorted by self time, descending *)
   p_folded : (string * int) list;
       (** collapsed stacks, lexicographic, self ns (clamped >= 0) *)
-  p_parallel : parallel option;  (** present when worker spans exist *)
+  p_parallel : parallel option;
+      (** present when worker spans come from at least two domains *)
   p_counters : (string * int) list;
       (** merged Obs counters; in-process only (a trace file does not
           carry them) *)
@@ -131,5 +107,4 @@ val flame_div : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable report: top spans by self time, then the
-    parallel-efficiency section with per-level barrier/imbalance
-    rows and the diagnosis line. *)
+    parallel-efficiency section and its diagnosis line. *)

@@ -5,15 +5,13 @@
    arc coverage, and mutation scores — and renders deterministically
    as JSON (machine gate) and as a self-contained HTML page (human
    artifact).  Every section is optional so each CLI command fills in
-   what it actually computed; committed BENCH_*.json snapshots can be
-   embedded for cross-checking live numbers against the baseline. *)
+   what it actually computed. *)
 
 type enum_section = {
   num_states : int;
   num_edges : int;
   state_bits : int;
   enum_elapsed_s : float;
-  domains : int;
   levels : int;
 }
 
@@ -98,9 +96,7 @@ type t = {
   mutation : mutation_section option;
   fuzz : fuzz_section option;
   profile : Prof.t option;
-  history : Json.t list;
   tables : table list;
-  bench : (string * Json.t) list;
   notes : string list;
 }
 
@@ -115,59 +111,12 @@ let empty ~title ~design =
     mutation = None;
     fuzz = None;
     profile = None;
-    history = [];
     tables = [];
-    bench = [];
     notes = [];
   }
 
 let add_table t table = { t with tables = t.tables @ [ table ] }
 let add_note t note = { t with notes = t.notes @ [ note ] }
-
-let bench_files =
-  [
-    "BENCH_enum.json"; "BENCH_sim.json"; "BENCH_mutation.json";
-    "BENCH_fuzz.json";
-  ]
-
-(* Embed the committed bench history (one parsed record per line) so
-   the report carries the regression trail next to the live numbers. *)
-let load_history ?(path = "BENCH_HISTORY.jsonl") t =
-  if not (Sys.file_exists path) then t
-  else begin
-    let ic = open_in path in
-    let out = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" then
-           match Json.parse line with
-           | Ok j -> out := j :: !out
-           | Error _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    { t with history = List.rev !out }
-  end
-
-let load_bench ?(dir = ".") t =
-  let loaded =
-    List.filter_map
-      (fun name ->
-        let path = Filename.concat dir name in
-        if Sys.file_exists path then begin
-          let ic = open_in_bin path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          match Json.parse s with
-          | Ok j -> Some (name, j)
-          | Error _ -> None
-        end
-        else None)
-      bench_files
-  in
-  { t with bench = loaded }
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                               *)
@@ -182,7 +131,6 @@ let json_of_enum (e : enum_section) =
       ("num_edges", Json.Int e.num_edges);
       ("state_bits", Json.Int e.state_bits);
       ("elapsed_s", Json.Float e.enum_elapsed_s);
-      ("domains", Json.Int e.domains);
       ("levels", Json.Int e.levels);
     ]
 
@@ -284,9 +232,7 @@ let to_json_value t =
       ("mutation", opt json_of_mutation t.mutation);
       ("fuzz", opt json_of_fuzz t.fuzz);
       ("profile", opt (fun p -> Prof.to_json_value p) t.profile);
-      ("history", Json.List t.history);
       ("tables", Json.List (List.map json_of_table t.tables));
-      ("bench", Json.Obj t.bench);
       ("notes", Json.List (List.map (fun n -> Json.Str n) t.notes));
     ]
 
@@ -321,8 +267,7 @@ td:first-child,th:first-child{text-align:left}
 .bar{display:inline-block;height:.7rem;background:#3b6ea5;vertical-align:middle}
 .barbox{display:inline-block;width:12rem;background:#e3e6ea;vertical-align:middle}
 .pct{margin-left:.5rem}
-.note{color:#57606a;font-size:.8rem}
-details pre{background:#f2f3f5;padding:.6rem;overflow-x:auto;font-size:.75rem}|}
+.note{color:#57606a;font-size:.8rem}|}
 
 let bar frac =
   let pct = 100. *. (Float.max 0. (Float.min 1. frac)) in
@@ -369,7 +314,6 @@ let to_html t =
          [ "transitions"; string_of_int e.num_edges ];
          [ "bits/state"; string_of_int e.state_bits ];
          [ "elapsed"; Printf.sprintf "%.3f s" e.enum_elapsed_s ];
-         [ "domains"; string_of_int e.domains ];
          [ "BFS levels"; string_of_int e.levels ];
        ]);
   (match t.tour with
@@ -534,59 +478,12 @@ let to_html t =
              (html_escape par.Prof.par_diagnosis)));
      Buffer.add_string buf "<h2>Flame view</h2>\n";
      Buffer.add_string buf (Prof.flame_div p));
-  (match t.history with
-   | [] -> ()
-   | records ->
-     let str k j =
-       match Option.bind (Json.member k j) Json.to_str with
-       | Some s -> s
-       | None -> ""
-     in
-     let int k j =
-       match Option.bind (Json.member k j) Json.to_int with
-       | Some i -> string_of_int i
-       | None -> ""
-     in
-     let metrics j =
-       match Json.member "metrics" j with
-       | Some (Json.Obj ms) ->
-         String.concat ", "
-           (List.map
-              (fun (k, v) ->
-                match v with
-                | Json.Float f -> Printf.sprintf "%s=%.4g" k f
-                | Json.Int i -> Printf.sprintf "%s=%d" k i
-                | _ -> k)
-              ms)
-       | _ -> ""
-     in
-     html_table buf
-       {
-         table_title = "Bench history";
-         header = [ "bench"; "preset"; "git rev"; "cores"; "metrics" ];
-         rows =
-           List.map
-             (fun j ->
-               [
-                 str "bench" j; str "preset" j; str "git_rev" j;
-                 int "cores" j; metrics j;
-               ])
-             records;
-       });
   List.iter (fun tb -> html_table buf tb) t.tables;
   List.iter
     (fun n ->
       Buffer.add_string buf
         (Printf.sprintf "<p class=\"note\">%s</p>\n" (html_escape n)))
     t.notes;
-  List.iter
-    (fun (name, j) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "<details><summary>%s</summary><pre>%s</pre></details>\n"
-           (html_escape name)
-           (html_escape (Json.to_string_pretty j))))
-    t.bench;
   Buffer.add_string buf "</body></html>\n";
   Buffer.contents buf
 

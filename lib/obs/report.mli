@@ -12,7 +12,6 @@ type enum_section = {
   num_edges : int;
   state_bits : int;
   enum_elapsed_s : float;
-  domains : int;
   levels : int;
 }
 
@@ -97,25 +96,13 @@ type t = {
   mutation : mutation_section option;
   fuzz : fuzz_section option;
   profile : Prof.t option;  (** span analytics + flame view *)
-  history : Json.t list;  (** parsed BENCH_HISTORY.jsonl records *)
   tables : table list;
-  bench : (string * Json.t) list;
   notes : string list;
 }
 
 val empty : title:string -> design:string -> t
 val add_table : t -> table -> t
 val add_note : t -> string -> t
-
-val load_history : ?path:string -> t -> t
-(** Embed the committed bench history (default
-    ["BENCH_HISTORY.jsonl"], skipped when absent) as a table in the
-    report. *)
-
-val load_bench : ?dir:string -> t -> t
-(** Embed any committed BENCH_*.json snapshots found in [dir]
-    (default ["."]) so reports carry the baseline they are judged
-    against. *)
 
 val to_json : t -> string
 (** Deterministic pretty-printed JSON. *)

@@ -65,8 +65,7 @@ let run_nets ~tpl ~(tr : Translate.result) ~(nets : string array) ~predict
    lowest-numbered trace's. *)
 (* Small replays lose more to domain spawn and cache contention than
    they gain: stay sequential unless every domain gets at least this
-   many cycles of work (the same shape as the enumerator's frontier
-   threshold). *)
+   many cycles of work. *)
 let parallel_threshold = 4096
 
 let effective_domains ~domains ~total_cycles =

@@ -258,9 +258,7 @@ let test_enumerated_states_inside_run () =
   let tr = Avp_pp.Control_hdl.translate () in
   let inv = Lazy.force pp_inv in
   Alcotest.(check bool) "protocol analysis ran" true inv.Absint.run_distinct;
-  let g =
-    Avp_enum.State_graph.enumerate ~domains:1 tr.Avp_fsm.Translate.model
-  in
+  let g = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
   Array.iteri
     (fun sid vals ->
       Array.iteri

@@ -92,6 +92,50 @@ let test_find_state () =
     (State_graph.find_state g [| 2 |] |> fun r ->
      if r = None then None else State_graph.find_state g [| 5 |])
 
+(* Regression: find_state is an index probe now — it must still find
+   every enumerated state and reject out-of-range valuations. *)
+let test_find_state_index () =
+  let g =
+    State_graph.enumerate
+      (Avp_pp.Control_model.model Avp_pp.Control_model.tiny)
+  in
+  Array.iteri
+    (fun id v ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "state %d found" id)
+        (Some id)
+        (State_graph.find_state g v))
+    g.State_graph.states;
+  let bogus =
+    Array.map (fun _ -> 97) g.State_graph.states.(0)
+  in
+  Alcotest.(check (option int)) "bogus valuation absent" None
+    (State_graph.find_state g bogus);
+  (* Valuations the packed key would alias onto a state. *)
+  let s3 = g.State_graph.states.(3) in
+  Alcotest.(check (option int)) "state 3 without its last variable" None
+    (State_graph.find_state g (Array.sub s3 0 (Array.length s3 - 1)));
+  let h = State_graph.enumerate (handshake_model ()) in
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check (option int)) what None (State_graph.find_state h v))
+    [ ("handshake: empty", [||]); ("handshake: 256", [| 256 |]);
+      ("handshake: -255", [| -255 |]); ("handshake: too long", [| 0; 0 |]) ]
+
+(* Regression: cardinalities beyond the two-byte packed key must be
+   rejected loudly, not silently truncated. *)
+let test_packer_cardinality_limit () =
+  let huge = Model.var "huge" (Array.init 65_537 string_of_int) in
+  let m =
+    Model.create ~name:"overflow" ~state_vars:[ huge ] ~choice_vars:[]
+      ~reset:[ 0 ]
+      ~next:(fun s _ -> s)
+      ()
+  in
+  match State_graph.enumerate m with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for cardinality 65537"
+
 (* Enumerating a translated HDL design agrees with enumerating an
    equivalent hand model. *)
 let test_hdl_and_hand_model_agree () =
@@ -197,22 +241,16 @@ let first_conditions adj =
            (Array.to_list out)))
     adj
 
-(* Both modes, sequential and parallel from the first state on. *)
+(* First-condition and all-conditions labelling. *)
 let matches_reference m =
   let states, all_adj = reference_enumerate m in
   List.for_all
     (fun all_conditions ->
       let adj = if all_conditions then all_adj else first_conditions all_adj in
       let edges = Array.fold_left (fun n out -> n + Array.length out) 0 adj in
-      List.for_all
-        (fun (domains, parallel_threshold) ->
-          let g =
-            State_graph.enumerate ~all_conditions ~domains ~parallel_threshold
-              m
-          in
-          g.State_graph.states = states && g.State_graph.adj = adj
-          && State_graph.num_edges g = edges)
-        [ (1, max_int); (2, 1) ])
+      let g = State_graph.enumerate ~all_conditions m in
+      g.State_graph.states = states && g.State_graph.adj = adj
+      && State_graph.num_edges g = edges)
     [ false; true ]
 
 (* A random Builder machine.  Each state reads a state-dependent
@@ -292,7 +330,7 @@ let evaluations (m : Model.t) =
   let counted =
     { m with Model.next_into = (fun s c d -> incr n; m.Model.next_into s c d) }
   in
-  ignore (State_graph.enumerate ~domains:1 counted);
+  ignore (State_graph.enumerate counted);
   !n
 
 let test_evaluation_counts () =
@@ -316,6 +354,9 @@ let suite =
     Alcotest.test_case "max states bound" `Quick test_max_states;
     Alcotest.test_case "edge offsets" `Quick test_edge_offsets;
     Alcotest.test_case "find state" `Quick test_find_state;
+    Alcotest.test_case "find_state via index" `Quick test_find_state_index;
+    Alcotest.test_case "packer cardinality limit" `Quick
+      test_packer_cardinality_limit;
     Alcotest.test_case "hdl and hand model agree" `Quick
       test_hdl_and_hand_model_agree;
     QCheck_alcotest.to_alcotest prop_edges_are_consistent;

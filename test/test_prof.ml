@@ -248,17 +248,13 @@ let test_normalized_profile_invariance () =
 (* {2 Parallel-efficiency analyzer} *)
 
 let test_parallel_analysis () =
-  (* One enum level on two domains: dom 0 works 0-40, dom 1 works
-     0-80, the parent batch span runs 0-110 (30 ns serial merge tail
-     after the last shard).  Complete-style events: point ticks. *)
+  (* Mutation passes on two domains: dom 0 works 0-40 and 90-110,
+     dom 1 works 0-80.  Complete-style events: point ticks. *)
   let evs =
     [
-      span ~cat:"enum" ~o:10 ~c:10 ~ts:0 ~dur:110 "enum.batch"
-        ~args:[ ("batch", Obs.Int 0); ("sources", Obs.Int 5) ];
-      span ~cat:"enum" ~o:8 ~c:8 ~ts:0 ~dur:40 "enum.shard"
-        ~args:[ ("batch", Obs.Int 0); ("slot", Obs.Int 0) ];
-      span ~cat:"enum" ~dom:1 ~o:8 ~c:8 ~ts:0 ~dur:80 "enum.shard"
-        ~args:[ ("batch", Obs.Int 0); ("slot", Obs.Int 1) ];
+      span ~cat:"mutate" ~o:8 ~c:8 ~ts:0 ~dur:40 "mutate.pass";
+      span ~cat:"mutate" ~o:9 ~c:9 ~ts:90 ~dur:20 "mutate.pass";
+      span ~cat:"mutate" ~dom:1 ~o:8 ~c:8 ~ts:0 ~dur:80 "mutate.pass";
     ]
   in
   let prof = Prof.of_events evs in
@@ -267,32 +263,33 @@ let test_parallel_analysis () =
   | Some par ->
     Alcotest.(check int) "domains" 2 par.Prof.par_domains;
     Alcotest.(check int) "wall" 110 par.Prof.par_wall_ns;
-    Alcotest.(check int) "busy" 120 par.Prof.par_busy_ns;
-    Alcotest.(check (float 1e-9)) "utilization" (120. /. 220.)
+    Alcotest.(check int) "busy" 140 par.Prof.par_busy_ns;
+    Alcotest.(check (float 1e-9)) "utilization" (140. /. 220.)
       par.Prof.par_utilization;
-    (* 0-40 both busy, 40-80 one busy, 80-110 idle: serial = 70. *)
+    (* 0-40 both busy, 40-80 and 90-110 one busy, 80-90 idle:
+       serial = 70. *)
     Alcotest.(check (float 1e-9)) "serial fraction" (70. /. 110.)
       par.Prof.par_serial_fraction;
     Alcotest.(check (option int)) "2-busy ns" (Some 40)
       (List.assoc_opt 2 par.Prof.par_concurrency);
-    Alcotest.(check (option int)) "0-busy ns" (Some 30)
+    Alcotest.(check (option int)) "1-busy ns" (Some 60)
+      (List.assoc_opt 1 par.Prof.par_concurrency);
+    Alcotest.(check (option int)) "0-busy ns" (Some 10)
       (List.assoc_opt 0 par.Prof.par_concurrency);
-    (match par.Prof.par_levels with
-     | [ lv ] ->
-       Alcotest.(check int) "sources" 5 lv.Prof.lv_sources;
-       Alcotest.(check int) "level wall" 110 lv.Prof.lv_wall_ns;
-       Alcotest.(check int) "merge tail" 30 lv.Prof.lv_merge_ns;
-       Alcotest.(check int) "barrier" 40 lv.Prof.lv_barrier_ns;
-       Alcotest.(check (float 1e-9)) "imbalance" (80. /. 60.)
-         lv.Prof.lv_imbalance;
-       Alcotest.(check int) "shards" 2 (List.length lv.Prof.lv_shards)
-     | lvs -> Alcotest.failf "expected one level, got %d" (List.length lvs));
-    Alcotest.(check bool) "merge tail diagnosed" true
-      (let d = par.Prof.par_diagnosis in
-       let needle = "batch-synchronous merge" in
-       let n = String.length d and m = String.length needle in
-       let rec go i = i + m <= n && (String.sub d i m = needle || go (i + 1)) in
-       go 0)
+    Alcotest.(check bool) "diagnosis leads with utilization" true
+      (String.starts_with ~prefix:"utilization 63.6%" par.Prof.par_diagnosis)
+
+(* Worker spans from one domain are no parallel section. *)
+let test_one_domain_no_parallel () =
+  let evs =
+    [
+      span ~cat:"mutate" ~o:8 ~c:8 ~ts:0 ~dur:40 "mutate.pass";
+      span ~cat:"fuzz" ~o:9 ~c:9 ~ts:50 ~dur:30 "fuzz.exec";
+      span ~cat:"replay" ~o:10 ~c:10 ~ts:90 ~dur:10 "replay.trace";
+    ]
+  in
+  Alcotest.(check bool) "no parallel section" true
+    ((Prof.of_events evs).Prof.p_parallel = None)
 
 (* {2 GC counters behind the profiling gate} *)
 
@@ -332,5 +329,7 @@ let suite =
     Alcotest.test_case "normalized profile -j 1/2/4" `Quick
       test_normalized_profile_invariance;
     Alcotest.test_case "parallel analyzer" `Quick test_parallel_analysis;
+    Alcotest.test_case "one domain: no parallel section" `Quick
+      test_one_domain_no_parallel;
     Alcotest.test_case "gc counters" `Quick test_gc_counters;
   ]

@@ -438,6 +438,35 @@ let test_tour_weighs_each_arc_once () =
     (State_graph.enumerate
        (Avp_pp.Control_model.model Avp_pp.Control_model.default))
 
+(* Regression: the bitset-based covers_all_edges. *)
+let test_covers_all_edges_bitset () =
+  let g = State_graph.enumerate (handshake_model ()) in
+  let t = Avp_tour.Tour_gen.generate g in
+  Alcotest.(check bool) "full tour covers" true
+    (Avp_tour.Tour_gen.covers_all_edges g t);
+  Alcotest.(check bool) "empty tour does not" false
+    (Avp_tour.Tour_gen.covers_all_edges g
+       { t with Avp_tour.Tour_gen.traces = [||] });
+  (* A single truncated trace misses edges. *)
+  let truncated =
+    { t with
+      Avp_tour.Tour_gen.traces =
+        [| Array.sub t.Avp_tour.Tour_gen.traces.(0) 0 1 |] }
+  in
+  Alcotest.(check bool) "truncated tour does not" false
+    (Avp_tour.Tour_gen.covers_all_edges g truncated);
+  (* Steps referencing nonexistent sources are ignored, not fatal. *)
+  let bogus_step =
+    { Avp_tour.Tour_gen.src = 9999; dst = 0; choice = 0; fresh = false }
+  in
+  let with_bogus =
+    { t with
+      Avp_tour.Tour_gen.traces =
+        Array.append t.Avp_tour.Tour_gen.traces [| [| bogus_step |] |] }
+  in
+  Alcotest.(check bool) "bogus step tolerated" true
+    (Avp_tour.Tour_gen.covers_all_edges g with_bogus)
+
 let suite =
   [
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
@@ -468,6 +497,8 @@ let suite =
       test_tour_matches_reference_pp_model;
     Alcotest.test_case "weighs each arc once" `Quick
       test_tour_weighs_each_arc_once;
+    Alcotest.test_case "covers_all_edges bitset" `Quick
+      test_covers_all_edges_bitset;
   ]
 
 (* ---------------------------------------------------------------- *)
