@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe table-3.2    -- one item
-     dune exec bench/main.exe micro        -- bechamel microbenchmarks
 
    AVP_LARGE=1 additionally runs the large control-model preset for
    Tables 3.2 and 3.3 (about 3 minutes of CPU, and up to 4 GB of memory
@@ -492,64 +491,6 @@ let mutation_report () =
     (100. *. float_of_int ck /. float_of_int (t - e))
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks — one per table                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Microbenchmarks (bechamel, monotonic clock)";
-  let open Bechamel in
-  let tiny_model = Control_model.model Control_model.tiny in
-  let tiny_graph = State_graph.enumerate tiny_model in
-  let program =
-    Array.append
-      (Array.init 64 (fun i ->
-           if i mod 3 = 0 then Isa.Lw (1, 0, i mod 48)
-           else Isa.Alui (Isa.Add, 2, 0, i)))
-      [| Isa.Halt |]
-  in
-  let tests =
-    Test.make_grouped ~name:"avp"
-      [
-        Test.make ~name:"table-1.1 errata classification"
-          (Staged.stage (fun () -> ignore (Avp_errata.Errata.table ())));
-        Test.make ~name:"table-2.1 rtl+spec comparison run"
-          (Staged.stage (fun () ->
-               ignore
-                 (Compare.run ~program ~inbox:[] ())));
-        Test.make ~name:"table-3.2 state enumeration (tiny)"
-          (Staged.stage (fun () ->
-               ignore (State_graph.enumerate tiny_model)));
-        Test.make ~name:"table-3.3 tour generation (tiny)"
-          (Staged.stage (fun () -> ignore (Tour_gen.generate tiny_graph)));
-        Test.make ~name:"figure-4.x fsm demo"
-          (Staged.stage (fun () ->
-               ignore (Fsm_demo.figure_4_2 ~all_conditions:true)));
-      ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun label per_test ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "  %-44s %12.1f ns/run (%s)\n" name est label
-          | _ -> Printf.printf "  %-44s (no estimate)\n" name)
-        per_test)
-    merged
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -575,17 +516,14 @@ let all_items =
 
 let () =
   match Array.to_list Sys.argv with
-  | [ _ ] ->
-    List.iter (fun (_, f) -> f ()) all_items;
-    micro ()
-  | [ _; "micro" ] -> micro ()
+  | [ _ ] -> List.iter (fun (_, f) -> f ()) all_items
   | [ _; name ] ->
     (match List.assoc_opt name all_items with
      | Some f -> f ()
      | None ->
-       Printf.eprintf "unknown item %s; available:\n  %s micro\n" name
+       Printf.eprintf "unknown item %s; available:\n  %s\n" name
          (String.concat " " (List.map fst all_items));
        exit 1)
   | _ ->
-    Printf.eprintf "usage: main.exe [item|micro]\n";
+    Printf.eprintf "usage: main.exe [item]\n";
     exit 1

@@ -751,14 +751,20 @@ let fuzz_cmd =
 
 let validate_cmd =
   let run file bug limit domains seed fuzz trace metrics vcd report_dir =
-    match file with
-    | Some f when f <> "pp" ->
+    let known n =
+      List.exists (fun id -> Avp_pp.Bugs.number id = n) Avp_pp.Bugs.all_ids
+    in
+    match (file, bug) with
+    | Some f, _ when f <> "pp" ->
       Format.eprintf
         "avp validate: unknown design '%s' — only the built-in 'pp' \
          Protocol Processor campaign is supported@."
         f;
       2
-    | None | Some _ ->
+    | _, Some n when not (known n) ->
+      Format.eprintf "avp validate: unknown bug %d (1-6)@." n;
+      2
+    | _ ->
       with_obs ~trace ~metrics @@ fun () ->
       let cfg = Avp_pp.Control_model.default in
       let model = Avp_pp.Control_model.model cfg in

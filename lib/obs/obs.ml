@@ -12,8 +12,9 @@
    the buffers under a total order, so the output is reproducible. *)
 
 module Clock = struct
-  (* The single clock for every measurement in the repo: BENCH_*.json
-     timings, trace spans and progress rates all read this. *)
+  (* The single clock for every measurement in the repo: perfbench and
+     overhead-check timings, trace spans and progress rates all read
+     this. *)
   let now_s = Unix.gettimeofday
 end
 

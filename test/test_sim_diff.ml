@@ -367,9 +367,10 @@ let prop_engines_agree =
             nets_agree d si sc)
           actions)
 
-(* The control design must take the compiled path (the raw-throughput
-   benchmark depends on it), and a long random drive with forces must
-   track the interpreter net-for-net. *)
+(* The control design must take the compiled path (a fallback to the
+   interpreter would change no output, only slow every replay of it),
+   and a long random drive with forces must track the interpreter
+   net-for-net. *)
 let test_control_design_compiled () =
   let d = Avp_pp.Control_hdl.elaborate () in
   let si = Sim.create ~engine:`Interp d in
