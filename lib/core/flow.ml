@@ -2,22 +2,32 @@ type report = {
   translation : Avp_fsm.Translate.result;
   graph : Avp_enum.State_graph.t;
   tours : Avp_tour.Tour_gen.t;
+  vectors : Avp_vectors.Vector.t array;
   replay : (Avp_vectors.Replay.stats, Avp_vectors.Replay.mismatch) result;
   absorbing : int list;
 }
 
-let run ?clock ?reset ?(all_conditions = false) ?instr_limit ?dut elab =
+let run ?clock ?reset ?all_conditions ?instr_limit ?domains ?progress ?dut
+    elab =
   let translation = Avp_fsm.Translate.translate ?clock ?reset elab in
-  let graph =
-    Avp_enum.State_graph.enumerate ~all_conditions
+  let graph, tours =
+    Front.tours ?all_conditions ?instr_limit
       translation.Avp_fsm.Translate.model
   in
-  let tours = Avp_tour.Tour_gen.generate ?instr_limit graph in
-  let replay = Avp_vectors.Replay.check ?dut translation graph tours in
+  let vectors = Avp_vectors.Replay.vectors translation tours in
+  let progress =
+    Option.map (fun make -> make (Array.length vectors)) progress
+  in
+  let replay =
+    Avp_vectors.Replay.check ?dut ?domains ?progress ~vectors translation
+      graph tours
+  in
+  Option.iter Avp_obs.Progress.finish progress;
   {
     translation;
     graph;
     tours;
+    vectors;
     replay;
     absorbing = Avp_enum.State_graph.absorbing_states graph;
   }

@@ -13,6 +13,7 @@ type report = {
   translation : Avp_fsm.Translate.result;
   graph : Avp_enum.State_graph.t;
   tours : Avp_tour.Tour_gen.t;
+  vectors : Avp_vectors.Vector.t array;  (** one per tour trace *)
   replay : (Avp_vectors.Replay.stats, Avp_vectors.Replay.mismatch) result;
   absorbing : int list;
       (** deadlocked states — toured but never flagged by replay;
@@ -24,10 +25,16 @@ val run :
   ?reset:string ->
   ?all_conditions:bool ->
   ?instr_limit:int ->
+  ?domains:int ->
+  ?progress:(int -> Avp_obs.Progress.t) ->
   ?dut:Avp_hdl.Elab.t ->
   Avp_hdl.Elab.t ->
   report
-(** @raise Avp_fsm.Translate.Unsupported on missing annotations.
+(** [domains] shards the replay as {!Avp_vectors.Replay.check} does.
+    [progress] is called with the number of traces once the tours
+    exist; the replay ticks the meter it returns once per trace and
+    finishes it.
+    @raise Avp_fsm.Translate.Unsupported on missing annotations.
     @raise Avp_hdl.Sim.Comb_loop on unsettleable logic. *)
 
 val run_source :

@@ -20,17 +20,22 @@ let iter ~domains n job =
         i := !i + domains
       done
     in
-    let workers =
-      Array.init (domains - 1) (fun d -> Domain.spawn (share (d + 1)))
-    in
-    (* The caller is slot 0.  Every domain is joined before a failure
-       is re-raised, so no job outlives the call. *)
+    (* The caller is slot 0.  Every spawned domain is joined before a
+       failure is re-raised, so no job outlives the call, also when a
+       spawn fails (OCaml 5 runs at most 128 domains at once). *)
     let outcome f = match f () with () -> None | exception e -> Some e in
-    let mine = outcome (share 0) in
-    let theirs =
-      Array.map (fun w -> outcome (fun () -> Domain.join w)) workers
+    let workers = ref [] in
+    let spawned =
+      outcome (fun () ->
+          for d = 1 to domains - 1 do
+            workers := Domain.spawn (share d) :: !workers
+          done)
     in
-    match List.find_map Fun.id (mine :: Array.to_list theirs) with
+    let mine = if Option.is_none spawned then outcome (share 0) else spawned in
+    let theirs =
+      List.rev_map (fun w -> outcome (fun () -> Domain.join w)) !workers
+    in
+    match List.find_map Fun.id (mine :: theirs) with
     | Some e -> raise e
     | None -> ()
   end

@@ -15,4 +15,7 @@ val iter : domains:int -> int -> (int -> unit) -> unit
     it returns.  It runs sequentially, in index order, on the calling
     domain when one domain suffices ([domains <= 1] or [n <= 1]).  If a
     job raises, its slot stops; the exception is re-raised once every
-    domain has been joined (slot 0's first, then the lowest slot's). *)
+    domain has been joined (slot 0's first, then the lowest slot's).
+    If a spawn raises, no further domain is spawned and slot 0 does not
+    run; its exception is re-raised once the domains already spawned
+    have been joined. *)

@@ -370,6 +370,15 @@ let edge_offsets t =
   done;
   offsets
 
+let report_section (s : stats) : Avp_obs.Report.enum_section =
+  {
+    Avp_obs.Report.num_states = s.num_states;
+    num_edges = s.num_edges;
+    state_bits = s.state_bits;
+    enum_elapsed_s = s.elapsed_s;
+    levels = Array.length s.level_times;
+  }
+
 let pp_stats ppf s =
   Format.fprintf ppf
     "states=%d bits/state=%d edges=%d time=%.2fs heap=%.1fMB levels=%d"

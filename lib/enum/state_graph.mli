@@ -87,6 +87,7 @@ val edge_offsets : t -> int array
     state [s] has index [offsets.(s) + k]. *)
 
 val pp_stats : Format.formatter -> stats -> unit
+val report_section : stats -> Avp_obs.Report.enum_section
 
 val pp_dot : Format.formatter -> t -> unit
 (** Graphviz rendering (small graphs only). *)

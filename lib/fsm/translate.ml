@@ -172,13 +172,13 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
     match clock, ann.clock with
     | Some c, _ -> c
     | None, Some c -> c
-    | None, None -> fail "no clock: pass ~clock or add '// avp clock <net>'"
+    | None, None -> fail "no clock: add a '// avp clock <net>' directive"
   in
   let reset =
     match reset, ann.reset with
     | Some r, _ -> r
     | None, Some r -> r
-    | None, None -> fail "no reset: pass ~reset or add '// avp reset <net>'"
+    | None, None -> fail "no reset: add a '// avp reset <net>' directive"
   in
   let find_net name =
     match Hashtbl.find_opt d.Elab.by_name name with

@@ -47,23 +47,12 @@ type event = {
   args : (string * arg) list;
 }
 
-type histogram = {
-  mutable count : int;
-  mutable sum : float;
-  mutable minv : float;
-  mutable maxv : float;
-  (* log2 buckets: index = clamp (exponent + 32), so bucket 32 holds
-     values in [1, 2) and each step halves/doubles the range. *)
-  buckets : int array;
-}
-
 type buffer = {
   dom : int;
   mutable rev_events : event list;
   mutable tick : int;
   mutable depth : int;
   counters : (string, int ref) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
 }
 
 type t = {
@@ -89,7 +78,6 @@ let fresh_buffer dom =
     tick = 0;
     depth = 0;
     counters = Hashtbl.create 16;
-    histograms = Hashtbl.create 16;
   }
 
 (* Allocated words on this domain: [Gc.minor_words] is the precise
@@ -240,39 +228,6 @@ let incr ?(by = 1) name =
      | Some r -> r := !r + by
      | None -> Hashtbl.add b.counters name (ref by))
 
-let observe name v =
-  match Atomic.get cur with
-  | None -> ()
-  | Some t ->
-    let b = buf t in
-    let h =
-      match Hashtbl.find_opt b.histograms name with
-      | Some h -> h
-      | None ->
-        let h =
-          {
-            count = 0;
-            sum = 0.;
-            minv = infinity;
-            maxv = neg_infinity;
-            buckets = Array.make 64 0;
-          }
-        in
-        Hashtbl.add b.histograms name h;
-        h
-    in
-    h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    if v < h.minv then h.minv <- v;
-    if v > h.maxv then h.maxv <- v;
-    let idx =
-      if v <= 0. || Float.is_nan v then 0
-      else
-        let _, e = Float.frexp v in
-        max 0 (min 63 (e + 32))
-    in
-    h.buckets.(idx) <- h.buckets.(idx) + 1
-
 (* Snapshot the collector's counters as Obs counters (deltas since
    tracer creation).  One call on the way out of a profiled section —
    never per event, so it costs nothing on any hot path.  No-op
@@ -328,58 +283,6 @@ let counters t =
         b.counters)
     (snapshot_buffers t);
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) merged []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-type histogram_summary = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;
-  h_max : float;
-  h_buckets : (int * int) list;  (* (log2 exponent, count), sparse *)
-}
-
-let histograms t =
-  let merged : (string, histogram) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-      Hashtbl.iter
-        (fun name (h : histogram) ->
-          match Hashtbl.find_opt merged name with
-          | Some m ->
-            m.count <- m.count + h.count;
-            m.sum <- m.sum +. h.sum;
-            if h.minv < m.minv then m.minv <- h.minv;
-            if h.maxv > m.maxv then m.maxv <- h.maxv;
-            Array.iteri
-              (fun i n -> m.buckets.(i) <- m.buckets.(i) + n)
-              h.buckets
-          | None ->
-            Hashtbl.add merged name
-              {
-                count = h.count;
-                sum = h.sum;
-                minv = h.minv;
-                maxv = h.maxv;
-                buckets = Array.copy h.buckets;
-              })
-        b.histograms)
-    (snapshot_buffers t);
-  Hashtbl.fold
-    (fun name (h : histogram) acc ->
-      let buckets = ref [] in
-      for i = 63 downto 0 do
-        if h.buckets.(i) > 0 then buckets := (i - 32, h.buckets.(i)) :: !buckets
-      done;
-      ( name,
-        {
-          h_count = h.count;
-          h_sum = h.sum;
-          h_min = (if h.count = 0 then 0. else h.minv);
-          h_max = (if h.count = 0 then 0. else h.maxv);
-          h_buckets = !buckets;
-        } )
-      :: acc)
-    merged []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)
@@ -556,34 +459,8 @@ let to_chrome t =
   Buffer.contents buf
 
 let metrics_json t =
-  let counters_j =
-    List.map (fun (name, v) -> (name, Json.Int v)) (counters t)
-  in
-  let histos_j =
-    List.map
-      (fun (name, h) ->
-        ( name,
-          Json.Obj
-            [
-              ("count", Json.Int h.h_count);
-              ("sum", Json.Float h.h_sum);
-              ("min", Json.Float h.h_min);
-              ("max", Json.Float h.h_max);
-              ( "mean",
-                Json.Float
-                  (if h.h_count = 0 then 0.
-                   else h.h_sum /. float_of_int h.h_count) );
-              ( "log2_buckets",
-                Json.List
-                  (List.map
-                     (fun (e, n) -> Json.List [ Json.Int e; Json.Int n ])
-                     h.h_buckets) );
-            ] ))
-      (histograms t)
-  in
-  Json.to_string_pretty
-    (Json.Obj
-       [ ("counters", Json.Obj counters_j); ("histograms", Json.Obj histos_j) ])
+  let counters = List.map (fun (name, v) -> (name, Json.Int v)) (counters t) in
+  Json.to_string_pretty (Json.Obj [ ("counters", Json.Obj counters) ])
 
 let write_file path contents =
   let oc = open_out path in

@@ -3,8 +3,8 @@
     A single global tracer sits behind an [Atomic.t option]: when no
     tracer is installed every instrumentation site is one atomic load
     plus a branch, so enumeration and compiled simulation keep their
-    benchmarked throughput.  With a tracer installed, spans, instants,
-    counters and histograms accumulate in per-domain buffers
+    benchmarked throughput.  With a tracer installed, spans, instants
+    and counters accumulate in per-domain buffers
     (domain-local storage) — replay shards, mutation campaigns and
     fuzz execution emit lock-free, and serialization merges the
     buffers under a total order so output is reproducible. *)
@@ -74,9 +74,6 @@ val complete : ?cat:string -> ?args:(string * arg) list -> dur_s:float -> string
 
 val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 val incr : ?by:int -> string -> unit
-val observe : string -> float -> unit
-(** [observe name v] adds [v] to the named histogram (count, sum,
-    min/max, log2 buckets), merged across domains at serialization. *)
 
 val sample_gc : unit -> unit
 (** Snapshot the collector's counters as [gc.*] Obs counters (deltas
@@ -92,16 +89,6 @@ val events : t -> event list
 
 val counters : t -> (string * int) list
 (** Summed across domains, sorted by name. *)
-
-type histogram_summary = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;
-  h_max : float;
-  h_buckets : (int * int) list;  (** (log2 exponent, count), sparse *)
-}
-
-val histograms : t -> (string * histogram_summary) list
 
 val well_formed : event list -> bool
 (** Per domain, span tick-intervals [[o, c]] nest or are disjoint and
@@ -136,7 +123,7 @@ val to_chrome : t -> string
     the replay driver to its per-trace work — render as arrows. *)
 
 val metrics_json : t -> string
-(** Counters and histogram summaries as deterministic pretty JSON. *)
+(** The counters as deterministic pretty JSON. *)
 
 val write_trace : t -> string -> unit
 (** JSONL when the path ends in [.jsonl], Chrome trace JSON otherwise. *)

@@ -137,6 +137,20 @@ let compute_parents (spans : Obs.event array) =
     order;
   parent
 
+(* The union of half-open [(start, stop)] intervals, sorted and
+   disjoint, and its length. *)
+let merge_intervals ivs =
+  let rec merge = function
+    | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 ->
+      merge ((a1, max b1 b2) :: rest)
+    | iv :: rest -> iv :: merge rest
+    | [] -> []
+  in
+  merge (List.sort compare ivs)
+
+let length_ns ivs = List.fold_left (fun acc (a, b) -> acc + (b - a)) 0 ivs
+let covered_ns ivs = length_ns (merge_intervals ivs)
+
 let of_events ?(counters = []) (evs : Obs.event list) =
   let all = Array.of_list evs in
   let spans =
@@ -144,104 +158,94 @@ let of_events ?(counters = []) (evs : Obs.event list) =
   in
   let n = Array.length spans in
   let parent = compute_parents spans in
-  (* Self time: the stretch of a span's window its direct children
-     leave uncovered.  Children normally run one after another, so this
-     is the duration minus theirs; the per-lane spans of one sliced
-     pass all cover the same window, and their overlap is counted once,
-     so self time is never negative. *)
+  (* Self time: the stretch of a window its direct children leave
+     uncovered.  Totals and self times are unions: the per-lane spans
+     of one sliced pass all cover the pass, and both the lanes' total
+     and the round's self time count that window once.  A group of
+     spans (one label on one domain, or one folded stack) is worth the
+     union of its windows minus the union of its children's, each child
+     clamped to its parent's window. *)
   let children = Array.make n [] in
   Array.iteri (fun i p -> if p >= 0 then children.(p) <- i :: children.(p)) parent;
-  let self_ns =
-    Array.init n (fun i ->
-        let e = spans.(i) in
-        let hi = e.Obs.ts_ns + e.Obs.dur_ns in
-        let by_start a b = compare spans.(a).Obs.ts_ns spans.(b).Obs.ts_ns in
-        let covered, _ =
-          List.fold_left
-            (fun (covered, reach) k ->
-              let c = spans.(k) in
-              let a = max reach c.Obs.ts_ns
-              and b = min hi (c.Obs.ts_ns + c.Obs.dur_ns) in
-              if b > a then (covered + b - a, b) else (covered, reach))
-            (0, e.Obs.ts_ns)
-            (List.sort by_start children.(i))
-        in
-        e.Obs.dur_ns - covered)
+  let window i =
+    let e = spans.(i) in
+    (e.Obs.ts_ns, e.Obs.ts_ns + e.Obs.dur_ns)
   in
-  (* Aggregation per (cat, name). *)
-  let groups : (string * string, int list ref * int ref * int ref * int ref
-                * (int, int ref) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 32
+  let kid_windows i =
+    let lo, hi = window i in
+    List.filter_map
+      (fun k ->
+        let a, b = window k in
+        let a = max lo a and b = min hi b in
+        if b > a then Some (a, b) else None)
+      children.(i)
   in
-  Array.iteri
-    (fun i e ->
-      let key = (e.Obs.cat, e.Obs.name) in
-      let durs, self, alloc, count, by_dom =
-        match Hashtbl.find_opt groups key with
-        | Some g -> g
-        | None ->
-          let g = (ref [], ref 0, ref 0, ref 0, Hashtbl.create 4) in
-          Hashtbl.add groups key g;
-          g
-      in
-      durs := e.Obs.dur_ns :: !durs;
-      self := !self + self_ns.(i);
-      (match int_arg "alloc_w" e with
-       | Some w -> alloc := !alloc + w
-       | None -> ());
-      incr count;
-      match Hashtbl.find_opt by_dom e.Obs.dom with
-      | Some r -> r := !r + e.Obs.dur_ns
-      | None -> Hashtbl.add by_dom e.Obs.dom (ref e.Obs.dur_ns))
-    spans;
+  let total_self group =
+    let total = covered_ns (List.map window group) in
+    (total, total - covered_ns (List.concat_map kid_windows group))
+  in
+  (* Span indices grouped by [key], each group in index order. *)
+  let group_by key =
+    let h = Hashtbl.create 64 in
+    for i = n - 1 downto 0 do
+      let k = key i in
+      Hashtbl.replace h k (i :: Option.value ~default:[] (Hashtbl.find_opt h k))
+    done;
+    h
+  in
+  (* Aggregation per (cat, name): count and percentiles per span, total
+     and self per domain. *)
   let stats =
     Hashtbl.fold
-      (fun (cat, name) (durs, self, alloc, count, by_dom) acc ->
-        let ds = Array.of_list !durs in
+      (fun (cat, name) members acc ->
+        let ds =
+          Array.of_list (List.map (fun i -> spans.(i).Obs.dur_ns) members)
+        in
         Array.sort compare ds;
         let m = Array.length ds in
         let pct p = ds.(min (m - 1) (p * (m - 1) / 100 + if p * (m - 1) mod 100 = 0 then 0 else 1)) in
-        let total = Array.fold_left ( + ) 0 ds in
+        let on d = List.filter (fun i -> spans.(i).Obs.dom = d) members in
+        let by_dom =
+          List.sort_uniq compare (List.map (fun i -> spans.(i).Obs.dom) members)
+          |> List.map (fun d -> (d, total_self (on d)))
+        in
+        let sum f = List.fold_left (fun a x -> a + f x) 0 in
         {
           s_cat = cat;
           s_name = name;
-          s_count = !count;
-          s_total_ns = total;
-          s_self_ns = !self;
+          s_count = m;
+          s_total_ns = sum (fun (_, (t, _)) -> t) by_dom;
+          s_self_ns = sum (fun (_, (_, s)) -> s) by_dom;
           s_min_ns = ds.(0);
           s_p50_ns = pct 50;
           s_p95_ns = pct 95;
           s_max_ns = ds.(m - 1);
-          s_alloc_w = !alloc;
-          s_by_dom =
-            Hashtbl.fold (fun d r acc -> (d, !r) :: acc) by_dom []
-            |> List.sort compare;
+          s_alloc_w =
+            sum
+              (fun i -> Option.value ~default:0 (int_arg "alloc_w" spans.(i)))
+              members;
+          s_by_dom = List.map (fun (d, (t, _)) -> (d, t)) by_dom;
         }
         :: acc)
-      groups []
+      (group_by (fun i -> (spans.(i).Obs.cat, spans.(i).Obs.name)))
+      []
     |> List.sort (fun a b ->
            match compare b.s_self_ns a.s_self_ns with
            | 0 -> compare (a.s_cat, a.s_name) (b.s_cat, b.s_name)
            | c -> c)
   in
-  (* Folded stacks: root chain per span, self time attributed to the
-     full path; a dom<i> root frame keeps the domains apart. *)
-  let folded : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Folded stacks: each span's root chain, a dom<i> root frame keeping
+     the domains apart; a stack's value is its spans' self time. *)
   let rec path i =
     let e = spans.(i) in
     let frame = label e.Obs.cat e.Obs.name in
     if parent.(i) < 0 then Printf.sprintf "dom%d;%s" e.Obs.dom frame
     else path parent.(i) ^ ";" ^ frame
   in
-  Array.iteri
-    (fun i v ->
-      let p = path i in
-      match Hashtbl.find_opt folded p with
-      | Some old -> Hashtbl.replace folded p (old + v)
-      | None -> Hashtbl.add folded p v)
-    self_ns;
   let folded =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) folded []
+    Hashtbl.fold
+      (fun k g acc -> (k, snd (total_self g)) :: acc)
+      (group_by path) []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   (* Envelope of the whole trace. *)
@@ -296,24 +300,10 @@ let of_events ?(counters = []) (evs : Obs.event list) =
         spans;
       let win_lo = !lo and win_hi = !hi in
       let wall = max 1 (win_hi - win_lo) in
-      let merged_of ivs =
-        let rec merge = function
-          | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 ->
-            merge ((a1, max b1 b2) :: rest)
-          | iv :: rest -> iv :: merge rest
-          | [] -> []
-        in
-        merge (List.sort compare !ivs)
-      in
       let merged =
-        Hashtbl.fold (fun _ ivs acc -> merged_of ivs :: acc) by_dom []
+        Hashtbl.fold (fun _ ivs acc -> merge_intervals !ivs :: acc) by_dom []
       in
-      let busy =
-        List.fold_left
-          (fun acc ivs ->
-            List.fold_left (fun acc (a, b) -> acc + (b - a)) acc ivs)
-          0 merged
-      in
+      let busy = List.fold_left (fun acc ivs -> acc + length_ns ivs) 0 merged in
       (* Concurrency sweep: +1/-1 edges, time spent with exactly k
          domains busy, clamped to the envelope. *)
       let edges =

@@ -4,9 +4,10 @@
     Three views over one event list:
 
     - {b span aggregation} — per (category, name) label: call count,
-      total and self time, exact p50/p95/max from the recorded
-      durations, allocation totals when the tracer sampled them, and a
-      per-domain busy breakdown.  Bracketed spans nest by their
+      total and self time over the union of the label's windows on
+      each domain, exact p50/p95/max from the recorded durations,
+      allocation totals when the tracer sampled them, and a per-domain
+      busy breakdown.  Bracketed spans nest by their
       per-domain tick intervals; a retrospective [Obs.complete] span
       has no tick interval of its own and is parented to the innermost
       span whose time window contains it (never to another span of its
@@ -31,16 +32,18 @@ type span_stat = {
   s_name : string;
   s_count : int;
   s_total_ns : int;
+      (** per domain, the union of the spans' windows, summed over
+          domains: overlapping spans of the label count once *)
   s_self_ns : int;
-      (** the part of each span's window its direct children leave
-          uncovered, summed: overlapping children count once, so it is
-          never negative *)
+      (** per domain, that union minus the union of the spans' direct
+          children, summed: never negative *)
   s_min_ns : int;
   s_p50_ns : int;
   s_p95_ns : int;
   s_max_ns : int;
   s_alloc_w : int;  (** summed [alloc_w] args; 0 unless GC-sampled *)
-  s_by_dom : (int * int) list;  (** domain id -> busy ns, sorted *)
+  s_by_dom : (int * int) list;
+      (** domain id -> the union of the spans' windows there, sorted *)
 }
 
 type parallel = {
@@ -62,7 +65,8 @@ type t = {
   p_wall_ns : int;  (** envelope of every event in the trace *)
   p_spans : span_stat list;  (** sorted by self time, descending *)
   p_folded : (string * int) list;
-      (** collapsed stacks, lexicographic, self ns (clamped >= 0) *)
+      (** collapsed stacks, lexicographic, self ns of the stack's spans
+          (the union of their windows minus their children's) *)
   p_parallel : parallel option;
       (** present when worker spans come from at least two domains *)
   p_counters : (string * int) list;

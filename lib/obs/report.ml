@@ -115,8 +115,6 @@ let empty ~title ~design =
     notes = [];
   }
 
-let add_table t table = { t with tables = t.tables @ [ table ] }
-let add_note t note = { t with notes = t.notes @ [ note ] }
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                               *)

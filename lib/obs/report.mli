@@ -101,8 +101,6 @@ type t = {
 }
 
 val empty : title:string -> design:string -> t
-val add_table : t -> table -> t
-val add_note : t -> string -> t
 
 val to_json : t -> string
 (** Deterministic pretty-printed JSON. *)

@@ -379,6 +379,16 @@ let is_valid (graph : Avp_enum.State_graph.t) t =
         trace)
     t.traces
 
+let report_section (s : stats) : Avp_obs.Report.tour_section =
+  {
+    Avp_obs.Report.traces = s.num_traces;
+    traversals = s.edge_traversals;
+    instructions = s.instructions;
+    longest_edges = s.longest_trace_edges;
+    longest_instructions = s.longest_trace_instructions;
+    limit_hits = s.traces_hitting_limit;
+  }
+
 let pp_stats ppf s =
   Format.fprintf ppf
     "traces=%d traversals=%d instructions=%d longest=%d edges \

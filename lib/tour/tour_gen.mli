@@ -76,3 +76,4 @@ val is_valid : Avp_enum.State_graph.t -> t -> bool
 (** Every trace starts at reset and follows real graph edges. *)
 
 val pp_stats : Format.formatter -> stats -> unit
+val report_section : stats -> Avp_obs.Report.tour_section

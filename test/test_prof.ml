@@ -114,10 +114,11 @@ let test_retrospective_mutate_shape () =
     (Prof.folded_string prof)
 
 (* One sliced pass emits a span per lane, each covering the pass: the
-   windows overlap without nesting.  The round's self time counts the
-   covered stretch once, not once per lane.  Lanes mostly share one
-   start (the clock ticks in microseconds), and a later lane whose
-   window contains an earlier one still stays its sibling. *)
+   windows overlap without nesting.  The round's self time and the
+   lanes' total and self time count the covered stretch once, not once
+   per lane.  Lanes mostly share one start (the clock ticks in
+   microseconds), and a later lane whose window contains an earlier one
+   still stays its sibling. *)
 let test_overlapping_lane_spans () =
   let evs =
     [
@@ -130,7 +131,7 @@ let test_overlapping_lane_spans () =
   let self = self_ns prof in
   Alcotest.(check int) "round self = window minus the lanes' union" 19
     (self "fuzz.round");
-  Alcotest.(check int) "lanes keep their own time" 159 (self "fuzz.exec");
+  Alcotest.(check int) "lanes count their union once" 81 (self "fuzz.exec");
   let equal_start =
     Prof.of_events
       [
@@ -140,8 +141,25 @@ let test_overlapping_lane_spans () =
       ]
   in
   Alcotest.(check string) "equal-start lanes are both children of the round"
-    "dom0;fuzz.round 15\ndom0;fuzz.round;fuzz.exec 165\n"
-    (Prof.folded_string equal_start)
+    "dom0;fuzz.round 15\ndom0;fuzz.round;fuzz.exec 85\n"
+    (Prof.folded_string equal_start);
+  (* A full pass: 31 lanes share one window, whose length is the row's
+     total. *)
+  let pass =
+    Prof.of_events
+      (span ~cat:"fuzz" ~ts:0 ~dur:1000 ~o:0 ~c:40 "fuzz.round"
+      :: List.init 31 (fun k ->
+             span ~cat:"fuzz" ~ts:100 ~dur:700 ~o:(k + 1) ~c:(k + 1)
+               "fuzz.exec"))
+  in
+  let exec =
+    List.find (fun s -> s.Prof.s_name = "fuzz.exec") pass.Prof.p_spans
+  in
+  Alcotest.(check int) "31 lanes, one window: count" 31 exec.Prof.s_count;
+  Alcotest.(check int) "31 lanes, one window: total" 700 exec.Prof.s_total_ns;
+  Alcotest.(check int) "31 lanes, one window: self" 700 exec.Prof.s_self_ns;
+  Alcotest.(check int) "31 lanes, one window: round self" 300
+    (self_ns pass "fuzz.round")
 
 (* {2 Self-time conservation} *)
 
