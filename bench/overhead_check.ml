@@ -9,7 +9,7 @@
    generous bound.  This is not a precision benchmark: the bound is
    loose enough to ride out scheduler noise and exists to catch an
    accidental per-state or per-event allocation creeping into the
-   disabled path (which must stay one Atomic.get + branch) or an
+   disabled path (which must stay one load + branch) or an
    instrumentation point moving into an inner loop. *)
 
 open Avp_enum

@@ -13,19 +13,17 @@ module C = Avp_core.Commands
 (* Shared arguments                                                 *)
 (* ---------------------------------------------------------------- *)
 
-(* Integers with a range: a value outside it is a usage error (exit
-   124) naming the flag. *)
-let int_in ?(max = max_int) min =
-  let range =
-    if max = max_int then Printf.sprintf "an integer >= %d" min
-    else Printf.sprintf "an integer from %d to %d" min max
-  in
+(* Integers with a lower bound: a value below it is a usage error
+   (exit 124) naming the flag. *)
+let int_in min =
   let parse s =
     Result.bind (Arg.conv_parser Arg.int s) (fun n ->
-        if min <= n && n <= max then Ok n
+        if min <= n then Ok n
         else
           Error
-            (`Msg (Printf.sprintf "invalid value '%s', expected %s" s range)))
+            (`Msg
+               (Printf.sprintf "invalid value '%s', expected an integer >= %d"
+                  s min)))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -34,8 +32,8 @@ let positive = int_in 1
 let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
 
 (* An optional flag: [None] when absent. *)
-let opt_arg ?(names = []) kind name docv doc =
-  Arg.(value & opt (some kind) None & info (name :: names) ~docv ~doc)
+let opt_arg kind name docv doc =
+  Arg.(value & opt (some kind) None & info [ name ] ~docv ~doc)
 
 let string_arg = opt_arg Arg.string
 
@@ -70,16 +68,6 @@ let limit_arg =
   opt_arg positive "limit" "N"
     "Per-trace instruction limit (the paper uses 10000)."
 
-(* OCaml 5 runs at most 128 domains at once (Max_domains on 64-bit);
-   the calling domain is one of them. *)
-let domains_arg =
-  opt_arg ~names:[ "j" ] (int_in ~max:128 1) "domains" "N"
-    "Domains (cores) to shard the work over: mutants in $(b,mutate), \
-     candidates in $(b,fuzz), traces in $(b,replay), stimuli in \
-     $(b,validate).  Output is identical for any value.  Default: 1 for \
-     $(b,replay) and $(b,validate); for $(b,mutate) and $(b,fuzz), the \
-     AVP_DOMAINS environment variable, else the recommended domain count."
-
 let seed_arg =
   Arg.(
     value & opt int 1
@@ -101,13 +89,12 @@ let profile_arg =
     value
     & opt ~vopt:(Some "-") (some string) None
     & info [ "profile" ] ~docv:"FILE"
-        ~doc:"Profile the run in-process: span self/total times, \
-              allocation per span, and the parallel-efficiency \
-              diagnosis.  Writes profile JSON to $(docv), or prints the \
-              text report to stderr when $(docv) is '-' (the default \
-              when the flag is given bare).  Enables GC sampling, so a \
-              trace captured alongside carries allocation args and is \
-              no longer -j invariant.")
+        ~doc:"Profile the run in-process: span self/total times and \
+              allocation per span.  Writes profile JSON to $(docv), or \
+              prints the text report to stderr when $(docv) is '-' (the \
+              default when the flag is given bare).  Enables GC \
+              sampling, so a trace captured alongside carries \
+              allocation args.")
 
 let report_arg =
   string_arg "report" "DIR"
@@ -169,11 +156,11 @@ let vectors_cmd =
     Term.(const run $ file_arg $ top_arg $ limit_arg $ out_arg)
 
 let mutate_cmd =
-  let run file top ops seed budget json domains limit gate engine trace
-      metrics profile report =
+  let run file top ops seed budget json limit gate engine trace metrics
+      profile report =
     C.print
-      (C.mutate ?top ~ops ~seed ?budget ~json ?domains ?limit ?gate ~engine
-         ?trace ?metrics ?profile ?report file)
+      (C.mutate ?top ~ops ~seed ?budget ~json ?limit ?gate ~engine ?trace
+         ?metrics ?profile ?report file)
   in
   let ops_arg =
     strings_arg "ops" "FAMILY"
@@ -188,7 +175,7 @@ let mutate_cmd =
   let json_arg =
     flag_arg "json"
       "Emit the full report as JSON.  Contains no timings, so output is \
-       byte-identical across runs and $(b,-j) values."
+       byte-identical across runs and engines."
   in
   let gate_arg =
     opt_arg Arg.float "gate" "RATE"
@@ -208,15 +195,15 @@ let mutate_cmd =
              design, tour vectors vs a size-matched random baseline.")
     Term.(
       const run $ file_arg $ top_arg $ ops_arg $ seed_arg $ budget_arg
-      $ json_arg $ domains_arg $ limit_arg $ gate_arg $ engine_arg
+      $ json_arg $ limit_arg $ gate_arg $ engine_arg
       $ trace_arg $ metrics_arg $ profile_arg $ report_arg)
 
 let fuzz_cmd =
-  let run file top seed budget batch engine domains corpus replay mutants json
-      gate trace metrics profile report =
+  let run file top seed budget batch engine corpus replay mutants json gate
+      trace metrics profile report =
     C.print
-      (C.fuzz ?top ~seed ~budget ?batch ~engine ?domains ?corpus ?replay
-         ?mutants ~json ~gate ?trace ?metrics ?profile ?report file)
+      (C.fuzz ?top ~seed ~budget ?batch ~engine ?corpus ?replay ?mutants ~json
+         ~gate ?trace ?metrics ?profile ?report file)
   in
   let file_arg =
     Arg.(
@@ -230,7 +217,7 @@ let fuzz_cmd =
       value & opt int 0
       & info [ "seed" ] ~docv:"N"
           ~doc:"PRNG seed of the fuzzing loop; a fixed seed makes the run \
-                byte-reproducible on any engine and domain count.")
+                byte-reproducible on either engine.")
   in
   let budget_arg =
     Arg.(
@@ -267,9 +254,8 @@ let fuzz_cmd =
   in
   let json_arg =
     flag_arg "json"
-      "Emit the result as JSON.  Contains no timings, engine or domain \
-       count, so output is byte-identical across runs, engines and $(b,-j) \
-       values."
+      "Emit the result as JSON.  Contains no timings or engine, so output \
+       is byte-identical across runs and engines."
   in
   let gate_arg =
     flag_arg "gate"
@@ -284,15 +270,15 @@ let fuzz_cmd =
              baseline on mutant kills.")
     Term.(
       const run $ file_arg $ top_arg $ seed_arg $ budget_arg $ batch_arg
-      $ engine_arg $ domains_arg $ corpus_arg $ replay_arg $ mutants_arg
+      $ engine_arg $ corpus_arg $ replay_arg $ mutants_arg
       $ json_arg $ gate_arg $ trace_arg $ metrics_arg $ profile_arg
       $ report_arg)
 
 let validate_cmd =
-  let run file bug limit domains seed fuzz trace metrics vcd report =
+  let run file bug limit seed fuzz trace metrics vcd report =
     C.print
-      (C.validate ?file ?bug ?limit ?domains ~seed ?fuzz ?trace ?metrics ?vcd
-         ?report ())
+      (C.validate ?file ?bug ?limit ~seed ?fuzz ?trace ?metrics ?vcd ?report
+         ())
   in
   let file_arg =
     Arg.(
@@ -314,7 +300,7 @@ let validate_cmd =
     (Cmd.info "validate"
        ~doc:"Run the Protocol Processor validation campaign (Table 2.1).")
     Term.(
-      const run $ file_arg $ bug_arg $ limit_arg $ domains_arg $ seed_arg
+      const run $ file_arg $ bug_arg $ limit_arg $ seed_arg
       $ fuzz_arg $ trace_arg $ metrics_arg $ vcd_arg $ report_arg)
 
 let lint_cmd =
@@ -406,18 +392,16 @@ let invariants_cmd =
     Term.(const run $ file_arg $ top_arg $ json_arg)
 
 let replay_cmd =
-  let run file top limit domains trace metrics profile vcd report =
-    C.print
-      (C.replay ?top ?limit ?domains ?trace ?metrics ?profile ?vcd ?report
-         file)
+  let run file top limit trace metrics profile vcd report =
+    C.print (C.replay ?top ?limit ?trace ?metrics ?profile ?vcd ?report file)
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Generate tours and replay their vectors against the design, \
              checking every predicted transition.")
     Term.(
-      const run $ file_arg $ top_arg $ limit_arg $ domains_arg $ trace_arg
-      $ metrics_arg $ profile_arg $ vcd_arg $ report_arg)
+      const run $ file_arg $ top_arg $ limit_arg $ trace_arg $ metrics_arg
+      $ profile_arg $ vcd_arg $ report_arg)
 
 let profile_cmd =
   let run trace_file folded flame json normalize =
@@ -447,15 +431,13 @@ let profile_cmd =
   let normalize_arg =
     flag_arg "normalize"
       "With $(b,--json): keep only the run-invariant skeleton (per-label \
-       counts, no times or domains) — byte-identical across $(b,-j) for \
-       deterministic work."
+       counts, no times) — byte-identical across runs of deterministic \
+       work."
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Analyze a recorded trace: per-span self/total time and \
-             percentiles, collapsed-stack flamegraph export, and the \
-             parallel-efficiency report (per-domain utilization, \
-             concurrency, serial fraction) of a multi-domain run.")
+             percentiles, and collapsed-stack flamegraph export.")
     Term.(
       const run $ trace_file_arg $ folded_out_arg $ flame_out_arg
       $ json_out_arg $ normalize_arg)

@@ -18,7 +18,7 @@
       observe.
 
     Everything here is deterministic: no hashing of names, no
-    wall-clock, no domain parallelism. *)
+    wall-clock. *)
 
 open Avp_logic
 open Avp_hdl

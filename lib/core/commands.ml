@@ -204,10 +204,10 @@ let vectors ?top ?limit ~out:dir file =
   out c "wrote %d vector files to %s@." (Array.length vecs) dir;
   (Some vecs, 0)
 
-let replay ?top ?limit ?domains ?trace ?metrics ?profile ?vcd ?report file =
+let replay ?top ?limit ?trace ?metrics ?profile ?vcd ?report file =
   run ?trace ?metrics ?profile file @@ fun c ->
   let r =
-    Flow.run ?instr_limit:limit ?domains
+    Flow.run ?instr_limit:limit
       ~progress:(fun total -> meter ~total "replay")
       (Front.elaborate ?top file)
   in
@@ -232,8 +232,8 @@ let replay ?top ?limit ?domains ?trace ?metrics ?profile ?vcd ?report file =
     report;
   (Some r, code)
 
-let mutate ?top ~ops ~seed ?budget ~json ?domains ?limit ?gate ~engine ?trace
-    ?metrics ?profile ?report file =
+let mutate ?top ~ops ~seed ?budget ~json ?limit ?gate ~engine ?trace ?metrics
+    ?profile ?report file =
   let open Avp_mutate in
   run ?trace ?metrics ?profile file @@ fun c ->
   let src = Front.read file in
@@ -255,11 +255,10 @@ let mutate ?top ~ops ~seed ?budget ~json ?domains ?limit ?gate ~engine ?trace
     let families = match families with [] -> None | l -> Some l in
     let design, tr = Front.translate ?top src in
     let graph, tours = Front.tours ?instr_limit:limit tr.Translate.model in
-    let domains = Option.value ~default:(Pool.default_domains ()) domains in
     let r =
       metered ~json "mutate" (fun progress ->
-          Campaign.run ?families ~seed ?budget ~domains ?top ~progress ~engine
-            ~design ~tr ~graph ~tours ())
+          Campaign.run ?families ~seed ?budget ?top ~progress ~engine ~design
+            ~tr ~graph ~tours ())
     in
     if json then out c "%s" (Campaign.to_json r)
     else out c "%a" Campaign.pp_report r;
@@ -286,22 +285,20 @@ let mutate ?top ~ops ~seed ?budget ~json ?domains ?limit ?gate ~engine ?trace
     in
     (Some r, code)
 
-let fuzz ?top ~seed ~budget ?batch ~engine ?domains ?corpus ?replay ?mutants
-    ~json ~gate ?trace ?metrics ?profile ?report file =
+let fuzz ?top ~seed ~budget ?batch ~engine ?corpus ?replay ?mutants ~json
+    ~gate ?trace ?metrics ?profile ?report file =
   let module J = Avp_obs.Json in
   let module Loop = Avp_fuzz.Loop in
   let module Compare = Avp_fuzz.Compare in
   run ?trace ?metrics ?profile file @@ fun c ->
   let design, tr = Front.translate ?top (Front.read file) in
   let graph = State_graph.enumerate tr.Translate.model in
-  let domains = Option.value ~default:(Pool.default_domains ()) domains in
   let config =
     {
       Loop.default_config with
       Loop.seed;
       budget;
       engine;
-      domains;
       batch = Option.value ~default:Loop.default_config.Loop.batch batch;
     }
   in
@@ -335,8 +332,8 @@ let fuzz ?top ~seed ~budget ?batch ~engine ?domains ?corpus ?replay ?mutants
         let tours = Tour_gen.generate graph in
         metered ~json "compare" (fun progress ->
             Some
-              (Compare.run ~seed ?mutant_budget:mutants ~domains ~progress
-                 ~design ~tr ~graph ~tours ~fuzz:result ()))
+              (Compare.run ~seed ?mutant_budget:mutants ~progress ~design
+                 ~tr ~graph ~tours ~fuzz:result ()))
     in
     let cov = Coverage.summary result.Loop.coverage in
     let pairs = Coverage.pairs_seen result.Loop.coverage in
@@ -427,8 +424,7 @@ let fuzz ?top ~seed ~budget ?batch ~engine ?domains ?corpus ?replay ?mutants
     in
     (Some (result, cmp), code)
 
-let validate ?file ?bug ?limit ?domains ~seed ?fuzz ?trace ?metrics ?vcd
-    ?report () =
+let validate ?file ?bug ?limit ~seed ?fuzz ?trace ?metrics ?vcd ?report () =
   let module Campaign = Avp_harness.Campaign in
   let module Isa = Avp_pp.Isa in
   let known n = List.mem n (List.map Avp_pp.Bugs.number Avp_pp.Bugs.all_ids) in
@@ -476,8 +472,8 @@ let validate ?file ?bug ?limit ?domains ~seed ?fuzz ?trace ?metrics ?vcd
     in
     let rows =
       metered "validate" (fun progress ->
-          Campaign.table_2_1 ~seed ?domains ~progress ?fuzz:fuzz_stimuli ~cfg
-            ~graph ~tours ())
+          Campaign.table_2_1 ~seed ~progress ?fuzz:fuzz_stimuli ~cfg ~graph
+            ~tours ())
       |> List.filter (fun (r : Campaign.bug_row) ->
              bug = None || bug = Some (Avp_pp.Bugs.number r.Campaign.bug))
     in
@@ -592,12 +588,14 @@ let lint ?top ~json ~only ~ignored ~strict ~fsm ~absint ~rules_md file =
           let fsm_findings =
             if not fsm then []
             else
-              try
-                Analysis.run_model ~only ~ignore:ignored
-                  (Translate.translate elab).Translate.model
-              with e ->
-                err c "avp lint: fsm checks skipped: %s@."
-                  (Printexc.to_string e);
+              match
+                Front.guard file (fun () ->
+                    Analysis.run_model ~only ~ignore:ignored
+                      (Translate.translate elab).Translate.model)
+              with
+              | Ok findings -> findings
+              | Error msg ->
+                err c "avp lint: fsm checks skipped: %s@." msg;
                 []
           in
           Finding.sort (netlist @ fsm_findings)
@@ -617,7 +615,7 @@ let invariants ?top ~json file =
   let inv = Absint.analyze elab in
   let n = Array.length elab.Elab.nets in
   (* Every net the analysis proved something about, id order: the
-     output is deterministic and independent of -j anywhere. *)
+     output is deterministic. *)
   let rows = ref [] and constants = ref 0 in
   for id = n - 1 downto 0 do
     if not inv.Absint.tops.(id) then begin

@@ -38,25 +38,23 @@ val vectors :
   Avp_vectors.Vector.t array t
 
 val replay :
-  ?top:string -> ?limit:int -> ?domains:int -> ?trace:string ->
-  ?metrics:string -> ?profile:string -> ?vcd:string -> ?report:string ->
-  string -> Flow.report t
+  ?top:string -> ?limit:int -> ?trace:string -> ?metrics:string ->
+  ?profile:string -> ?vcd:string -> ?report:string -> string ->
+  Flow.report t
 (** {!Flow.run}; exit code 1 on a mismatch. *)
 
 (** {2 Mutation and fuzzing} *)
 
 val mutate :
   ?top:string -> ops:string list -> seed:int -> ?budget:int -> json:bool ->
-  ?domains:int -> ?limit:int -> ?gate:float -> engine:[ `Scalar | `Sliced ] ->
+  ?limit:int -> ?gate:float -> engine:[ `Scalar | `Sliced ] ->
   ?trace:string -> ?metrics:string -> ?profile:string -> ?report:string ->
   string -> Avp_mutate.Campaign.report t
-(** [domains] defaults to {!Avp_enum.Pool.default_domains}, as in
-    {!fuzz}.  Exit code 1 when [gate] fails, 2 on an unknown operator
-    family. *)
+(** Exit code 1 when [gate] fails, 2 on an unknown operator family. *)
 
 val fuzz :
   ?top:string -> seed:int -> budget:int -> ?batch:int ->
-  engine:[ `Scalar | `Sliced ] -> ?domains:int -> ?corpus:string ->
+  engine:[ `Scalar | `Sliced ] -> ?corpus:string ->
   ?replay:string -> ?mutants:int -> json:bool -> gate:bool -> ?trace:string ->
   ?metrics:string -> ?profile:string -> ?report:string -> string ->
   (Avp_fuzz.Loop.result * Avp_fuzz.Compare.t option) t
@@ -64,7 +62,7 @@ val fuzz :
     fails, 2 when it cannot be checked or the corpus does not load. *)
 
 val validate :
-  ?file:string -> ?bug:int -> ?limit:int -> ?domains:int -> seed:int ->
+  ?file:string -> ?bug:int -> ?limit:int -> seed:int ->
   ?fuzz:int -> ?trace:string -> ?metrics:string -> ?vcd:string ->
   ?report:string -> unit -> Avp_harness.Campaign.bug_row list t
 (** The Table 2.1 campaign; [file] may only be ["pp"]. *)

@@ -7,8 +7,7 @@ type report = {
   absorbing : int list;
 }
 
-let run ?clock ?reset ?all_conditions ?instr_limit ?domains ?progress ?dut
-    elab =
+let run ?clock ?reset ?all_conditions ?instr_limit ?progress ?dut elab =
   let translation = Avp_fsm.Translate.translate ?clock ?reset elab in
   let graph, tours =
     Front.tours ?all_conditions ?instr_limit
@@ -19,8 +18,8 @@ let run ?clock ?reset ?all_conditions ?instr_limit ?domains ?progress ?dut
     Option.map (fun make -> make (Array.length vectors)) progress
   in
   let replay =
-    Avp_vectors.Replay.check ?dut ?domains ?progress ~vectors translation
-      graph tours
+    Avp_vectors.Replay.check ?dut ?progress ~vectors translation graph
+      tours
   in
   Option.iter Avp_obs.Progress.finish progress;
   {

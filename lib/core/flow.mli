@@ -25,13 +25,11 @@ val run :
   ?reset:string ->
   ?all_conditions:bool ->
   ?instr_limit:int ->
-  ?domains:int ->
   ?progress:(int -> Avp_obs.Progress.t) ->
   ?dut:Avp_hdl.Elab.t ->
   Avp_hdl.Elab.t ->
   report
-(** [domains] shards the replay as {!Avp_vectors.Replay.check} does.
-    [progress] is called with the number of traces once the tours
+(** [progress] is called with the number of traces once the tours
     exist; the replay ticks the meter it returns once per trace and
     finishes it.
     @raise Avp_fsm.Translate.Unsupported on missing annotations.

@@ -300,7 +300,7 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
     let dt = Obs.Clock.now_s () -. lt0 in
     level_times := (level_size, dt) :: !level_times;
     (* Telemetry is per BFS level, never per state: with spans off
-       this adds one Atomic.get per level (the 3%-overhead budget in
+       this adds one load and branch per level (the 3%-overhead budget in
        DESIGN.md). *)
     if Obs.enabled () then
       Obs.complete ~cat:"enum" "enum.level" ~dur_s:dt

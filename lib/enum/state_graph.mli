@@ -24,7 +24,7 @@
     recording every distinct condition as a parallel edge (this is how
     the Figure 4.2 class of bug becomes detectable).
 
-    Enumeration runs on the calling domain, one BFS level at a time.
+    Enumeration is sequential, one BFS level at a time.
     See DESIGN.md, "Enumeration". *)
 
 open Avp_fsm

@@ -185,16 +185,14 @@ module Builder = struct
   let build b ~step =
     let vars = Array.of_list (List.rev b.b_state) in
     let nvars = Array.length vars in
-    (* One reusable ctx per domain: the enumerator calls [next_into]
-       millions of times, and the scratch must be neither shared
-       between domains nor re-allocated per step. *)
-    let ctx_key =
-      Domain.DLS.new_key (fun () ->
-          { cur = [||]; read = Fun.id; nxt = [||];
-            assigned = Array.make nvars false; vars })
+    (* One reusable ctx per built model: the enumerator calls
+       [next_into] millions of times, and the scratch must not be
+       re-allocated per step. *)
+    let ctx =
+      { cur = [||]; read = Fun.id; nxt = [||];
+        assigned = Array.make nvars false; vars }
     in
     let next_into cur read dst =
-      let ctx = Domain.DLS.get ctx_key in
       ctx.cur <- cur;
       ctx.read <- read;
       ctx.nxt <- dst;

@@ -4,8 +4,7 @@
     implicit clock) and {e choice variables} — the nondeterministic
     abstract blocks of the paper, which "try every combination of
     values" during state enumeration.  The transition function is a
-    pure function of a state valuation and a choice valuation; the
-    enumerator calls it from one domain.
+    pure function of a state valuation and a choice valuation.
 
     Valuations are [int array]s indexed by variable position, each
     entry in [0, card var - 1]. *)

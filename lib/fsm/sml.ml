@@ -574,14 +574,12 @@ let parse src =
     choices;
   let state_arr = Array.of_list states in
   let choice_arr = Array.of_list choices in
-  (* Transition function, writing into a caller-provided buffer; the
-     twice-assigned scratch is per-domain, so the update block may run
-     on several domains at once. *)
+  (* Transition function, writing into a caller-provided buffer; one
+     twice-assigned scratch serves every step of the model. *)
   let nstates = List.length states in
-  let assigned_key = Domain.DLS.new_key (fun () -> Array.make nstates false) in
+  let assigned = Array.make nstates false in
   let next_into st read out =
     Array.blit st 0 out 0 nstates;
-    let assigned = Domain.DLS.get assigned_key in
     Array.fill assigned 0 nstates false;
     let lookup n =
       match Hashtbl.find_opt state_index n with

@@ -317,8 +317,7 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
     dst
   in
   let model =
-    (* [next] steps the one shared simulator instance: correct from a
-       single domain, a data race from several. *)
+    (* [next] steps the one shared simulator instance. *)
     Model.create ~name:d.Elab.top
       ~state_vars:(Array.to_list (Array.map (fun b -> b.var) state_bindings))
       ~choice_vars:(Array.to_list (Array.map (fun b -> b.var) choice_bindings))

@@ -32,8 +32,7 @@ module Campaign = Avp_mutate.Campaign
    scalar oracle does not localize the escape cycle).
 
    Everything reported is deterministic: detection outcomes are the
-   same for any engine and domain count, and no timings or domain
-   counts appear in the JSON. *)
+   same for any engine, and no timings appear in the JSON. *)
 
 type method_stats = {
   m_name : string;
@@ -105,14 +104,12 @@ let min_cost a b =
 let total_cycles vecs =
   Array.fold_left (fun acc v -> acc + Array.length v) 0 vecs
 
-let run ?(seed = 0) ?mutant_budget ?(domains = 1)
-    ?(max_equiv_states = 10_000) ?progress ~(design : Avp_hdl.Ast.design)
-    ~(tr : Translate.result) ~(graph : Avp_enum.State_graph.t)
-    ~(tours : Avp_tour.Tour_gen.t) ~(fuzz : Loop.result) () =
+let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
+    ?progress ~(design : Avp_hdl.Ast.design) ~(tr : Translate.result)
+    ~(graph : Avp_enum.State_graph.t) ~(tours : Avp_tour.Tour_gen.t) ~(fuzz : Loop.result) () =
   let model = tr.Translate.model in
   let top = tr.Translate.elab.Avp_hdl.Elab.top in
-  (* The three vector sets; realization touches the shared model, so
-     it all happens here, sequentially, once. *)
+  (* The three vector sets, realized once. *)
   let rtours = random_walks ~seed model graph fuzz.Loop.lengths in
   let ftours = Loop.tours_of_kept fuzz in
   let tvecs = Replay.vectors tr tours in
@@ -164,7 +161,7 @@ let run ?(seed = 0) ?mutant_budget ?(domains = 1)
     | Campaign.Escape _ -> Some 1
   in
   let costs = Array.make n (None, None, None) in
-  Campaign.detect ~engine:fuzz.Loop.config.Loop.engine ~domains
+  Campaign.detect ~engine:fuzz.Loop.config.Loop.engine
     ~lanes:Avp_logic.Bv_sliced.lanes_limit ~tr ~graph phases
     (Array.map snd cands)
     ~on_done:(fun ~t0 j o ->

@@ -26,8 +26,8 @@
     passes.  A method's vectors-to-kill is the earlier of its
     oracles' detections; an x/z escape costs 1.
 
-    Deterministic: the outcomes are identical for any engine and
-    domain count, and the JSON carries no timings or domain counts. *)
+    Deterministic: the outcomes are identical for any engine, and the
+    JSON carries no timings. *)
 
 type method_stats = {
   m_name : string;
@@ -70,9 +70,9 @@ val run :
   unit ->
   t
 (** Emits one [fuzz.kill] span per vetted mutant.  [mutant_budget]
-    samples the mutant population (default: exhaustive); [domains]
-    shards the scalar replays; [progress] ticks once per vetted
-    mutant. *)
+    samples the mutant population (default: exhaustive); [progress]
+    ticks once per vetted mutant.  [domains] is ignored, kept because
+    perfbench/main.ml passes it. *)
 
 val find_method : t -> string -> method_stats option
 val json_value : t -> Avp_obs.Json.t

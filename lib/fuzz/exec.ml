@@ -6,17 +6,14 @@ module Tour_gen = Avp_tour.Tour_gen
 (* Candidate evaluation: plan (model walk), realize (condition map),
    then execute the vectors and check the design against the plan.
 
-   Planning walks the translated model's [next] from reset — the
-   model may step a shared reference simulator, so planning and
-   realization stay sequential on the calling domain (the same
-   constraint as [Replay.vectors]).  The plan is a candidate's only
-   record: the fuzzing loop commits its walk to coverage, and
-   execution checks that the design takes exactly that walk — every
-   annotated state net against the planned state's valuation, at
-   reset release and after every clock edge, the step-4 replay
-   check.  On the pristine design the two provably agree (the replay
-   theorems); a disagreement is a translation or replay bug, which
-   the loop reports. *)
+   Planning walks the translated model's [next] from reset.  The plan
+   is a candidate's only record: the fuzzing loop commits its walk to
+   coverage, and execution checks that the design takes exactly that
+   walk — every annotated state net against the planned state's
+   valuation, at reset release and after every clock edge, the step-4
+   replay check.  On the pristine design the two provably agree (the
+   replay theorems); a disagreement is a translation or replay bug,
+   which the loop reports. *)
 
 type planned = {
   choices : Corpus.entry;
@@ -34,10 +31,10 @@ let mismatch_detail m = Format.asprintf "%a" Replay.pp_mismatch m
    trace.  A state net at x/z escapes the checker as
    [Translate.Unsupported], without a trace index, so that failure is
    located by re-checking the candidates one at a time. *)
-let check_scalar ~domains ?progress (tr : Translate.result) graph
+let check_scalar ?progress (tr : Translate.result) graph
     (planned : planned array) (vectors : Avp_vectors.Vector.t array) =
   let tours = Tour_gen.of_traces (Array.map (fun p -> p.trace) planned) in
-  match Replay.check ~domains ?progress ~vectors tr graph tours with
+  match Replay.check ?progress ~vectors tr graph tours with
   | Ok _ -> Ok ()
   | Error m -> Error (m.Replay.trace, mismatch_detail m)
   | exception Translate.Unsupported _ ->
@@ -66,7 +63,7 @@ let exec_span i cycles t0 =
    its own plan every cycle.  A lane's first divergence is recorded in
    the scalar checker's terms: the first mismatching net in state-net
    order, or the message of a net that left the defined domain. *)
-let check_sliced ~domains ?progress (tr : Translate.result)
+let check_sliced ?progress (tr : Translate.result)
     (graph : Avp_enum.State_graph.t) (planned : planned array)
     (vectors : Avp_vectors.Vector.t array) =
   let design = tr.Translate.elab in
@@ -87,8 +84,7 @@ let check_sliced ~domains ?progress (tr : Translate.result)
     and zero = Avp_logic.Bv.of_int ~width:1 0 in
     let states = graph.Avp_enum.State_graph.states in
     let failures = Array.make n None in
-    let chunks = (n + lanes - 1) / lanes in
-    let run_chunk ci =
+    for ci = 0 to ((n + lanes - 1) / lanes) - 1 do
       let c0 = ci * lanes in
       let k = min lanes (n - c0) in
       let t0s = Array.init k (fun _ -> Obs.Clock.now_s ()) in
@@ -208,8 +204,7 @@ let check_sliced ~domains ?progress (tr : Translate.result)
         | Some p -> Avp_obs.Progress.tick p
         | None -> ()
       done
-    in
-    Avp_enum.Pool.iter ~domains chunks run_chunk;
+    done;
     let rec first i =
       if i = n then Ok ()
       else
@@ -219,7 +214,7 @@ let check_sliced ~domains ?progress (tr : Translate.result)
     in
     Some (first 0)
 
-let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?(domains = 1) ?progress
+let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?progress
     (tr : Translate.result) (graph : Avp_enum.State_graph.t)
     (planned : planned array) =
   let map = Avp_vectors.Condition_map.of_translation tr in
@@ -228,10 +223,10 @@ let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?(domains = 1) ?progress
       (fun p -> Avp_vectors.Condition_map.vectors_of_trace map p.trace)
       planned
   in
-  let scalar () = check_scalar ~domains ?progress tr graph planned vectors in
+  let scalar () = check_scalar ?progress tr graph planned vectors in
   match engine with
   | `Scalar -> scalar ()
   | `Sliced -> (
-    match check_sliced ~domains ?progress tr graph planned vectors with
+    match check_sliced ?progress tr graph planned vectors with
     | Some r -> r
     | None -> scalar ())

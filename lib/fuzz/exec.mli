@@ -11,13 +11,10 @@ type planned = {
 
 val plan :
   Avp_fsm.Model.t -> Avp_enum.State_graph.t -> Corpus.entry -> planned
-(** Walk the model from reset under the entry's choices.  The model's
-    [next] may drive a shared reference simulator, so planning is
-    sequential on the calling domain. *)
+(** Walk the model from reset under the entry's choices. *)
 
 val run :
   ?engine:[ `Scalar | `Sliced ] ->
-  ?domains:int ->
   ?progress:Avp_obs.Progress.t ->
   Avp_fsm.Translate.result ->
   Avp_enum.State_graph.t ->
@@ -34,14 +31,12 @@ val run :
 
     [engine] (default [`Sliced]):
     - [`Scalar] is one {!Avp_vectors.Replay.check} over the plans as a
-      tour set, with its sharding rule: the replay stays on one
-      domain unless every requested domain gets at least 4096 cycles,
-      so a 31-candidate round runs sequentially at any [domains].  It
-      emits the checker's [replay.run] and [replay.trace] spans.
+      tour set.  It emits the checker's [replay.run] and
+      [replay.trace] spans.
     - [`Sliced] packs up to {!Avp_logic.Bv_sliced.lanes_limit} (62)
       candidates word-parallel per kernel, each lane under its own
-      stimulus, shards whole kernels over [domains], and emits one
-      [fuzz.exec] span per candidate with deterministic args.  A
+      stimulus, and emits one [fuzz.exec] span per candidate with
+      deterministic args.  A
       design outside the kernel's coverage falls back to [`Scalar].
 
     [progress] ticks once per candidate. *)

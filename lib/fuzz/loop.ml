@@ -8,7 +8,7 @@ module Coverage = Avp_obs.Coverage
    random entry (while the corpus is empty) or a mutation of a corpus
    seed picked by the energy schedule.  A round plans every candidate
    as a model walk, executes the batch on the chosen engine
-   (domain-parallel, lane-parallel) checking that the design takes
+   (lane-parallel on the sliced one) checking that the design takes
    exactly the planned walks, then folds the plans sequentially in
    batch order.  A candidate is kept iff committing its walk's marks
    moves the coverage counters — new state, new arc, or new (state,
@@ -20,7 +20,7 @@ module Coverage = Avp_obs.Coverage
    Determinism: candidate generation draws from one seeded PRNG
    before evaluation, evaluation is positionally indexed, and the
    fold is sequential in batch order — so the final corpus and
-   coverage set are byte-identical for any engine and domain count.
+   coverage set are byte-identical for either engine.
 
    Energy schedule: a corpus seed's energy is the sum over its arcs
    of 1/(number of corpus entries that hit the arc) — seeds holding
@@ -34,7 +34,7 @@ type config = {
   init_len : int;
   max_len : int;
   engine : [ `Scalar | `Sliced ];
-  domains : int;
+  domains : int;  (* ignored; kept because perfbench/main.ml sets it *)
 }
 
 let default_config =
@@ -226,8 +226,7 @@ let play_round ?progress ~config ~round ~t0 st (tr : Translate.result) graph
     candidates =
   let planned = Array.map (Exec.plan tr.Translate.model graph) candidates in
   (match
-     Exec.run ~engine:config.engine ~domains:config.domains ?progress tr
-       graph planned
+     Exec.run ~engine:config.engine ?progress tr graph planned
    with
    | Ok () -> ()
    | Error (i, detail) ->

@@ -17,9 +17,9 @@
     once per round.
 
     Determinism: candidate generation draws from one seeded PRNG
-    before any parallel evaluation, and evaluation results are
-    positionally indexed — the final corpus and coverage set are
-    byte-identical for any engine and domain count. *)
+    before evaluation, and evaluation results are positionally
+    indexed — the final corpus and coverage set are byte-identical
+    for either engine. *)
 
 type config = {
   seed : int;
@@ -28,12 +28,12 @@ type config = {
   init_len : int;  (** length of initial random entries *)
   max_len : int;  (** entry length bound *)
   engine : [ `Scalar | `Sliced ];
-  domains : int;
+  domains : int;  (** ignored, kept because perfbench/main.ml sets it *)
 }
 
 val default_config : config
-(** seed 0, budget 512, batch 31, init_len 24, max_len 48, sliced
-    engine, 1 domain. *)
+(** seed 0, budget 512, batch 31, init_len 16, max_len 96, sliced
+    engine. *)
 
 type kept = {
   entry : Corpus.entry;

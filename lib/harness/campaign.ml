@@ -20,48 +20,22 @@ let run_stimulus ?config ?(max_cycles = 20_000) (stim : Drive.stimulus) =
     ~mem_init:stim.Drive.mem_init ~program:stim.Drive.program
     ~inbox:stim.Drive.inbox ()
 
-let detect_with ?max_cycles ?(domains = 1) ?progress config stimuli =
-  let tick () =
-    match progress with
-    | Some p -> Avp_obs.Progress.tick p
-    | None -> ()
+let detect_with ?max_cycles ?progress config stimuli =
+  let rec scan runs instructions = function
+    | [] -> { detected = false; runs; instructions }
+    | stim :: rest -> (
+      (match progress with
+       | Some p -> Avp_obs.Progress.tick p
+       | None -> ());
+      let runs = runs + 1
+      and instructions = instructions + Array.length stim.Drive.program - 1 in
+      match run_stimulus ~config ?max_cycles stim with
+      | Compare.Mismatch _ -> { detected = true; runs; instructions }
+      | Compare.Match -> scan runs instructions rest)
   in
-  let stims = Array.of_list stimuli in
-  let n = Array.length stims in
-  (* Stimuli sharded round-robin over domains, each run on its own
-     pair of simulators inside [Compare.run].  [first_hit] lets workers
-     skip stimuli that can no longer be the answer: only indices above
-     an already-detected one are skipped, so the merge below reports
-     exactly what the sequential scan would. *)
-  let detected = Array.make n false in
-  let first_hit = Atomic.make max_int in
-  Avp_enum.Pool.iter ~domains n (fun i ->
-      if i < Atomic.get first_hit then begin
-        tick ();
-        match run_stimulus ~config ?max_cycles stims.(i) with
-        | Compare.Match -> ()
-        | Compare.Mismatch _ ->
-          detected.(i) <- true;
-          let rec lower () =
-            let cur = Atomic.get first_hit in
-            if i < cur && not (Atomic.compare_and_set first_hit cur i) then
-              lower ()
-          in
-          lower ()
-      end);
-  (* Deterministic merge: first detecting stimulus in list order. *)
-  let rec scan i runs instructions =
-    if i = n then { detected = false; runs; instructions }
-    else
-      let instructions =
-        instructions + Array.length stims.(i).Drive.program - 1
-      in
-      if detected.(i) then { detected = true; runs = runs + 1; instructions }
-      else scan (i + 1) (runs + 1) instructions
-  in
-  scan 0 0 0
+  scan 0 0 stimuli
 
-let table_2_1 ?(seed = 1) ?max_cycles ?domains ?progress ?fuzz ~cfg ~graph
+let table_2_1 ?(seed = 1) ?max_cycles ?progress ?fuzz ~cfg ~graph
     ~tours () =
   let generated_stimuli = Drive.of_traces ~seed cfg graph tours in
   let generated_budget =
@@ -85,17 +59,17 @@ let table_2_1 ?(seed = 1) ?max_cycles ?domains ?progress ?fuzz ~cfg ~graph
         {
           bug;
           generated =
-            detect_with ?max_cycles ?domains ?progress config
+            detect_with ?max_cycles ?progress config
               generated_stimuli;
           random =
-            detect_with ?max_cycles ?domains ?progress config random_stimuli;
+            detect_with ?max_cycles ?progress config random_stimuli;
           directed =
-            detect_with ?max_cycles ?domains ?progress config
+            detect_with ?max_cycles ?progress config
               directed_stimuli;
           fuzz =
             Option.map
               (fun stimuli ->
-                detect_with ?max_cycles ?domains ?progress config stimuli)
+                detect_with ?max_cycles ?progress config stimuli)
               fuzz;
         }
       in

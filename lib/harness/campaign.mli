@@ -30,21 +30,16 @@ val run_stimulus :
 
 val detect_with :
   ?max_cycles:int ->
-  ?domains:int ->
   ?progress:Avp_obs.Progress.t ->
   Avp_pp.Rtl.config ->
   Drive.stimulus list ->
   method_result
 (** Run stimuli in list order until one exposes a mismatch.
-    [?domains] (default 1) fans the runs out over that many OCaml
-    domains, sharded round-robin, each on its own simulator pair; the
-    merge still reports the first detecting stimulus in list order,
-    so the result is identical to the sequential scan. *)
+    [progress] ticks once per stimulus run. *)
 
 val table_2_1 :
   ?seed:int ->
   ?max_cycles:int ->
-  ?domains:int ->
   ?progress:Avp_obs.Progress.t ->
   ?fuzz:Drive.stimulus list ->
   cfg:Avp_pp.Control_model.cfg ->

@@ -54,8 +54,8 @@ val compile : ?u:units -> Elab.t -> prog option
 
 val instantiate : prog -> t
 (** A fresh simulator (nets at their reset-free initial X/Z values)
-    running the given program.  Instances share only immutable data
-    and may live on different domains. *)
+    running the given program.  Instances share only immutable
+    data. *)
 
 val create : ?u:units -> Elab.t -> t option
 (** [compile] followed by {!instantiate}. *)

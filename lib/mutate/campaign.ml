@@ -280,23 +280,22 @@ let sliced_phase sim ~lookup ~clock ~reset ~need
       in
       first 0)
 
-let detect ~engine ~domains ~lanes ~tr ~graph ~on_done (phases : phase array)
+let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
     (duts : Avp_hdl.Elab.t array) =
   let module Obs = Avp_obs.Obs in
   let n = Array.length duts in
+  (* Mutant by mutant: the scalar engine's whole run, and the sliced
+     engine's leftovers (unschedulable mutants, chunks the kernel
+     aborted on). *)
   let check_scalar j =
     let t0 = Obs.Clock.now_s () in
     on_done ~t0 j (Array.map (check_phase ~tr ~graph duts.(j)) phases)
   in
-  (* Mutant-level sharding: the scalar engine's whole run, and the
-     sliced engine's leftovers (unschedulable mutants, chunks the
-     kernel aborted on). *)
-  let scalar_pass indices =
-    Pool.iter ~domains (Array.length indices) (fun i ->
-        check_scalar indices.(i))
-  in
   match engine with
-  | `Scalar -> scalar_pass (Array.init n Fun.id)
+  | `Scalar ->
+    for j = 0 to n - 1 do
+      check_scalar j
+    done
   | `Sliced ->
     let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
     let base = tr.Translate.elab in
@@ -403,13 +402,13 @@ let detect ~engine ~domains ~lanes ~tr ~graph ~on_done (phases : phase array)
           pass_span ();
           fall_back ())
     done;
-    scalar_pass (Array.of_list (List.rev !fallback))
+    List.iter check_scalar (List.rev !fallback)
 
 (* ---------------------------------------------------------------- *)
 (* The campaign                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let run ?families ?(seed = 1) ?budget ?(domains = 1)
+let run ?families ?(seed = 1) ?budget ?domains:_
     ?(max_equiv_states = 10_000) ?top ?progress
     ?(engine : [ `Scalar | `Sliced ] = `Sliced)
     ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ~design ~tr ~graph ~tours () =
@@ -422,8 +421,8 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   let mutants = Array.of_list mutants in
   let n = Array.length mutants in
   (* Vector realization touches the pristine model (whose [next] steps
-     a shared simulator), so it happens once, here, sequentially; the
-     resulting vectors are immutable and shared by every domain. *)
+     a shared simulator), so it happens once, here; every mutant
+     replays the same vectors. *)
   let rtours = random_tours ~seed tr.Translate.model graph tours in
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
@@ -447,7 +446,7 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   in
   let out = Array.make n Equivalent in
   (* One span per mutant, its args the deterministic classification —
-     so normalized trace output is -j invariant like the report. *)
+     so normalized trace output repeats exactly, like the report. *)
   let module Obs = Avp_obs.Obs in
   let finish ~t0 i cls =
     out.(i) <- cls;
@@ -466,8 +465,7 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   in
   (* The parent span covers every pass and classification; the
      constant flow id draws the fan-out to the per-mutant spans in the
-     Chrome viewer, and its args are domain-count-free so normalized
-     traces stay -j invariant. *)
+     Chrome viewer. *)
   Obs.span ~cat:"mutate" "mutate.run"
     ~args:[ ("mutants", Obs.Int n); ("flow_out", Obs.Int 0) ]
   @@ fun () ->
@@ -489,7 +487,7 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   (* One fused replay of the tour vectors serves both tour oracles —
      the output oracle chains behind the state oracle — then one
      replay of the random vectors. *)
-  detect ~engine ~domains ~lanes ~tr ~graph
+  detect ~engine ~lanes ~tr ~graph
     [|
       { vectors = tvecs; chain = [| States tours; Nets (outs, tour_out) |] };
       { vectors = rvecs; chain = [| Nets (outs, rand_out) |] };

@@ -14,10 +14,7 @@
     design's {e output ports} only — without the enumerated tour
     there is no per-cycle state prediction to check against.  Both
     oracles also observe the post-reset state (reported as cycle -1),
-    and a checked net carrying x/z bits is itself a kill.  Mutants
-    are sharded round-robin over OCaml domains; classification is
-    per-mutant deterministic, so the report is identical for any
-    domain count.
+    and a checked net carrying x/z bits is itself a kill.
 
     Mutants that escape both vector sets are re-enumerated and
     checked for graph equivalence ({!Filter.equivalent}); genuinely
@@ -112,7 +109,6 @@ type outcome =
 
 val detect :
   engine:[ `Scalar | `Sliced ] ->
-  domains:int ->
   lanes:int ->
   tr:Avp_fsm.Translate.result ->
   graph:Avp_enum.State_graph.t ->
@@ -124,8 +120,8 @@ val detect :
     an elaboration of a mutant of the design [tr] was translated from)
     and report, per mutant, each phase's first issue.
     [on_done ~t0 j outcomes] runs exactly once per mutant [j], with
-    one outcome per phase, on the domain that finished it; [t0] is
-    when work attributable to that mutant alone began.
+    one outcome per phase; [t0] is when work attributable to that
+    mutant alone began.
 
     [`Sliced] compiles [tr]'s design {e once} as mutant schemata
     ({!Avp_hdl.Sliced.create_schemata}) and replays chunks of up to
@@ -134,9 +130,8 @@ val detect :
     schemata kernel cannot carry (structural divergence beyond one
     expression site, or a mutation-induced comb loop that aborts the
     shared word) fall back to the scalar path.  [`Scalar] replays
-    mutant by mutant, sharded over [domains].  Outcomes — escape
-    texts included — are identical for any engine, lane and domain
-    count. *)
+    mutant by mutant.  Outcomes — escape texts included — are
+    identical for any engine and lane count. *)
 
 val run :
   ?families:Op.family list ->
@@ -155,8 +150,8 @@ val run :
   unit ->
   report
 (** [seed] (default 1) drives both the mutant sample and the random
-    baseline; [budget] bounds the number of mutants (default: all);
-    [domains] (default 1) parallelizes the per-mutant work.
+    baseline; [budget] bounds the number of mutants (default: all).
+    [domains] is ignored, kept because perfbench/main.ml passes it.
 
     [engine] (default [`Sliced]) selects the replay backend.
     Mutants are vetted up front; the survivors go through {!detect}
@@ -172,8 +167,8 @@ val run :
 val to_json : report -> string
 (** Deterministic machine-readable report: header rates, per-family
     scores, every mutant's classification, and the survivor list.
-    Contains no timings or domain counts, so byte-equal output is a
-    correctness property across runs and [-j] values. *)
+    Contains no timings, so byte-equal output is a correctness
+    property across runs and engines. *)
 
 val report_section : report -> Avp_obs.Report.mutation_section
 (** The campaign's scores as a section of a unified

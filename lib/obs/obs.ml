@@ -1,15 +1,11 @@
 (* Structured tracing and metrics for the validation pipeline.
 
-   One global tracer behind an [Atomic.t option]: every
-   instrumentation site is a single atomic load and branch when
-   tracing is disabled, so the pipeline's hot paths (state expansion,
-   compiled-sim stepping) pay nothing measurable.  When a tracer is
-   installed, events and metrics accumulate in per-domain buffers
-   (domain-local storage, registered once per domain under a mutex)
-   so replay shards, mutation kill campaigns and fuzz execution
-   emit without locks, without cross-domain contention, and without
-   perturbing the deterministic [-j] merges.  Serialization merges
-   the buffers under a total order, so the output is reproducible. *)
+   One global tracer behind an [option ref]: every instrumentation
+   site is a single load and branch when tracing is disabled, so the
+   pipeline's hot paths (state expansion, compiled-sim stepping) pay
+   nothing measurable.  When a tracer is installed, events and
+   counters accumulate in its one buffer; serialization sorts the
+   events under a total order, so the output is reproducible. *)
 
 module Clock = struct
   (* The single clock for every measurement in the repo: perfbench and
@@ -39,7 +35,7 @@ type event = {
   ph : ph;
   ts_ns : int;  (* nanoseconds since the tracer's epoch *)
   dur_ns : int;
-  dom : int;  (* numeric Domain.id of the emitting domain *)
+  dom : int;  (* emitting domain; 0 for every event this tracer emits *)
   depth : int;  (* span-nesting depth within that domain *)
   o : int;  (* per-domain tick at open... *)
   c : int;  (* ...and at close; o = c for instants and
@@ -47,193 +43,162 @@ type event = {
   args : (string * arg) list;
 }
 
-type buffer = {
-  dom : int;
+type t = {
+  epoch : float;
+  (* When set, bracketed spans also record their allocation delta
+     (an [alloc_w] minor+major words arg, read from counters — the
+     heap is never walked) and {!sample_gc} snapshots collector
+     counters.  Off by default: allocation counts vary from run to
+     run, so normalized traces meant to be run-invariant must not
+     carry them. *)
+  gc : bool;
+  gc0 : Gc.stat;  (* collector counters at tracer creation *)
+  alloc0 : float;  (* allocated words at tracer creation *)
   mutable rev_events : event list;
   mutable tick : int;
   mutable depth : int;
   counters : (string, int ref) Hashtbl.t;
 }
 
-type t = {
-  epoch : float;
-  (* When set, bracketed spans also record their allocation delta
-     (an [alloc_w] minor+major words arg, read from counters — the
-     heap is never walked) and {!sample_gc} snapshots collector
-     counters.  Off by default: allocation counts vary with domain
-     scheduling, so the [-j]-invariant normalized traces must not
-     carry them. *)
-  gc : bool;
-  gc0 : Gc.stat;  (* collector counters at tracer creation *)
-  alloc0 : float;  (* allocated words at tracer creation *)
-  mutex : Mutex.t;
-  buffers : buffer list ref;  (* registration order; merged sorted *)
-  key : buffer Domain.DLS.key;
-}
+(* Allocated words: [Gc.minor_words] is the precise allocation
+   counter (a pointer read — [Gc.quick_stat]'s copy is only refreshed
+   at minor collections and reads stale between them); the quick_stat
+   major/promoted figures correct for direct major-heap
+   allocations. *)
+let alloc_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
-let fresh_buffer dom =
+let create ?(gc = false) () =
   {
-    dom;
+    epoch = Clock.now_s ();
+    gc;
+    gc0 = Gc.quick_stat ();
+    alloc0 = alloc_words ();
     rev_events = [];
     tick = 0;
     depth = 0;
     counters = Hashtbl.create 16;
   }
 
-(* Allocated words on this domain: [Gc.minor_words] is the precise
-   per-domain allocation counter (a pointer read — [Gc.quick_stat]'s
-   copy is only refreshed at minor collections and reads stale
-   between them); the quick_stat major/promoted figures correct for
-   direct major-heap allocations. *)
-let alloc_words () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
-
-let create ?(gc = false) () =
-  let mutex = Mutex.create () in
-  let buffers = ref [] in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let b = fresh_buffer (Domain.self () :> int) in
-        Mutex.lock mutex;
-        buffers := b :: !buffers;
-        Mutex.unlock mutex;
-        b)
-  in
-  {
-    epoch = Clock.now_s ();
-    gc;
-    gc0 = Gc.quick_stat ();
-    alloc0 = alloc_words ();
-    mutex;
-    buffers;
-    key;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* The global tracer                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let cur : t option Atomic.t = Atomic.make None
+let cur : t option ref = ref None
 
-let current () = Atomic.get cur
-let enabled () = Atomic.get cur <> None
+let current () = !cur
+let enabled () = !cur <> None
 
 let with_tracer t f =
-  let prev = Atomic.get cur in
-  Atomic.set cur (Some t);
-  Fun.protect ~finally:(fun () -> Atomic.set cur prev) f
+  let prev = !cur in
+  cur := Some t;
+  Fun.protect ~finally:(fun () -> cur := prev) f
 
-let buf t = Domain.DLS.get t.key
 let ns_of t s = int_of_float ((s -. t.epoch) *. 1e9)
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                           *)
 (* ------------------------------------------------------------------ *)
 
-
 let span ?(cat = "avp") ?(args = []) name f =
-  match Atomic.get cur with
+  match !cur with
   | None -> f ()
   | Some t ->
-    let b = buf t in
-    let o = b.tick in
-    b.tick <- o + 1;
-    let depth = b.depth in
-    b.depth <- depth + 1;
+    let o = t.tick in
+    t.tick <- o + 1;
+    let depth = t.depth in
+    t.depth <- depth + 1;
     let a0 = if t.gc then alloc_words () else 0. in
     let t0 = Clock.now_s () in
     Fun.protect
       ~finally:(fun () ->
         let t1 = Clock.now_s () in
-        b.depth <- depth;
-        let c = b.tick in
-        b.tick <- c + 1;
+        t.depth <- depth;
+        let c = t.tick in
+        t.tick <- c + 1;
         let args =
           if t.gc then
             ("alloc_w", Int (int_of_float (alloc_words () -. a0))) :: args
           else args
         in
-        b.rev_events <-
+        t.rev_events <-
           {
             name;
             cat;
             ph = Span;
             ts_ns = ns_of t t0;
             dur_ns = ns_of t t1 - ns_of t t0;
-            dom = b.dom;
+            dom = 0;
             depth;
             o;
             c;
             args;
           }
-          :: b.rev_events)
+          :: t.rev_events)
       f
 
 (* A span recorded after the fact from a measured duration: hot loops
    that already time themselves (BFS levels, per-mutant classify)
    emit one of these per unit of work instead of bracketing. *)
 let complete ?(cat = "avp") ?(args = []) ~dur_s name =
-  match Atomic.get cur with
+  match !cur with
   | None -> ()
   | Some t ->
-    let b = buf t in
-    let n = b.tick in
-    b.tick <- n + 1;
+    let n = t.tick in
+    t.tick <- n + 1;
     let t1 = Clock.now_s () in
     let dur_ns = int_of_float (Float.max 0. dur_s *. 1e9) in
-    b.rev_events <-
+    t.rev_events <-
       {
         name;
         cat;
         ph = Span;
         ts_ns = ns_of t t1 - dur_ns;
         dur_ns;
-        dom = b.dom;
-        depth = b.depth;
+        dom = 0;
+        depth = t.depth;
         o = n;
         c = n;
         args;
       }
-      :: b.rev_events
+      :: t.rev_events
 
 let instant ?(cat = "avp") ?(args = []) name =
-  match Atomic.get cur with
+  match !cur with
   | None -> ()
   | Some t ->
-    let b = buf t in
-    let n = b.tick in
-    b.tick <- n + 1;
-    b.rev_events <-
+    let n = t.tick in
+    t.tick <- n + 1;
+    t.rev_events <-
       {
         name;
         cat;
         ph = Instant;
         ts_ns = ns_of t (Clock.now_s ());
         dur_ns = 0;
-        dom = b.dom;
-        depth = b.depth;
+        dom = 0;
+        depth = t.depth;
         o = n;
         c = n;
         args;
       }
-      :: b.rev_events
+      :: t.rev_events
 
 let incr ?(by = 1) name =
-  match Atomic.get cur with
+  match !cur with
   | None -> ()
-  | Some t ->
-    let b = buf t in
-    (match Hashtbl.find_opt b.counters name with
-     | Some r -> r := !r + by
-     | None -> Hashtbl.add b.counters name (ref by))
+  | Some t -> (
+    match Hashtbl.find_opt t.counters name with
+    | Some r -> r := !r + by
+    | None -> Hashtbl.add t.counters name (ref by))
 
 (* Snapshot the collector's counters as Obs counters (deltas since
    tracer creation).  One call on the way out of a profiled section —
    never per event, so it costs nothing on any hot path.  No-op
    unless the tracer was created with [~gc:true]. *)
 let sample_gc () =
-  match Atomic.get cur with
+  match !cur with
   | None -> ()
   | Some t ->
     if t.gc then begin
@@ -250,39 +215,17 @@ let sample_gc () =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Merge                                                              *)
+(* Views                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot_buffers t =
-  Mutex.lock t.mutex;
-  let bs = !(t.buffers) in
-  Mutex.unlock t.mutex;
-  bs
-
 let events t =
-  let all =
-    List.concat_map (fun b -> List.rev b.rev_events) (snapshot_buffers t)
-  in
   List.sort
     (fun a b ->
-      match compare a.ts_ns b.ts_ns with
-      | 0 -> (
-        match compare a.dom b.dom with 0 -> compare a.o b.o | n -> n)
-      | n -> n)
-    all
+      match compare a.ts_ns b.ts_ns with 0 -> compare a.o b.o | n -> n)
+    (List.rev t.rev_events)
 
 let counters t =
-  let merged = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-      Hashtbl.iter
-        (fun name r ->
-          match Hashtbl.find_opt merged name with
-          | Some m -> m := !m + !r
-          | None -> Hashtbl.add merged name (ref !r))
-        b.counters)
-    (snapshot_buffers t);
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) merged []
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)
@@ -396,10 +339,9 @@ let decode_event line =
   | Error _ -> None
 
 (* Sort-key normalization: drop everything that legitimately varies
-   across runs and domain counts (timestamps, durations, domain ids,
-   tick counters, nesting depth) and order events by their stable
-   identity.  Two runs that did the same work then serialize
-   byte-identically, which is what the [-j] invariance tests pin. *)
+   across runs (timestamps, durations, domain ids, tick counters,
+   nesting depth) and order events by their stable identity.  Two
+   runs that did the same work then serialize byte-identically. *)
 let normalize_events evs =
   let strip e =
     { e with ts_ns = 0; dur_ns = 0; dom = 0; depth = 0; o = 0; c = 0 }
@@ -420,12 +362,11 @@ let to_jsonl ?(normalize = false) t =
 
 (* Flow events: spans carrying a [flow_out] arg (a fan-out parent
    such as the replay driver) open a flow at their start timestamp;
-   spans carrying [flow_in] (the per-domain work it fans out)
-   terminate it at theirs.  Chrome/Perfetto match on (name, cat, id),
-   so cross-domain handoffs render as arrows from the coordinator's
-   track to each worker track.  The flow events are derived at
-   serialization — they are not stored, so JSONL round-trips and the
-   normalized [-j] comparisons are untouched. *)
+   spans carrying [flow_in] (the per-trace or per-mutant work it fans
+   out) terminate it at theirs.  Chrome/Perfetto match on (name, cat,
+   id), so the fan-out renders as arrows.  The flow events are derived
+   at serialization — they are not stored, so JSONL round-trips and
+   normalized traces are untouched. *)
 let flow_arg key (e : event) =
   match List.assoc_opt key e.args with Some (Int id) -> Some id | _ -> None
 

@@ -1,13 +1,11 @@
 (** Structured tracing and metrics for the validation pipeline.
 
-    A single global tracer sits behind an [Atomic.t option]: when no
-    tracer is installed every instrumentation site is one atomic load
-    plus a branch, so enumeration and compiled simulation keep their
-    benchmarked throughput.  With a tracer installed, spans, instants
-    and counters accumulate in per-domain buffers
-    (domain-local storage) — replay shards, mutation campaigns and
-    fuzz execution emit lock-free, and serialization merges the
-    buffers under a total order so output is reproducible. *)
+    A single global tracer sits behind an [option ref]: when no tracer
+    is installed every instrumentation site is one load plus a branch,
+    so enumeration and compiled simulation keep their benchmarked
+    throughput.  With a tracer installed, spans, instants and counters
+    accumulate in its buffer, and serialization sorts the events under
+    a total order so output is reproducible. *)
 
 module Clock : sig
   val now_s : unit -> float
@@ -36,7 +34,9 @@ type event = {
   ph : ph;
   ts_ns : int;  (** nanoseconds since the tracer's epoch *)
   dur_ns : int;
-  dom : int;  (** numeric domain id of the emitting domain *)
+  dom : int;
+      (** emitting domain: 0 for every event a tracer emits; traces
+          written by older versions may carry others *)
   depth : int;  (** span-nesting depth within that domain *)
   o : int;  (** per-domain tick at open... *)
   c : int;  (** ...and close; [o = c] for instants and {!complete} *)
@@ -49,8 +49,8 @@ val create : ?gc:bool -> unit -> t
 (** [~gc:true] additionally samples the collector: bracketed spans
     record an [alloc_w] allocated-words arg ([Gc.quick_stat], counter
     reads only) and {!sample_gc} snapshots collection counts.  Off by
-    default — allocation varies with domain scheduling, so traces
-    meant to be [-j]-invariant must not carry it. *)
+    default — allocation varies from run to run, so traces meant to
+    normalize identically must not carry it. *)
 
 (** {2 The global tracer} *)
 
@@ -61,7 +61,7 @@ val with_tracer : t -> (unit -> 'a) -> 'a
 (** Installs [t] for the duration of the callback (restoring the
     previous tracer after), so tests can trace scoped sections. *)
 
-(** {2 Emission} — all no-ops (one atomic load) when disabled. *)
+(** {2 Emission} — all no-ops (one load) when disabled. *)
 
 val span : ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
 (** Bracketed hierarchical span: times the callback, releases the
@@ -81,14 +81,13 @@ val sample_gc : unit -> unit
     section; no-op when tracing is disabled or the tracer was created
     without [~gc:true]. *)
 
-(** {2 Merged views} *)
+(** {2 Views} *)
 
 val events : t -> event list
-(** All events, merged across domains, sorted by
-    [(ts_ns, dom, open tick)]. *)
+(** All events, sorted by [(ts_ns, open tick)]. *)
 
 val counters : t -> (string * int) list
-(** Summed across domains, sorted by name. *)
+(** Sorted by name. *)
 
 val well_formed : event list -> bool
 (** Per domain, span tick-intervals [[o, c]] nest or are disjoint and
@@ -112,15 +111,15 @@ val event_of_json : Json.t -> event option
 val normalize_events : event list -> event list
 (** Drops run-varying fields (timestamps, domain ids, ticks, depth)
     and sorts by stable identity — after this, runs that did the same
-    work serialize byte-identically for any [-j]. *)
+    work serialize byte-identically. *)
 
 val to_jsonl : ?normalize:bool -> t -> string
 val to_chrome : t -> string
 (** Chrome trace_event JSON ([{"traceEvents": [...]}]), loadable in
     [chrome://tracing] and Perfetto.  Spans carrying a [flow_out] /
     [flow_in] integer arg additionally emit [ph:"s"] / [ph:"f"] flow
-    events (matched on category and id), so cross-domain handoffs —
-    the replay driver to its per-trace work — render as arrows. *)
+    events (matched on category and id), so fan-outs — a replay to
+    its per-trace spans — render as arrows. *)
 
 val metrics_json : t -> string
 (** The counters as deterministic pretty JSON. *)

@@ -21,22 +21,11 @@ type span_stat = {
   s_by_dom : (int * int) list;
 }
 
-type parallel = {
-  par_domains : int;
-  par_wall_ns : int;
-  par_busy_ns : int;
-  par_utilization : float;
-  par_serial_fraction : float;
-  par_concurrency : (int * int) list;
-  par_diagnosis : string;
-}
-
 type t = {
   p_events : int;
   p_wall_ns : int;
   p_spans : span_stat list;
   p_folded : (string * int) list;
-  p_parallel : parallel option;
   p_counters : (string * int) list;
 }
 
@@ -51,11 +40,6 @@ let int_arg key (e : Obs.event) =
   match List.assoc_opt key e.Obs.args with
   | Some (Obs.Int i) -> Some i
   | _ -> None
-
-(* The per-domain worker spans the busy/idle timeline is built from:
-   each one is a contiguous stretch of real work on its domain. *)
-let worker_names =
-  [ "replay.trace"; "mutate.classify"; "mutate.pass"; "fuzz.exec" ]
 
 (* ------------------------------------------------------------------ *)
 (* Nesting: direct parents and self time                              *)
@@ -262,96 +246,11 @@ let of_events ?(counters = []) (evs : Obs.event list) =
       !hi - !lo
     end
   in
-  (* ---------------------------------------------------------------- *)
-  (* Parallel efficiency                                              *)
-  (* ---------------------------------------------------------------- *)
-  let workers =
-    Array.of_list
-      (List.filter (fun e -> List.mem e.Obs.name worker_names)
-         (Array.to_list spans))
-  in
-  (* Per-domain busy intervals, overlaps merged (nested worker spans —
-     a classify inside a pass — must not double-count). *)
-  let by_dom : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-  Array.iter
-    (fun e ->
-      let iv = (e.Obs.ts_ns, e.Obs.ts_ns + e.Obs.dur_ns) in
-      match Hashtbl.find_opt by_dom e.Obs.dom with
-      | Some r -> r := iv :: !r
-      | None -> Hashtbl.add by_dom e.Obs.dom (ref [ iv ]))
-    workers;
-  let ndom = Hashtbl.length by_dom in
-  (* A parallel section needs worker spans on at least two domains;
-     a one-domain run has nothing to be efficient about. *)
-  let parallel =
-    if ndom < 2 then None
-    else begin
-      (* Envelope of the parallel section: the worker spans and the
-         replay parent that dispatches and merges them. *)
-      let lo = ref max_int and hi = ref min_int in
-      Array.iter
-        (fun e ->
-          if List.mem e.Obs.name worker_names || e.Obs.name = "replay.run"
-          then begin
-            if e.Obs.ts_ns < !lo then lo := e.Obs.ts_ns;
-            let e_end = e.Obs.ts_ns + e.Obs.dur_ns in
-            if e_end > !hi then hi := e_end
-          end)
-        spans;
-      let win_lo = !lo and win_hi = !hi in
-      let wall = max 1 (win_hi - win_lo) in
-      let merged =
-        Hashtbl.fold (fun _ ivs acc -> merge_intervals !ivs :: acc) by_dom []
-      in
-      let busy = List.fold_left (fun acc ivs -> acc + length_ns ivs) 0 merged in
-      (* Concurrency sweep: +1/-1 edges, time spent with exactly k
-         domains busy, clamped to the envelope. *)
-      let edges =
-        List.concat_map
-          (fun ivs ->
-            List.concat_map (fun (a, b) -> [ (a, 1); (b, -1) ]) ivs)
-          merged
-        |> List.sort compare
-      in
-      let conc = Array.make (ndom + 1) 0 in
-      let cur = ref 0 and t = ref win_lo in
-      List.iter
-        (fun (ts, d) ->
-          let ts = max win_lo (min win_hi ts) in
-          if ts > !t then conc.(min ndom !cur) <- conc.(min ndom !cur) + (ts - !t);
-          t := ts;
-          cur := !cur + d)
-        edges;
-      if win_hi > !t then conc.(0) <- conc.(0) + (win_hi - !t);
-      let serial_ns = conc.(0) + conc.(1) in
-      let serial_fraction = float_of_int serial_ns /. float_of_int wall in
-      let utilization = float_of_int busy /. float_of_int (ndom * wall) in
-      let diagnosis =
-        Printf.sprintf
-          "utilization %.1f%%, serial fraction %.2f (Amdahl-limited to \
-           %.2fx at %d domains)"
-          (100. *. utilization) serial_fraction
-          (1. /. (serial_fraction +. ((1. -. serial_fraction) /. float_of_int ndom)))
-          ndom
-      in
-      Some
-        {
-          par_domains = ndom;
-          par_wall_ns = wall;
-          par_busy_ns = busy;
-          par_utilization = utilization;
-          par_serial_fraction = serial_fraction;
-          par_concurrency = Array.to_list (Array.mapi (fun k v -> (k, v)) conc);
-          par_diagnosis = diagnosis;
-        }
-    end
-  in
   {
     p_events = Array.length all;
     p_wall_ns = wall_ns;
     p_spans = stats;
     p_folded = folded;
-    p_parallel = parallel;
     p_counters = counters;
   }
 
@@ -419,22 +318,6 @@ let json_of_span ?(normalize = false) (s : span_stat) =
                s.s_by_dom) );
       ]
 
-let json_of_parallel (p : parallel) =
-  Json.Obj
-    [
-      ("domains", Json.Int p.par_domains);
-      ("wall_s", Json.Float (ns_s p.par_wall_ns));
-      ("busy_s", Json.Float (ns_s p.par_busy_ns));
-      ("utilization", Json.Float p.par_utilization);
-      ("serial_fraction", Json.Float p.par_serial_fraction);
-      ( "concurrency_s",
-        Json.Obj
-          (List.map
-             (fun (k, ns) -> (string_of_int k, Json.Float (ns_s ns)))
-             p.par_concurrency) );
-      ("diagnosis", Json.Str p.par_diagnosis);
-    ]
-
 let to_json_value ?(normalize = false) t =
   let spans =
     let ss =
@@ -453,10 +336,6 @@ let to_json_value ?(normalize = false) t =
         ("events", Json.Int t.p_events);
         ("wall_s", Json.Float (ns_s t.p_wall_ns));
         ("spans", spans);
-        ( "parallel",
-          match t.p_parallel with
-          | None -> Json.Null
-          | Some p -> json_of_parallel p );
         ( "counters",
           Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.p_counters) );
       ]
@@ -597,25 +476,8 @@ let pp ppf t =
         (float_of_int s.s_max_ns /. 1e6)
         s.s_alloc_w)
     t.p_spans;
-  (match t.p_counters with
-   | [] -> ()
-   | cs ->
-     Format.fprintf ppf "counters:@.";
-     List.iter (fun (k, v) -> Format.fprintf ppf "  %-28s %d@." k v) cs);
-  match t.p_parallel with
-  | None -> ()
-  | Some p ->
-    Format.fprintf ppf
-      "parallel: %d domains, wall %.3fs, busy %.3fs, utilization %.1f%%@."
-      p.par_domains (ns_s p.par_wall_ns) (ns_s p.par_busy_ns)
-      (100. *. p.par_utilization);
-    Format.fprintf ppf "  serial fraction (<=1 domain busy): %.2f@."
-      p.par_serial_fraction;
-    Format.fprintf ppf "  concurrency:";
-    List.iter
-      (fun (k, ns) ->
-        if ns > 0 then
-          Format.fprintf ppf " %d-busy %.1f%%" k
-            (100. *. float_of_int ns /. float_of_int p.par_wall_ns))
-      p.par_concurrency;
-    Format.fprintf ppf "@.  diagnosis: %s@." p.par_diagnosis
+  match t.p_counters with
+  | [] -> ()
+  | cs ->
+    Format.fprintf ppf "counters:@.";
+    List.iter (fun (k, v) -> Format.fprintf ppf "  %-28s %d@." k v) cs

@@ -1,7 +1,7 @@
 (** Offline + in-process analyzer over the Obs event stream: turns raw
     spans into performance facts.
 
-    Three views over one event list:
+    Two views over one event list:
 
     - {b span aggregation} — per (category, name) label: call count,
       total and self time over the union of the label's windows on
@@ -15,13 +15,11 @@
     - {b folded stacks} — the per-domain nesting chains collapsed to
       [dom0;parent;child self_ns] lines (the inferno / speedscope /
       flamegraph.pl input format) plus a self-contained static HTML
-      flame view;
-    - {b parallel efficiency} — per-domain busy/idle timelines
-      reconstructed from the worker spans ([replay.trace],
-      [mutate.classify], [mutate.pass], [fuzz.exec]) when they come
-      from at least two domains, reported as utilization, a
-      concurrency histogram (how long exactly [k] domains were busy)
-      and an Amdahl-style serial-fraction estimate.
+      flame view.
+
+    Domains are a property of the trace format: every event this
+    version emits is on domain 0, and traces written by older
+    versions may carry more.
 
     Everything is computed from the events alone, so the same analysis
     runs in-process (behind [--profile]) and offline over a [--trace]
@@ -32,8 +30,8 @@ type span_stat = {
   s_name : string;
   s_count : int;
   s_total_ns : int;
-      (** per domain, the union of the spans' windows, summed over
-          domains: overlapping spans of the label count once *)
+      (** per domain, the union of the spans' windows, summed:
+          overlapping spans of the label count once *)
   s_self_ns : int;
       (** per domain, that union minus the union of the spans' direct
           children, summed: never negative *)
@@ -46,20 +44,6 @@ type span_stat = {
       (** domain id -> the union of the spans' windows there, sorted *)
 }
 
-type parallel = {
-  par_domains : int;  (** distinct domains with worker spans *)
-  par_wall_ns : int;  (** envelope of the parallel section *)
-  par_busy_ns : int;  (** summed worker busy time across domains *)
-  par_utilization : float;  (** busy / (domains * wall) *)
-  par_serial_fraction : float;
-      (** fraction of wall with at most one domain busy — the
-          Amdahl-style serial-fraction estimate *)
-  par_concurrency : (int * int) list;
-      (** exactly-k-domains-busy -> ns, k = 0 .. domains *)
-  par_diagnosis : string;
-      (** utilization, serial fraction and the speedup it allows *)
-}
-
 type t = {
   p_events : int;
   p_wall_ns : int;  (** envelope of every event in the trace *)
@@ -67,8 +51,6 @@ type t = {
   p_folded : (string * int) list;
       (** collapsed stacks, lexicographic, self ns of the stack's spans
           (the union of their windows minus their children's) *)
-  p_parallel : parallel option;
-      (** present when worker spans come from at least two domains *)
   p_counters : (string * int) list;
       (** merged Obs counters; in-process only (a trace file does not
           carry them) *)
@@ -87,8 +69,8 @@ val read_trace : string -> (Obs.event list, string) result
 val to_json : ?normalize:bool -> t -> string
 (** Deterministic pretty JSON.  [~normalize:true] keeps only the
     run-invariant skeleton — per-label event counts, no times, no
-    domains — which is byte-identical across [-j] for work whose span
-    set is deterministic (replay, mutation, fuzzing). *)
+    domain ids — which is byte-identical across runs of work whose
+    span set is deterministic (replay, mutation, fuzzing). *)
 
 val to_json_value : ?normalize:bool -> t -> Json.t
 (** The same document as {!to_json}, unserialized — for embedding in a
@@ -111,4 +93,4 @@ val flame_div : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable report: top spans by self time, then the
-    parallel-efficiency section and its diagnosis line. *)
+    counters. *)

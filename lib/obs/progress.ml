@@ -1,7 +1,7 @@
 (* Periodic stderr progress lines for long runs.
 
-   Rate-limited, single-line ([\r]-rewritten) output, safe to tick
-   from multiple domains.  Disabled instances (the default when
+   Rate-limited, single-line ([\r]-rewritten) output.  Disabled
+   instances (the default when
    stderr is not a TTY, or under [--json]) still count ticks but
    never write, so callers thread one value unconditionally. *)
 
@@ -12,7 +12,6 @@ type t = {
   enabled : bool;
   interval_s : float;
   start : float;
-  mutex : Mutex.t;
   mutable count : int;
   mutable last_print : float;
   mutable printed_width : int;  (* 0 when no line is on screen *)
@@ -31,7 +30,6 @@ let create ?(out = stderr) ?(interval_s = 0.2) ?enabled ?total ~label () =
     enabled;
     interval_s;
     start = Obs.Clock.now_s ();
-    mutex = Mutex.create ();
     count = 0;
     last_print = 0.;
     printed_width = 0;
@@ -60,7 +58,6 @@ let render t now =
   t.printed_width <- String.length line
 
 let tick ?(n = 1) t =
-  Mutex.lock t.mutex;
   t.count <- t.count + n;
   if t.enabled then begin
     let now = Obs.Clock.now_s () in
@@ -68,21 +65,14 @@ let tick ?(n = 1) t =
       t.last_print <- now;
       render t now
     end
-  end;
-  Mutex.unlock t.mutex
+  end
 
-let count t =
-  Mutex.lock t.mutex;
-  let c = t.count in
-  Mutex.unlock t.mutex;
-  c
+let count t = t.count
 
 let finish t =
-  Mutex.lock t.mutex;
   if t.enabled && t.printed_width > 0 then begin
     (* Clear the line: later ordinary output starts clean. *)
     Printf.fprintf t.out "\r%s\r" (String.make t.printed_width ' ');
     flush t.out;
     t.printed_width <- 0
-  end;
-  Mutex.unlock t.mutex
+  end

@@ -1,10 +1,10 @@
 (** Periodic stderr progress lines (count, rate, ETA) for long runs:
-    enumeration levels, replay shards, mutation kill campaigns.
+    enumeration levels, replayed traces, mutation kill campaigns.
 
     Output is rate-limited to one [\r]-rewritten line and only
     produced when [enabled] (default: stderr is a TTY); a disabled
     instance still counts ticks but never writes, so callers thread
-    one value unconditionally.  [tick] is safe from any domain. *)
+    one value unconditionally. *)
 
 type t
 

@@ -456,24 +456,6 @@ let to_html t =
                ])
              top;
        };
-     (match p.Prof.p_parallel with
-      | None -> ()
-      | Some par ->
-        Buffer.add_string buf "<h2>Parallel efficiency</h2>\n<table>\n";
-        Buffer.add_string buf
-          (Printf.sprintf "<tr><td>domains</td><td>%d</td><td></td></tr>\n"
-             par.Prof.par_domains);
-        Buffer.add_string buf
-          (Printf.sprintf "<tr><td>utilization</td><td></td><td>%s</td></tr>\n"
-             (bar par.Prof.par_utilization));
-        Buffer.add_string buf
-          (Printf.sprintf
-             "<tr><td>serial fraction</td><td></td><td>%s</td></tr>\n"
-             (bar par.Prof.par_serial_fraction));
-        Buffer.add_string buf "</table>\n";
-        Buffer.add_string buf
-          (Printf.sprintf "<p class=\"note\">%s</p>\n"
-             (html_escape par.Prof.par_diagnosis)));
      Buffer.add_string buf "<h2>Flame view</h2>\n";
      Buffer.add_string buf (Prof.flame_div p));
   List.iter (fun tb -> html_table buf tb) t.tables;
@@ -489,11 +471,16 @@ let to_html t =
 (* Writing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A directory that cannot be created fails like a file that cannot be
+   opened: [Sys_error "DIR: reason"]. *)
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
   then begin
     mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    try Unix.mkdir dir 0o755 with
+    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    | Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (dir ^ ": " ^ Unix.error_message e))
   end
 
 let write t ~dir =

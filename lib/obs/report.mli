@@ -111,4 +111,6 @@ val to_html : t -> string
 
 val write : t -> dir:string -> unit
 (** Create [dir] (and parents) and write [report.json] and
-    [report.html]. *)
+    [report.html].
+    @raise Sys_error ["DIR: reason"] when a directory cannot be
+    created, as when a file cannot be written. *)

@@ -220,8 +220,7 @@ let choice_vars cfg =
 (* ------------------------------------------------------------------ *)
 
 (* Writes the next state into [out] (same length as [st]) and returns
-   the number of instructions issued.  Pure up to [out]: safe to call
-   concurrently from several domains with distinct buffers.  Choice
+   the number of instructions issued.  Pure up to [out].  Choice
    [i] is [read i], read where it is used and only once the state
    tests that make it matter have passed, so state enumeration
    branches on as few choices as possible (see [Model.t.next_into]). *)

@@ -61,9 +61,7 @@ val generate :
 val walk : Avp_fsm.Model.t -> Avp_enum.State_graph.t -> int array -> trace
 (** The model's walk from reset under a sequence of flat choice
     indices, one step per choice.  Successor states are computed by
-    the model, so they always exist in the fully-enumerated graph.
-    The model's [next] may drive a shared reference simulator: walk
-    on the calling domain only. *)
+    the model, so they always exist in the fully-enumerated graph. *)
 
 val of_traces : trace array -> t
 (** A tour set of unweighted traces: one instruction per edge, no

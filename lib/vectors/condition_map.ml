@@ -2,8 +2,7 @@ open Avp_fsm
 
 (* Every step taking choice index [c] realizes to the same cycle, so
    the map realizes each index once and hands out the shared, immutable
-   cycle after that.  The memo is unsynchronized: one map serves one
-   realization call on one domain. *)
+   cycle after that. *)
 type t = {
   model : Model.t;
   widths : (string, int) Hashtbl.t;  (* choice variable -> net width *)

@@ -13,8 +13,7 @@ val of_translation : Translate.result -> t
 (** The natural mapping for a model produced by {!Translate}: choice
     variable [v] with value [k] forces the identically-named net to
     the [k]-th value of its domain.  A map memoizes the cycle it
-    realizes per flat choice index, unsynchronized: use one map per
-    realization, on one domain. *)
+    realizes per flat choice index. *)
 
 val vectors_of_trace : t -> Avp_tour.Tour_gen.trace -> Vector.t
 (** One vector per tour edge, from the edge's recorded condition.

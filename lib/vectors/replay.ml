@@ -57,36 +57,22 @@ let run_nets ~tpl ~(tr : Translate.result) ~(nets : string array) ~predict
   | () -> (!cycles, None)
   | exception Found m -> (!cycles, Some m)
 
-(* Shard traces round-robin over domains, one simulator per trace;
-   every domain works on disjoint indices of [results].  The merge is
-   deterministic and identical to the sequential left-to-right scan:
-   cycles of every trace before the first failing one count, plus the
-   failing trace's partial cycles; the reported mismatch is the
-   lowest-numbered trace's. *)
-(* Small replays lose more to domain spawn and cache contention than
-   they gain: stay sequential unless every domain gets at least this
-   many cycles of work. *)
-let parallel_threshold = 4096
-
-let effective_domains ~domains ~total_cycles =
-  max 1 (min domains (total_cycles / parallel_threshold))
-
-let sharded ?progress ~domains ~n run =
-  let results = Array.make n (0, None) in
-  (* The parent span covers dispatch, the shards and the scan — the
-     profiler's envelope for replay's serial fraction.  Its args (and
-     the constant flow id linking it to the per-trace spans in the
-     Chrome viewer) must not depend on [domains], or the normalized
-     trace would stop being [-j]-invariant. *)
+(* Replay every trace in order, one simulator per trace, and report
+   the lowest-numbered trace's mismatch.  Every trace runs even after
+   a mismatch, so a later trace's exception still reaches the
+   caller. *)
+let replay_all ?progress ~n run =
+  let cycles = ref 0 and first = ref None in
+  (* The parent span covers every replay; the constant flow id links
+     it to the per-trace spans in the Chrome viewer. *)
   Obs.span ~cat:"replay" "replay.run"
     ~args:[ ("traces", Obs.Int n); ("flow_out", Obs.Int 0) ]
   @@ fun () ->
   (* Telemetry is per trace, not per cycle, and its args (trace index,
-     cycles, verdict) are the deterministic replay results — so the
-     normalized event set is identical for any [domains]. *)
-  let job ti =
+     cycles, verdict) are the deterministic replay results. *)
+  for ti = 0 to n - 1 do
     let t0 = Obs.Clock.now_s () in
-    let ((c, m) as r) = run ti in
+    let c, m = run ti in
     if Obs.enabled () then
       Obs.complete ~cat:"replay" "replay.trace"
         ~dur_s:(Obs.Clock.now_s () -. t0)
@@ -100,21 +86,13 @@ let sharded ?progress ~domains ~n run =
     (match progress with
      | Some p -> Avp_obs.Progress.tick p
      | None -> ());
-    results.(ti) <- r
-  in
-  Avp_enum.Pool.iter ~domains n job;
-  let rec scan ti cycles =
-    if ti = n then Ok { traces = n; cycles }
-    else
-      match results.(ti) with
-      | c, None -> scan (ti + 1) (cycles + c)
-      | _, Some m -> Error m
-  in
-  scan 0 0
+    cycles := !cycles + c;
+    if Option.is_none !first then first := m
+  done;
+  match !first with
+  | None -> Ok { traces = n; cycles = !cycles }
+  | Some m -> Error m
 
-(* The model's [next] may drive a shared reference simulator, so
-   vector generation stays sequential; the replay itself dominates
-   the cost and is embarrassingly parallel. *)
 let vectors (tr : Translate.result) (tours : Avp_tour.Tour_gen.t) =
   let map = Condition_map.of_translation tr in
   Array.map (Condition_map.vectors_of_trace map) tours.Avp_tour.Tour_gen.traces
@@ -123,9 +101,6 @@ let state_nets (tr : Translate.result) =
   Array.map
     (fun (b : Translate.binding) -> b.Translate.net.Avp_hdl.Elab.name)
     tr.Translate.state_bindings
-
-let total_cycles (vectors : Vector.t array) =
-  Array.fold_left (fun acc v -> acc + Array.length v) 0 vectors
 
 (* Vector budget consumed up to and including a detecting cycle: the
    full length of every trace before the mismatching one, plus the
@@ -139,7 +114,7 @@ let cycles_until (vectors : Vector.t array) (m : mismatch) =
   done;
   !acc + max 0 (m.cycle + 1)
 
-let check ?dut ?(domains = 1) ?progress ?vectors:vecs (tr : Translate.result)
+let check ?dut ?progress ?vectors:vecs (tr : Translate.result)
     (graph : Avp_enum.State_graph.t) (tours : Avp_tour.Tour_gen.t) =
   let design = Option.value ~default:tr.Translate.elab dut in
   let traces = tours.Avp_tour.Tour_gen.traces in
@@ -147,10 +122,7 @@ let check ?dut ?(domains = 1) ?progress ?vectors:vecs (tr : Translate.result)
   let vectors = match vecs with Some v -> v | None -> vectors tr tours in
   let nets = state_nets tr in
   let tpl = Avp_hdl.Sim.template design in
-  let domains =
-    effective_domains ~domains ~total_cycles:(total_cycles vectors)
-  in
-  sharded ?progress ~domains ~n (fun ti ->
+  replay_all ?progress ~n (fun ti ->
       let trace = traces.(ti) in
       let predict cycle vi =
         let state =
@@ -181,15 +153,12 @@ let record (tr : Translate.result) ~(nets : string array)
       rows)
     vectors
 
-let check_nets ~dut ?(domains = 1) ?progress (tr : Translate.result)
+let check_nets ~dut ?progress (tr : Translate.result)
     ~(nets : string array) ~(predicted : int array array array)
     (vectors : Vector.t array) =
   let n = Array.length vectors in
   let tpl = Avp_hdl.Sim.template dut in
-  let domains =
-    effective_domains ~domains ~total_cycles:(total_cycles vectors)
-  in
-  sharded ?progress ~domains ~n (fun ti ->
+  replay_all ?progress ~n (fun ti ->
       let rows = predicted.(ti) in
       let predict cycle vi = rows.(cycle + 1).(vi) in
       run_nets ~tpl ~tr ~nets ~predict ti vectors.(ti))

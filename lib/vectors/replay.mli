@@ -27,10 +27,9 @@ val cycles_until : Vector.t array -> mismatch -> int
 
 val vectors :
   Avp_fsm.Translate.result -> Avp_tour.Tour_gen.t -> Vector.t array
-(** The force/release vectors of every trace, precomputed once.  The
-    result is immutable and may be shared read-only across domains —
-    the mutation campaign realizes the tour (and its random baseline)
-    a single time and replays the same vectors against hundreds of
+(** The force/release vectors of every trace, precomputed once — the
+    mutation campaign realizes the tour (and its random baseline) a
+    single time and replays the same vectors against hundreds of
     mutants. *)
 
 val state_nets : Avp_fsm.Translate.result -> string array
@@ -38,7 +37,6 @@ val state_nets : Avp_fsm.Translate.result -> string array
 
 val check :
   ?dut:Avp_hdl.Elab.t ->
-  ?domains:int ->
   ?progress:Avp_obs.Progress.t ->
   ?vectors:Vector.t array ->
   Avp_fsm.Translate.result ->
@@ -48,20 +46,14 @@ val check :
 (** Builds a fresh simulator per trace, applies the force/release
     vectors, and compares every annotated state net against the tour's
     predicted valuation — at reset release (reported as cycle [-1])
-    and after each clock edge.  Returns the first mismatch, if any.
+    and after each clock edge.  Returns the lowest-numbered trace's
+    first mismatch, if any.  Every trace is replayed even after a
+    mismatch, so an exception from a later trace (a state net at x/z
+    raises [Avp_fsm.Translate.Unsupported]) takes precedence.
 
     [?vectors] (default: computed by {!vectors}) supplies the
     realized per-trace vectors, which must be positionally parallel
     to [tours]'s traces.
-
-    [?domains] (default 1) replays traces on that many OCaml domains,
-    one simulator per domain, traces sharded round-robin.  The result
-    is deterministic and identical to the sequential run: vector
-    generation stays on the calling domain, and the merge reports the
-    lowest-numbered failing trace.  The replay stays sequential unless
-    every requested domain would get at least 4096 cycles of work —
-    small replays lose more to domain spawn and cache contention than
-    they gain.
 
     [?dut] substitutes a different elaborated design as the device
     under test (it must declare the same annotated nets): vectors
@@ -84,7 +76,6 @@ val record :
 
 val check_nets :
   dut:Avp_hdl.Elab.t ->
-  ?domains:int ->
   ?progress:Avp_obs.Progress.t ->
   Avp_fsm.Translate.result ->
   nets:string array ->
@@ -94,7 +85,7 @@ val check_nets :
 (** Lockstep comparison of [dut] against per-trace trajectories in
     {!record}'s layout (one [int array array] per vector trace):
     the named nets are compared at reset release and after every
-    cycle.  Same sharding, determinism and merge as {!check}.  The
+    cycle.  Same order and result as {!check}.  The
     mutation campaign uses this with the design's output ports as
     [nets] — the observability a golden-model random baseline has,
     in contrast to the tour's per-cycle state predictions. *)

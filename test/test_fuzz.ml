@@ -1,8 +1,8 @@
 (* Coverage-guided fuzzing tests: mutator well-formedness (qcheck),
    the incremental coverage-delta algebra, corpus JSON round-trips,
    and the loop's determinism contract — fixed seed fixes the corpus
-   byte-for-byte across reruns, engines and domain counts, and a
-   persisted corpus replays to the identical result. *)
+   byte-for-byte across reruns and engines, and a persisted corpus
+   replays to the identical result. *)
 
 module Coverage = Avp_obs.Coverage
 module Corpus = Avp_fuzz.Corpus
@@ -182,17 +182,6 @@ let test_engine_invariance () =
   in
   check_same_run "scalar vs sliced" scalar sliced
 
-let test_domain_invariance () =
-  let tr, graph = Lazy.force pipeline in
-  let base = Loop.run ~config:{ small_config with Loop.domains = 1 } tr graph in
-  List.iter
-    (fun d ->
-      let r =
-        Loop.run ~config:{ small_config with Loop.domains = d } tr graph
-      in
-      check_same_run (Printf.sprintf "-j %d" d) base r)
-    [ 2; 4 ]
-
 let test_seed_sensitivity () =
   let tr, graph = Lazy.force pipeline in
   let a = Loop.run ~config:small_config tr graph in
@@ -218,7 +207,6 @@ let test_replay_identity () =
     [
       ("same-engine", small_config);
       ("scalar", { small_config with Loop.engine = `Scalar });
-      ("-j 4", { small_config with Loop.domains = 4 });
     ]
 
 let test_replay_rejects_foreign () =
@@ -279,7 +267,6 @@ let suite =
       test_corpus_file_roundtrip;
     Alcotest.test_case "rerun deterministic" `Quick test_rerun_deterministic;
     Alcotest.test_case "engine invariance" `Quick test_engine_invariance;
-    Alcotest.test_case "domain invariance" `Quick test_domain_invariance;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "replay identity" `Quick test_replay_identity;
     Alcotest.test_case "replay rejects stale corpora" `Quick

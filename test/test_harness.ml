@@ -114,13 +114,6 @@ let test_campaign_baselines_miss_some () =
   Alcotest.(check bool) "directed misses at least one bug" true
     missed_directed
 
-(* Sharding stimuli over domains must not change a row: the first
-   detecting stimulus, its run count and its instruction count. *)
-let test_campaign_domain_invariant () =
-  let g = Lazy.force graph and t = tours 500 in
-  let rows domains = Campaign.table_2_1 ~domains ~cfg ~graph:g ~tours:t () in
-  Alcotest.(check bool) "rows at -j 1 = rows at -j 2" true (rows 1 = rows 2)
-
 let test_baseline_random_clean () =
   (* Random stimuli on bug-free RTL: no false alarms. *)
   for seed = 0 to 4 do
@@ -206,8 +199,6 @@ let suite =
       test_campaign_generated_finds_all;
     Alcotest.test_case "campaign: baselines miss bugs" `Slow
       test_campaign_baselines_miss_some;
-    Alcotest.test_case "campaign: rows equal at -j 1 and -j 2" `Slow
-      test_campaign_domain_invariant;
     Alcotest.test_case "random baseline clean" `Quick
       test_baseline_random_clean;
     Alcotest.test_case "directed baseline clean" `Quick

@@ -12,7 +12,6 @@ let () =
       ("core", Test_core.suite);
       ("fsm", Test_fsm.suite);
       ("enum", Test_enum.suite);
-      ("pool", Test_pool.suite);
       ("tour", Test_tour.suite);
       ("tour2", Test_tour2.suite);
       ("mutate", Test_mutate.suite);

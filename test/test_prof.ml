@@ -1,8 +1,7 @@
 (* Profiler tests: self-time conservation over random span forests
-   with retrospective spans (qcheck), golden folded stacks, -j
-   invariance of the normalized profile JSON, the parallel-efficiency
-   analyzer on a synthetic two-domain trace, and the GC counters
-   behind the profiling gate. *)
+   with retrospective spans (qcheck), golden folded stacks, the
+   normalized profile JSON of a replay, and the GC counters behind
+   the profiling gate. *)
 
 module Obs = Avp_obs.Obs
 module Prof = Avp_obs.Prof
@@ -217,7 +216,7 @@ let test_self_conservation =
       self_sum = root_total && folded_sum = root_total
       && List.for_all (fun s -> s.Prof.s_self_ns >= 0) prof.Prof.p_spans)
 
-(* {2 -j invariance of the normalized profile} *)
+(* {2 The normalized profile} *)
 
 let handshake_src =
   {|
@@ -248,66 +247,16 @@ let test_normalized_profile_invariance () =
   let tr = Avp_fsm.Translate.translate design in
   let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
   let tours = Avp_tour.Tour_gen.generate graph in
-  let profiled domains =
-    let t = Obs.create () in
-    Obs.with_tracer t (fun () ->
-        match Avp_vectors.Replay.check ~domains tr graph tours with
-        | Ok _ -> ()
-        | Error m ->
-          Alcotest.failf "replay mismatch: %a" Avp_vectors.Replay.pp_mismatch
-            m);
-    Prof.to_json ~normalize:true (Prof.of_tracer t)
-  in
-  let j1 = profiled 1 and j2 = profiled 2 and j4 = profiled 4 in
+  let t = Obs.create () in
+  Obs.with_tracer t (fun () ->
+      match Avp_vectors.Replay.check tr graph tours with
+      | Ok _ -> ()
+      | Error m ->
+        Alcotest.failf "replay mismatch: %a" Avp_vectors.Replay.pp_mismatch m);
+  let j1 = Prof.to_json ~normalize:true (Prof.of_tracer t) in
   Alcotest.(check bool) "profile non-empty" true (String.length j1 > 0);
-  Alcotest.(check string) "j1 = j2" j1 j2;
-  Alcotest.(check string) "j1 = j4" j1 j4
-
-(* {2 Parallel-efficiency analyzer} *)
-
-let test_parallel_analysis () =
-  (* Mutation passes on two domains: dom 0 works 0-40 and 90-110,
-     dom 1 works 0-80.  Complete-style events: point ticks. *)
-  let evs =
-    [
-      span ~cat:"mutate" ~o:8 ~c:8 ~ts:0 ~dur:40 "mutate.pass";
-      span ~cat:"mutate" ~o:9 ~c:9 ~ts:90 ~dur:20 "mutate.pass";
-      span ~cat:"mutate" ~dom:1 ~o:8 ~c:8 ~ts:0 ~dur:80 "mutate.pass";
-    ]
-  in
-  let prof = Prof.of_events evs in
-  match prof.Prof.p_parallel with
-  | None -> Alcotest.fail "expected a parallel section"
-  | Some par ->
-    Alcotest.(check int) "domains" 2 par.Prof.par_domains;
-    Alcotest.(check int) "wall" 110 par.Prof.par_wall_ns;
-    Alcotest.(check int) "busy" 140 par.Prof.par_busy_ns;
-    Alcotest.(check (float 1e-9)) "utilization" (140. /. 220.)
-      par.Prof.par_utilization;
-    (* 0-40 both busy, 40-80 and 90-110 one busy, 80-90 idle:
-       serial = 70. *)
-    Alcotest.(check (float 1e-9)) "serial fraction" (70. /. 110.)
-      par.Prof.par_serial_fraction;
-    Alcotest.(check (option int)) "2-busy ns" (Some 40)
-      (List.assoc_opt 2 par.Prof.par_concurrency);
-    Alcotest.(check (option int)) "1-busy ns" (Some 60)
-      (List.assoc_opt 1 par.Prof.par_concurrency);
-    Alcotest.(check (option int)) "0-busy ns" (Some 10)
-      (List.assoc_opt 0 par.Prof.par_concurrency);
-    Alcotest.(check bool) "diagnosis leads with utilization" true
-      (String.starts_with ~prefix:"utilization 63.6%" par.Prof.par_diagnosis)
-
-(* Worker spans from one domain are no parallel section. *)
-let test_one_domain_no_parallel () =
-  let evs =
-    [
-      span ~cat:"mutate" ~o:8 ~c:8 ~ts:0 ~dur:40 "mutate.pass";
-      span ~cat:"fuzz" ~o:9 ~c:9 ~ts:50 ~dur:30 "fuzz.exec";
-      span ~cat:"replay" ~o:10 ~c:10 ~ts:90 ~dur:10 "replay.trace";
-    ]
-  in
-  Alcotest.(check bool) "no parallel section" true
-    ((Prof.of_events evs).Prof.p_parallel = None)
+  Alcotest.(check bool) "has replay spans" true
+    (Str_replace.contains j1 "replay.trace")
 
 (* {2 GC counters behind the profiling gate} *)
 
@@ -346,8 +295,5 @@ let suite =
     QCheck_alcotest.to_alcotest test_self_conservation;
     Alcotest.test_case "normalized profile -j 1/2/4" `Quick
       test_normalized_profile_invariance;
-    Alcotest.test_case "parallel analyzer" `Quick test_parallel_analysis;
-    Alcotest.test_case "one domain: no parallel section" `Quick
-      test_one_domain_no_parallel;
     Alcotest.test_case "gc counters" `Quick test_gc_counters;
   ]

@@ -462,7 +462,7 @@ let test_detect_engines () =
   in
   let detect engine ~lanes =
     let got = Array.make (Array.length muts) [||] in
-    C.detect ~engine ~domains:1 ~lanes ~tr ~graph
+    C.detect ~engine ~lanes ~tr ~graph
       ~on_done:(fun ~t0:_ j o -> got.(j) <- o)
       phases (Array.map snd muts);
     got
