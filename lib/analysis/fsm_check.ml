@@ -2,14 +2,14 @@
 
    The transition function is a black box, so "static" here means a
    cartesian abstract interpretation: track a per-state-variable set
-   of possibly-reachable values, and iterate [next] over every tuple
+   of possibly-reachable values, and iterate [next_into] over every tuple
    in the product of those sets (times every choice combination) to a
    fixpoint.  The abstraction over-approximates the concrete reachable
    set, so every claim of the form "value v is unreachable" is sound:
    statically-unreachable is a subset of dynamically-unreachable, which
    the enumerator cross-check in the test suite verifies on pp_control.
 
-   When the product blows past the evaluation budget — or [next]
+   When the product blows past the evaluation budget — or the transition
    raises, as HDL-backed models can on abstract states the simulator
    never produces — the analysis marks itself capped and emits no
    claims at all rather than unsound ones. *)
@@ -58,9 +58,13 @@ let analyze ?(max_evals = 2_000_000) (m : Model.t) : result =
     if !evals + nchoices > max_evals then capped := true
     else begin
       let succ = Array.make nchoices [||] in
+      (* In choice order through [next_into], which a model can answer
+         many choices at a time (a translated one, 62 per step). *)
       (try
          for c = 0 to nchoices - 1 do
-           succ.(c) <- m.Model.next tuple choices.(c);
+           let s = Array.make nvars 0 in
+           m.Model.next_into tuple (Array.get choices.(c)) s;
+           succ.(c) <- s;
            incr evals
          done
        with Stack_overflow | Out_of_memory as e -> raise e

@@ -3,13 +3,14 @@
     The transition function is a black box, so "static" means a
     cartesian abstract interpretation: one possibly-reachable value
     set per state variable, iterated to a fixpoint by evaluating
-    [next] over the product of the sets for every choice combination.
+    [next_into] over the product of the sets for every choice
+    combination, in choice order.
     The abstraction over-approximates the concrete reachable set, so
     unreachability claims are sound: statically-unreachable is a
     subset of dynamically-unreachable (cross-checked against the
     enumerator on pp_control in the test suite).
 
-    When the product exceeds the evaluation budget — or [next]
+    When the product exceeds the evaluation budget — or the transition
     raises, as HDL-backed models can on abstract states the simulator
     never produces — the analysis marks itself [capped] and emits no
     claims at all rather than unsound ones. *)
@@ -32,6 +33,7 @@ type result = {
 }
 
 val analyze : ?max_evals:int -> Model.t -> result
-(** [max_evals] bounds total [next] evaluations (default 2,000,000). *)
+(** [max_evals] bounds total transition evaluations (default
+    2,000,000). *)
 
 val findings : result -> Finding.t list

@@ -30,12 +30,18 @@ type t = {
   choice_vars : var array;
   reset : int array;
   next : int array -> int array -> int array;
-      (** [next state choices] must be pure and total *)
+      (** [next state choices] must be pure and total.  One transition:
+          the entry point of walks, which take one step per call. *)
   next_into : int array -> (int -> int) -> int array -> unit;
       (** [next_into state read dst] writes into [dst] (length = number
           of state variables) the successor of [state] under the choice
-          valuation whose variable [i] has value [read i] — the
+          valuation whose variable [i] has value [read i] — the bulk
+          entry point for many choices of one state, and the
           state-enumeration hot path.  Semantically identical to [next].
+          A model may answer several choices of one state at once (a
+          translated HDL model evaluates 62 per simulator step), so ask
+          for one state's choices together, in index order; [state] is
+          only read during the call, and the caller may reuse it.
 
           The contract on [read], which lets the enumerator expand a
           state as a decision tree instead of trying every choice

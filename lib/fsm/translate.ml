@@ -263,24 +263,26 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
     |> Array.of_list
   in
   let sim = Sim.create d in
-  let tie_all () =
-    Hashtbl.iter
-      (fun name v ->
+  let ties =
+    Hashtbl.fold
+      (fun name v acc ->
         let id = find_net name in
-        Sim.poke_id sim id
-          (Bv.of_int ~width:d.Elab.nets.(id).Elab.width (max v 0)))
-      ann.ties
+        (id, Bv.of_int ~width:d.Elab.nets.(id).Elab.width (max v 0)) :: acc)
+      ann.ties []
   in
-  (* An HDL step needs all its inputs, so every choice is read.  Loops
+  let low = Bv.of_int ~width:1 0 in
+  let nstates = Array.length state_bindings in
+  let nfree = Array.length choice_bindings in
+  (* An HDL step needs all its inputs, so every choice is poked.  Loops
      rather than iterators: these run once per simulated cycle. *)
-  let poke_choices read =
-    for i = 0 to Array.length choice_bindings - 1 do
+  let poke_choices values =
+    for i = 0 to nfree - 1 do
       let net = choice_bindings.(i).net in
-      Sim.poke_id sim net.Elab.id (bv_of_value ~width:net.Elab.width (read i))
+      Sim.poke_id sim net.Elab.id (bv_of_value ~width:net.Elab.width values.(i))
     done
   in
   let read_states_into what dst =
-    for i = 0 to Array.length state_bindings - 1 do
+    for i = 0 to nstates - 1 do
       let net = state_bindings.(i).net in
       let v = Sim.get_id sim net.Elab.id in
       if not (Bv.is_defined v) then
@@ -289,35 +291,108 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
       dst.(i) <- value_of_bv v
     done
   in
-  let nstates = Array.length state_bindings in
-  (* Reset state. *)
-  tie_all ();
-  Sim.poke_id sim reset_id (Bv.of_int ~width:1 1);
-  poke_choices (fun _ -> 0);
-  for _ = 1 to reset_cycles do
-    Sim.step sim clock
-  done;
-  Sim.poke_id sim reset_id (Bv.of_int ~width:1 0);
-  let reset_state = Array.make nstates 0 in
-  read_states_into "reset" reset_state;
-  let next_into state read dst =
-    Sim.poke_id sim reset_id (Bv.of_int ~width:1 0);
-    tie_all ();
+  (* The scalar step: one transition on the one shared simulator. *)
+  let step_into state choices dst =
+    Sim.poke_id sim reset_id low;
+    List.iter (fun (id, v) -> Sim.poke_id sim id v) ties;
     for i = 0 to nstates - 1 do
       let net = state_bindings.(i).net in
       Sim.poke_id sim net.Elab.id (bv_of_value ~width:net.Elab.width state.(i))
     done;
-    poke_choices read;
+    poke_choices choices;
     Sim.step sim clock;
     read_states_into "step" dst
   in
+  (* Reset state. *)
+  List.iter (fun (id, v) -> Sim.poke_id sim id v) ties;
+  Sim.poke_id sim reset_id (Bv.of_int ~width:1 1);
+  poke_choices (Array.make nfree 0);
+  for _ = 1 to reset_cycles do
+    Sim.step sim clock
+  done;
+  Sim.poke_id sim reset_id low;
+  let reset_state = Array.make nstates 0 in
+  read_states_into "reset" reset_state;
+  (* A state's choices on the bit-sliced kernel, one block of [lanes]
+     per step: lane [l] of block [b] takes choice [lanes * b + l] (the
+     last block repeats its last choice in its spare lanes), with the
+     reset, the ties and the state broadcast.  Only the latest (state,
+     block) is kept, keyed by a copy of the state, because the
+     enumerator asks for a state's choices in index order.  The lanes in
+     [block_scalar] re-run on the scalar step, so that its result and
+     its message stay the oracle's: those whose state nets came out
+     undefined, or all of them when the block's step raised. *)
+  let card = Array.map (fun b -> Model.card b.var) choice_bindings in
+  let nchoices = Array.fold_left ( * ) 1 card in
+  let lanes = min Bv_sliced.lanes_limit nchoices in
+  let kernel = lazy (Sliced.create ~lanes d) in
+  let choices = Array.make nfree 0 in
+  let lane_choices = Array.make_matrix nfree lanes 0 in
+  let lane_succs = Array.make_matrix nstates lanes 0 in
+  let block_state = Array.make nstates 0 in
+  let block = ref (-1) in
+  let block_scalar = ref 0 in
+  let run_block k state b =
+    Array.blit state 0 block_state 0 nstates;
+    block := b;
+    for l = 0 to lanes - 1 do
+      let rem = ref (min ((b * lanes) + l) (nchoices - 1)) in
+      for i = nfree - 1 downto 0 do
+        lane_choices.(i).(l) <- !rem mod card.(i);
+        rem := !rem / card.(i)
+      done
+    done;
+    block_scalar :=
+      try
+        Sliced.poke_id k reset_id low;
+        List.iter (fun (id, v) -> Sliced.poke_id k id v) ties;
+        for i = 0 to nstates - 1 do
+          let net = state_bindings.(i).net in
+          Sliced.poke_id k net.Elab.id
+            (bv_of_value ~width:net.Elab.width state.(i))
+        done;
+        for i = 0 to nfree - 1 do
+          Sliced.poke_ints k choice_bindings.(i).net.Elab.id lane_choices.(i)
+        done;
+        Sliced.step k clock_id;
+        let undefined = ref 0 in
+        for i = 0 to nstates - 1 do
+          undefined :=
+            !undefined
+            lor Sliced.get_ints k state_bindings.(i).net.Elab.id lane_succs.(i)
+        done;
+        !undefined
+      with _ ->
+        Sliced.reinit k;
+        Sliced.amask k
+  in
+  let rec same_state state i =
+    i = nstates || (state.(i) = block_state.(i) && same_state state (i + 1))
+  in
+  let next_into state read dst =
+    let c = ref 0 in
+    for i = 0 to nfree - 1 do
+      let v = read i in
+      choices.(i) <- v;
+      c := (!c * card.(i)) + v
+    done;
+    match Lazy.force kernel with
+    | None -> step_into state choices dst
+    | Some k ->
+      let b = !c / lanes and l = !c mod lanes in
+      if b <> !block || not (same_state state 0) then run_block k state b;
+      if (!block_scalar lsr l) land 1 = 1 then step_into state choices dst
+      else
+        for i = 0 to nstates - 1 do
+          dst.(i) <- lane_succs.(i).(l)
+        done
+  in
   let next state choices =
     let dst = Array.make nstates 0 in
-    next_into state (Array.get choices) dst;
+    step_into state choices dst;
     dst
   in
   let model =
-    (* [next] steps the one shared simulator instance. *)
     Model.create ~name:d.Elab.top
       ~state_vars:(Array.to_list (Array.map (fun b -> b.var) state_bindings))
       ~choice_vars:(Array.to_list (Array.map (fun b -> b.var) choice_bindings))

@@ -19,7 +19,25 @@
     annotated as state, and every free-running input is declared free
     or tied.  The resulting {!Model.t} steps the design's own
     simulator, so the state graph "accurately predicts all behaviors
-    of the design since it is derived directly from the HDL model". *)
+    of the design since it is derived directly from the HDL model".
+
+    Its [next_into] evaluates a state's choices in blocks of 62 on the
+    bit-sliced kernel ({!Avp_hdl.Sliced}), created on the first call:
+    lane [l] of block [b] takes choice [62b + l] (the last block
+    repeats the last choice in its spare lanes), one kernel step
+    computes the whole block, and the latest (copy of the state, block)
+    answers the block's other choices.  The scalar step, one
+    {!Avp_hdl.Sim} step per transition, stays the fallback and the
+    oracle in four cases:
+
+    - a design {!Avp_hdl.Sliced.create} rejects: every choice;
+    - a lane whose state net comes out undefined: that choice, so the
+      [Unsupported] message is the scalar step's;
+    - a block whose kernel step raises (a combinational loop that does
+      not settle): the kernel is re-initialised and every choice of
+      the block re-runs, so the exception is the scalar step's;
+    - [next], which walks call for one transition at a time: a block
+      costs five to six scalar steps on pp. *)
 
 type binding = { var : Model.var; net : Avp_hdl.Elab.enet }
 

@@ -1056,6 +1056,55 @@ let get_lane t ~lane id =
   let st = t.st in
   Sl.lane { Sl.w = st.widths.(id); v = st.nv.(id); u = st.nu.(id) } lane
 
+(* One defined int per lane, transposed into the net's bit words
+   without building a [Bv.t] per lane: the translated model pokes every
+   choice net this way once per block of choices.  Bits beyond the int
+   read 0, as [Bv.of_int] of a non-negative value. *)
+let poke_ints t id (values : int array) =
+  let st = t.st in
+  let en = st.amask land lnot st.forced.(id) land lnot st.frozen in
+  if en <> 0 then begin
+    let nv = st.nv.(id) and nu = st.nu.(id) in
+    let changed = ref false in
+    for j = 0 to st.widths.(id) - 1 do
+      let word = ref 0 in
+      if j < Sys.int_size - 1 then
+        for l = 0 to st.lanes - 1 do
+          word := !word lor (((values.(l) lsr j) land 1) lsl l)
+        done;
+      let v' = (nv.(j) land lnot en) lor (!word land en)
+      and u' = nu.(j) land lnot en in
+      if v' <> nv.(j) || u' <> nu.(j) then begin
+        nv.(j) <- v';
+        nu.(j) <- u';
+        changed := true
+      end
+    done;
+    if !changed then mark_readers st id
+  end
+
+(* The inverse transposition; a lane with an undefined bit, or any lane
+   of a net wider than the packed limit, cannot encode an int, as in
+   [check_net]. *)
+let get_ints t id (dst : int array) =
+  let st = t.st in
+  let w = st.widths.(id) in
+  if w > Bv.packed_width_limit then st.amask
+  else begin
+    let nv = st.nv.(id) and nu = st.nu.(id) in
+    Array.fill dst 0 st.lanes 0;
+    let bad = ref 0 in
+    for j = 0 to w - 1 do
+      bad := !bad lor nu.(j);
+      let v = nv.(j) in
+      if v <> 0 then
+        for l = 0 to st.lanes - 1 do
+          if (v lsr l) land 1 = 1 then dst.(l) <- dst.(l) lor (1 lsl j)
+        done
+    done;
+    !bad land st.amask
+  end
+
 (* Per-lane divergence against a predicted value: the first mask has
    the lanes whose value cannot encode an int (an undefined bit, or a
    net wider than the packed limit — [Bv.to_int]'s wide behaviour);

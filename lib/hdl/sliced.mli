@@ -93,6 +93,20 @@ val release_id : ?mask:int -> t -> Elab.uid -> unit
 val get_lane : t -> lane:int -> Elab.uid -> Bv.t
 (** One lane's value of a net as a scalar vector. *)
 
+val poke_ints : t -> Elab.uid -> int array -> unit
+(** [poke_ints t id values] writes the defined value [values.(l)]
+    (non-negative, truncated to the net's width) into lane [l] of every
+    active lane; [values] has at least {!lanes} entries.  Like
+    {!poke_id}: no settle, forced and frozen lanes are skipped, and the
+    net's readers are marked only when a bit changed. *)
+
+val get_ints : t -> Elab.uid -> int array -> int
+(** [get_ints t id dst] writes lane [l]'s value of the net into
+    [dst.(l)] for every active lane and returns the mask of the lanes
+    whose value cannot encode an int (an undefined bit, or a net wider
+    than {!Avp_logic.Bv.packed_width_limit}, as {!check_net}); their
+    [dst] entries are unspecified. *)
+
 val check_net : ?mask:int -> t -> Elab.uid -> predicted:int -> int * int
 (** [(bad, neq)] lane masks against a broadcast predicted value:
     [bad] has the lanes whose value cannot encode a state (an

@@ -289,8 +289,11 @@ let walk (model : Avp_fsm.Model.t) (graph : Avp_enum.State_graph.t)
         match Avp_enum.State_graph.find_state graph nxt with
         | Some id -> id
         | None ->
-          (* Enumeration is total over reachable states. *)
-          assert false
+          invalid_arg
+            (Printf.sprintf
+               "Tour_gen.walk: the model's successor of state %d under \
+                choice %d is not a state of the graph"
+               src choice)
       in
       cur := dst;
       { src; dst; choice; fresh = false })

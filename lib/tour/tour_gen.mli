@@ -60,8 +60,12 @@ val generate :
 
 val walk : Avp_fsm.Model.t -> Avp_enum.State_graph.t -> int array -> trace
 (** The model's walk from reset under a sequence of flat choice
-    indices, one step per choice.  Successor states are computed by
-    the model, so they always exist in the fully-enumerated graph. *)
+    indices, one {!Avp_fsm.Model.t.next} per choice.  Successor states
+    are computed by the model, so they exist in the graph enumerated
+    from it.
+    @raise Invalid_argument naming the source state id and the choice
+    index when a successor is not a state of [graph]: the model and
+    the graph disagree. *)
 
 val of_traces : trace array -> t
 (** A tour set of unweighted traces: one instruction per edge, no

@@ -376,7 +376,209 @@ endmodule
     [ "switch"; "endswitch"; "case"; "cat("; "cond"; "startstate";
       "s : 0..3" ]
 
+(* ---------------------------------------------------------------- *)
+(* Translated models on lanes vs the scalar step                    *)
+(* ---------------------------------------------------------------- *)
+
+module G = Avp_enum.State_graph
+
+(* A copy of [m] with [next] only: [Model.create]'s default [next_into]
+   then steps the scalar simulator once per choice. *)
+let next_only (m : Model.t) =
+  Model.create ~name:m.Model.model_name
+    ~state_vars:(Array.to_list m.Model.state_vars)
+    ~choice_vars:(Array.to_list m.Model.choice_vars)
+    ~reset:(Array.to_list m.Model.reset)
+    ~next:m.Model.next ()
+
+(* The graph (or the exception) of enumerating [m], with every
+   successor its [next_into] returned, in call order: a bounded run
+   that stops at [max_states] still compares the transitions it made. *)
+let logged_enumerate ?max_states (m : Model.t) =
+  let log = ref [] in
+  let logged =
+    {
+      m with
+      Model.next_into =
+        (fun state read dst ->
+          m.Model.next_into state read dst;
+          log := Array.copy dst :: !log);
+    }
+  in
+  let outcome =
+    match G.enumerate ?max_states logged with
+    | g -> Ok (g.G.states, g.G.adj)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (outcome, List.rev !log)
+
+let check_same_enumeration ?max_states what (m : Model.t) =
+  let lanes = logged_enumerate ?max_states m
+  and scalar = logged_enumerate ?max_states (next_only m) in
+  if fst lanes <> fst scalar then
+    Alcotest.failf "%s: next_into and next enumerate different graphs" what;
+  if snd lanes <> snd scalar then
+    Alcotest.failf "%s: next_into and next make different transitions" what
+
+(* The whole pp graph both ways, and each pp mutant that vets and
+   translates up to 8 states: the whole graph of the small ones, the
+   first expansions from reset of the others.  The bound keeps the
+   scalar side near a second; unbounded it takes about a minute. *)
+let test_lanes_enumerate_as_scalar () =
+  check_same_enumeration "pp" (Avp_pp.Control_hdl.translate ()).Translate.model;
+  let design = Avp_pp.Control_hdl.parse () in
+  let translated =
+    Avp_mutate.Gen.all design
+    |> List.filter_map (fun (m : Avp_mutate.Gen.mutant) ->
+        match Avp_mutate.Filter.vet m.Avp_mutate.Gen.design with
+        | `Stillborn _ | `Static _ -> None
+        | `Ok d -> (
+          match Translate.translate d with
+          | r -> Some (m.Avp_mutate.Gen.id, r.Translate.model)
+          | exception Translate.Unsupported _ -> None))
+  in
+  Alcotest.(check int) "pp mutants that vet and translate" 155
+    (List.length translated);
+  List.iter
+    (fun (id, m) ->
+      check_same_enumeration ~max_states:8 (Printf.sprintf "mutant %d" id) m)
+    translated
+
+(* Every reachable (state, choice) of pp, one [next_into] against one
+   [next]: blocks of choices in shuffled order, within a block every
+   state in shuffled order, within a (block, state) its choices in
+   shuffled order.  Consecutive calls thus often share a block but not
+   a state, and the caller's state buffer is overwritten after each
+   call, so a block cache keyed by less than a copy of the state and
+   the block answers from the wrong state. *)
+let test_next_into_matches_next () =
+  let m = (Avp_pp.Control_hdl.translate ()).Translate.model in
+  let g = G.enumerate m in
+  let rng = Random.State.make [| 22 |] in
+  let shuffled n =
+    let a = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  let nchoices = Model.num_choices m in
+  let choices = Array.init nchoices (Model.choice_of_index m) in
+  let lanes = Avp_logic.Bv_sliced.lanes_limit in
+  let nvars = Array.length m.Model.reset in
+  let state = Array.make nvars 0 and dst = Array.make nvars 0 in
+  let checked = ref 0 in
+  Array.iter
+    (fun b ->
+      Array.iter
+        (fun s ->
+          let first = b * lanes in
+          Array.iter
+            (fun l ->
+              let c = first + l in
+              Array.blit g.G.states.(s) 0 state 0 nvars;
+              m.Model.next_into state (Array.get choices.(c)) dst;
+              Array.fill state 0 nvars 0;
+              let expected = m.Model.next g.G.states.(s) choices.(c) in
+              if dst <> expected then
+                Alcotest.failf "state %d choice %d: next_into gives %a, next %a"
+                  s c (Model.pp_state m) dst (Model.pp_state m) expected;
+              incr checked)
+            (shuffled (min lanes (nchoices - first))))
+        (shuffled (G.num_states g)))
+    (shuffled ((nchoices + lanes - 1) / lanes));
+  Alcotest.(check int) "every reachable (state, choice)" 123_904 !checked
+
+(* Choice a = 2 drives q to X: the enumeration stops there with the
+   scalar step's message, through [next_into] as through [next]. *)
+let test_undefined_lane_message () =
+  let src =
+    {|
+module xchoice (clk, rst, a, y);
+  input clk, rst;
+  input [1:0] a;
+  output [1:0] y;
+  reg [1:0] q; // avp state
+  // avp clock clk
+  // avp reset rst
+  // avp free a
+  always @(posedge clk) begin
+    if (rst) q <= 2'b00;
+    else if (a == 2'b10) q <= 2'bx0;
+    else q <= a;
+  end
+  assign y = q;
+endmodule
+|}
+  in
+  let m = (Translate.translate (Elab.elaborate (Parser.parse src))).Translate.model in
+  let choices = Array.init (Model.num_choices m) (Model.choice_of_index m) in
+  let first_failure step =
+    let rec go c =
+      if c = Array.length choices then None
+      else
+        match step choices.(c) with
+        | () -> go (c + 1)
+        | exception Translate.Unsupported msg -> Some (c, msg)
+    in
+    go 0
+  in
+  let dst = Array.make 1 0 in
+  let expected = Some (2, "state net q is undefined (x0) after step") in
+  let pair = Alcotest.(option (pair int string)) in
+  Alcotest.check pair "through next" expected
+    (first_failure (fun cv -> ignore (m.Model.next m.Model.reset cv)));
+  Alcotest.check pair "through next_into" expected
+    (first_failure (fun cv -> m.Model.next_into m.Model.reset (Array.get cv) dst));
+  match G.enumerate m with
+  | _ -> Alcotest.fail "enumeration of an X successor must raise"
+  | exception Translate.Unsupported msg ->
+    Alcotest.(check string) "enumeration" (snd (Option.get expected)) msg
+
+(* A ternary with unequal arm widths: the bit-sliced kernel rejects the
+   design, and its choices take the scalar step. *)
+let test_sliced_rejected_design () =
+  let src =
+    {|
+module uneq (clk, rst, a, y);
+  input clk, rst;
+  input a;
+  output [1:0] y;
+  reg [1:0] q; // avp state
+  wire [1:0] n;
+  // avp clock clk
+  // avp reset rst
+  // avp free a
+  assign n = a ? q + 2'b01 : 1'b0;
+  always @(posedge clk) begin
+    if (rst) q <= 2'b00;
+    else q <= n;
+  end
+  assign y = q;
+endmodule
+|}
+  in
+  let d = Elab.elaborate (Parser.parse src) in
+  Alcotest.(check bool) "Sliced.create rejects the design" true
+    (Sliced.create ~lanes:2 d = None);
+  let m = (Translate.translate d).Translate.model in
+  check_same_enumeration "uneq" m;
+  Alcotest.(check int) "states" 4 (G.num_states (G.enumerate m))
+
 let suite =
   suite
   @ [ Alcotest.test_case "murphi case and operators" `Quick
         test_murphi_case_and_ops ]
+    @ [
+        Alcotest.test_case "lanes enumerate as the scalar step" `Quick
+          test_lanes_enumerate_as_scalar;
+        Alcotest.test_case "next_into = next on every (state, choice)" `Quick
+          test_next_into_matches_next;
+        Alcotest.test_case "undefined lane: scalar message" `Quick
+          test_undefined_lane_message;
+        Alcotest.test_case "sliced-rejected design enumerates" `Quick
+          test_sliced_rejected_design;
+      ]

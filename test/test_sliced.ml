@@ -409,6 +409,81 @@ let test_one_lane_sliced () =
     nets_agree_lane d sliced ~lane:0 interp ~cycle
   done
 
+(* The per-lane int poke and read against [get_lane]: every lane holds
+   its own defined value after [poke_ints], a net computed from it
+   follows after a settle (the readers were marked), undefined lanes
+   are flagged by [get_ints], and a forced lane keeps its value. *)
+let test_lane_ints () =
+  let d =
+    Elab.elaborate
+      (Parser.parse
+         {|
+module t(a, b, y);
+  input [5:0] a;
+  input [3:0] b;
+  output [5:0] y;
+  assign y = a ^ {2'b00, b};
+endmodule
+|})
+  in
+  let id n = Elab.net_id d n in
+  List.iter
+    (fun lanes ->
+      let k =
+        match Sliced.create ~lanes d with
+        | Some k -> k
+        | None -> Alcotest.fail "sliced engine rejected the design"
+      in
+      let rand = lcg (lanes + 5) in
+      let got = Array.make lanes 0 in
+      let check ~what net expected ~undefined =
+        let bad = Sliced.get_ints k (id net) got in
+        Alcotest.(check int) (what ^ ": undefined lanes") undefined bad;
+        for l = 0 to lanes - 1 do
+          let v = Sliced.get_lane k ~lane:l (id net) in
+          if (undefined lsr l) land 1 = 1 then
+            Alcotest.(check bool) (what ^ ": lane is undefined") false
+              (Bv.is_defined v)
+          else begin
+            Alcotest.(check (option int))
+              (Printf.sprintf "%s: lane %d = get_lane" what l)
+              (Bv.to_int v) (Some got.(l));
+            Alcotest.(check int)
+              (Printf.sprintf "%s: lane %d value" what l)
+              (expected l) got.(l)
+          end
+        done
+      in
+      for round = 1 to 3 do
+        let a = Array.init lanes (fun _ -> rand 64)
+        and b = Array.init lanes (fun _ -> rand 16) in
+        Sliced.poke_ints k (id "a") a;
+        Sliced.poke_ints k (id "b") b;
+        Sliced.settle k;
+        let what = Printf.sprintf "lanes=%d round %d" lanes round in
+        check ~what "a" (fun l -> a.(l)) ~undefined:0;
+        check ~what "y" (fun l -> a.(l) lxor b.(l)) ~undefined:0;
+        (* Values wider than the net are truncated to it. *)
+        Sliced.poke_ints k (id "b") (Array.map (fun v -> v + 16) b);
+        Sliced.settle k;
+        check ~what:(what ^ ", truncated") "b" (fun l -> b.(l)) ~undefined:0;
+        (* An X in some lanes of [a] reaches [y] in exactly those. *)
+        let xs = (0b101 lsl (round - 1)) land Sliced.amask k in
+        Sliced.poke_id ~mask:xs k (id "a") (Bv.of_string "1x0000");
+        Sliced.settle k;
+        check ~what:(what ^ ", X lanes") "y"
+          (fun l -> a.(l) lxor b.(l))
+          ~undefined:xs
+      done;
+      (* A forced lane is skipped, as by [poke_id]. *)
+      Sliced.force_id ~mask:1 k (id "a") (Bv.of_int ~width:6 33);
+      Sliced.poke_ints k (id "a") (Array.make lanes 7);
+      Sliced.settle k;
+      check ~what:"forced lane 0" "a"
+        (fun l -> if l = 0 then 33 else 7)
+        ~undefined:0)
+    [ 1; 7; 62 ]
+
 (* ------------------------------------------------------------------ *)
 (* Mutant detection: schemata passes vs per-mutant scalar replays     *)
 (* ------------------------------------------------------------------ *)
@@ -513,4 +588,6 @@ let suite =
       test_one_lane_sliced;
     Alcotest.test_case "detect: schemata passes = scalar replays" `Quick
       test_detect_engines;
+    Alcotest.test_case "poke_ints and get_ints = get_lane" `Quick
+      test_lane_ints;
   ]

@@ -786,10 +786,43 @@ let prop_tour_trace_validity_under_weights =
       in
       Tour_gen.is_valid g t && Tour_gen.covers_all_edges g t)
 
+(* A model and a graph that disagree: [walk] follows the model's own
+   [next], and a successor outside the graph names where it left. *)
+let test_walk_leaves_graph () =
+  let b = Model.Builder.create "toggle" in
+  let s = Model.Builder.state b "s" [| "a"; "b"; "c" |] in
+  let go = Model.Builder.choice_bool b "go" in
+  let _ = Model.Builder.choice_bool b "x" in
+  let m =
+    Model.Builder.build b ~step:(fun ctx ->
+        let open Model.Builder in
+        if chosen ctx go = 1 then set ctx s (1 - get ctx s))
+  in
+  let g = State_graph.enumerate m in
+  Alcotest.(check int) "s=c is unreachable" 2 (State_graph.num_states g);
+  let leaky =
+    {
+      m with
+      Model.next =
+        (fun cur cv ->
+          if cur.(0) = 1 && Model.index_of_choice m cv = 3 then [| 2 |]
+          else m.Model.next cur cv);
+    }
+  in
+  Alcotest.(check int) "the model's own walk stays in the graph" 2
+    (Array.length (Tour_gen.walk m g [| 2; 3 |]));
+  Alcotest.check_raises "the leaky walk names state and choice"
+    (Invalid_argument
+       "Tour_gen.walk: the model's successor of state 1 under choice 3 is \
+        not a state of the graph")
+    (fun () -> ignore (Tour_gen.walk leaky g [| 2; 3 |]))
+
 let suite =
   suite
   @ [
       Alcotest.test_case "digraph transpose" `Quick test_transpose;
+      Alcotest.test_case "walk off the graph names state and choice" `Quick
+        test_walk_leaves_graph;
       Alcotest.test_case "reachable partial" `Quick test_reachable_partial;
       QCheck_alcotest.to_alcotest prop_tour_trace_validity_under_weights;
     ]
