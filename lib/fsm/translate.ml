@@ -291,6 +291,25 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
       dst.(i) <- value_of_bv v
     done
   in
+  (* The combinational blocks that write latch state nets, as units
+     ([Compile.units] numbers comb block [i], in process order, net
+     count + [i]).  Poking a latch's stored value does not re-run its
+     writer, so each step re-runs it: while the latch is transparent
+     its value then follows its inputs whatever the previous call
+     poked. *)
+  let latch_units =
+    List.sort_uniq Int.compare
+      (List.map
+         (fun (l : Latch.latch) ->
+           let block = ref 0 in
+           for p = 0 to l.Latch.process_index - 1 do
+             match d.Elab.processes.(p) with
+             | Elab.Comb _ -> incr block
+             | Elab.Assign _ | Elab.Seq _ -> ()
+           done;
+           Array.length d.Elab.nets + !block)
+         latches)
+  in
   (* The scalar step: one transition on the one shared simulator. *)
   let step_into state choices dst =
     Sim.poke_id sim reset_id low;
@@ -300,6 +319,7 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
       Sim.poke_id sim net.Elab.id (bv_of_value ~width:net.Elab.width state.(i))
     done;
     poke_choices choices;
+    List.iter (Sim.rerun_unit sim) latch_units;
     Sim.step sim clock;
     read_states_into "step" dst
   in
@@ -354,6 +374,7 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
         for i = 0 to nfree - 1 do
           Sliced.poke_ints k choice_bindings.(i).net.Elab.id lane_choices.(i)
         done;
+        List.iter (Sliced.rerun_unit k) latch_units;
         Sliced.step k clock_id;
         let undefined = ref 0 in
         for i = 0 to nstates - 1 do

@@ -37,7 +37,12 @@
       not settle): the kernel is re-initialised and every choice of
       the block re-runs, so the exception is the scalar step's;
     - [next], which walks call for one transition at a time: a block
-      costs five to six scalar steps on pp. *)
+      costs five to six scalar steps on pp.
+
+    Both steps poke a latch's stored value with the other state nets
+    and then re-run the latch's writer, so while the latch is
+    transparent its value follows its inputs, whatever the previous
+    call poked. *)
 
 type binding = { var : Model.var; net : Avp_hdl.Elab.enet }
 

@@ -27,9 +27,13 @@ module Campaign = Avp_mutate.Campaign
      mutants every method missed are checked for equivalence).
 
    Kill scoring goes through the mutation campaign's replay path
-   ({!Avp_mutate.Campaign.detect}) on the fuzz run's engine.  An x/z
-   escape on a checked net counts as a kill at vector cost 1 (the
-   scalar oracle does not localize the escape cycle).
+   ({!Avp_mutate.Campaign.detect}) on the fuzz run's engine.  On the
+   sliced engine the sampled mutants leave lanes spare (16 mutants take
+   16 of 62), so each phase runs in slots that replay different traces
+   side by side (3 slots of 16), and the pristine output rows of all
+   three sets are recorded in one lane pass ({!Avp_vectors.Replay.record}).
+   An x/z escape on a checked net counts as a kill at vector cost 1
+   (the scalar oracle does not localize the escape cycle).
 
    Everything reported is deterministic: detection outcomes are the
    same for any engine, and no timings appear in the JSON. *)
@@ -116,7 +120,7 @@ let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
   let rvecs = Replay.vectors tr rtours in
   let fvecs = Replay.vectors tr ftours in
   let outs = Campaign.output_ports design ~top in
-  let rows = Replay.record tr ~nets:outs in
+  let rows = Replay.record tr ~nets:outs [| tvecs; rvecs; fvecs |] in
   (* Five single-oracle phases.  A method's cost is the earlier of
      its oracles' detections, so they must not chain: a chain stops
      the output oracle on the mutants the state oracle flagged. *)
@@ -124,10 +128,10 @@ let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
   let phases =
     [|
       phase tvecs (Campaign.States tours);
-      phase tvecs (Campaign.Nets (outs, rows tvecs));
-      phase rvecs (Campaign.Nets (outs, rows rvecs));
+      phase tvecs (Campaign.Nets (outs, rows.(0)));
+      phase rvecs (Campaign.Nets (outs, rows.(1)));
       phase fvecs (Campaign.States ftours);
-      phase fvecs (Campaign.Nets (outs, rows fvecs));
+      phase fvecs (Campaign.Nets (outs, rows.(2)));
     |]
   in
   (* Mutants. *)

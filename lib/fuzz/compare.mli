@@ -22,8 +22,9 @@
     {!Avp_mutate.Campaign.detect}, on the fuzz run's engine
     ([config.engine]): five single-oracle phases (tour states, tour
     outputs, random outputs, fuzz states, fuzz outputs), so on the
-    sliced engine each chunk of up to 62 mutants costs five schemata
-    passes.  A method's vectors-to-kill is the earlier of its
+    sliced engine each chunk of up to 62 mutants costs one schemata
+    pass of five phases, each in ⌊62/chunk⌋ slots that replay
+    different traces side by side.  A method's vectors-to-kill is the earlier of its
     oracles' detections; an x/z escape costs 1.
 
     Deterministic: the outcomes are identical for any engine, and the

@@ -13,7 +13,12 @@ module Tour_gen = Avp_tour.Tour_gen
    valuation, at reset release and after every clock edge, the step-4
    replay check.  On the pristine design the two provably agree (the
    replay theorems); a disagreement is a translation or replay bug,
-   which the loop reports. *)
+   which the loop reports.
+
+   Execution runs on the bit-sliced kernel, one candidate per one-lane
+   slot of the vector scheduler ({!Avp_vectors.Slots}), the same replay
+   loop the mutation campaign's detect passes and the output recording
+   use; the scalar replay checker stays the fallback and the oracle. *)
 
 type planned = {
   choices : Corpus.entry;
@@ -58,152 +63,73 @@ let exec_span i cycles t0 =
           ("flow_in", Obs.Int 0);
         ]
 
-(* The sliced engine packs up to 62 candidates per kernel, each lane
-   under its own stimulus, and checks each lane's state nets against
-   its own plan every cycle.  A lane's first divergence is recorded in
-   the scalar checker's terms: the first mismatching net in state-net
-   order, or the message of a net that left the defined domain. *)
+(* The sliced engine replays the candidates as one-lane slots
+   ({!Avp_vectors.Slots}), up to 62 at a time, each lane under its own
+   stimulus, and checks each lane's state nets against its own plan
+   every cycle.  A lane's first divergence is recorded in the scalar
+   checker's terms — the first mismatching net in state-net order, or
+   the message of a net that left the defined domain — and freezes the
+   lane, so its slot takes the next candidate. *)
 let check_sliced ?progress (tr : Translate.result)
     (graph : Avp_enum.State_graph.t) (planned : planned array)
     (vectors : Avp_vectors.Vector.t array) =
   let design = tr.Translate.elab in
   let n = Array.length planned in
-  let lanes = Avp_logic.Bv_sliced.lanes_limit in
-  let units = Avp_hdl.Compile.units design in
-  match
-    Avp_hdl.Sliced.create ~u:units ~lanes:(min lanes (max 1 n)) design
-  with
+  let lanes = min Avp_logic.Bv_sliced.lanes_limit (max 1 n) in
+  match Avp_hdl.Sliced.create ~lanes design with
   | None -> None (* design outside the sliced kernel's coverage *)
-  | Some _ ->
+  | Some sim ->
     let nets = Replay.state_nets tr in
-    let net_id nm = (Avp_hdl.Elab.net design nm).Avp_hdl.Elab.id in
-    let net_ids = Array.map net_id nets in
-    let clock = net_id tr.Translate.clock
-    and reset = net_id tr.Translate.reset in
-    let one = Avp_logic.Bv.of_int ~width:1 1
-    and zero = Avp_logic.Bv.of_int ~width:1 0 in
+    let net_ids =
+      Array.map (fun nm -> (Avp_hdl.Elab.net design nm).Avp_hdl.Elab.id) nets
+    in
     let states = graph.Avp_enum.State_graph.states in
     let failures = Array.make n None in
-    for ci = 0 to ((n + lanes - 1) / lanes) - 1 do
-      let c0 = ci * lanes in
-      let k = min lanes (n - c0) in
-      let t0s = Array.init k (fun _ -> Obs.Clock.now_s ()) in
-      let sim =
-        match Avp_hdl.Sliced.create ~u:units ~lanes:k design with
-        | Some s -> s
-        | None -> assert false (* coverage probed above *)
+    let t0 = Obs.Clock.now_s () in
+    let check ~slot c cycle =
+      let trace = planned.(c).trace in
+      let predicted =
+        states.(if cycle < 0 then trace.(0).Tour_gen.src
+                else trace.(cycle).Tour_gen.dst)
       in
-      (* The hot loop resolves a net name per (lane, action); the
-         realized vectors share one physical string per choice
-         variable, so a tiny pointer-equality cache beats hashing the
-         string every time (a distinct physical copy of a name merely
-         adds a duplicate entry with the same uid). *)
-      let lookup =
-        let cache = ref [] in
-        fun nm ->
-          let rec find = function
-            | [] ->
-              let id = net_id nm in
-              cache := (nm, id) :: !cache;
-              id
-            | (nm', id) :: rest -> if nm' == nm then id else find rest
+      let rec net vi =
+        if vi < Array.length net_ids then begin
+          let id = net_ids.(vi) and p = predicted.(vi) in
+          let bad, neq =
+            Avp_hdl.Sliced.check_net ~mask:(1 lsl slot) sim id ~predicted:p
           in
-          find !cache
-      in
-      let len j = Array.length vectors.(c0 + j) in
-      let maxlen = ref 0 in
-      for j = 0 to k - 1 do
-        maxlen := max !maxlen (len j)
-      done;
-      let check cycle =
-        for j = 0 to k - 1 do
-          let c = c0 + j in
-          if cycle < len j && failures.(c) = None then begin
-            let trace = planned.(c).trace in
-            let predicted =
-              states.(if cycle < 0 then trace.(0).Tour_gen.src
-                      else trace.(cycle).Tour_gen.dst)
-            in
-            let rec net vi =
-              if vi < Array.length net_ids then begin
-                let id = net_ids.(vi) and p = predicted.(vi) in
-                let bad, neq =
-                  Avp_hdl.Sliced.check_net ~mask:(1 lsl j) sim id ~predicted:p
-                in
-                if bad lor neq = 0 then net (vi + 1)
-                else
-                  failures.(c) <-
-                    Some
-                      (match
-                         Translate.value_of_bv
-                           (Avp_hdl.Sliced.get_lane sim ~lane:j id)
-                       with
-                       | actual ->
-                         mismatch_detail
-                           {
-                             Replay.trace = c;
-                             cycle;
-                             net = nets.(vi);
-                             actual;
-                             predicted = p;
-                           }
-                       | exception Translate.Unsupported msg -> msg)
-              end
-            in
-            net 0
+          if bad lor neq = 0 then net (vi + 1)
+          else begin
+            failures.(c) <-
+              Some
+                (match
+                   Translate.value_of_bv
+                     (Avp_hdl.Sliced.get_lane sim ~lane:slot id)
+                 with
+                 | actual ->
+                   mismatch_detail
+                     {
+                       Replay.trace = c;
+                       cycle;
+                       net = nets.(vi);
+                       actual;
+                       predicted = p;
+                     }
+                 | exception Translate.Unsupported msg -> msg);
+            Avp_hdl.Sliced.freeze sim ~mask:(1 lsl slot)
           end
-        done
+        end
       in
-      Avp_hdl.Sliced.set_id sim reset one;
-      Avp_hdl.Sliced.step sim clock;
-      Avp_hdl.Sliced.set_id sim reset zero;
-      check (-1);
-      (* Per-lane stimulus, grouped per net and applied once per cycle
-         ([Sliced.force_lanes]): nothing observes the nets between the
-         actions and the clock edge, so deferring the forces to the
-         end of the action list is invisible — except to a same-cycle
-         same-net Release on the same lane, which cancels the pending
-         force exactly as the sequential order would. *)
-      let nnets = Array.length design.Avp_hdl.Elab.nets in
-      let pending = Array.make nnets [||] in
-      let pending_ids = ref [] in
-      for c = 0 to !maxlen - 1 do
-        for j = 0 to k - 1 do
-          if c < len j then
-            List.iter
-              (fun a ->
-                match a with
-                | Avp_vectors.Vector.Force (nm, v) ->
-                  let id = lookup nm in
-                  if Array.length pending.(id) = 0 then
-                    pending.(id) <- Array.make k None;
-                  let fbuf = pending.(id) in
-                  if not (List.memq id !pending_ids) then
-                    pending_ids := id :: !pending_ids;
-                  fbuf.(j) <- Some v
-                | Avp_vectors.Vector.Release nm ->
-                  let id = lookup nm in
-                  if Array.length pending.(id) > 0 then
-                    pending.(id).(j) <- None;
-                  Avp_hdl.Sliced.release_id ~mask:(1 lsl j) sim id)
-              vectors.(c0 + j).(c).Avp_vectors.Vector.actions
-        done;
-        List.iter
-          (fun id ->
-            let fbuf = pending.(id) in
-            Avp_hdl.Sliced.force_lanes sim id fbuf;
-            Array.fill fbuf 0 k None)
-          !pending_ids;
-        pending_ids := [];
-        Avp_hdl.Sliced.step sim clock;
-        check c
-      done;
-      for j = 0 to k - 1 do
-        exec_span (c0 + j) (len j) t0s.(j);
-        match progress with
-        | Some p -> Avp_obs.Progress.tick p
-        | None -> ()
-      done
+      net 0
+    in
+    Avp_vectors.Slots.run sim tr ~width:1 vectors
+      ~on_reset:(fun ~slot c -> check ~slot c (-1))
+      ~on_cycle:(fun ~slot c i -> check ~slot c i);
+    for c = 0 to n - 1 do
+      exec_span c (Array.length vectors.(c)) t0;
+      match progress with
+      | Some p -> Avp_obs.Progress.tick p
+      | None -> ()
     done;
     let rec first i =
       if i = n then Ok ()

@@ -33,10 +33,12 @@ val run :
     - [`Scalar] is one {!Avp_vectors.Replay.check} over the plans as a
       tour set.  It emits the checker's [replay.run] and
       [replay.trace] spans.
-    - [`Sliced] packs up to {!Avp_logic.Bv_sliced.lanes_limit} (62)
-      candidates word-parallel per kernel, each lane under its own
-      stimulus, and emits one [fuzz.exec] span per candidate with
-      deterministic args.  A
-      design outside the kernel's coverage falls back to [`Scalar].
+    - [`Sliced] replays the candidates as one-lane slots
+      ({!Avp_vectors.Slots}) of one kernel of up to
+      {!Avp_logic.Bv_sliced.lanes_limit} (62) lanes, each lane under
+      its own stimulus; a lane that leaves its plan stops, and its slot
+      takes the next candidate.  It emits one [fuzz.exec] span per
+      candidate with deterministic args.  A design outside the
+      kernel's coverage falls back to [`Scalar].
 
     [progress] ticks once per candidate. *)

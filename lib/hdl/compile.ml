@@ -1262,6 +1262,8 @@ let release_id t id =
 
 let forced_id t id = Bytes.get t.forced id = '\001'
 
+let rerun_unit = enqueue
+
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)

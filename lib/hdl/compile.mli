@@ -74,6 +74,10 @@ val force_id : t -> Elab.uid -> Bv.t -> unit
 val release_id : t -> Elab.uid -> unit
 val forced_id : t -> Elab.uid -> bool
 
+val rerun_unit : t -> int -> unit
+(** Run evaluation unit [u] at the next settle, as if one of its inputs
+    had changed. *)
+
 val settle : t -> unit
 (** @raise Comb_loop when no fixpoint is reached. *)
 

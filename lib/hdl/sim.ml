@@ -448,6 +448,11 @@ let poke_id t id v =
   | I s -> poke_id_i s id v
   | C c -> Compile.poke_id c id v
 
+let rerun_unit t u =
+  match t.eng with
+  | I s -> enqueue_unit s u
+  | C c -> Compile.rerun_unit c u
+
 let set t name v =
   let id = lookup_id t name in
   poke_id t id v;

@@ -83,6 +83,13 @@ val poke_id : t -> Elab.uid -> Avp_logic.Bv.t -> unit
     the value is resized to the net's width and ignored if the net is
     forced. *)
 
+val rerun_unit : t -> int -> unit
+(** [rerun_unit t u] makes evaluation unit [u] ({!Compile.units}: the
+    resolution of net [u] below the net count, else a combinational
+    block) run at the next settle, as if one of its inputs had changed.
+    Poking a net does not re-run the block that writes it, so a caller
+    that pokes a latch's stored value re-runs the latch this way. *)
+
 (** {2 Observation}
 
     A single observer hooks the dispatch layer, so waveform dumpers

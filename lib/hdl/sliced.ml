@@ -946,10 +946,6 @@ let poke_id ?mask t id bv =
     if !changed then mark_readers st id
   end
 
-let set_id ?mask t id bv =
-  poke_id ?mask t id bv;
-  settle t
-
 (* Change detection matters here: the vector replays re-force every
    choice net every cycle, and most cycles repeat the previous value —
    skipping the readers mark when nothing changed keeps the settle
@@ -994,53 +990,38 @@ let force_id ?mask t id bv =
     if !changed then mark_readers st id
   end
 
-(* Pin a different value per lane with one readers mark: the batched
-   vector drivers issue one force per (lane, net) pair — hundreds per
-   cycle at 62 lanes — so the per-call path (broadcast allocation plus
-   a mark each) would dominate the replay.  Lanes at [None] are left
-   untouched. *)
-let force_lanes t id (values : Bv.t option array) =
+(* Pin one packed value per slot of [sw] consecutive lanes, transposed
+   into the net's bit words in one pass: a slotted vector replay resolves
+   each slot's stimulus once per cycle and writes every forced net here,
+   so the per-(lane, net) forcing path — a broadcast or a planes tuple
+   per call, and a readers mark each — stays out of the hot loop.  Bits
+   past the packed planes read 0, as [Bv.resize] of a packed value. *)
+let force_slots t id ~width:sw ~mask (pv : int array) (pu : int array) =
   let st = t.st in
-  let w = st.widths.(id) in
-  let nv = st.nv.(id) and nu = st.nu.(id) in
-  let frz = st.frozen in
-  let en = ref 0 in
-  let changed = ref false in
-  Array.iteri
-    (fun l bv ->
-      match bv with
-      | None -> ()
-      | Some _ when frz land (1 lsl l) <> 0 -> ()
-      | Some bv ->
-        let bv = if Bv.width bv = w then bv else Bv.resize bv w in
-        let bit = 1 lsl l in
-        en := !en lor bit;
-        (match Bv.planes bv with
-         | Some (pv, pu) ->
-           for j = 0 to w - 1 do
-             let v' = (nv.(j) land lnot bit) lor (((pv lsr j) land 1) * bit)
-             and u' = (nu.(j) land lnot bit) lor (((pu lsr j) land 1) * bit) in
-             if v' <> nv.(j) || u' <> nu.(j) then begin
-               nv.(j) <- v';
-               nu.(j) <- u';
-               changed := true
-             end
-           done
-         | None ->
-           (* Wider than the packed planes: transpose bit by bit. *)
-           let s = Sl.broadcast bv in
-           for j = 0 to w - 1 do
-             let v' = (nv.(j) land lnot bit) lor (s.Sl.v.(j) land bit)
-             and u' = (nu.(j) land lnot bit) lor (s.Sl.u.(j) land bit) in
-             if v' <> nv.(j) || u' <> nu.(j) then begin
-               nv.(j) <- v';
-               nu.(j) <- u';
-               changed := true
-             end
-           done))
-    values;
-  let en = !en land st.amask in
+  let en = mask land st.amask land lnot st.frozen in
   if en <> 0 then begin
+    let nv = st.nv.(id) and nu = st.nu.(id) in
+    let slot = (1 lsl sw) - 1 in
+    let nslots = st.lanes / sw in
+    let changed = ref false in
+    for j = 0 to st.widths.(id) - 1 do
+      let wv = ref 0 and wu = ref 0 in
+      if j < Bv.packed_width_limit then
+        for s = 0 to nslots - 1 do
+          let m = slot lsl (s * sw) in
+          if m land en <> 0 then begin
+            if (pv.(s) lsr j) land 1 = 1 then wv := !wv lor m;
+            if (pu.(s) lsr j) land 1 = 1 then wu := !wu lor m
+          end
+        done;
+      let v' = (nv.(j) land lnot en) lor (!wv land en)
+      and u' = (nu.(j) land lnot en) lor (!wu land en) in
+      if v' <> nv.(j) || u' <> nu.(j) then begin
+        nv.(j) <- v';
+        nu.(j) <- u';
+        changed := true
+      end
+    done;
     st.forced.(id) <- st.forced.(id) lor en;
     if !changed then mark_readers st id
   end
@@ -1130,29 +1111,38 @@ let check_net ?mask t id ~predicted =
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let reinit t =
+(* The masked form returns some lanes to power-on between two steps
+   while the others keep running: their words go back to X (regs) or Z
+   (wires), they lose their forces and freeze bits, and every unit runs
+   at the next settle, as after a full reinit — for the lanes that kept
+   running that re-run is the fixpoint they already hold.  The full
+   form also empties the worklist, the overlay and the NBA queue, so it
+   recovers a kernel whose step raised. *)
+let reinit ?mask t =
   let st = t.st in
+  let m = match mask with None -> lmask | Some m -> m land st.amask in
   Array.iteri
     (fun id net ->
-      let v, u =
-        match net.Elab.kind with
-        | Ast.Reg -> (lmask, lmask) (* all X *)
-        | Ast.Wire -> (0, lmask) (* all Z *)
-      in
-      Array.fill st.nv.(id) 0 st.widths.(id) v;
-      Array.fill st.nu.(id) 0 st.widths.(id) u;
-      st.forced.(id) <- 0)
+      let v = match net.Elab.kind with Ast.Reg -> m | Ast.Wire -> 0 in
+      let nv = st.nv.(id) and nu = st.nu.(id) in
+      for j = 0 to st.widths.(id) - 1 do
+        nv.(j) <- (nv.(j) land lnot m) lor v;
+        nu.(j) <- nu.(j) lor m
+      done;
+      st.forced.(id) <- st.forced.(id) land lnot m)
     st.d.Elab.nets;
-  Bytes.fill st.ov_set 0 (Bytes.length st.ov_set) '\000';
-  st.n_touched <- 0;
-  st.nba <- [];
-  st.qh <- 0;
-  st.qt <- 0;
-  Bytes.fill st.in_queue 0 (Bytes.length st.in_queue) '\000';
+  st.frozen <- st.frozen land lnot m;
   st.dirty_all <- true;
-  st.frozen <- 0;
-  st.time <- 0;
-  st.last_changed <- -1
+  if mask = None then begin
+    Bytes.fill st.ov_set 0 (Bytes.length st.ov_set) '\000';
+    st.n_touched <- 0;
+    st.nba <- [];
+    st.qh <- 0;
+    st.qt <- 0;
+    Bytes.fill st.in_queue 0 (Bytes.length st.in_queue) '\000';
+    st.time <- 0;
+    st.last_changed <- -1
+  end
 
 (* Retire lanes from the kernel: every write path masks out frozen
    lanes, so a frozen lane's nets stop changing and its downstream
@@ -1163,6 +1153,10 @@ let reinit t =
 let freeze t ~mask =
   let st = t.st in
   st.frozen <- st.frozen lor (mask land st.amask)
+
+let frozen t = t.st.frozen
+
+let rerun_unit t u = enqueue t.st u
 
 let build ?u ~lanes (d : Elab.t) (procs : xp array) =
   let u = match u with Some u -> u | None -> Compile.units d in
@@ -1257,11 +1251,23 @@ let create_schemata ?u ~base (mutants : Elab.t array) =
   if lanes < 1 || lanes > Sl.lanes_limit then
     invalid_arg "Sliced.create_schemata: lane count out of range";
   let procs = Array.map inj_p base.Elab.processes in
-  let scheduled =
-    Array.mapi
-      (fun i md -> merge_mutant ~mask:(1 lsl i) procs base md)
-      mutants
-  in
+  (* Lanes that carry the same elaboration (a chunk of mutants repeated
+     across slots) share one merge under the union of their masks. *)
+  let scheduled = Array.make lanes false in
+  Array.iteri
+    (fun i md ->
+      let rec first i' = i' = i || (mutants.(i') != md && first (i' + 1)) in
+      if first 0 then begin
+        let mask = ref 0 in
+        Array.iteri
+          (fun i' md' -> if md' == md then mask := !mask lor (1 lsl i'))
+          mutants;
+        let ok = merge_mutant ~mask:!mask procs base md in
+        Array.iteri
+          (fun i' md' -> if md' == md then scheduled.(i') <- ok)
+          mutants
+      end)
+    mutants;
   match build ?u ~lanes base procs with
   | t -> Some (t, scheduled)
   | exception Unsupported -> None

@@ -35,21 +35,32 @@ val create_schemata :
     which mutants could be scheduled into the schemata: unscheduled
     lanes (structural divergence beyond a single expression site)
     simulate the pristine base and must be handled by the scalar
-    fallback.  [None] when the base itself is not supported. *)
+    fallback.  Lanes given the same (physically equal) elaboration
+    share one merge, so a chunk of mutants repeated across the lanes
+    costs the chunk's selects once.  [None] when the base itself is
+    not supported. *)
 
-val reinit : t -> unit
+val reinit : ?mask:int -> t -> unit
 (** Reset every lane to power-on state (regs all-X, wires all-Z,
     nothing forced, nothing frozen, time 0) so one kernel serves many
-    trace batches without recompiling. *)
+    trace batches without recompiling.  With [?mask], call between two
+    steps: only the masked lanes return to power-on, losing their
+    forces and freeze bits, while the other lanes keep running; every
+    unit runs at the next settle, which for the other lanes is the
+    fixpoint they already hold.  The vector slots
+    ({!Avp_vectors.Slots}) start each trace this way. *)
 
 val freeze : t -> mask:int -> unit
-(** Retire the masked lanes until the next {!reinit}: every write
-    path (commits, NBA flushes, pokes, forces) masks them out, so
-    their nets stop changing and their downstream units drop out of
-    the settle worklist.  A campaign freezes a lane once its verdict
-    for the current trace is in, collapsing the word pass's cost to
-    the union of the still-live lanes' activity.  Frozen lanes hold
-    stale values — do not read them back. *)
+(** Retire the masked lanes until they are re-initialised ({!reinit}):
+    every write path (commits, NBA flushes, pokes, forces) masks them
+    out, so their nets stop changing and their downstream units drop
+    out of the settle worklist.  A campaign freezes a lane once its
+    verdict for the current trace is in, collapsing the word pass's
+    cost to the union of the still-live lanes' activity.  Frozen lanes
+    hold stale values — do not read them back. *)
+
+val frozen : t -> int
+(** The mask of frozen lanes. *)
 
 val lanes : t -> int
 
@@ -70,9 +81,6 @@ val poke_id : ?mask:int -> t -> Elab.uid -> Bv.t -> unit
 (** Write the value into the masked lanes without settling; forced
     lanes are skipped, like the scalar [poke]. *)
 
-val set_id : ?mask:int -> t -> Elab.uid -> Bv.t -> unit
-(** [poke_id] followed by {!settle}. *)
-
 val force_id : ?mask:int -> t -> Elab.uid -> Bv.t -> unit
 (** Pin the masked lanes to the value.  Does NOT settle: comb
     settling is confluent, so batched stimulus (hundreds of per-lane
@@ -80,11 +88,16 @@ val force_id : ?mask:int -> t -> Elab.uid -> Bv.t -> unit
     {!step} instead of paying one settle per call.  Call {!settle}
     before reading combinational nets. *)
 
-val force_lanes : t -> Elab.uid -> Bv.t option array -> unit
-(** Pin a per-lane value (index = lane; [None] leaves the lane
-    untouched) with a single readers mark — the batched form of
-    {!force_id} the vector replay uses, one call per net per cycle
-    instead of one per (lane, net).  Does not settle. *)
+val force_slots :
+  t -> Elab.uid -> width:int -> mask:int -> int array -> int array -> unit
+(** [force_slots t id ~width ~mask v u] pins the masked lanes of every
+    slot [s] — lanes [s * width] to [s * width + width - 1] — to the
+    packed value whose value and unknown planes
+    ({!Avp_logic.Bv.planes}) are [v.(s)] and [u.(s)], zero-extended or
+    truncated to the net's width.  One transposed pass per net that
+    allocates nothing, the slotted form of {!force_id}: frozen lanes
+    are skipped, it does not settle, and the net's readers are marked
+    only when a bit changed. *)
 
 val release_id : ?mask:int -> t -> Elab.uid -> unit
 (** Unpin the masked lanes and re-enqueue the net's driver.  Does NOT
@@ -106,6 +119,11 @@ val get_ints : t -> Elab.uid -> int array -> int
     whose value cannot encode an int (an undefined bit, or a net wider
     than {!Avp_logic.Bv.packed_width_limit}, as {!check_net}); their
     [dst] entries are unspecified. *)
+
+val rerun_unit : t -> int -> unit
+(** [rerun_unit t u] makes evaluation unit [u] ({!Compile.units}) run
+    at the next settle in every live lane, as if one of its inputs had
+    changed. *)
 
 val check_net : ?mask:int -> t -> Elab.uid -> predicted:int -> int * int
 (** [(bad, neq)] lane masks against a broadcast predicted value:

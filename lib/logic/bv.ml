@@ -137,6 +137,14 @@ let to_arr = function
 (* Fast-path interop for the compiled simulator. *)
 let planes = function P { v; u; _ } -> Some (v, u) | W _ -> None
 
+let value_plane = function
+  | P { v; _ } -> v
+  | W _ -> invalid_arg "Bv.value_plane: wide vector"
+
+let unknown_plane = function
+  | P { u; _ } -> u
+  | W _ -> invalid_arg "Bv.unknown_plane: wide vector"
+
 let of_planes ~width:w v u =
   if w <= 0 || w > packed_width_limit then
     invalid_arg "Bv.of_planes: width out of packed range";

@@ -116,6 +116,11 @@ val packed_width_limit : int
 val planes : t -> (int * int) option
 (** [(value, unknown)] planes of a packed vector, [None] if wide. *)
 
+val value_plane : t -> int
+val unknown_plane : t -> int
+(** The planes of a packed vector one at a time, without allocating.
+    @raise Invalid_argument if the vector is wide. *)
+
 val of_planes : width:int -> int -> int -> t
 (** [of_planes ~width v u] builds a packed vector from planes (masked
     to [width]).  @raise Invalid_argument when [width] is outside the

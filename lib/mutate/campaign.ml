@@ -137,146 +137,149 @@ let verdict ~max_equiv_states ~graph ~dut tour random =
 (* Bit-sliced schemata passes                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* One phase on the sliced engine: one replay of its vector set, all
-   lanes word-parallel, serving its CHAIN of oracles.  Stimulus is
-   broadcast (every mutant sees the same vectors), only the checks are
-   per lane.  Oracle [k]'s result counts only for lanes every earlier
-   oracle passed clean — the [check_phase] chain — so a lane with an
-   issue in oracle [j] stops checking in every oracle after [j].
-   [need] names the lanes whose outcome the caller will consume at
-   all; the rest never simulate.  Returns, per lane, the outcome the
-   scalar [check_phase] would have produced.
+(* One phase on the sliced engine: one replay of its vector set on the
+   chunk's kernel, serving its CHAIN of oracles.  The kernel's lanes
+   form slots of [k] lanes, lane [s * k + j] carrying mutant [j], and
+   each slot replays its own trace ({!Avp_vectors.Slots}): the stimulus
+   is broadcast within a slot (every mutant sees the same vectors),
+   the slots take the set's traces side by side, and only the checks
+   are per lane.  [need] names the mutants whose outcome the caller
+   will consume at all; the rest never simulate.  Returns, per mutant,
+   the outcome the scalar [check_phase] would have produced.
 
-   Scalar fidelity rules, per oracle, lane by lane:
-   - the first mismatch (lowest trace, then lowest cycle, then
-     checked-net order) is the one recorded;
-   - after a lane's first issue in a trace, the lane is not checked
-     again within that trace (the scalar replay stops the trace), but
-     is checked again in later traces — where an [Unsupported] escape
-     would preempt the recorded mismatch, because the scalar shard
-     loop runs every trace and the exception escapes the final scan;
-   - a lane with an escape is retired from all later traces.
+   Traces finish out of order, so outcomes are combined by trace index,
+   per (mutant, oracle), after the scalar replay, which runs every
+   trace in order, stops a trace at its first issue, and lets an
+   [Unsupported] escape end the whole replay:
+   - a trace's first issue is at its lowest cycle, then at the first
+     checked net; the lane is not checked again within that trace;
+   - the lowest-trace escape wins over every mismatch, otherwise the
+     lowest-trace mismatch wins, so a trace after a recorded escape no
+     longer matters;
+   - an oracle counts only while every earlier oracle of the chain is
+     clean (the [check_phase] chain), so once one of them has an issue
+     the mutant stops checking in every oracle after it.
 
-   The word pass exploits those rules for speed: once EVERY oracle is
-   done with a lane for the current trace, the lane is frozen in the
-   kernel (its nets stop toggling, so a chunk of dead mutants costs
-   only the live lanes' settle activity), and the trace is abandoned
-   outright once every lane has stopped everywhere — the batched
-   analogue of the scalar replay's first-mismatch early exit.
-   Chaining two oracles in one phase also halves the passes: both
-   watch the same simulation, which is sound because checks never
-   perturb it. *)
+   The pass exploits those rules for speed: a lane whose every oracle
+   is done with its trace is frozen in the kernel (its nets stop
+   toggling, so a chunk of dead mutants costs only the live lanes'
+   settle activity), and a slot whose lanes are all frozen takes the
+   next trace — the batched analogue of the scalar replay's
+   first-mismatch early exit.  Chaining two oracles in one phase also
+   halves the passes: both watch the same simulation, which is sound
+   because checks never perturb it. *)
 type lane_oracle = {
   o_ids : Avp_hdl.Elab.uid array;
   o_names : string array;
   o_predict : int -> int -> int -> int;  (* trace -> cycle -> net -> value *)
 }
 
-let sliced_phase sim ~lookup ~clock ~reset ~need
-    (oracles : lane_oracle array) (vectors : Avp_vectors.Vector.t array) =
+let sliced_phase sim tr ~k ~need ~traces (oracles : lane_oracle array)
+    (vectors : Avp_vectors.Vector.t array) =
   let module S = Avp_hdl.Sliced in
-  let lanes = S.lanes sim in
-  let amask = S.amask sim in
+  let slots = S.lanes sim / k in
   let no = Array.length oracles in
-  let one = Avp_logic.Bv.of_int ~width:1 1
-  and zero = Avp_logic.Bv.of_int ~width:1 0 in
-  let exn = Array.init no (fun _ -> Array.make lanes None) in
-  let mis = Array.init no (fun _ -> Array.make lanes None) in
-  let exn_mask = Array.make no 0 in
-  let issue = Array.make no 0 in  (* lanes with any recorded issue *)
-  let stopped = Array.make no 0 in  (* per trace: lanes not checked *)
-  for ti = 0 to Array.length vectors - 1 do
-    let irrelevant = ref 0 in
-    for k = 0 to no - 1 do
-      stopped.(k) <-
-        amask
-        land lnot (need land lnot exn_mask.(k) land lnot !irrelevant);
-      irrelevant := !irrelevant lor issue.(k)
-    done;
-    let frozen0 = Array.fold_left ( land ) amask stopped in
-    if frozen0 <> amask then begin
-      S.reinit sim;
-      S.freeze sim ~mask:frozen0;
-      (* Returns [true] once every oracle has stopped every lane —
-         the rest of the trace cannot change any recorded result. *)
-      let compare_at cycle =
-        let newly = ref false in
-        for k = 0 to no - 1 do
-          let o = oracles.(k) in
-          Array.iteri
-            (fun vi id ->
-              let m = amask land lnot stopped.(k) in
-              if m <> 0 then begin
-                let p = o.o_predict ti cycle vi in
-                let bad, neq = S.check_net ~mask:m sim id ~predicted:p in
-                let flagged = bad lor neq in
-                if flagged <> 0 then begin
-                  for l = 0 to lanes - 1 do
-                    if (flagged lsr l) land 1 = 1 then begin
-                      let bv = S.get_lane sim ~lane:l id in
-                      match Translate.value_of_bv bv with
-                      | actual ->
-                        if mis.(k).(l) = None then
-                          mis.(k).(l) <-
-                            Some
-                              {
-                                Avp_vectors.Replay.trace = ti;
-                                cycle;
-                                net = o.o_names.(vi);
-                                actual;
-                                predicted = p;
-                              }
-                      | exception Translate.Unsupported msg ->
-                        exn.(k).(l) <- Some msg;
-                        exn_mask.(k) <- exn_mask.(k) lor (1 lsl l)
-                    end
-                  done;
-                  issue.(k) <- issue.(k) lor flagged;
-                  for k' = k to no - 1 do
-                    stopped.(k') <- stopped.(k') lor flagged
-                  done;
-                  newly := true
-                end
-              end)
-            o.o_ids
-        done;
-        if !newly then begin
-          let all = Array.fold_left ( land ) amask stopped in
-          S.freeze sim ~mask:all;
-          all = amask
+  (* Per (oracle, mutant): the lowest-trace escape and mismatch. *)
+  let escape = Array.init no (fun _ -> Array.make k None) in
+  let mismatch = Array.init no (fun _ -> Array.make k None) in
+  let issue = Array.make no 0 in  (* per oracle: mutants with an issue *)
+  (* Per oracle: lanes done with their slot's current trace. *)
+  let stopped = Array.make no 0 in
+  let slot_trace = Array.make slots (-1) in
+  let escaped_before o j t =
+    match escape.(o).(j) with Some (t', _) -> t' < t | None -> false
+  in
+  (* Mutant [j]'s lanes in the slots replaying a trace after [after]
+     stop checking oracle [o]. *)
+  let stop_mutant o j ~after =
+    for s = 0 to slots - 1 do
+      if slot_trace.(s) > after then
+        stopped.(o) <- stopped.(o) lor (1 lsl ((s * k) + j))
+    done
+  in
+  let start ~slot t =
+    slot_trace.(slot) <- t;
+    let live = ref 0 and blocked = ref (lnot need) in
+    for o = 0 to no - 1 do
+      for j = 0 to k - 1 do
+        let bit = 1 lsl ((slot * k) + j) in
+        if (!blocked lsr j) land 1 = 1 || escaped_before o j t then
+          stopped.(o) <- stopped.(o) lor bit
+        else begin
+          stopped.(o) <- stopped.(o) land lnot bit;
+          live := !live lor bit
         end
-        else false
-      in
-      S.set_id sim reset one;
-      S.step sim clock;
-      S.set_id sim reset zero;
-      if not (compare_at (-1)) then begin
-        try
-          Array.iteri
-            (fun i { Avp_vectors.Vector.actions } ->
-              List.iter
-                (fun a ->
-                  match a with
-                  | Avp_vectors.Vector.Force (nm, v) ->
-                    S.force_id sim (lookup nm) v
-                  | Avp_vectors.Vector.Release nm ->
-                    S.release_id sim (lookup nm))
-                actions;
-              S.step sim clock;
-              if compare_at i then raise Exit)
-            vectors.(ti)
-        with Exit -> ()
+      done;
+      blocked := !blocked lor issue.(o)
+    done;
+    if !live <> 0 then incr traces;
+    !live
+  in
+  (* The first issue of lanes [flagged] of [slot] (trace [t]) in oracle
+     [o], at net [vi] of [cycle]. *)
+  let record_issue o ~slot t cycle vi ~predicted flagged =
+    let oc = oracles.(o) in
+    stopped.(o) <- stopped.(o) lor flagged;
+    for j = 0 to k - 1 do
+      let lane = (slot * k) + j in
+      if (flagged lsr lane) land 1 = 1 then begin
+        (match Translate.value_of_bv (S.get_lane sim ~lane oc.o_ids.(vi)) with
+         | actual -> (
+           match mismatch.(o).(j) with
+           | Some (m : Avp_vectors.Replay.mismatch) when m.trace < t -> ()
+           | _ ->
+             mismatch.(o).(j) <-
+               Some
+                 {
+                   Avp_vectors.Replay.trace = t;
+                   cycle;
+                   net = oc.o_names.(vi);
+                   actual;
+                   predicted;
+                 })
+         | exception Translate.Unsupported msg ->
+           if not (escaped_before o j t) then begin
+             escape.(o).(j) <- Some (t, msg);
+             stop_mutant o j ~after:t
+           end);
+        issue.(o) <- issue.(o) lor (1 lsl j);
+        for o' = o + 1 to no - 1 do
+          stop_mutant o' j ~after:min_int
+        done
       end
-    end
-  done;
-  Array.init lanes (fun l ->
-      let rec first k =
-        if k = no then Clean
+    done
+  in
+  let check ~slot t cycle =
+    let lanes = ((1 lsl k) - 1) lsl (slot * k) in
+    let newly = ref false in
+    for o = 0 to no - 1 do
+      let oc = oracles.(o) in
+      for vi = 0 to Array.length oc.o_ids - 1 do
+        let m = lanes land lnot stopped.(o) in
+        if m <> 0 then begin
+          let predicted = oc.o_predict t cycle vi in
+          let bad, neq = S.check_net ~mask:m sim oc.o_ids.(vi) ~predicted in
+          if bad lor neq <> 0 then begin
+            newly := true;
+            record_issue o ~slot t cycle vi ~predicted (bad lor neq)
+          end
+        end
+      done
+    done;
+    if !newly then
+      S.freeze sim ~mask:(Array.fold_left ( land ) (S.amask sim) stopped)
+  in
+  Avp_vectors.Slots.run sim tr ~width:k vectors ~start
+    ~on_reset:(fun ~slot t -> check ~slot t (-1))
+    ~on_cycle:(fun ~slot t i -> check ~slot t i);
+  Array.init k (fun j ->
+      let rec first o =
+        if o = no then Clean
         else
-          match (exn.(k).(l), mis.(k).(l)) with
-          | Some msg, _ -> escaped msg
+          match (escape.(o).(j), mismatch.(o).(j)) with
+          | Some (_, msg), _ -> escaped msg
           | None, Some m -> Mismatch m
-          | None, None -> first (k + 1)
+          | None, None -> first (o + 1)
       in
       first 0)
 
@@ -301,18 +304,6 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
     let base = tr.Translate.elab in
     let units = Avp_hdl.Compile.units base in
     let net_id nm = (Avp_hdl.Elab.net base nm).Avp_hdl.Elab.id in
-    let clock = net_id tr.Translate.clock
-    and reset = net_id tr.Translate.reset in
-    let lookup =
-      let tbl = Hashtbl.create 16 in
-      fun nm ->
-        match Hashtbl.find_opt tbl nm with
-        | Some id -> id
-        | None ->
-          let id = net_id nm in
-          Hashtbl.add tbl nm id;
-          id
-    in
     let state_names = Avp_vectors.Replay.state_nets tr in
     let state_ids = Array.map net_id state_names in
     let lane_oracle = function
@@ -341,8 +332,11 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
     for ci = 0 to chunks - 1 do
       let c0 = ci * lanes in
       let k = min lanes (n - c0) in
+      (* The lanes a chunk leaves spare carry it again, so ⌊lanes/k⌋
+         slots replay different traces side by side. *)
+      let slots = lanes / k in
       let tc0 = Obs.Clock.now_s () in
-      let scheduled_n = ref 0 in
+      let scheduled_n = ref 0 and traces = ref 0 in
       (* The pass span covers the word-parallel replay only; the
          callers' per-mutant work runs after it closes. *)
       let pass_span () =
@@ -352,8 +346,10 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
             ~args:
               [
                 ("pass", Obs.Int ci);
-                ("lanes", Obs.Int k);
+                ("lanes", Obs.Int (slots * k));
+                ("slots", Obs.Int slots);
                 ("scheduled", Obs.Int !scheduled_n);
+                ("traces", Obs.Int !traces);
               ]
       in
       let fall_back () =
@@ -362,37 +358,36 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
         done
       in
       match
-        Avp_hdl.Sliced.create_schemata ~u:units ~base (Array.sub duts c0 k)
+        Avp_hdl.Sliced.create_schemata ~u:units ~base
+          (Array.init (slots * k) (fun l -> duts.(c0 + (l mod k))))
       with
       | None ->
         pass_span ();
         fall_back ()
       | Some (sim, scheduled) -> (
-        (* Only scheduled lanes simulate. *)
+        (* Only scheduled mutants simulate; a mutant's lanes share one
+           merge, so its first lane speaks for all. *)
         let need = ref 0 in
-        Array.iteri
-          (fun l s ->
-            if s then begin
-              incr scheduled_n;
-              need := !need lor (1 lsl l)
-            end)
-          scheduled;
+        for j = 0 to k - 1 do
+          if scheduled.(j) then begin
+            incr scheduled_n;
+            need := !need lor (1 lsl j)
+          end
+        done;
         match
           Array.map
             (fun (vectors, oracles) ->
-              sliced_phase sim ~lookup ~clock ~reset ~need:!need oracles
-                vectors)
+              sliced_phase sim tr ~k ~need:!need ~traces oracles vectors)
             lane_phases
         with
         | outcomes ->
           pass_span ();
-          Array.iteri
-            (fun l s ->
-              if not s then fallback := (c0 + l) :: !fallback
-              else
-                on_done ~t0:(Obs.Clock.now_s ()) (c0 + l)
-                  (Array.map (fun o -> o.(l)) outcomes))
-            scheduled
+          for j = 0 to k - 1 do
+            if not scheduled.(j) then fallback := (c0 + j) :: !fallback
+            else
+              on_done ~t0:(Obs.Clock.now_s ()) (c0 + j)
+                (Array.map (fun o -> o.(j)) outcomes)
+          done
         | exception _ ->
           (* One lane drove the kernel outside its envelope (a
              mutation-induced comb loop aborts the whole word): rerun
@@ -427,8 +422,8 @@ let run ?families ?(seed = 1) ?budget ?domains:_
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
   let outs = output_ports design ~top:tr.Translate.elab.Avp_hdl.Elab.top in
-  let tour_out = Avp_vectors.Replay.record tr ~nets:outs tvecs in
-  let rand_out = Avp_vectors.Replay.record tr ~nets:outs rvecs in
+  let rows = Avp_vectors.Replay.record tr ~nets:outs [| tvecs; rvecs |] in
+  let tour_out = rows.(0) and rand_out = rows.(1) in
   (* Pristine invariants, proven once; each vetted mutant is re-analysed
      and pruned when its invariants provably diverge on a checked net.
      The prune runs at vet time on BOTH engines, so scalar and sliced

@@ -123,11 +123,19 @@ val detect :
     one outcome per phase; [t0] is when work attributable to that
     mutant alone began.
 
-    [`Sliced] compiles [tr]'s design {e once} as mutant schemata
-    ({!Avp_hdl.Sliced.create_schemata}) and replays chunks of up to
-    [lanes] (clamped to 1..62) mutants word-parallel, one pass per
-    phase; each chunk emits one [mutate.pass] span.  Mutants the
-    schemata kernel cannot carry (structural divergence beyond one
+    [`Sliced] compiles [tr]'s design {e once} per chunk of [k] ≤
+    [lanes] (clamped to 1..62) mutants as mutant schemata
+    ({!Avp_hdl.Sliced.create_schemata}) over the chunk repeated
+    ⌊[lanes]/[k]⌋ times, and replays each phase in that many slots of
+    [k] lanes ({!Avp_vectors.Slots}): each slot replays its own trace,
+    so 16 mutants run 3 traces side by side, while a chunk of 32 or
+    more runs one slot.  Each chunk emits one [mutate.pass] span with
+    its [lanes], [slots], [scheduled] mutants and [traces] replayed.
+    Traces finish out of order, so outcomes are combined by trace
+    index: per (mutant, oracle) the lowest-trace escape wins over every
+    mismatch, otherwise the lowest-trace mismatch wins, and a chained
+    oracle counts only when every earlier oracle is clean.  Mutants
+    the schemata kernel cannot carry (structural divergence beyond one
     expression site, or a mutation-induced comb loop that aborts the
     shared word) fall back to the scalar path.  [`Scalar] replays
     mutant by mutant.  Outcomes — escape texts included — are

@@ -64,13 +64,23 @@ val check :
 val record :
   Avp_fsm.Translate.result ->
   nets:string array ->
-  Vector.t array ->
-  int array array array
-(** Plays each trace's vectors against the pristine design once and
-    records the value of every named net: in trace [t]'s rows, row 0
-    holds the post-reset values and row [i + 1] the values after
-    cycle [i] — the golden trajectories a lockstep comparison checks
-    against.  The design is compiled once for the whole set.
+  Vector.t array array ->
+  int array array array array
+(** [record tr ~nets sets] plays every trace of every vector set
+    against the pristine design once and records the value of every
+    named net: in trace [t]'s rows of a set, row 0 holds the
+    post-reset values and row [i + 1] the values after cycle [i] — the
+    golden trajectories a lockstep comparison checks against.  One
+    result per set, in order.
+
+    All the sets' traces run in one pass on the bit-sliced kernel, one
+    trace per one-lane slot ({!Slots}), 62 at a time.  The scalar
+    recording, one {!Avp_hdl.Sim} run per trace, stays the fallback and
+    the oracle in three cases:
+    - a design {!Avp_hdl.Sliced.create} rejects: every trace;
+    - a trace whose lane reads a net that cannot encode an int: that
+      trace, in trace order, so the message raised is the scalar's;
+    - a kernel step that raises: every trace.
     @raise Avp_fsm.Translate.Unsupported if a recorded net carries
     x/z bits. *)
 

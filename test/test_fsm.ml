@@ -568,6 +568,55 @@ endmodule
   check_same_enumeration "uneq" m;
   Alcotest.(check int) "states" 4 (G.num_states (G.enumerate m))
 
+(* [held] latched from [d] while [en], [q <= held]: the latch's stored
+   value is state, poked before every step, so its writer must re-run
+   after the poke — otherwise, while the latch is transparent, the
+   successor depends on which choices the previous call poked. *)
+let latch_src =
+  {|
+module lat (clk, rst, en, d, q);
+  input clk, rst, en, d;
+  output q;
+  reg q;    // avp state
+  reg held; // avp state
+  // avp clock clk
+  // avp reset rst
+  // avp free en
+  // avp free d
+  always @(*) begin
+    if (rst) held = 1'b0;
+    else if (en) held = d;
+  end
+  always @(posedge clk) begin
+    if (rst) q <= 1'b0;
+    else q <= held;
+  end
+endmodule
+|}
+
+let latch_model () =
+  (Translate.translate (Elab.elaborate (Parser.parse latch_src))).Translate.model
+
+(* A valuation of [m]'s variables [vars] by name. *)
+let valuation (vars : Model.var array) named =
+  Array.map (fun (v : Model.var) -> List.assoc v.Model.name named) vars
+
+let test_latch_successor () =
+  let m = latch_model () in
+  let state = valuation m.Model.state_vars in
+  let s0 = state [ ("q", 0); ("held", 0) ]
+  and s1 = state [ ("q", 1); ("held", 1) ] in
+  let c = valuation m.Model.choice_vars [ ("en", 1); ("d", 1) ] in
+  let show st = Format.asprintf "%a" (Model.pp_state m) st in
+  let first = m.Model.next s0 c in
+  Alcotest.(check string) "transparent latch passes d" (show (state [ ("q", 1); ("held", 1) ]))
+    (show first);
+  ignore (m.Model.next s1 c);
+  Alcotest.(check string) "same successor after a call on another state"
+    (show first) (show (m.Model.next s0 c))
+
+let test_latch_lanes () = check_same_enumeration "latch" (latch_model ())
+
 let suite =
   suite
   @ [ Alcotest.test_case "murphi case and operators" `Quick
@@ -581,4 +630,8 @@ let suite =
           test_undefined_lane_message;
         Alcotest.test_case "sliced-rejected design enumerates" `Quick
           test_sliced_rejected_design;
+        Alcotest.test_case "latch state: successor independent of the last call"
+          `Quick test_latch_successor;
+        Alcotest.test_case "latch state: lanes enumerate as the scalar step"
+          `Quick test_latch_lanes;
       ]

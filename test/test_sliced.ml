@@ -278,11 +278,13 @@ let test_engine_differential () =
   let id n = Elab.net_id d n in
   let clk = id "clk" in
   (* Reset all lanes. *)
-  Sliced.set_id sliced (id "rst") (Bv.of_int ~width:1 1);
+  Sliced.poke_id sliced (id "rst") (Bv.of_int ~width:1 1);
+  Sliced.settle sliced;
   Array.iter (fun s -> Sim.set s "rst" (Bv.of_int ~width:1 1)) scalars;
   Sliced.step sliced clk;
   Array.iter (fun s -> Sim.step s "clk") scalars;
-  Sliced.set_id sliced (id "rst") (Bv.of_int ~width:1 0);
+  Sliced.poke_id sliced (id "rst") (Bv.of_int ~width:1 0);
+  Sliced.settle sliced;
   Array.iter (fun s -> Sim.set s "rst" (Bv.of_int ~width:1 0)) scalars;
   for cycle = 1 to 150 do
     (* Fresh random inputs per lane. *)
@@ -358,7 +360,8 @@ let test_schemata_differential () =
   let id n = Elab.net_id base n in
   let clk = id "clk" in
   let both_set n v =
-    Sliced.set_id sliced (id n) v;
+    Sliced.poke_id sliced (id n) v;
+    Sliced.settle sliced;
     Array.iter (fun s -> Sim.set s n v) scalars
   in
   both_set "rst" (Bv.of_int ~width:1 1);
@@ -391,7 +394,8 @@ let test_one_lane_sliced () =
   let id n = Elab.net_id d n in
   let clk = id "clk" in
   let both_set n v =
-    Sliced.set_id sliced (id n) v;
+    Sliced.poke_id sliced (id n) v;
+    Sliced.settle sliced;
     Sim.set interp n v
   in
   let both_step () =
@@ -495,11 +499,16 @@ let pp_outcome = function
   | Avp_mutate.Campaign.Escape d -> "escape: " ^ d
 
 (* Single-oracle phases, unchained — the shape the fuzz generator
-   comparison scores with — over the first 25 vetted pp mutants, a
-   mix of killed, escaping and X-escaping ones: every mutant must get
-   the same outcome per phase on both engines, whatever the lane
-   count.  The tour is segmented so that the replays span many
-   traces, like the fuzz corpus and the random baseline. *)
+   comparison scores with — over vetted pp mutants, a mix of killed,
+   escaping and X-escaping ones: every mutant must get the same outcome
+   per phase on both engines, whatever the lane count.  The tour is
+   segmented so that the replays span many traces, like the fuzz corpus
+   and the random baseline.  Three inputs: the first 25 mutants at 7
+   and 62 lanes (one and two slots per chunk), and two that leave lanes
+   spare — 16 mutants at 62 lanes (3 slots of 16) and 3 at 62 (20 slots
+   of 3), where the slots replay different traces side by side, so
+   issues come in out of trace order.  Each input holds a clean mutant,
+   an escaping one and one whose first mismatch is in a later trace. *)
 let test_detect_engines () =
   let module C = Avp_mutate.Campaign in
   let design = Avp_pp.Control_hdl.parse () in
@@ -510,18 +519,18 @@ let test_detect_engines () =
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
   let outs = C.output_ports design ~top:tr.Avp_fsm.Translate.elab.Elab.top in
-  let rows = Avp_vectors.Replay.record tr ~nets:outs in
+  let rows = Avp_vectors.Replay.record tr ~nets:outs [| tvecs; rvecs |] in
   let phase vectors oracle = { C.vectors; chain = [| oracle |] } in
   let phases =
     [|
       phase tvecs (C.States tours);
-      phase tvecs (C.Nets (outs, rows tvecs));
-      phase rvecs (C.Nets (outs, rows rvecs));
+      phase tvecs (C.Nets (outs, rows.(0)));
+      phase rvecs (C.Nets (outs, rows.(1)));
       (* A wrong post-reset prediction in trace 0 makes every mutant
          mismatch at once; a mutant that leaves the defined domain in
          a later trace must still report the escape, as the scalar
          replay of every trace does. *)
-      (let r = rows tvecs in
+      (let r = Array.map (Array.map Array.copy) rows.(0) in
        r.(0).(0).(0) <- r.(0).(0).(0) + 1;
        phase tvecs (C.Nets (outs, r)));
     |]
@@ -535,40 +544,287 @@ let test_detect_engines () =
     |> List.filteri (fun i _ -> i < 25)
     |> Array.of_list
   in
-  let detect engine ~lanes =
+  let detect engine ~lanes muts =
     let got = Array.make (Array.length muts) [||] in
     C.detect ~engine ~lanes ~tr ~graph
       ~on_done:(fun ~t0:_ j o -> got.(j) <- o)
       phases (Array.map snd muts);
     got
   in
-  let scalar = detect `Scalar ~lanes:1 in
-  let kinds = Hashtbl.create 3 in
-  Array.iter
-    (Array.iter (fun o ->
-         Hashtbl.replace kinds
-           (match o with
-            | C.Clean -> "clean"
-            | C.Mismatch _ -> "mismatch"
-            | C.Escape _ -> "escape")
-           ()))
-    scalar;
-  Alcotest.(check int) "clean, mismatch and escape outcomes all occur" 3
-    (Hashtbl.length kinds);
+  let kind = function
+    | C.Clean -> "clean"
+    | C.Mismatch _ -> "mismatch"
+    | C.Escape _ -> "escape"
+  in
   List.iter
-    (fun lanes ->
-      let sliced = detect `Sliced ~lanes in
-      Array.iteri
-        (fun j (mid, _) ->
+    (fun (muts, lanes_list) ->
+      let what = Printf.sprintf "%d mutants" (Array.length muts) in
+      let scalar = detect `Scalar ~lanes:1 muts in
+      let kinds = Hashtbl.create 3 in
+      Array.iter
+        (Array.iter (fun o -> Hashtbl.replace kinds (kind o) ()))
+        scalar;
+      Alcotest.(check int)
+        (what ^ ": clean, mismatch and escape outcomes all occur")
+        3 (Hashtbl.length kinds);
+      Alcotest.(check bool)
+        (what ^ ": a later-trace escape preempts the trace-0 mismatch")
+        true
+        (Array.exists (fun o -> kind o.(3) = "escape") scalar);
+      List.iter
+        (fun lanes ->
+          let sliced = detect `Sliced ~lanes muts in
           Array.iteri
-            (fun k o ->
-              if o <> sliced.(j).(k) then
-                Alcotest.failf "lanes=%d mutant %d phase %d: scalar %s but \
-                                sliced %s"
-                  lanes mid k (pp_outcome o) (pp_outcome sliced.(j).(k)))
-            scalar.(j))
-        muts)
-    [ 7; 62 ]
+            (fun j (mid, _) ->
+              Array.iteri
+                (fun k o ->
+                  if o <> sliced.(j).(k) then
+                    Alcotest.failf
+                      "%s, lanes=%d mutant %d phase %d: scalar %s but \
+                       sliced %s"
+                      what lanes mid k (pp_outcome o)
+                      (pp_outcome sliced.(j).(k)))
+                scalar.(j))
+            muts)
+        lanes_list)
+    [
+      (muts, [ 7; 62 ]);
+      (Array.sub muts 6 16, [ 62 ]);
+      (Array.map (Array.get muts) [| 2; 14; 18 |], [ 62 ]);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Output recording on lanes vs the scalar per-trace recording        *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-trace recording on a scalar simulator, as [Replay.record]
+   did before it ran on lanes. *)
+let scalar_record (tr : Avp_fsm.Translate.result) ~nets vectors =
+  Array.map
+    (fun (v : Avp_vectors.Vector.t) ->
+      let rows = Array.make_matrix (Array.length v + 1) (Array.length nets) 0 in
+      let sim = Sim.create tr.Avp_fsm.Translate.elab in
+      let snap row =
+        Array.iteri
+          (fun vi net ->
+            rows.(row).(vi) <-
+              Avp_fsm.Translate.value_of_bv (Sim.get sim net))
+          nets
+      in
+      Avp_vectors.Condition_map.apply v sim ~clock:tr.Avp_fsm.Translate.clock
+        ~reset:tr.Avp_fsm.Translate.reset
+        ~on_reset:(fun () -> snap 0)
+        ~on_cycle:(fun i -> snap (i + 1));
+      rows)
+    vectors
+
+let outcome f =
+  match f () with
+  | rows -> Ok rows
+  | exception Avp_fsm.Translate.Unsupported msg -> Error msg
+
+(* Hand-written traces of one 2-bit free input [a]. *)
+let traces_of_a (values : int list list) =
+  Array.of_list
+    (List.map
+       (fun vs ->
+         Array.of_list
+           (List.map
+              (fun v ->
+                {
+                  Avp_vectors.Vector.actions =
+                    [ Avp_vectors.Vector.Force ("a", Bv.of_int ~width:2 v) ];
+                })
+              vs))
+       values)
+
+let test_record_lanes () =
+  let design = Avp_pp.Control_hdl.parse () in
+  let tr = Avp_fsm.Translate.translate (Elab.elaborate design) in
+  let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
+  let module C = Avp_mutate.Campaign in
+  let outs = C.output_ports design ~top:tr.Avp_fsm.Translate.elab.Elab.top in
+  let tour = Avp_tour.Tour_gen.generate graph in
+  let segmented = Avp_tour.Tour_gen.generate ~instr_limit:100 graph in
+  let walks = C.random_tours ~seed:1 tr.Avp_fsm.Translate.model graph segmented in
+  let sets =
+    Array.map (Avp_vectors.Replay.vectors tr) [| tour; segmented; walks |]
+  in
+  let lanes = Avp_vectors.Replay.record tr ~nets:outs sets in
+  Array.iteri
+    (fun k set ->
+      if lanes.(k) <> scalar_record tr ~nets:outs set then
+        Alcotest.failf "set %d: lane rows differ from the scalar recording" k)
+    sets;
+  (* [q] goes X under a = 2 or a = 3, with different X patterns: the
+     scalar recording raises at the first trace that does, whose
+     message the lane recording must raise too. *)
+  let xsrc =
+    {|
+module xout (clk, rst, a, y);
+  input clk, rst;
+  input [1:0] a;
+  output [1:0] y;
+  reg [1:0] q; // avp state
+  // avp clock clk
+  // avp reset rst
+  // avp free a
+  always @(posedge clk) begin
+    if (rst) q <= 2'b00;
+    else if (a == 2'b10) q <= 2'bx0;
+    else if (a == 2'b11) q <= 2'b0x;
+    else q <= a;
+  end
+  assign y = q;
+endmodule
+|}
+  in
+  let xtr = Avp_fsm.Translate.translate (Elab.elaborate (Parser.parse xsrc)) in
+  let xvecs = traces_of_a [ [ 0; 1 ]; [ 1; 0; 1; 3; 0 ]; [ 2; 0 ]; [ 1 ] ] in
+  let expected = outcome (fun () -> scalar_record xtr ~nets:[| "y" |] xvecs) in
+  Alcotest.(check (result unit string))
+    "undefined output: the scalar message" (Error "undefined value 0x cannot encode a state")
+    (Result.map ignore expected);
+  Alcotest.(check (result unit string))
+    "undefined output: lanes raise the scalar message"
+    (Result.map ignore expected)
+    (Result.map ignore
+       (outcome (fun () -> Avp_vectors.Replay.record xtr ~nets:[| "y" |] [| xvecs |])));
+  (* Unequal ternary arm widths: the kernel rejects the design, and the
+     scalar recording runs instead. *)
+  let usrc =
+    {|
+module uneq (clk, rst, a, y);
+  input clk, rst;
+  input [1:0] a;
+  output [1:0] y;
+  reg [1:0] q; // avp state
+  wire [1:0] n;
+  // avp clock clk
+  // avp reset rst
+  // avp free a
+  assign n = a[0] ? q + 2'b01 : 1'b0;
+  always @(posedge clk) begin
+    if (rst) q <= 2'b00;
+    else q <= n;
+  end
+  assign y = q;
+endmodule
+|}
+  in
+  let ud = Elab.elaborate (Parser.parse usrc) in
+  Alcotest.(check bool) "Sliced.create rejects the design" true
+    (Sliced.create ~lanes:2 ud = None);
+  let utr = Avp_fsm.Translate.translate ud in
+  let uvecs = traces_of_a [ [ 1; 1; 1; 0; 1 ]; [ 3; 2; 1 ] ] in
+  let rows = Avp_vectors.Replay.record utr ~nets:[| "y" |] [| uvecs |] in
+  Alcotest.(check bool) "rejected design: rows = the scalar recording" true
+    (rows.(0) = scalar_record utr ~nets:[| "y" |] uvecs);
+  Alcotest.(check int) "rejected design: q counts" 3 rows.(0).(0).(3).(0)
+
+(* ------------------------------------------------------------------ *)
+(* Lanes that restart traces while others run                          *)
+(* ------------------------------------------------------------------ *)
+
+let replay_nets_agree d sliced ~lane scalar ~what =
+  Array.iter
+    (fun (net : Elab.enet) ->
+      let b = Sliced.get_lane sliced ~lane net.Elab.id in
+      let s = Sim.get_id scalar net.Elab.id in
+      if not (Bv.equal b s) then
+        Alcotest.failf "%s, lane %d: %s = %s but its own replay has %s" what
+          lane net.Elab.name (Bv.to_string b) (Bv.to_string s))
+    d.Elab.nets
+
+(* On pp at 62 lanes, one-lane slots replay the traces of a segmented
+   tour: every lane starts its next trace whenever its own ends, at
+   staggered cycles, through [Sliced.reinit ~mask].  Some lanes are
+   frozen mid-trace, so their slot moves on at once, and some pin the
+   driven output [istall_out] for the rest of their trace, mirrored on
+   their replay; the tour's vectors never touch that net.  At reset
+   release and after every cycle, every net of every lane must equal a
+   fresh compiled simulator replaying that lane's own trace: a reset
+   lane starts from power-on, without the pin or the freeze its
+   previous trace left, and the lanes that keep running are not
+   perturbed by their neighbours' resets. *)
+let test_lane_reset () =
+  let tr = Avp_pp.Control_hdl.translate () in
+  let d = tr.Avp_fsm.Translate.elab in
+  let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
+  let tours = Avp_tour.Tour_gen.generate ~instr_limit:100 graph in
+  (* Three rounds of the tour's 52 traces, so that every lane restarts.
+     In the last round some cycles also release the free input [d_hit]
+     after forcing it (it keeps the forced value, having no driver) or
+     release the pinned [istall_out] (its driver takes over). *)
+  let vectors =
+    let v = Avp_vectors.Replay.vectors tr tours in
+    let release t =
+      Array.mapi
+        (fun i (c : Avp_vectors.Vector.cycle) ->
+          let extra =
+            match (t + i) mod 4 with
+            | 1 -> [ Avp_vectors.Vector.Release "d_hit" ]
+            | 3 -> [ Avp_vectors.Vector.Release "istall_out" ]
+            | _ -> []
+          in
+          { Avp_vectors.Vector.actions = c.Avp_vectors.Vector.actions @ extra })
+        v.(t)
+    in
+    Array.concat [ v; v; Array.init (Array.length v) release ]
+  in
+  let n = Array.length vectors in
+  let sim =
+    match Sliced.create ~lanes:Sl.lanes_limit d with
+    | Some s -> s
+    | None -> Alcotest.fail "sliced engine rejected the control design"
+  in
+  let clock = tr.Avp_fsm.Translate.clock in
+  let pin = "istall_out" and one = Bv.of_int ~width:1 1 in
+  let replays = Array.make n None in
+  let starts = Array.make n (-1) and step = ref 0 in
+  let pinned = ref 0 and frozen = ref 0 in
+  let check ~slot t ~what =
+    replay_nets_agree d sim ~lane:slot (Option.get replays.(t))
+      ~what:(Printf.sprintf "trace %d %s" t what)
+  in
+  Avp_vectors.Slots.run sim tr ~width:1 vectors
+    ~on_step:(fun () -> incr step)
+    ~on_reset:(fun ~slot t ->
+      starts.(t) <- !step;
+      let s = Sim.create ~engine:`Compiled d in
+      Sim.set s tr.Avp_fsm.Translate.reset one;
+      Sim.step s clock;
+      Sim.set s tr.Avp_fsm.Translate.reset (Bv.of_int ~width:1 0);
+      replays.(t) <- Some s;
+      check ~slot t ~what:"at reset release")
+    ~on_cycle:(fun ~slot t i ->
+      let s = Option.get replays.(t) in
+      List.iter
+        (function
+          | Avp_vectors.Vector.Force (n, v) -> Sim.force s n v
+          | Avp_vectors.Vector.Release n -> Sim.release s n)
+        vectors.(t).(i).Avp_vectors.Vector.actions;
+      Sim.step s clock;
+      check ~slot t ~what:(Printf.sprintf "cycle %d" i);
+      if t mod 3 = 1 && i = 2 * (t mod 7) then begin
+        incr frozen;
+        Sliced.freeze sim ~mask:(1 lsl slot)
+      end
+      else if t mod 2 = 0 && i = t mod 11 then begin
+        incr pinned;
+        Sliced.force_id ~mask:(1 lsl slot) sim (Elab.net_id d pin) one;
+        Sim.force s pin one
+      end);
+  Alcotest.(check bool) "every trace replayed" true
+    (Array.for_all (fun r -> r <> None) replays);
+  let restarts =
+    List.sort_uniq compare
+      (List.filter (fun st -> st > 1) (Array.to_list starts))
+  in
+  Alcotest.(check bool) "lanes restart at staggered steps" true
+    (List.length restarts > 20);
+  Alcotest.(check bool) "lanes reset after a pin and after a freeze" true
+    (!pinned > 0 && !frozen > 0)
 
 let suite =
   [
@@ -590,4 +846,8 @@ let suite =
       test_detect_engines;
     Alcotest.test_case "poke_ints and get_ints = get_lane" `Quick
       test_lane_ints;
+    Alcotest.test_case "per-lane reset: each lane = its own replay" `Quick
+      test_lane_reset;
+    Alcotest.test_case "record on lanes = scalar recording" `Quick
+      test_record_lanes;
   ]
