@@ -86,6 +86,7 @@ type t = {
   model : Model.t;
   states : int array array;
   adj : (int * int) array array;
+  rows : Bytes.t array;
   stats : stats;
   index : index;
 }
@@ -136,7 +137,8 @@ let unset = -2
 
 (* [expander model index ~all_conditions] returns [expand cur dst_ids
    new_vals], which fills the [num_choices] slots for state [cur]
-   against the current contents of [index]. *)
+   against the current contents of [index] and returns the number of
+   leaves. *)
 let expander (model : Model.t) (index : index) ~all_conditions =
   let card = Array.map Model.card model.Model.choice_vars in
   let nc = Array.length card in
@@ -197,8 +199,10 @@ let expander (model : Model.t) (index : index) ~all_conditions =
   fun cur dst_ids new_vals ->
     Array.fill dst_ids 0 num_choices unset;
     Hashtbl.clear new_succs;
+    let leaves = ref 0 in
     let more = ref true in
     while !more do
+      incr leaves;
       model.Model.next_into cur read nxt;
       index.pack_into nxt key;
       let id =
@@ -215,7 +219,8 @@ let expander (model : Model.t) (index : index) ~all_conditions =
       in
       write_cube dst_ids new_vals id !leaf_val 0 0;
       more := backtrack ()
-    done
+    done;
+    !leaves
 
 let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
     ?progress (model : Model.t) =
@@ -234,20 +239,37 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
   index_add index reset_key 0;
   Dyn.push states reset;
   let merge_key = Bytes.create key_size in
-  let seen_dst : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let out = ref [] in
+  (* dst -> its edge's position in the source's row, first-condition
+     mode only. *)
+  let seen_dst : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let out = ref [] and out_len = ref 0 in
+  let push_edge dst ci =
+    let pos = !out_len in
+    out := (dst, ci) :: !out;
+    incr out_len;
+    incr edge_count;
+    pos
+  in
+  (* Record the edge of [ci] unless its successor already has one, and
+     return the position of [dst]'s edge in the source's row.  Half of
+     pp's slots share the previous slot's successor, so the last one
+     is looked up first. *)
+  let last_dst = ref unset and last_pos = ref 0 in
   let record_edge dst ci =
-    let record =
-      if all_conditions then true
-      else if Hashtbl.mem seen_dst dst then false
-      else begin
-        Hashtbl.add seen_dst dst ();
-        true
-      end
-    in
-    if record then begin
-      out := (dst, ci) :: !out;
-      incr edge_count
+    if all_conditions then push_edge dst ci
+    else if dst = !last_dst then !last_pos
+    else begin
+      let pos =
+        match Hashtbl.find seen_dst dst with
+        | pos -> pos
+        | exception Not_found ->
+          let pos = push_edge dst ci in
+          Hashtbl.add seen_dst dst pos;
+          pos
+      in
+      last_dst := dst;
+      last_pos := pos;
+      pos
     end
   in
   (* Intern a freshly discovered valuation during a merge; takes
@@ -263,23 +285,51 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
       Dyn.push states valuation;
       id
   in
-  (* Turn one source's slots into its adjacency row.  Walking them in
-     choice-index order gives each successor the lowest index reaching
-     it and interns new states in index order (DESIGN.md,
-     "Enumeration"). *)
-  let merge_source dst_ids new_vals =
+  (* Successor rows: byte [ci] is the position in the source's
+     adjacency row of [ci]'s edge.  Equal rows are stored once, and
+     they are kept as (source, row) until the end, so that a graph
+     whose states keep no row spends no array on them. *)
+  let kept_rows = ref [] in
+  let row = Bytes.create num_choices in
+  let shared_rows : (Bytes.t, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
+  let share_row () =
+    match Hashtbl.find_opt shared_rows row with
+    | Some r -> r
+    | None ->
+      let r = Bytes.copy row in
+      Hashtbl.add shared_rows r r;
+      r
+  in
+  (* Turn one source's slots into its adjacency row, and into its
+     successor row when every choice had a leaf of its own
+     ([with_row]).  Walking the slots in choice-index order gives each
+     successor the lowest index reaching it and interns new states in
+     index order (DESIGN.md, "Enumeration"). *)
+  let merge_source ~with_row src dst_ids new_vals =
     Hashtbl.reset seen_dst;
+    last_dst := unset;
     out := [];
+    out_len := 0;
+    let row_fits = ref with_row in
     for ci = 0 to num_choices - 1 do
       let d = dst_ids.(ci) in
-      if d >= 0 then record_edge d ci
-      else if d = fresh then begin
-        let v = new_vals.(ci) in
-        new_vals.(ci) <- [||];
-        record_edge (intern_new v) ci
+      if d <> unset then begin
+        let d =
+          if d <> fresh then d
+          else begin
+            let v = new_vals.(ci) in
+            new_vals.(ci) <- [||];
+            intern_new v
+          end
+        in
+        let pos = record_edge d ci in
+        if !row_fits then
+          if pos < 256 then Bytes.unsafe_set row ci (Char.unsafe_chr pos)
+          else row_fits := false
       end
     done;
-    Dyn.push adj (Array.of_list (List.rev !out))
+    Dyn.push adj (Array.of_list (List.rev !out));
+    if !row_fits then kept_rows := (src, share_row ()) :: !kept_rows
   in
   (* BFS in id order, each source expanded and merged before the next,
      so successors append at the end and ids are discovery order. *)
@@ -294,8 +344,8 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
     while !frontier < level_end do
       let src = !frontier in
       incr frontier;
-      expand (Dyn.get states src) dst_ids new_vals;
-      merge_source dst_ids new_vals
+      let leaves = expand (Dyn.get states src) dst_ids new_vals in
+      merge_source ~with_row:(leaves = num_choices) src dst_ids new_vals
     done;
     let dt = Obs.Clock.now_s () -. lt0 in
     level_times := (level_size, dt) :: !level_times;
@@ -329,6 +379,13 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
     model;
     states = Dyn.to_array states;
     adj = Dyn.to_array adj;
+    rows =
+      (match !kept_rows with
+       | [] -> [||]
+       | kept ->
+         let rows = Array.make states.Dyn.len Bytes.empty in
+         List.iter (fun (s, r) -> rows.(s) <- r) kept;
+         rows);
     index;
     stats =
       {
@@ -358,6 +415,23 @@ let find_state t valuation =
     let key = Bytes.create t.index.key_size in
     t.index.pack_into valuation key;
     index_find t.index key
+  end
+
+let bad_choice t c =
+  invalid_arg
+    (Printf.sprintf "State_graph.successor: choice %d is not in 0..%d" c
+       (Model.num_choices t.model - 1))
+
+let successor t s c =
+  let row = if s < Array.length t.rows then t.rows.(s) else Bytes.empty in
+  if Bytes.length row > 0 then begin
+    if c < 0 || c >= Bytes.length row then bad_choice t c;
+    Some (fst t.adj.(s).(Char.code (Bytes.unsafe_get row c)))
+  end
+  else begin
+    if c < 0 || c >= Model.num_choices t.model then bad_choice t c;
+    find_state t
+      (t.model.Model.next t.states.(s) (Model.choice_of_index t.model c))
   end
 
 let out_degree t s = Array.length t.adj.(s)

@@ -25,6 +25,15 @@
     the Figure 4.2 class of bug becomes detectable).
 
     Enumeration is sequential, one BFS level at a time.
+
+    The enumeration keeps a {e successor row} for every state whose
+    decision tree gave each choice index a leaf of its own (every state
+    of a translated HDL model, which reads every choice): byte [c] of
+    the row is the position in [adj.(s)] of the edge to choice [c]'s
+    successor.  Equal rows are stored once.  {!successor} answers
+    model walks from the rows.  A state keeps no row when a leaf
+    stands for several choices (a decision-tree model leaves a choice
+    unread) or when an edge's position does not fit in a byte.
     See DESIGN.md, "Enumeration". *)
 
 open Avp_fsm
@@ -48,6 +57,11 @@ type t = {
   states : int array array;  (** state id -> valuation; id 0 is reset *)
   adj : (int * int) array array;
       (** state id -> ordered (dst, choice index) pairs *)
+  rows : Bytes.t array;
+      (** state id -> its successor row, of length
+          {!Avp_fsm.Model.num_choices}; empty for a state without one,
+          and [[||]] when no state has one.  Equal rows are physically
+          shared. *)
   stats : stats;
   index : index;
 }
@@ -79,6 +93,16 @@ val find_state : t -> int array -> int option
     enumeration-time index.  [None] for a valuation that is not an
     enumerated state, including one of the wrong length or with a value
     outside its variable's domain. *)
+
+val successor : t -> int -> int -> int option
+(** [successor g s c] is the state the model reaches from state [s]
+    under flat choice index [c]: [find_state g (g.model.next
+    g.states.(s) (Model.choice_of_index g.model c))].  A state with a
+    row answers from it, without running the model; any other state
+    asks [g.model.next], and [None] then means the model left the
+    graph.
+    @raise Invalid_argument naming [c] when it is outside
+    [0, Model.num_choices g.model - 1]. *)
 
 val out_degree : t -> int -> int
 

@@ -30,8 +30,9 @@ type t = {
   choice_vars : var array;
   reset : int array;
   next : int array -> int array -> int array;
-      (** [next state choices] must be pure and total.  One transition:
-          the entry point of walks, which take one step per call. *)
+      (** [next state choices] must be pure and total.  One transition
+          per call: the oracle of [next_into], and the step of a walk
+          from a state whose enumeration kept no successor row. *)
   next_into : int array -> (int -> int) -> int array -> unit;
       (** [next_into state read dst] writes into [dst] (length = number
           of state variables) the successor of [state] under the choice

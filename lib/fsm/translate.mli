@@ -36,8 +36,10 @@
     - a block whose kernel step raises (a combinational loop that does
       not settle): the kernel is re-initialised and every choice of
       the block re-runs, so the exception is the scalar step's;
-    - [next], which walks call for one transition at a time: a block
-      costs five to six scalar steps on pp.
+    - [next], one transition at a time (a block costs five to six
+      scalar steps on pp).  Walks of an enumerated graph do not call
+      it: every state of a translated model keeps a successor row
+      ([Avp_enum.State_graph.successor]).
 
     Both steps poke a latch's stored value with the other state nets
     and then re-run the latch's writer, so while the latch is

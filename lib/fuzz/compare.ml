@@ -67,14 +67,14 @@ type t = {
 
 (* Uniform random walks size-matched to an arbitrary length profile
    (the fuzz run's executed candidates), as a tour set. *)
-let random_walks ~seed (model : Model.t) (graph : Avp_enum.State_graph.t)
-    (lengths : int array) =
+let random_walks ~seed (graph : Avp_enum.State_graph.t) (lengths : int array)
+    =
   let rng = Random.State.make [| 0x667a7272; seed |] in
-  let num_choices = Model.num_choices model in
+  let num_choices = Model.num_choices graph.Avp_enum.State_graph.model in
   Avp_tour.Tour_gen.of_traces
     (Array.map
        (fun len ->
-         Avp_tour.Tour_gen.walk model graph
+         Avp_tour.Tour_gen.walk graph
            (Array.init len (fun _ -> Random.State.int rng num_choices)))
        lengths)
 
@@ -111,10 +111,9 @@ let total_cycles vecs =
 let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
     ?progress ~(design : Avp_hdl.Ast.design) ~(tr : Translate.result)
     ~(graph : Avp_enum.State_graph.t) ~(tours : Avp_tour.Tour_gen.t) ~(fuzz : Loop.result) () =
-  let model = tr.Translate.model in
   let top = tr.Translate.elab.Avp_hdl.Elab.top in
   (* The three vector sets, realized once. *)
-  let rtours = random_walks ~seed model graph fuzz.Loop.lengths in
+  let rtours = random_walks ~seed graph fuzz.Loop.lengths in
   let ftours = Loop.tours_of_kept fuzz in
   let tvecs = Replay.vectors tr tours in
   let rvecs = Replay.vectors tr rtours in

@@ -6,7 +6,9 @@ module Tour_gen = Avp_tour.Tour_gen
 (* Candidate evaluation: plan (model walk), realize (condition map),
    then execute the vectors and check the design against the plan.
 
-   Planning walks the translated model's [next] from reset.  The plan
+   Planning walks the enumerated graph from reset
+   ({!Avp_tour.Tour_gen.walk}: the enumeration's successor rows, or
+   the model's [next] where a state has none).  The plan
    is a candidate's only record: the fuzzing loop commits its walk to
    coverage, and execution checks that the design takes exactly that
    walk — every annotated state net against the planned state's
@@ -25,9 +27,8 @@ type planned = {
   trace : Tour_gen.trace;
 }
 
-let plan (model : Model.t) (graph : Avp_enum.State_graph.t)
-    (entry : Corpus.entry) =
-  { choices = entry; trace = Tour_gen.walk model graph entry }
+let plan (graph : Avp_enum.State_graph.t) (entry : Corpus.entry) =
+  { choices = entry; trace = Tour_gen.walk graph entry }
 
 let mismatch_detail m = Format.asprintf "%a" Replay.pp_mismatch m
 
@@ -141,9 +142,8 @@ let check_sliced ?progress (tr : Translate.result)
     Some (first 0)
 
 let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?progress
-    (tr : Translate.result) (graph : Avp_enum.State_graph.t)
+    (tr : Translate.result) ~map (graph : Avp_enum.State_graph.t)
     (planned : planned array) =
-  let map = Avp_vectors.Condition_map.of_translation tr in
   let vectors =
     Array.map
       (fun p -> Avp_vectors.Condition_map.vectors_of_trace map p.trace)

@@ -9,14 +9,15 @@ type planned = {
   trace : Avp_tour.Tour_gen.trace;  (** the model walk from reset *)
 }
 
-val plan :
-  Avp_fsm.Model.t -> Avp_enum.State_graph.t -> Corpus.entry -> planned
-(** Walk the model from reset under the entry's choices. *)
+val plan : Avp_enum.State_graph.t -> Corpus.entry -> planned
+(** Walk the graph's model from reset under the entry's choices
+    ({!Avp_tour.Tour_gen.walk}). *)
 
 val run :
   ?engine:[ `Scalar | `Sliced ] ->
   ?progress:Avp_obs.Progress.t ->
   Avp_fsm.Translate.result ->
+  map:Avp_vectors.Condition_map.t ->
   Avp_enum.State_graph.t ->
   planned array ->
   (unit, int * string) result
@@ -27,7 +28,9 @@ val run :
     the first mismatching net ({!Avp_vectors.Replay.pp_mismatch}, with
     the candidate as the trace), or the message of a state net that
     carried x/z bits.  Both engines report the same candidate and
-    detail.
+    detail.  [map] is [tr]'s condition map
+    ({!Avp_vectors.Condition_map.of_translation}), which realizes the
+    plans as vectors; a caller running many rounds builds it once.
 
     [engine] (default [`Sliced]):
     - [`Scalar] is one {!Avp_vectors.Replay.check} over the plans as a

@@ -80,21 +80,25 @@ let commit cov pair_counts (trace : Avp_tour.Tour_gen.trace) =
       Coverage.mark_pair cov ~state:src ~cls)
     trace
 
-(* Distinct declared arcs of a trace, in first-occurrence order. *)
-let trace_arcs cov (trace : Avp_tour.Tour_gen.trace) =
-  let seen = Hashtbl.create 16 in
+(* Ids of the distinct declared arcs of a trace, in first-occurrence
+   order.  [mark] is a scratch byte per arc id, all zero between
+   calls. *)
+let trace_arcs cov mark (trace : Avp_tour.Tour_gen.trace) =
   let acc = ref [] in
   Array.iter
     (fun (s : Avp_tour.Tour_gen.step) ->
-      let a = (s.Avp_tour.Tour_gen.src, s.Avp_tour.Tour_gen.dst) in
-      if Coverage.arc_declared cov ~src:(fst a) ~dst:(snd a)
-         && not (Hashtbl.mem seen a)
-      then begin
-        Hashtbl.add seen a ();
+      let a =
+        Coverage.arc_id cov ~src:s.Avp_tour.Tour_gen.src
+          ~dst:s.Avp_tour.Tour_gen.dst
+      in
+      if a >= 0 && Bytes.get mark a = '\000' then begin
+        Bytes.set mark a '\001';
         acc := a :: !acc
       end)
     trace;
-  Array.of_list (List.rev !acc)
+  let arcs = Array.of_list (List.rev !acc) in
+  Array.iter (fun a -> Bytes.set mark a '\000') arcs;
+  arcs
 
 exception Diverged of string
 
@@ -103,10 +107,11 @@ type state = {
   pair_counts : int array;
       (* per state id: distinct input classes it has been driven with
          — the saturation measure the extension mutator cuts by *)
-  mutable store : (kept * (int * int) array) array;
-      (* in keep order: each kept entry with its distinct declared
-         arcs, the energy schedule's input *)
-  arc_hits : (int * int, int ref) Hashtbl.t;
+  mutable store : (kept * int array) array;
+      (* in keep order: each kept entry with the ids of its distinct
+         declared arcs, the energy schedule's input *)
+  arc_hits : int array;  (* per arc id: kept entries hitting it *)
+  arc_mark : Bytes.t;  (* [trace_arcs]'s scratch *)
   mutable lens : int list;  (* reversed *)
   mutable executed : int;
   mutable explore_cycles : int;
@@ -122,13 +127,8 @@ let fold_candidate st ~round (p : Exec.planned) =
   let gain = Coverage.delta ~before ~after:(Coverage.counts st.cov) in
   let keep = Coverage.progress gain in
   if keep then begin
-    let arcs = trace_arcs st.cov p.Exec.trace in
-    Array.iter
-      (fun a ->
-        match Hashtbl.find_opt st.arc_hits a with
-        | Some r -> incr r
-        | None -> Hashtbl.add st.arc_hits a (ref 1))
-      arcs;
+    let arcs = trace_arcs st.cov st.arc_mark p.Exec.trace in
+    Array.iter (fun a -> st.arc_hits.(a) <- st.arc_hits.(a) + 1) arcs;
     let k = { entry = p.Exec.choices; trace = p.Exec.trace; round; gain } in
     st.store <- Array.append st.store [| (k, arcs) |]
   end;
@@ -148,7 +148,7 @@ let parents st =
     Array.map
       (fun (_, arcs) ->
         Array.fold_left
-          (fun s a -> s +. (1.0 /. float_of_int !(Hashtbl.find st.arc_hits a)))
+          (fun s a -> s +. (1.0 /. float_of_int st.arc_hits.(a)))
           0.0 arcs)
       st.store
   in
@@ -191,12 +191,15 @@ let finish_result ~tr ~config ~rounds st =
   }
 
 let fresh_state graph =
+  let cov = Coverage.of_graph graph.Avp_enum.State_graph.adj in
+  let arcs = (Coverage.summary cov).Coverage.arcs_total in
   {
-    cov = Coverage.of_graph graph.Avp_enum.State_graph.adj;
+    cov;
     pair_counts =
       Array.make (Array.length graph.Avp_enum.State_graph.states) 0;
     store = [||];
-    arc_hits = Hashtbl.create 256;
+    arc_hits = Array.make arcs 0;
+    arc_mark = Bytes.make arcs '\000';
     lens = [];
     executed = 0;
     explore_cycles = 0;
@@ -221,12 +224,13 @@ let round_span ~round ~t0 st =
 (* One round, shared by growing runs and replays: plan the
    candidates, check their execution against the plans, fold them in
    batch order, and close the round's span (opened at [t0]).  Returns
-   which candidates were kept. *)
-let play_round ?progress ~config ~round ~t0 st (tr : Translate.result) graph
-    candidates =
-  let planned = Array.map (Exec.plan tr.Translate.model graph) candidates in
+   which candidates were kept.  [map] is the run's one condition
+   map. *)
+let play_round ?progress ~config ~round ~t0 ~map st (tr : Translate.result)
+    graph candidates =
+  let planned = Array.map (Exec.plan graph) candidates in
   (match
-     Exec.run ~engine:config.engine ?progress tr graph planned
+     Exec.run ~engine:config.engine ?progress tr ~map graph planned
    with
    | Ok () -> ()
    | Error (i, detail) ->
@@ -248,12 +252,12 @@ let run ?progress ~config (tr : Translate.result)
   let model = tr.Translate.model in
   let sp = Mutator.space ~max_len:config.max_len model in
   let rng = Random.State.make [| 0x66757a7a; config.seed |] in
+  let map = Avp_vectors.Condition_map.of_translation tr in
   let st = fresh_state graph in
   let budget = max 0 config.budget in
   let batch = max 1 config.batch in
   let round = ref 0 in
   let num_choices = Model.num_choices model in
-  let states = graph.Avp_enum.State_graph.states in
   (* Up to 96 seeded draws for an input class not yet paired with
      [state_id] — pure coverage bookkeeping, no graph peeking. *)
   let unseen_class st state_id =
@@ -273,9 +277,9 @@ let run ?progress ~config (tr : Translate.result)
      suffix from there — each appended cycle picks, three times out
      of four, a class unseen at the state the walk stands in.  The
      shortest useful prefix means nearly every executed cycle sweeps
-     new (state, class) pairs; the walk uses the model only to know
-     where it stands, exactly as {!Exec.plan} will when the
-     candidate executes. *)
+     new (state, class) pairs; the walk uses the graph's successors
+     only to know where it stands, exactly as {!Exec.plan} will when
+     the candidate executes. *)
   let frontier_extend st ~corpus (k : kept) =
     let n = Array.length k.trace in
     (* stand at the least-saturated state along the parent's walk
@@ -325,10 +329,7 @@ let run ?progress ~config (tr : Translate.result)
             | None -> Random.State.int rng num_choices
         in
         suffix.(i) <- c;
-        let nxt =
-          model.Model.next states.(!cur) (Model.choice_of_index model c)
-        in
-        match Avp_enum.State_graph.find_state graph nxt with
+        match Avp_enum.State_graph.successor graph !cur c with
         | Some id -> cur := id
         | None -> ()
       done;
@@ -361,7 +362,8 @@ let run ?progress ~config (tr : Translate.result)
             | _ -> frontier_extend st ~corpus (pick_parent rng parents))
     in
     ignore
-      (play_round ?progress ~config ~round:!round ~t0 st tr graph candidates);
+      (play_round ?progress ~config ~round:!round ~t0 ~map st tr graph
+         candidates);
     incr round
   done;
   finish_result ~tr ~config ~rounds:!round st
@@ -389,6 +391,7 @@ let replay ?progress ~config (c : Corpus.t) (tr : Translate.result)
          c.Corpus.entries)
   then Error "corpus contains a malformed entry"
   else begin
+    let map = Avp_vectors.Condition_map.of_translation tr in
     let st = fresh_state graph in
     let batch = max 1 config.batch in
     let n = Array.length c.Corpus.entries in
@@ -398,7 +401,7 @@ let replay ?progress ~config (c : Corpus.t) (tr : Translate.result)
       let t0 = Obs.Clock.now_s () in
       let b0 = round * batch in
       let kept =
-        play_round ?progress ~config ~round ~t0 st tr graph
+        play_round ?progress ~config ~round ~t0 ~map st tr graph
           (Array.sub c.Corpus.entries b0 (min batch (n - b0)))
       in
       Array.iteri

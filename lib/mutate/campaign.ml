@@ -51,14 +51,14 @@ let class_name = function
 (* Random baseline                                                  *)
 (* ---------------------------------------------------------------- *)
 
-let random_tours ~seed (model : Model.t) (graph : State_graph.t)
-    (tours : Avp_tour.Tour_gen.t) =
+let random_tours ~seed (graph : State_graph.t) (tours : Avp_tour.Tour_gen.t)
+    =
   let rng = Random.State.make [| 0x6261736c; seed |] in
-  let num_choices = Model.num_choices model in
+  let num_choices = Model.num_choices graph.State_graph.model in
   Avp_tour.Tour_gen.of_traces
     (Array.map
        (fun trace ->
-         Avp_tour.Tour_gen.walk model graph
+         Avp_tour.Tour_gen.walk graph
            (Array.init (Array.length trace) (fun _ ->
                 Random.State.int rng num_choices)))
        tours.Avp_tour.Tour_gen.traces)
@@ -415,10 +415,10 @@ let run ?families ?(seed = 1) ?budget ?domains:_
   in
   let mutants = Array.of_list mutants in
   let n = Array.length mutants in
-  (* Vector realization touches the pristine model (whose [next] steps
-     a shared simulator), so it happens once, here; every mutant
-     replays the same vectors. *)
-  let rtours = random_tours ~seed tr.Translate.model graph tours in
+  (* The walks and their vectors depend on the pristine graph only, so
+     they are made once, here; every mutant replays the same
+     vectors. *)
+  let rtours = random_tours ~seed graph tours in
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
   let outs = output_ports design ~top:tr.Translate.elab.Avp_hdl.Elab.top in

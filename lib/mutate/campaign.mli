@@ -64,15 +64,13 @@ type report = {
 }
 
 val random_tours :
-  seed:int ->
-  Avp_fsm.Model.t ->
-  Avp_enum.State_graph.t ->
-  Avp_tour.Tour_gen.t ->
+  seed:int -> Avp_enum.State_graph.t -> Avp_tour.Tour_gen.t ->
   Avp_tour.Tour_gen.t
 (** The random baseline: one random walk per tour trace with exactly
-    the same length, choices drawn uniformly from the model's choice
-    space by a seeded PRNG, successor states computed by the model
-    (they always exist in the fully-enumerated graph). *)
+    the same length, choices drawn uniformly from the graph's model's
+    choice space by a seeded PRNG, walked through
+    {!Avp_tour.Tour_gen.walk} (the successors always exist in the
+    fully-enumerated graph). *)
 
 val output_ports : Avp_hdl.Ast.design -> top:string -> string array
 (** The output ports of module [top], in declaration order — the nets

@@ -26,9 +26,19 @@ type counts = {
     from-scratch recount. *)
 
 type t
+(** Dense sets: the declared arcs as one ascending destination array
+    per source, with a seen byte per arc id, and the pairs as a bitset
+    over classes per state.
+
+    Negative ids: {!create} rejects a declared arc with a negative
+    endpoint; the marks ignore a negative state, arc endpoint or
+    class, and the queries answer [false] for one. *)
 
 val create : num_states:int -> arcs:(int * int) array -> t
-(** [arcs] are the declared (src, dst) pairs; duplicates collapse. *)
+(** [arcs] are the declared (src, dst) pairs; duplicates collapse.  A
+    source may lie beyond [num_states]: its arcs are declared like
+    any other, though the state itself is never counted.
+    @raise Invalid_argument when an arc has a negative endpoint. *)
 
 val of_graph : (int * int) array array -> t
 (** From an adjacency array of (dst, condition) rows — the
@@ -37,14 +47,21 @@ val of_graph : (int * int) array array -> t
 
 val mark_state : t -> int -> unit
 val mark_arc : t -> src:int -> dst:int -> unit
-(** Counted only when (src, dst) was declared. *)
+(** Counted only when (src, dst) was declared.  O(log out-degree). *)
+
+val arc_id : t -> src:int -> dst:int -> int
+(** The declared arc's dense id, in [0, arcs_total), ordered by source
+    and then by destination; [-1] when (src, dst) was not declared.
+    O(log out-degree) — the key a caller indexes its own per-arc
+    arrays by. *)
 
 val mark_pair : t -> state:int -> cls:int -> unit
 (** Mark a (state, input-class) pair: the design sat in [state] while
     input class [cls] (a flat choice index) was applied.  Finer than
     arc coverage — two classes taking the same (src, dst) arc are two
-    pairs.  Counted only for in-range states; the class space is
-    open. *)
+    pairs.  Counted only for in-range states and non-negative
+    classes; the class space is open, and a state's bitset grows to
+    the largest class marked there. *)
 
 val mark_unmapped : t -> unit
 
@@ -52,8 +69,10 @@ val seen_state : t -> int -> bool
 val seen_arc : t -> src:int -> dst:int -> bool
 val seen_pair : t -> state:int -> cls:int -> bool
 val arc_declared : t -> src:int -> dst:int -> bool
-(** Membership queries — O(1); the fuzzer's keep decision peeks
-    before committing marks. *)
+(** Membership queries; the fuzzer's keep decision peeks before
+    committing marks.  [seen_state] and [seen_pair] are O(1);
+    [seen_arc] and [arc_declared] are O(log out-degree), a binary
+    search of the source's destinations. *)
 
 val counts : t -> counts
 (** O(1): running totals maintained incrementally by the mark

@@ -274,19 +274,13 @@ let generate ?instr_limit ?(instructions_of_edge = fun ~src:_ ~choice:_ -> 1)
         ];
   { traces = Array.of_list (List.rev !traces); stats }
 
-let walk (model : Avp_fsm.Model.t) (graph : Avp_enum.State_graph.t)
-    (choices : int array) =
+let walk (graph : Avp_enum.State_graph.t) (choices : int array) =
   let cur = ref (Avp_enum.State_graph.reset_id graph) in
   Array.map
     (fun choice ->
       let src = !cur in
-      let nxt =
-        model.Avp_fsm.Model.next
-          graph.Avp_enum.State_graph.states.(src)
-          (Avp_fsm.Model.choice_of_index model choice)
-      in
       let dst =
-        match Avp_enum.State_graph.find_state graph nxt with
+        match Avp_enum.State_graph.successor graph src choice with
         | Some id -> id
         | None ->
           invalid_arg

@@ -58,11 +58,13 @@ val generate :
     arc of a graph enumerated from reset, so the calls number
     {!Avp_enum.State_graph.num_edges}. *)
 
-val walk : Avp_fsm.Model.t -> Avp_enum.State_graph.t -> int array -> trace
-(** The model's walk from reset under a sequence of flat choice
-    indices, one {!Avp_fsm.Model.t.next} per choice.  Successor states
-    are computed by the model, so they exist in the graph enumerated
-    from it.
+val walk : Avp_enum.State_graph.t -> int array -> trace
+(** The graph's model's walk from reset under a sequence of flat
+    choice indices, one {!Avp_enum.State_graph.successor} per choice:
+    from the enumeration's successor rows where the states have them,
+    else from the model's {!Avp_fsm.Model.t.next}.
+    @raise Invalid_argument naming the choice when it is outside the
+    model's choice space.
     @raise Invalid_argument naming the source state id and the choice
     index when a successor is not a state of [graph]: the model and
     the graph disagree. *)

@@ -241,7 +241,8 @@ let first_conditions adj =
            (Array.to_list out)))
     adj
 
-(* First-condition and all-conditions labelling. *)
+(* First-condition and all-conditions labelling, and the successor of
+   every (state, choice), whether a row or the model answers it. *)
 let matches_reference m =
   let states, all_adj = reference_enumerate m in
   List.for_all
@@ -250,7 +251,17 @@ let matches_reference m =
       let edges = Array.fold_left (fun n out -> n + Array.length out) 0 adj in
       let g = State_graph.enumerate ~all_conditions m in
       g.State_graph.states = states && g.State_graph.adj = adj
-      && State_graph.num_edges g = edges)
+      && State_graph.num_edges g = edges
+      &&
+      let ok = ref true in
+      Array.iteri
+        (fun src out ->
+          Array.iter
+            (fun (dst, ci) ->
+              if State_graph.successor g src ci <> Some dst then ok := false)
+            out)
+        all_adj;
+      !ok)
     [ false; true ]
 
 (* A random Builder machine.  Each state reads a state-dependent
@@ -344,6 +355,111 @@ let test_evaluation_counts () =
   Alcotest.(check int) "translated pp: every choice" 123_904
     (evaluations (Avp_pp.Control_hdl.translate ()).Translate.model)
 
+(* ------------------------------------------------------------------ *)
+(* Successor rows                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [successor] on every (state, choice) of [g], against the model. *)
+let check_successors what (g : State_graph.t) =
+  let m = g.State_graph.model in
+  Array.iteri
+    (fun s st ->
+      for c = 0 to Model.num_choices m - 1 do
+        let expected =
+          State_graph.find_state g
+            (m.Model.next st (Model.choice_of_index m c))
+        in
+        if State_graph.successor g s c <> expected then
+          Alcotest.failf "%s: successor of state %d under choice %d" what s c
+      done)
+    g.State_graph.states
+
+let rowless (g : State_graph.t) =
+  Array.for_all (fun r -> Bytes.length r = 0) g.State_graph.rows
+
+let test_successor_rows () =
+  let m = (Avp_pp.Control_hdl.translate ()).Translate.model in
+  let g = State_graph.enumerate m in
+  Alcotest.(check bool) "every pp state keeps a row" true
+    (Array.length g.State_graph.rows = State_graph.num_states g
+    && Array.for_all
+         (fun r -> Bytes.length r = Model.num_choices m)
+         g.State_graph.rows);
+  let shared =
+    Array.fold_left
+      (fun acc r -> if List.memq r acc then acc else r :: acc)
+      [] g.State_graph.rows
+  in
+  Alcotest.(check int) "121 rows, 17 stored" 17 (List.length shared);
+  check_successors "pp" g;
+  (* Two mutants whose graphs are not pp's: 45 states with 8 distinct
+     rows, 23 states with 4. *)
+  let mutants =
+    List.filter
+      (fun (mu : Avp_mutate.Gen.mutant) ->
+        List.mem mu.Avp_mutate.Gen.id [ 9; 20 ])
+      (Avp_mutate.Gen.all (Avp_pp.Control_hdl.parse ()))
+  in
+  Alcotest.(check int) "two mutants" 2 (List.length mutants);
+  List.iter
+    (fun (mu : Avp_mutate.Gen.mutant) ->
+      match Avp_mutate.Filter.vet mu.Avp_mutate.Gen.design with
+      | `Ok d ->
+        let gm =
+          State_graph.enumerate (Translate.translate d).Translate.model
+        in
+        Alcotest.(check bool) "the mutant's states keep rows" false
+          (rowless gm);
+        check_successors (Printf.sprintf "mutant %d" mu.Avp_mutate.Gen.id) gm
+      | `Stillborn _ | `Static _ ->
+        Alcotest.failf "mutant %d no longer vets" mu.Avp_mutate.Gen.id)
+    mutants
+
+(* Graphs whose states keep no row answer through the model: a
+   decision-tree model that never reads one of its choices, and pp
+   under [all_conditions], whose 1,024 edges per state have positions
+   beyond a byte. *)
+let test_successor_without_rows () =
+  let b = Model.Builder.create "unread" in
+  let s = Model.Builder.state b "s" [| "a"; "b"; "c" |] in
+  let go = Model.Builder.choice_bool b "go" in
+  let _ = Model.Builder.choice_bool b "x" in
+  let unread =
+    State_graph.enumerate
+      (Model.Builder.build b ~step:(fun ctx ->
+           let open Model.Builder in
+           if chosen ctx go = 1 then set ctx s ((get ctx s + 1) mod 3)))
+  in
+  let pp_all =
+    State_graph.enumerate ~all_conditions:true
+      (Avp_pp.Control_hdl.translate ()).Translate.model
+  in
+  List.iter
+    (fun (what, g) ->
+      Alcotest.(check bool) (what ^ ": no rows") true (rowless g);
+      check_successors what g)
+    [ ("unread choice", unread); ("pp, all conditions", pp_all) ]
+
+(* An out-of-range choice is named, with or without a row. *)
+let test_successor_choice_range () =
+  let pp =
+    State_graph.enumerate (Avp_pp.Control_hdl.translate ()).Translate.model
+  in
+  let handshake = State_graph.enumerate (handshake_model ()) in
+  List.iter
+    (fun (what, g, n) ->
+      List.iter
+        (fun c ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s: choice %d" what c)
+            (Invalid_argument
+               (Printf.sprintf
+                  "State_graph.successor: choice %d is not in 0..%d" c
+                  (n - 1)))
+            (fun () -> ignore (State_graph.successor g 1 c)))
+        [ -1; n ])
+    [ ("pp, row", pp, 1024); ("handshake state 1, no row", handshake, 2) ]
+
 let suite =
   [
     Alcotest.test_case "enumerate handshake" `Quick test_enumerate_handshake;
@@ -364,4 +480,10 @@ let suite =
     Alcotest.test_case "control models match the reference" `Quick
       test_control_matches_reference;
     Alcotest.test_case "evaluation counts" `Quick test_evaluation_counts;
+    Alcotest.test_case "successor rows answer as the model" `Quick
+      test_successor_rows;
+    Alcotest.test_case "successor without rows asks the model" `Quick
+      test_successor_without_rows;
+    Alcotest.test_case "successor names an out-of-range choice" `Quick
+      test_successor_choice_range;
   ]

@@ -101,6 +101,208 @@ let prop_delta_monotone =
         marks;
       !ok && add zero !sum = Coverage.counts cov)
 
+(* {2 Dense coverage sets against the hash-table reference} *)
+
+(* The coverage sets as tuple-keyed hash tables: the implementation the
+   dense sets replaced, kept as the reference they must answer like. *)
+module Ref_coverage = struct
+  type t = {
+    seen_states : bool array;
+    mutable states_count : int;
+    declared : (int * int, unit) Hashtbl.t;
+    seen_arcs : (int * int, unit) Hashtbl.t;
+    seen_pairs : (int * int, unit) Hashtbl.t;
+    mutable unmapped : int;
+  }
+
+  let create ~num_states ~arcs =
+    let declared = Hashtbl.create (max 16 (Array.length arcs)) in
+    Array.iter (fun (src, dst) -> Hashtbl.replace declared (src, dst) ()) arcs;
+    {
+      seen_states = Array.make (max 0 num_states) false;
+      states_count = 0;
+      declared;
+      seen_arcs = Hashtbl.create 1024;
+      seen_pairs = Hashtbl.create 1024;
+      unmapped = 0;
+    }
+
+  let mark_state t id =
+    if id >= 0 && id < Array.length t.seen_states && not t.seen_states.(id)
+    then begin
+      t.seen_states.(id) <- true;
+      t.states_count <- t.states_count + 1
+    end
+
+  let mark_arc t ~src ~dst =
+    if Hashtbl.mem t.declared (src, dst) then
+      Hashtbl.replace t.seen_arcs (src, dst) ()
+
+  let mark_pair t ~state ~cls =
+    if state >= 0 && state < Array.length t.seen_states then
+      Hashtbl.replace t.seen_pairs (state, cls) ()
+
+  let mark_unmapped t = t.unmapped <- t.unmapped + 1
+
+  let seen_state t id =
+    id >= 0 && id < Array.length t.seen_states && t.seen_states.(id)
+
+  let seen_arc t ~src ~dst = Hashtbl.mem t.seen_arcs (src, dst)
+  let seen_pair t ~state ~cls = Hashtbl.mem t.seen_pairs (state, cls)
+  let arc_declared t ~src ~dst = Hashtbl.mem t.declared (src, dst)
+
+  let counts t =
+    {
+      Coverage.c_states = t.states_count;
+      c_arcs = Hashtbl.length t.seen_arcs;
+      c_pairs = Hashtbl.length t.seen_pairs;
+      c_unmapped = t.unmapped;
+    }
+
+  let summary t =
+    {
+      Coverage.states_seen = t.states_count;
+      states_total = Array.length t.seen_states;
+      arcs_seen = Hashtbl.length t.seen_arcs;
+      arcs_total = Hashtbl.length t.declared;
+      unmapped = t.unmapped;
+    }
+
+  let pairs_seen t = Hashtbl.length t.seen_pairs
+end
+
+type cov_op =
+  | Mark_state of int
+  | Mark_arc of int * int
+  | Mark_pair of int * int
+  | Mark_unmapped
+
+type cov_case = {
+  num_states : int;
+  num_choices : int;
+  arcs : (int * int) array;
+  ops : cov_op list;
+}
+
+(* Declarations with duplicates and sources beyond [num_states]; marks
+   of undeclared arcs, of states outside [0, num_states) on both sides,
+   and of classes up to 4 x [num_choices]. *)
+let arb_cov_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 10 >>= fun num_states ->
+    int_range 1 6 >>= fun num_choices ->
+    let node = int_range 0 (num_states + 3) in
+    let id = int_range (-2) (num_states + 3) in
+    list_size (int_range 0 30) (pair node node) >>= fun decl ->
+    let op =
+      frequency
+        [
+          (3, map (fun i -> Mark_state i) id);
+          (4, map2 (fun s d -> Mark_arc (s, d)) id id);
+          ( 4,
+            map2
+              (fun s c -> Mark_pair (s, c))
+              id
+              (int_range 0 (4 * num_choices)) );
+          (1, return Mark_unmapped);
+        ]
+    in
+    list_size (int_range 0 80) op >|= fun ops ->
+    (* every third declaration twice *)
+    let arcs =
+      Array.of_list (decl @ List.filteri (fun i _ -> i mod 3 = 0) decl)
+    in
+    { num_states; num_choices; arcs; ops }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "states %d, choices %d, arcs [%s], %d ops" c.num_states
+        c.num_choices
+        (String.concat "; "
+           (Array.to_list
+              (Array.map (fun (s, d) -> Printf.sprintf "%d,%d" s d) c.arcs)))
+        (List.length c.ops))
+
+let prop_coverage_matches_reference =
+  QCheck.Test.make ~name:"dense coverage sets answer as the hash tables"
+    ~count:300 arb_cov_case (fun c ->
+      let dense = Coverage.create ~num_states:c.num_states ~arcs:c.arcs in
+      let refc = Ref_coverage.create ~num_states:c.num_states ~arcs:c.arcs in
+      let ids = List.init (c.num_states + 6) (fun i -> i - 2) in
+      let classes = List.init ((4 * c.num_choices) + 2) (fun k -> k - 1) in
+      let same_queries () =
+        List.for_all
+          (fun s ->
+            Coverage.seen_state dense s = Ref_coverage.seen_state refc s
+            && List.for_all
+                 (fun d ->
+                   Coverage.seen_arc dense ~src:s ~dst:d
+                   = Ref_coverage.seen_arc refc ~src:s ~dst:d
+                   && Coverage.arc_declared dense ~src:s ~dst:d
+                      = Ref_coverage.arc_declared refc ~src:s ~dst:d)
+                 ids
+            && List.for_all
+                 (fun cls ->
+                   Coverage.seen_pair dense ~state:s ~cls
+                   = Ref_coverage.seen_pair refc ~state:s ~cls)
+                 classes)
+          ids
+      in
+      let step op =
+        (match op with
+         | Mark_state i ->
+           Coverage.mark_state dense i;
+           Ref_coverage.mark_state refc i
+         | Mark_arc (src, dst) ->
+           Coverage.mark_arc dense ~src ~dst;
+           Ref_coverage.mark_arc refc ~src ~dst
+         | Mark_pair (state, cls) ->
+           Coverage.mark_pair dense ~state ~cls;
+           Ref_coverage.mark_pair refc ~state ~cls
+         | Mark_unmapped ->
+           Coverage.mark_unmapped dense;
+           Ref_coverage.mark_unmapped refc);
+        Coverage.counts dense = Ref_coverage.counts refc
+      in
+      (* Arc ids number the distinct declared arcs densely, in (src,
+         dst) order. *)
+      let declared =
+        List.sort_uniq compare (Array.to_list c.arcs)
+      in
+      let dense_ids =
+        List.map (fun (src, dst) -> Coverage.arc_id dense ~src ~dst) declared
+      in
+      dense_ids = List.init (List.length declared) Fun.id
+      && same_queries ()
+      && List.for_all step c.ops
+      && same_queries ()
+      && Coverage.summary dense = Ref_coverage.summary refc
+      && Coverage.pairs_seen dense = Ref_coverage.pairs_seen refc)
+
+(* What coverage.mli states for negative ids: a declaration is
+   rejected; a mark is ignored and a query answers false. *)
+let test_coverage_negative_ids () =
+  Alcotest.check_raises "negative source declared"
+    (Invalid_argument "Coverage.create: arc (-1, 0) has a negative id")
+    (fun () ->
+      ignore (Coverage.create ~num_states:2 ~arcs:[| (0, 1); (-1, 0) |]));
+  Alcotest.check_raises "negative destination declared"
+    (Invalid_argument "Coverage.create: arc (0, -3) has a negative id")
+    (fun () -> ignore (Coverage.create ~num_states:2 ~arcs:[| (0, -3) |]));
+  let cov = Coverage.create ~num_states:2 ~arcs:[| (0, 1) |] in
+  let zero = Coverage.counts cov in
+  Coverage.mark_state cov (-1);
+  Coverage.mark_arc cov ~src:(-1) ~dst:1;
+  Coverage.mark_arc cov ~src:0 ~dst:(-1);
+  Coverage.mark_pair cov ~state:(-1) ~cls:0;
+  Coverage.mark_pair cov ~state:0 ~cls:(-1);
+  Alcotest.(check bool) "nothing counted" true (Coverage.counts cov = zero);
+  Alcotest.(check bool) "no negative class seen" false
+    (Coverage.seen_pair cov ~state:0 ~cls:(-1));
+  Alcotest.(check bool) "no negative state seen" false
+    (Coverage.seen_state cov (-1));
+  Alcotest.(check int) "no arc id" (-1) (Coverage.arc_id cov ~src:(-1) ~dst:1)
+
 (* {2 Corpus JSON round-trip} *)
 
 let test_corpus_roundtrip () =
@@ -262,6 +464,9 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_mutator_well_formed;
     QCheck_alcotest.to_alcotest prop_delta_monotone;
+    QCheck_alcotest.to_alcotest prop_coverage_matches_reference;
+    Alcotest.test_case "coverage negative ids" `Quick
+      test_coverage_negative_ids;
     Alcotest.test_case "corpus json round-trip" `Quick test_corpus_roundtrip;
     Alcotest.test_case "corpus file round-trip" `Quick
       test_corpus_file_roundtrip;

@@ -515,7 +515,7 @@ let test_detect_engines () =
   let tr = Avp_fsm.Translate.translate (Elab.elaborate design) in
   let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
   let tours = Avp_tour.Tour_gen.generate ~instr_limit:100 graph in
-  let rtours = C.random_tours ~seed:1 tr.Avp_fsm.Translate.model graph tours in
+  let rtours = C.random_tours ~seed:1 graph tours in
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
   let outs = C.output_ports design ~top:tr.Avp_fsm.Translate.elab.Elab.top in
@@ -646,7 +646,7 @@ let test_record_lanes () =
   let outs = C.output_ports design ~top:tr.Avp_fsm.Translate.elab.Elab.top in
   let tour = Avp_tour.Tour_gen.generate graph in
   let segmented = Avp_tour.Tour_gen.generate ~instr_limit:100 graph in
-  let walks = C.random_tours ~seed:1 tr.Avp_fsm.Translate.model graph segmented in
+  let walks = C.random_tours ~seed:1 graph segmented in
   let sets =
     Array.map (Avp_vectors.Replay.vectors tr) [| tour; segmented; walks |]
   in

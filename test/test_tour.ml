@@ -786,8 +786,10 @@ let prop_tour_trace_validity_under_weights =
       in
       Tour_gen.is_valid g t && Tour_gen.covers_all_edges g t)
 
-(* A model and a graph that disagree: [walk] follows the model's own
-   [next], and a successor outside the graph names where it left. *)
+(* A model and a graph that disagree: the states of this model leave
+   choice "x" unread, so they keep no successor rows and [walk] asks
+   the graph's model's [next]; a successor outside the graph names
+   where it left. *)
 let test_walk_leaves_graph () =
   let b = Model.Builder.create "toggle" in
   let s = Model.Builder.state b "s" [| "a"; "b"; "c" |] in
@@ -810,12 +812,37 @@ let test_walk_leaves_graph () =
     }
   in
   Alcotest.(check int) "the model's own walk stays in the graph" 2
-    (Array.length (Tour_gen.walk m g [| 2; 3 |]));
+    (Array.length (Tour_gen.walk g [| 2; 3 |]));
   Alcotest.check_raises "the leaky walk names state and choice"
     (Invalid_argument
        "Tour_gen.walk: the model's successor of state 1 under choice 3 is \
         not a state of the graph")
-    (fun () -> ignore (Tour_gen.walk leaky g [| 2; 3 |]))
+    (fun () ->
+      ignore (Tour_gen.walk { g with State_graph.model = leaky } [| 2; 3 |]))
+
+(* A walk of a translated model's graph reads the successor rows: the
+   simulator the model steps with stays idle, while one [next] call
+   does step it.  A choice outside the model's space is named instead
+   of being decoded as another choice. *)
+let test_walk_reads_rows () =
+  let m = (Avp_pp.Control_hdl.translate ()).Translate.model in
+  let g = State_graph.enumerate m in
+  let steps f =
+    let tracer = Avp_obs.Obs.create () in
+    Avp_obs.Obs.with_tracer tracer f;
+    Option.value ~default:0
+      (List.assoc_opt "sim.steps" (Avp_obs.Obs.counters tracer))
+  in
+  let rng = Random.State.make [| 24 |] in
+  let choices = Array.init 500 (fun _ -> Random.State.int rng 1024) in
+  Alcotest.(check int) "one next is one step" 1
+    (steps (fun () ->
+         ignore (m.Model.next m.Model.reset (Model.choice_of_index m 5))));
+  Alcotest.(check int) "a 500-cycle walk takes no step" 0
+    (steps (fun () -> ignore (Tour_gen.walk g choices)));
+  Alcotest.check_raises "choice 1024 is named"
+    (Invalid_argument "State_graph.successor: choice 1024 is not in 0..1023")
+    (fun () -> ignore (Tour_gen.walk g [| 3; 1024 |]))
 
 let suite =
   suite
@@ -823,6 +850,8 @@ let suite =
       Alcotest.test_case "digraph transpose" `Quick test_transpose;
       Alcotest.test_case "walk off the graph names state and choice" `Quick
         test_walk_leaves_graph;
+      Alcotest.test_case "walk reads the successor rows" `Quick
+        test_walk_reads_rows;
       Alcotest.test_case "reachable partial" `Quick test_reachable_partial;
       QCheck_alcotest.to_alcotest prop_tour_trace_validity_under_weights;
     ]
