@@ -4,8 +4,9 @@
 
    Interleaves tracer-off and tracer-on runs of the two hot paths the
    instrumentation touches — state enumeration (per-level spans,
-   end-of-run counters) and raw simulation stepping (the sim.steps
-   counter) — and fails if the enabled/disabled ratio exceeds a
+   end-of-run counters) and raw stepping of the production simulation
+   kernel, a 62-lane bit-sliced one (the sim.steps and sim.lanes
+   counters) — and fails if the enabled/disabled ratio exceeds a
    generous bound.  This is not a precision benchmark: the bound is
    loose enough to ride out scheduler noise and exists to catch an
    accidental per-state or per-event allocation creeping into the
@@ -23,10 +24,10 @@ let enum_once model =
   ignore (State_graph.enumerate model);
   Obs.Timer.elapsed_s t
 
-let sim_once sim ~cycles =
+let sim_once sim clk ~cycles =
   let t = Obs.Timer.start () in
   for _ = 1 to cycles do
-    Avp_hdl.Sim.step sim "clk"
+    Avp_hdl.Sliced.step sim clk
   done;
   Obs.Timer.elapsed_s t
 
@@ -50,9 +51,16 @@ let check ?gc name f =
 let () =
   let model = Avp_pp.Control_model.(model default) in
   let design = Avp_pp.Control_hdl.elaborate () in
-  let sim = Avp_hdl.Sim.create ~engine:`Compiled design in
+  let sim =
+    match
+      Avp_hdl.Sliced.create ~lanes:Avp_logic.Bv_sliced.lanes_limit design
+    with
+    | Some sim -> sim
+    | None -> failwith "the sliced kernel rejects the control design"
+  in
+  let clk = (Avp_hdl.Elab.net design "clk").Avp_hdl.Elab.id in
   let r1 = check "enum" (fun () -> enum_once model) in
-  let r2 = check "sim" (fun () -> sim_once sim ~cycles:20_000) in
+  let r2 = check "sim" (fun () -> sim_once sim clk ~cycles:20_000) in
   (* Profiling mode (gc sampling on every span) rides the same gate:
      Gc.quick_stat per span must stay off the per-state/per-cycle hot
      paths, so its ratio obeys the same bound as plain tracing. *)

@@ -186,8 +186,8 @@ let mutate_cmd =
     engine_arg
       "Replay backend: $(b,sliced) (default) classifies up to 62 mutants \
        word-parallel per pass through one bit-sliced schemata kernel; \
-       $(b,scalar) replays one mutant at a time. Reports are byte-identical \
-       either way."
+       $(b,scalar) replays one mutant at a time on the reference \
+       interpreter. Reports are byte-identical either way."
   in
   Cmd.v
     (Cmd.info "mutate"
@@ -235,8 +235,8 @@ let fuzz_cmd =
       "Simulation backend for candidate evaluation and for the generator \
        comparison's kill scoring: $(b,sliced) (default) runs up to 62 \
        candidates, or 62 mutants, word-parallel through one bit-sliced \
-       kernel; $(b,scalar) one at a time. The corpus and the comparison are \
-       byte-identical either way."
+       kernel; $(b,scalar) one at a time on the reference interpreter. The \
+       corpus and the comparison are byte-identical either way."
   in
   let corpus_arg =
     string_arg "corpus" "FILE" "Persist the kept corpus as a JSON seed file."

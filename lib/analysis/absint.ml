@@ -18,7 +18,7 @@
 
    Soundness before precision: every transfer function may return top;
    exact evaluation defers to [Compile.unop_val]/[binop_val], the same
-   code both engines execute. *)
+   code the reference interpreter executes. *)
 
 open Avp_logic
 open Avp_hdl

@@ -16,10 +16,10 @@ let net_loc = Dataflow.net_loc
 (* ------------------------------------------------------------------ *)
 
 (* A cycle of nets through [Assign]/[Comb] processes never settles:
-   the interpreter's fixpoint raises [Sim.Comb_loop] mid-run and the
-   bytecode engine can silently mis-order the units.  Detect the
-   cycles statically with Tarjan SCC over the combinational
-   dependency graph, before any simulator is constructed. *)
+   the fixpoint of the interpreter and of the bit-sliced kernel raises
+   [Sim.Comb_loop] mid-run.  Detect the cycles statically with Tarjan
+   SCC over the combinational dependency graph, before any simulator
+   is constructed. *)
 let comb_loop (d : Elab.t) (infos : Dataflow.proc_info array) :
     Finding.t list =
   let g = Dataflow.comb_graph ~infos d in
@@ -376,7 +376,8 @@ let pos_str (loc : Ast.loc) =
    - sched-race: a net written by both a blocking and a nonblocking
      procedural assignment.  Whether a same-cycle reader sees the old
      or the new value depends on scheduler ordering, which the
-     interpreter and the bytecode engine are free to pick differently.
+     interpreter and the bit-sliced kernel are free to pick
+     differently.
    - sched-race-edge: two distinct edge-triggered processes fire on
      the same edge of the same clock and both write the net; the
      commit order of their nonblocking updates is unspecified, so the

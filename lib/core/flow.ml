@@ -18,8 +18,25 @@ let run ?clock ?reset ?all_conditions ?instr_limit ?progress ?dut elab =
     Option.map (fun make -> make (Array.length vectors)) progress
   in
   let replay =
-    Avp_vectors.Replay.check ?dut ?progress ~vectors translation graph
-      tours
+    let lanes =
+      Avp_obs.Obs.span ~cat:"replay" "replay.run"
+        ~args:[ ("traces", Avp_obs.Obs.Int (Array.length vectors)) ]
+      @@ fun () ->
+      Avp_vectors.Replay.check_lanes
+        ~dut:(Option.value ~default:elab dut)
+        translation graph tours vectors
+    in
+    match lanes with
+    | Some (Ok stats) ->
+      Option.iter
+        (Avp_obs.Progress.tick ~n:(Array.length vectors))
+        progress;
+      Ok stats
+    | Some (Error _) | None ->
+      (* The interpreter's verdict: its mismatch record, or its
+         exception. *)
+      Avp_vectors.Replay.check ?dut ?progress ~vectors translation graph
+        tours
   in
   Option.iter Avp_obs.Progress.finish progress;
   {

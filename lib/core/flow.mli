@@ -29,7 +29,14 @@ val run :
   ?dut:Avp_hdl.Elab.t ->
   Avp_hdl.Elab.t ->
   report
-(** [progress] is called with the number of traces once the tours
+(** The replay runs on the bit-sliced kernel
+    ({!Avp_vectors.Replay.check_lanes}), every trace in a lane of its
+    own.  When a trace fails there, when {!Avp_hdl.Sliced.create}
+    rejects the design, or when a kernel step raises, the reference
+    interpreter's {!Avp_vectors.Replay.check} gives the verdict, so a
+    mismatch record or an exception is always the interpreter's.
+
+    [progress] is called with the number of traces once the tours
     exist; the replay ticks the meter it returns once per trace and
     finishes it.
     @raise Avp_fsm.Translate.Unsupported on missing annotations.

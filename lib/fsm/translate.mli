@@ -36,7 +36,7 @@
     - a block whose kernel step raises (a combinational loop that does
       not settle): the kernel is re-initialised and every choice of
       the block re-runs, so the exception is the scalar step's;
-    - [next], one transition at a time (a block costs five to six
+    - [next], one transition at a time (a block costs two to three
       scalar steps on pp).  Walks of an enumerated graph do not call
       it: every state of a translated model keeps a successor row
       ([Avp_enum.State_graph.successor]).

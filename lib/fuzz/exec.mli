@@ -1,6 +1,6 @@
 (** Candidate evaluation for the fuzzing loop: plan a corpus entry as
     a model walk, realize it as force/release vectors, execute it on
-    the compiled scalar engine or the bit-sliced batched kernel, and
+    the reference interpreter or the bit-sliced batched kernel, and
     check that the design took exactly the planned walk.  The plan is
     the candidate's only record; execution returns no observations. *)
 
@@ -36,12 +36,13 @@ val run :
     - [`Scalar] is one {!Avp_vectors.Replay.check} over the plans as a
       tour set.  It emits the checker's [replay.run] and
       [replay.trace] spans.
-    - [`Sliced] replays the candidates as one-lane slots
-      ({!Avp_vectors.Slots}) of one kernel of up to
+    - [`Sliced] is {!Avp_vectors.Replay.check_lanes}: the candidates
+      replay as one-lane slots of one kernel of up to
       {!Avp_logic.Bv_sliced.lanes_limit} (62) lanes, each lane under
       its own stimulus; a lane that leaves its plan stops, and its slot
       takes the next candidate.  It emits one [fuzz.exec] span per
       candidate with deterministic args.  A design outside the
-      kernel's coverage falls back to [`Scalar].
+      kernel's coverage, or a kernel step that raises, falls back to
+      [`Scalar].
 
     [progress] ticks once per candidate. *)

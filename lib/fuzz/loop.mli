@@ -3,14 +3,14 @@
     Rounds of [batch] candidates — fresh random entries while the
     corpus is empty, then mutations of energy-picked corpus seeds.  A
     round plans each candidate as a model walk ({!Exec.plan}),
-    executes the batch on the compiled or bit-sliced engine checking
-    that the design takes exactly the planned walks ({!Exec.run}),
-    and folds the plans sequentially in batch order: a candidate is
-    kept iff committing its walk's marks moves the coverage counters
-    (new state, new arc, or new (state, input-class) pair, via the
-    incremental {!Avp_obs.Coverage.delta}).  Discarded candidates
-    commit nothing, so the kept corpus's coverage is exactly the
-    run's coverage — the invariant {!replay} re-checks.
+    executes the batch on the interpreter or the bit-sliced engine,
+    checking that the design takes exactly the planned walks
+    ({!Exec.run}), and folds the plans sequentially in batch order: a
+    candidate is kept iff committing its walk's marks moves the
+    coverage counters (new state, new arc, or new (state, input-class)
+    pair, via the incremental {!Avp_obs.Coverage.delta}).  Discarded
+    candidates commit nothing, so the kept corpus's coverage is
+    exactly the run's coverage — the invariant {!replay} re-checks.
 
     The energy schedule favors rare arcs: a seed's weight is the sum
     over its arcs of 1/(corpus entries hitting that arc), computed

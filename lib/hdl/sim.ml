@@ -2,14 +2,20 @@ open Avp_logic
 
 exception Comb_loop = Compile.Comb_loop
 
-(* Two engines behind one interface: the tree-walking interpreter
-   (the original implementation, kept as the differential oracle) and
-   the compiled bytecode kernel in {!Compile}.  Both consume the same
-   {!Compile.units} analysis, so they run the same evaluation units
-   in the same worklist order and agree bit-for-bit, including on
-   which net a [Comb_loop] names. *)
+(* The tree-walking interpreter: the scalar engine and the reference
+   the bit-sliced kernel ({!Sliced}) is checked against.  Both consume
+   the same {!Compile.units} analysis, so they settle the same
+   evaluation units and agree bit-for-bit. *)
 
-type interp = {
+(* Observer hooks, so waveform dumpers and telemetry see every step,
+   force and release. *)
+type observer = {
+  on_step : time:int -> unit;
+  on_force : string -> Bv.t -> unit;
+  on_release : string -> unit;
+}
+
+type t = {
   d : Elab.t;
   u : Compile.units;
   values : Bv.t array;
@@ -21,22 +27,11 @@ type interp = {
   (* One overlay reused by every sequential process on every edge,
      rather than a fresh Hashtbl per process per edge. *)
   overlay : (Elab.uid, Bv.t) Hashtbl.t;
+  mutable obs : observer option;
 }
 
-type eng = I of interp | C of Compile.t
-
-(* Observer hooks live at this dispatch layer, not inside the
-   engines, so waveform dumpers and telemetry see the exact same
-   callbacks whichever engine [create] selected. *)
-type observer = {
-  on_step : time:int -> unit;
-  on_force : string -> Bv.t -> unit;
-  on_release : string -> unit;
-}
-
-type t = { eng : eng; mutable obs : observer option }
-
-let create_interp (d : Elab.t) (u : Compile.units) =
+let create (d : Elab.t) =
+  let u = Compile.units d in
   let n = Array.length d.Elab.nets in
   let values =
     Array.init n (fun i ->
@@ -55,6 +50,7 @@ let create_interp (d : Elab.t) (u : Compile.units) =
     queue = Queue.create ();
     dirty_all = true;
     overlay = Hashtbl.create 16;
+    obs = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -72,44 +68,10 @@ let rec eval_with lookup (d : Elab.t) (e : Elab.eexpr) : Bv.t =
        Bv.of_bits [ Bv.get v i ]
      | Some _ | None -> Bv.all_x 1)
   | Elab.Range (id, hi, lo) -> Bv.select (lookup id) ~hi ~lo
-  | Elab.Unop (op, e) ->
-    let v = eval_with lookup d e in
-    (match op with
-     | Ast.Not ->
-       (match Bv.to_bool v with
-        | Some b -> Bv.of_bits [ Bit.of_bool (not b) ]
-        | None -> Bv.all_x 1)
-     | Ast.Bnot -> Bv.lognot v
-     | Ast.Uand -> Bv.of_bits [ Bv.reduce_and v ]
-     | Ast.Uor -> Bv.of_bits [ Bv.reduce_or v ]
-     | Ast.Uxor -> Bv.of_bits [ Bv.reduce_xor v ]
-     | Ast.Neg -> Bv.neg v)
+  | Elab.Unop (op, e) -> Compile.unop_val op (eval_with lookup d e)
   | Elab.Binop (op, a, b) ->
-    let va = eval_with lookup d a and vb = eval_with lookup d b in
-    let logical f =
-      match Bv.to_bool va, Bv.to_bool vb with
-      | Some x, Some y -> Bv.of_bits [ Bit.of_bool (f x y) ]
-      | _ -> Bv.all_x 1
-    in
-    (match op with
-     | Ast.Add -> Bv.add va vb
-     | Ast.Sub -> Bv.sub va vb
-     | Ast.Mul -> Bv.mul va vb
-     | Ast.Band -> Bv.logand va vb
-     | Ast.Bor -> Bv.logor va vb
-     | Ast.Bxor -> Bv.logxor va vb
-     | Ast.Land -> logical ( && )
-     | Ast.Lor -> logical ( || )
-     | Ast.Eq -> Bv.of_bits [ Bv.eq va vb ]
-     | Ast.Neq -> Bv.of_bits [ Bv.neq va vb ]
-     | Ast.Ceq -> Bv.of_bits [ Bv.case_eq va vb ]
-     | Ast.Cneq -> Bv.of_bits [ Bit.lognot (Bv.case_eq va vb) ]
-     | Ast.Lt -> Bv.of_bits [ Bv.lt va vb ]
-     | Ast.Le -> Bv.of_bits [ Bv.le va vb ]
-     | Ast.Gt -> Bv.of_bits [ Bv.gt va vb ]
-     | Ast.Ge -> Bv.of_bits [ Bv.ge va vb ]
-     | Ast.Shl -> Bv.shift_left va vb
-     | Ast.Shr -> Bv.shift_right va vb)
+    let va = eval_with lookup d a in
+    Compile.binop_val op va (eval_with lookup d b)
   | Elab.Ternary (c, a, b) ->
     (match Bv.to_bool (eval_with lookup d c) with
      | Some true -> eval_with lookup d a
@@ -215,7 +177,7 @@ let rec exec ctx (d : Elab.t) (s : Elab.estmt) : unit =
     pick items
 
 (* ------------------------------------------------------------------ *)
-(* Settling (interpreter)                                             *)
+(* Settling                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let write_value t id v =
@@ -283,7 +245,7 @@ let run_unit t u ~note_change =
     exec ctx t.d t.u.Compile.comb.(u - n)
   end
 
-let settle_i t =
+let settle t =
   if t.dirty_all then begin
     t.dirty_all <- false;
     for u = 0 to t.u.Compile.unit_count - 1 do
@@ -311,11 +273,11 @@ let settle_i t =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Clock edges (interpreter)                                          *)
+(* Clock edges                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let step_i ~edge t clock_id =
-  settle_i t;
+let edge_step ~edge t clock_id =
+  settle t;
   (* Blocking writes of sequential processes only reach the per-
      process overlay and nonblocking updates commit after every
      process has run, so [t.values] is the pre-edge state throughout:
@@ -358,9 +320,27 @@ let step_i ~edge t clock_id =
         end)
     (List.rev !nba);
   t.time <- t.time + 1;
-  settle_i t
+  settle t
 
-let poke_id_i t id v =
+(* ------------------------------------------------------------------ *)
+(* Public interface                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let design t = t.d
+let time t = t.time
+let set_observer t obs = t.obs <- obs
+let observer t = t.obs
+
+let lookup_id t name =
+  match Hashtbl.find_opt t.d.Elab.by_name name with
+  | Some id -> id
+  | None -> raise Not_found
+
+let get_id t id = t.values.(id)
+let get t name = get_id t (lookup_id t name)
+let eval t e = eval_with (get_id t) t.d e
+
+let poke_id t id v =
   match t.forces.(id) with
   | Some _ -> ()
   | None ->
@@ -370,128 +350,33 @@ let poke_id_i t id v =
       mark_net_changed t id
     end
 
-(* ------------------------------------------------------------------ *)
-(* Public interface: engine dispatch                                  *)
-(* ------------------------------------------------------------------ *)
-
-let create ?(engine = `Compiled) (d : Elab.t) =
-  let u = Compile.units d in
-  let compiled () =
-    match Compile.create ~u d with
-    | Some c -> C c
-    | None -> I (create_interp d u)
-  in
-  let eng =
-    match engine with
-    | `Interp -> I (create_interp d u)
-    | `Compiled -> compiled ()
-  in
-  { eng; obs = None }
-
-(* Compile-once/instantiate-many: callers that simulate the same
-   design hundreds of times (one simulator per replay trace) pay
-   elaboration analysis and bytecode assembly once. *)
-type template = { td : Elab.t; tu : Compile.units; tp : Compile.prog option }
-
-let template (d : Elab.t) =
-  let u = Compile.units d in
-  { td = d; tu = u; tp = Compile.compile ~u d }
-
-let instantiate tpl =
-  let eng =
-    match tpl.tp with
-    | Some p -> C (Compile.instantiate p)
-    | None -> I (create_interp tpl.td tpl.tu)
-  in
-  { eng; obs = None }
-
-let engine t =
-  match t.eng with I _ -> `Interp | C _ -> `Compiled
-
-let design t =
-  match t.eng with
-  | I s -> s.d
-  | C c -> Compile.design c
-
-let time t =
-  match t.eng with
-  | I s -> s.time
-  | C c -> Compile.time c
-
-let set_observer t obs = t.obs <- obs
-let observer t = t.obs
-
-let lookup_id t name =
-  match Hashtbl.find_opt (design t).Elab.by_name name with
-  | Some id -> id
-  | None -> raise Not_found
-
-let get_id t id =
-  match t.eng with
-  | I s -> s.values.(id)
-  | C c -> Compile.get_id c id
-
-let get t name = get_id t (lookup_id t name)
-
-let eval t e =
-  match t.eng with
-  | I s -> eval_with (fun id -> s.values.(id)) s.d e
-  | C c -> eval_with (Compile.get_id c) (Compile.design c) e
-
-let settle t =
-  match t.eng with
-  | I s -> settle_i s
-  | C c -> Compile.settle c
-
-let poke_id t id v =
-  match t.eng with
-  | I s -> poke_id_i s id v
-  | C c -> Compile.poke_id c id v
-
-let rerun_unit t u =
-  match t.eng with
-  | I s -> enqueue_unit s u
-  | C c -> Compile.rerun_unit c u
+let rerun_unit = enqueue_unit
 
 let set t name v =
-  let id = lookup_id t name in
-  poke_id t id v;
+  poke_id t (lookup_id t name) v;
   settle t
 
 let force t name v =
   let id = lookup_id t name in
-  (match t.eng with
-   | I s ->
-     let width = s.d.Elab.nets.(id).Elab.width in
-     s.forces.(id) <- Some (Bv.resize v width);
-     s.values.(id) <- Bv.resize v width;
-     mark_net_changed s id;
-     settle_i s
-   | C c -> Compile.force_id c id v);
+  let v' = Bv.resize v t.d.Elab.nets.(id).Elab.width in
+  t.forces.(id) <- Some v';
+  t.values.(id) <- v';
+  mark_net_changed t id;
+  settle t;
   match t.obs with Some o -> o.on_force name v | None -> ()
 
 let release t name =
   let id = lookup_id t name in
-  (match t.eng with
-   | I s ->
-     s.forces.(id) <- None;
-     (* Re-resolve the net itself and everything reading it. *)
-     enqueue_unit s id;
-     mark_net_changed s id;
-     settle_i s
-   | C c -> Compile.release_id c id);
+  t.forces.(id) <- None;
+  (* Re-resolve the net itself and everything reading it. *)
+  enqueue_unit t id;
+  mark_net_changed t id;
+  settle t;
   match t.obs with Some o -> o.on_release name | None -> ()
 
-let forced t name =
-  let id = lookup_id t name in
-  match t.eng with
-  | I s -> s.forces.(id) <> None
-  | C c -> Compile.forced_id c id
+let forced t name = t.forces.(lookup_id t name) <> None
 
 let step ?(edge = Ast.Posedge) t clock =
-  let clock_id = lookup_id t clock in
-  (match t.eng with
-   | I s -> step_i ~edge s clock_id
-   | C c -> Compile.step c ~edge clock_id);
+  edge_step ~edge t (lookup_id t clock);
   if Avp_obs.Obs.enabled () then Avp_obs.Obs.incr "sim.steps";
-  match t.obs with Some o -> o.on_step ~time:(time t) | None -> ()
+  match t.obs with Some o -> o.on_step ~time:t.time | None -> ()

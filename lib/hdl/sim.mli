@@ -18,31 +18,11 @@ exception Comb_loop of string
 (** Raised when combinational settling fails to converge, naming a
     net that keeps changing. *)
 
-val create : ?engine:[ `Interp | `Compiled ] -> Elab.t -> t
-(** [`Compiled] (the default) uses the compiled bytecode kernel
-    whenever {!Compile.create} supports the design, falling back to
-    the tree-walking interpreter otherwise.  [`Interp] forces the
-    interpreter, which serves as the differential oracle for the
-    compiled engine.  Batch users drive the bit-sliced kernel
-    ({!Sliced}) directly. *)
-
-val engine : t -> [ `Interp | `Compiled ]
-(** Which engine [create] actually selected. *)
-
-(** {2 Compile-once templates}
-
-    Callers that simulate one design many times (a simulator per
-    replay trace, hundreds of traces) pay static analysis and
-    bytecode assembly once and stamp out cheap instances. *)
-
-type template
-
-val template : Elab.t -> template
-(** The compiled program, or the interpreter when the compiler does
-    not support the design — [create]'s default choice. *)
-
-val instantiate : template -> t
-(** A fresh simulator at power-on state. *)
+val create : Elab.t -> t
+(** A fresh simulator at power-on state: registers [X], wires [Z].
+    This tree-walking interpreter is the reference the bit-sliced
+    kernel ({!Sliced}) is checked against, and the scalar engine of
+    every caller that simulates one trace at a time. *)
 
 val design : t -> Elab.t
 
@@ -92,11 +72,10 @@ val rerun_unit : t -> int -> unit
 
 (** {2 Observation}
 
-    A single observer hooks the dispatch layer, so waveform dumpers
-    and telemetry see the same callbacks whichever engine [create]
-    selected.  [on_step] fires after each completed clock edge (with
-    the post-edge {!time}); [on_force]/[on_release] fire after the
-    pin/unpin takes effect. *)
+    A single observer, so waveform dumpers and telemetry see every
+    step, force and release.  [on_step] fires after each completed
+    clock edge (with the post-edge {!time}); [on_force]/[on_release]
+    fire after the pin/unpin takes effect. *)
 
 type observer = {
   on_step : time:int -> unit;

@@ -1,14 +1,15 @@
 (* Bit-sliced batched simulation: up to 62 independent simulations of
    one design advance word-parallel through a single compiled kernel.
 
-   The representation is the transpose of the scalar compiled engine's:
-   where [Compile] packs a net's bits into two plane words, here every
+   The representation is the transpose of the packed [Bv]: where a
+   packed vector holds a net's bits in two plane words, here every
    net keeps one word PER BIT, and bit L of that word belongs to lane
    L ([Avp_logic.Bv_sliced]).  All evaluation-unit structure — driver
-   resolution, worklist settling, the seq-process blocking overlay,
-   the NBA commit queue, per-net force state — mirrors [Compile]
-   exactly, so lane L of a batched run is bit-identical to a scalar
-   run; the scalar engines stay the differential oracle.
+   resolution, worklist settling over [Compile.units], the seq-process
+   blocking overlay, the NBA commit queue, per-net force state —
+   mirrors the interpreter ([Sim]) exactly, so lane L of a batched run
+   is bit-identical to a scalar run; the interpreter stays the
+   differential oracle.
 
    Mutant schemata: [create_schemata] compiles the pristine design
    ONCE with per-lane mutation selects.  Each vetted mutant differs
@@ -514,9 +515,8 @@ let rec cexpr st ~seq (e : xe) : unit -> Sl.t =
       Sl.merge_into ~mask dst (ga ()) (gb ());
       dst
 
-(* The scalar compiled engine rejects ternaries with unequal arm
-   widths (per-lane result widths would diverge); the schemata engine
-   inherits the restriction. *)
+(* Ternaries with unequal arm widths are rejected (per-lane result
+   widths would diverge); callers fall back to the interpreter. *)
 exception Unsupported
 
 let rec check_e (d : Elab.t) (e : xe) =

@@ -4,8 +4,8 @@
     simulations of one design word-parallel through a single compiled
     kernel: every net keeps one machine word per bit, and bit L of
     that word belongs to lane L.  Lane [l] of a batched run is
-    bit-identical to a scalar run of the same stimulus — the scalar
-    engines remain the differential oracle.
+    bit-identical to a scalar run of the same stimulus — the
+    reference interpreter ({!Sim}) remains the differential oracle.
 
     {b Mutant schemata}: {!create_schemata} compiles the pristine
     design ONCE with per-lane mutation selects (a lane-masked mux
@@ -25,8 +25,10 @@ type t
 val create : ?u:Compile.units -> lanes:int -> Elab.t -> t option
 (** A batched simulator with [lanes] identical copies of the design
     (1..62).  [None] when the design uses a construct the kernel does
-    not cover (currently: ternaries with unequal arm widths, as the
-    scalar compiled engine).  Pass [?u] to reuse a static analysis. *)
+    not cover (currently: ternaries with unequal arm widths, whose
+    per-lane result widths would diverge); callers fall back to the
+    reference interpreter ({!Sim}).  Pass [?u] to reuse a static
+    analysis. *)
 
 val create_schemata :
   ?u:Compile.units -> base:Elab.t -> Elab.t array -> (t * bool array) option

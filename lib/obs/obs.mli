@@ -2,7 +2,7 @@
 
     A single global tracer sits behind an [option ref]: when no tracer
     is installed every instrumentation site is one load plus a branch,
-    so enumeration and compiled simulation keep their benchmarked
+    so enumeration and simulation keep their benchmarked
     throughput.  With a tracer installed, spans, instants and counters
     accumulate in its buffer, and serialization sorts the events under
     a total order so output is reproducible. *)

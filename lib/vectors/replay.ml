@@ -26,17 +26,14 @@ let pp_mismatch ppf m =
 
 exception Found of mismatch
 
-(* Replay one vector sequence on a fresh simulator, comparing the
+(* Replay one vector sequence on a fresh interpreter, comparing the
    given nets against [predict cycle net_index] after reset (cycle -1)
    and after every clock edge; returns the cycles consumed and the
-   first mismatch, if any.  The template is built once per design and
-   instantiated per trace, so a multi-hundred-trace replay pays
-   static analysis and bytecode assembly a single time instead of
-   once per trace. *)
-let run_nets ~tpl ~(tr : Translate.result) ~(nets : string array) ~predict
+   first mismatch, if any. *)
+let run_nets ~design ~(tr : Translate.result) ~(nets : string array) ~predict
     ti vectors =
   let cycles = ref 0 in
-  let sim = Avp_hdl.Sim.instantiate tpl in
+  let sim = Avp_hdl.Sim.create design in
   let compare_at cycle =
     Array.iteri
       (fun vi net ->
@@ -121,7 +118,6 @@ let check ?dut ?progress ?vectors:vecs (tr : Translate.result)
   let n = Array.length traces in
   let vectors = match vecs with Some v -> v | None -> vectors tr tours in
   let nets = state_nets tr in
-  let tpl = Avp_hdl.Sim.template design in
   replay_all ?progress ~n (fun ti ->
       let trace = traces.(ti) in
       let predict cycle vi =
@@ -131,14 +127,86 @@ let check ?dut ?progress ?vectors:vecs (tr : Translate.result)
         in
         graph.Avp_enum.State_graph.states.(state).(vi)
       in
-      run_nets ~tpl ~tr ~nets ~predict ti vectors.(ti))
+      run_nets ~design ~tr ~nets ~predict ti vectors.(ti))
+
+(* Every trace on one kernel of [dut], one trace per one-lane slot
+   ({!Slots}), each lane checking the state nets against its own
+   trace's predictions at reset release and after every cycle.  A
+   lane's first divergence is recorded in [check]'s terms (the first
+   mismatching net in state-net order, or the message of a net that
+   left the defined domain) and freezes the lane, so its slot takes the
+   next trace.  [None] when the kernel rejects the design or a step
+   raised. *)
+let check_lanes ~dut (tr : Translate.result)
+    (graph : Avp_enum.State_graph.t) (tours : Avp_tour.Tour_gen.t)
+    (vectors : Vector.t array) =
+  let traces = tours.Avp_tour.Tour_gen.traces in
+  let n = Array.length traces in
+  let lanes = min Avp_logic.Bv_sliced.lanes_limit (max 1 n) in
+  match Avp_hdl.Sliced.create ~lanes dut with
+  | None -> None
+  | Some sim -> (
+    let nets = state_nets tr in
+    let states = graph.Avp_enum.State_graph.states in
+    let failures = Array.make n None in
+    let check ids ~slot t cycle =
+      let trace = traces.(t) in
+      let predicted =
+        states.(if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
+                else trace.(cycle).Avp_tour.Tour_gen.dst)
+      in
+      let rec net vi =
+        if vi < Array.length ids then begin
+          let id = ids.(vi) and p = predicted.(vi) in
+          let bad, neq =
+            Avp_hdl.Sliced.check_net ~mask:(1 lsl slot) sim id ~predicted:p
+          in
+          if bad lor neq = 0 then net (vi + 1)
+          else begin
+            failures.(t) <-
+              Some
+                (match
+                   Translate.value_of_bv
+                     (Avp_hdl.Sliced.get_lane sim ~lane:slot id)
+                 with
+                 | actual ->
+                   Format.asprintf "%a" pp_mismatch
+                     { trace = t; cycle; net = nets.(vi); actual;
+                       predicted = p }
+                 | exception Translate.Unsupported msg -> msg);
+            Avp_hdl.Sliced.freeze sim ~mask:(1 lsl slot)
+          end
+        end
+      in
+      net 0
+    in
+    match
+      let ids =
+        Array.map (fun nm -> (Avp_hdl.Elab.net dut nm).Avp_hdl.Elab.id) nets
+      in
+      Slots.run sim tr ~width:1 vectors
+        ~on_reset:(fun ~slot t -> check ids ~slot t (-1))
+        ~on_cycle:(fun ~slot t i -> check ids ~slot t i)
+    with
+    | exception _ -> None
+    | () ->
+      let rec first t =
+        if t = n then
+          let count c v = c + Array.length v in
+          Ok { traces = n; cycles = Array.fold_left count 0 vectors }
+        else
+          match failures.(t) with
+          | Some detail -> Error (t, detail)
+          | None -> first (t + 1)
+      in
+      Some (first 0))
 
 (* One trace's rows on a scalar simulator: the oracle of the lane
    recording below, and its fallback. *)
-let record_trace tpl (tr : Translate.result) ~(nets : string array)
+let record_trace (tr : Translate.result) ~(nets : string array)
     (v : Vector.t) =
   let rows = Array.make_matrix (Array.length v + 1) (Array.length nets) 0 in
-  let sim = Avp_hdl.Sim.instantiate tpl in
+  let sim = Avp_hdl.Sim.create tr.Translate.elab in
   let snap row =
     Array.iteri
       (fun vi net ->
@@ -202,8 +270,7 @@ let record_lanes (tr : Translate.result) ~(nets : string array)
 let record (tr : Translate.result) ~(nets : string array)
     (sets : Vector.t array array) =
   let vectors = Array.concat (Array.to_list sets) in
-  let tpl = lazy (Avp_hdl.Sim.template tr.Translate.elab) in
-  let scalar v = record_trace (Lazy.force tpl) tr ~nets v in
+  let scalar v = record_trace tr ~nets v in
   let rows =
     match record_lanes tr ~nets vectors with
     | None -> Array.map scalar vectors
@@ -226,11 +293,10 @@ let check_nets ~dut ?progress (tr : Translate.result)
     ~(nets : string array) ~(predicted : int array array array)
     (vectors : Vector.t array) =
   let n = Array.length vectors in
-  let tpl = Avp_hdl.Sim.template dut in
   replay_all ?progress ~n (fun ti ->
       let rows = predicted.(ti) in
       let predict cycle vi = rows.(cycle + 1).(vi) in
-      run_nets ~tpl ~tr ~nets ~predict ti vectors.(ti))
+      run_nets ~design:dut ~tr ~nets ~predict ti vectors.(ti))
 
 (* Replay one trace's vectors with a VCD dump attached: the waveform
    artifact behind the CLI's [--vcd], showing state nets toggling

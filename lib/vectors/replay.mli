@@ -43,10 +43,10 @@ val check :
   Avp_enum.State_graph.t ->
   Avp_tour.Tour_gen.t ->
   (stats, mismatch) result
-(** Builds a fresh simulator per trace, applies the force/release
-    vectors, and compares every annotated state net against the tour's
-    predicted valuation — at reset release (reported as cycle [-1])
-    and after each clock edge.  Returns the lowest-numbered trace's
+(** Builds a fresh reference interpreter ({!Avp_hdl.Sim}) per trace,
+    applies the force/release vectors, and compares every annotated
+    state net against the tour's predicted valuation — at reset
+    release (reported as cycle [-1]) and after each clock edge.  Returns the lowest-numbered trace's
     first mismatch, if any.  Every trace is replayed even after a
     mismatch, so an exception from a later trace (a state net at x/z
     raises [Avp_fsm.Translate.Unsupported]) takes precedence.
@@ -60,6 +60,28 @@ val check :
     generated from the specification's model then validate a modified
     implementation — the step-4 comparison at the HDL level.  Any
     divergence from the predicted state sequence is a caught bug. *)
+
+val check_lanes :
+  dut:Avp_hdl.Elab.t ->
+  Avp_fsm.Translate.result ->
+  Avp_enum.State_graph.t ->
+  Avp_tour.Tour_gen.t ->
+  Vector.t array ->
+  (stats, int * string) result option
+(** {!check} on the bit-sliced kernel: [check_lanes ~dut tr graph tours
+    vectors] replays every trace of [tours] (with its realized
+    [vectors]) against [dut] as one-lane slots ({!Slots}) of one kernel
+    of up to {!Avp_logic.Bv_sliced.lanes_limit} (62) lanes, each lane
+    checking the annotated state nets against its own trace's
+    predictions at reset release and after every clock edge.  A lane
+    that leaves its trace stops, and its slot takes the next trace.
+
+    [Error (t, detail)] names the lowest-numbered trace that diverged
+    and where, in {!check}'s terms: the first mismatching net
+    ({!pp_mismatch}) or the message of a state net that carried x/z
+    bits.  [None] when {!Avp_hdl.Sliced.create} rejects [dut] or a
+    kernel step raised; {!check} stays the oracle for those, and for
+    the mismatch record and exceptions of a failing replay. *)
 
 val record :
   Avp_fsm.Translate.result ->

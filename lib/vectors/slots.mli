@@ -18,7 +18,7 @@
     net across all lanes in one transposed pass
     ({!Avp_hdl.Sliced.force_slots}).  A lane of a slot ends every step
     bit-identical to a scalar simulator replaying the same trace; the
-    scalar engines stay the oracle.  Traces finish out of order, so a
+    reference interpreter stays the oracle.  Traces finish out of order, so a
     caller combines what it observes by trace index. *)
 
 val run :

@@ -1,4 +1,4 @@
-(* Differential tests for the compiled simulation engine.
+(* Differential tests for the simulation engines.
 
    Two layers:
 
@@ -9,8 +9,8 @@
 
    - engine differential: random small designs driven by random
      poke/force/release/step sequences must leave every net
-     bit-identical under the tree-walking interpreter and the
-     compiled bytecode kernel. *)
+     bit-identical under the tree-walking interpreter and a one-lane
+     bit-sliced kernel. *)
 
 open Avp_logic
 open Avp_hdl
@@ -334,10 +334,11 @@ endmodule
     Ast.pp_expr e_w2 Ast.pp_expr e_s Ast.pp_expr e_cond Ast.pp_expr e_r
     Ast.pp_expr e_y
 
-let nets_agree d si sc =
+let nets_agree d si k =
   Array.for_all
     (fun (net : Elab.enet) ->
-      Bv.equal (Sim.get_id si net.Elab.id) (Sim.get_id sc net.Elab.id))
+      Bv.equal (Sim.get_id si net.Elab.id)
+        (Sliced.get_lane k ~lane:0 net.Elab.id))
     d.Elab.nets
 
 let apply_action sim = function
@@ -347,10 +348,30 @@ let apply_action sim = function
   | Release n -> Sim.release sim n
   | Step -> Sim.step sim "clk"
 
+(* The kernel's poke, force and release do not settle; the
+   interpreter's do, so the kernel settles after each. *)
+let apply_kernel d k act =
+  let id n = Elab.net_id d n in
+  match act with
+  | Poke (n, v) ->
+    Sliced.poke_id k (id n) v;
+    Sliced.settle k
+  | Force (n, v) ->
+    Sliced.force_id k (id n) v;
+    Sliced.settle k
+  | Release n ->
+    Sliced.release_id k (id n);
+    Sliced.settle k
+  | Step -> Sliced.step k (id "clk")
+
+(* A design the kernel rejects (a ternary whose arms differ in width)
+   is discarded, not passed: the property needs 200 designs on the
+   kernel within 2,000 generated, and fails if the generator stops
+   producing them. *)
 let prop_engines_agree =
   QCheck.Test.make
-    ~name:"random designs: interpreter = compiled under random stimulus"
-    ~count:200
+    ~name:"random designs: interpreter = one-lane kernel under random stimulus"
+    ~count:200 ~max_gen:2000 ~if_assumptions_fail:(`Fatal, 1.0)
     (QCheck.make gen_design_and_actions)
     (fun (exprs, actions) ->
       let src = render_design exprs in
@@ -358,58 +379,16 @@ let prop_engines_agree =
       | exception (Parser.Error _ | Lexer.Error _) -> false
       | design ->
         let d = Elab.elaborate design in
-        let si = Sim.create ~engine:`Interp d in
-        let sc = Sim.create ~engine:`Compiled d in
-        List.for_all
-          (fun act ->
-            apply_action si act;
-            apply_action sc act;
-            nets_agree d si sc)
-          actions)
-
-(* The control design must take the compiled path (a fallback to the
-   interpreter would change no output, only slow every replay of it),
-   and a long random drive with forces must track the interpreter
-   net-for-net. *)
-let test_control_design_compiled () =
-  let d = Avp_pp.Control_hdl.elaborate () in
-  let si = Sim.create ~engine:`Interp d in
-  let sc = Sim.create ~engine:`Compiled d in
-  Alcotest.(check bool) "compiled engine selected" true
-    (Sim.engine sc = `Compiled);
-  let lcg = ref 12345 in
-  let rand n =
-    lcg := ((!lcg * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-    (!lcg lsr 20) mod n
-  in
-  let inputs =
-    [
-      ("i_hit", 1); ("d_hit", 1); ("instr", 3); ("inbox_rdy", 1);
-      ("outbox_rdy", 1); ("mem_adv", 1); ("dirty", 1); ("same_line", 1);
-    ]
-  in
-  let both f =
-    f si;
-    f sc
-  in
-  both (fun s -> Sim.set s "rst" (Bv.of_int ~width:1 1));
-  both (fun s -> Sim.step s "clk");
-  both (fun s -> Sim.set s "rst" (Bv.of_int ~width:1 0));
-  for cycle = 1 to 300 do
-    List.iter
-      (fun (n, w) ->
-        let v = Bv.of_int ~width:w (rand (1 lsl w)) in
-        both (fun s -> Sim.set s n v))
-      inputs;
-    (* Occasionally pin / unpin an input mid-run, as the generated
-       vectors do. *)
-    if cycle mod 37 = 0 then
-      both (fun s -> Sim.force s "d_hit" (Bv.of_int ~width:1 0));
-    if cycle mod 37 = 11 then both (fun s -> Sim.release s "d_hit");
-    both (fun s -> Sim.step s "clk");
-    if not (nets_agree d si sc) then
-      Alcotest.failf "engines diverged at cycle %d" cycle
-  done
+        (match Sliced.create ~lanes:1 d with
+         | None -> QCheck.assume_fail ()
+         | Some k ->
+           let si = Sim.create d in
+           List.for_all
+             (fun act ->
+               apply_action si act;
+               apply_kernel d k act;
+               nets_agree d si k)
+             actions))
 
 let suite =
   [
@@ -425,6 +404,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_planes_roundtrip;
     Alcotest.test_case "packed/wide boundary" `Quick test_wide_boundary;
     QCheck_alcotest.to_alcotest prop_engines_agree;
-    Alcotest.test_case "control design: compiled engine differential"
-      `Quick test_control_design_compiled;
   ]

@@ -9,7 +9,7 @@
 
    - batched engine differential: the control design driven with
      per-lane random stimulus (pokes, forces, releases) must track
-     one scalar compiled simulator per lane, net-for-net;
+     one reference interpreter per lane, net-for-net;
 
    - mutant schemata differential: every pp control mutant must be
      scheduled into its chunk's schemata kernel, and each lane of the
@@ -272,7 +272,7 @@ let test_engine_differential () =
     | None -> Alcotest.fail "sliced engine rejected the control design"
   in
   let scalars =
-    Array.init lanes (fun _ -> Sim.create ~engine:`Compiled d)
+    Array.init lanes (fun _ -> Sim.create d)
   in
   let rand = lcg 424242 in
   let id n = Elab.net_id d n in
@@ -354,7 +354,7 @@ let test_schemata_differential () =
   (* Simulation stays on the first kernel. *)
   let muts, sliced = kernels.(0) in
   let scalars =
-    Array.map (fun md -> Sim.create ~engine:`Compiled md) muts
+    Array.map (fun md -> Sim.create md) muts
   in
   let rand = lcg 777 in
   let id n = Elab.net_id base n in
@@ -381,7 +381,8 @@ let test_schemata_differential () =
   done
 
 (* A one-lane sliced kernel must track the interpreter on the control
-   design, net for net. *)
+   design, net for net, through a long random drive that pins and
+   releases an input mid-run, as the generated vectors do. *)
 let test_one_lane_sliced () =
   let d = Avp_pp.Control_hdl.elaborate () in
   let sliced =
@@ -389,7 +390,7 @@ let test_one_lane_sliced () =
     | Some s -> s
     | None -> Alcotest.fail "sliced engine rejected the control design"
   in
-  let interp = Sim.create ~engine:`Interp d in
+  let interp = Sim.create d in
   let rand = lcg 99 in
   let id n = Elab.net_id d n in
   let clk = id "clk" in
@@ -405,10 +406,20 @@ let test_one_lane_sliced () =
   both_set "rst" (Bv.of_int ~width:1 1);
   both_step ();
   both_set "rst" (Bv.of_int ~width:1 0);
-  for cycle = 1 to 100 do
+  for cycle = 1 to 300 do
     List.iter
       (fun (n, w) -> both_set n (Bv.of_int ~width:w (rand (1 lsl w))))
       control_inputs;
+    if cycle mod 37 = 0 then begin
+      Sliced.force_id sliced (id "d_hit") (Bv.of_int ~width:1 0);
+      Sliced.settle sliced;
+      Sim.force interp "d_hit" (Bv.of_int ~width:1 0)
+    end;
+    if cycle mod 37 = 11 then begin
+      Sliced.release_id sliced (id "d_hit");
+      Sliced.settle sliced;
+      Sim.release interp "d_hit"
+    end;
     both_step ();
     nets_agree_lane d sliced ~lane:0 interp ~cycle
   done
@@ -743,7 +754,7 @@ let replay_nets_agree d sliced ~lane scalar ~what =
    driven output [istall_out] for the rest of their trace, mirrored on
    their replay; the tour's vectors never touch that net.  At reset
    release and after every cycle, every net of every lane must equal a
-   fresh compiled simulator replaying that lane's own trace: a reset
+   fresh interpreter replaying that lane's own trace: a reset
    lane starts from power-on, without the pin or the freeze its
    previous trace left, and the lanes that keep running are not
    perturbed by their neighbours' resets. *)
@@ -791,7 +802,7 @@ let test_lane_reset () =
     ~on_step:(fun () -> incr step)
     ~on_reset:(fun ~slot t ->
       starts.(t) <- !step;
-      let s = Sim.create ~engine:`Compiled d in
+      let s = Sim.create d in
       Sim.set s tr.Avp_fsm.Translate.reset one;
       Sim.step s clock;
       Sim.set s tr.Avp_fsm.Translate.reset (Bv.of_int ~width:1 0);
@@ -836,7 +847,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_structural;
     QCheck_alcotest.to_alcotest prop_index;
     QCheck_alcotest.to_alcotest prop_merge;
-    Alcotest.test_case "control design: sliced vs per-lane compiled" `Quick
+    Alcotest.test_case "control design: sliced vs per-lane interpreter" `Quick
       test_engine_differential;
     Alcotest.test_case "mutant schemata: each lane tracks its mutant" `Quick
       test_schemata_differential;
