@@ -149,7 +149,8 @@ let vectors_cmd =
   let out_arg =
     Arg.(
       value & opt string "."
-      & info [ "out"; "o" ] ~docv:"DIR" ~doc:"Output directory.")
+      & info [ "out"; "o" ] ~docv:"DIR"
+          ~doc:"Output directory, created with its parents if missing.")
   in
   Cmd.v
     (Cmd.info "vectors" ~doc:"Emit force/release test-vector files.")

@@ -929,9 +929,9 @@ let analyze ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
          (fun p ->
            match p with
            | Elab.Comb body ->
-             let complete = Dataflow.must_assign_set body in
+             let complete = Avp_fsm.Latch.must_assign_set body in
              List.for_all
-               (fun id -> Dataflow.Ids.mem id complete)
+               (fun id -> Avp_fsm.Latch.Ids.mem id complete)
                (Elab.stmt_writes body)
            | Elab.Assign _ | Elab.Seq _ -> true)
          d.Elab.processes
@@ -1052,8 +1052,6 @@ let divergence ~nets pristine mutant =
 (* Findings                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let net_loc = Dataflow.net_loc
-
 let has_writer (d : Elab.t) u id =
   u.Compile.drivers.(id) <> []
   || Array.exists
@@ -1074,8 +1072,8 @@ let constant_net_findings inv =
         | Some bv when has_writer d u id ->
           let net = d.Elab.nets.(id) in
           acc :=
-            Finding.make ~net_id:id ~net:net.Elab.name ~loc:(net_loc d id)
-              Finding.Warning "constant-net"
+            Finding.make ~net_id:id ~net:net.Elab.name
+              ~loc:(Dataflow.net_loc d id) Finding.Warning "constant-net"
               (Printf.sprintf
                  "proven to hold %s in every reachable evaluation"
                  (Bv.to_string bv))

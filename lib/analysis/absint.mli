@@ -34,7 +34,6 @@ type av = {
 }
 (** Nets wider than {!Bv.packed_width_limit} are always top. *)
 
-val top : int -> av
 val of_bv : Bv.t -> av
 
 val to_bv : av -> Bv.t option
@@ -47,7 +46,6 @@ val defined : av -> bool
 (** Every bit proven to carry a 0/1 (no X, no Z). *)
 
 val join : av -> av -> av
-val truth : av -> [ `T | `F | `U ]
 
 type invariants = {
   design : Elab.t;
@@ -103,7 +101,3 @@ val av_str : av -> string
 val interesting : av -> bool
 (** Strictly below top: the analysis proved something. *)
 
-val net_loc : Elab.t -> int -> Ast.loc
-(** A net's best source position: its declaration, else the first
-    recorded assignment site ([Elab.write_sites]) — synthetic
-    elaboration-introduced nets have no declaration line. *)

@@ -6,8 +6,6 @@ val rules : (string * Finding.severity * string) list
 (** (rule name, default severity, one-line description) — the single
     source of truth for `avp lint`'s manpage and the README table. *)
 
-val rule_names : string list
-
 val is_rule : string -> bool
 
 val rules_markdown : unit -> string
@@ -38,7 +36,6 @@ val run_model :
 (** The abstract FSM checks of {!Fsm_check}, sorted and filtered. *)
 
 val errors : Finding.t list -> Finding.t list
-val warnings : Finding.t list -> Finding.t list
 
 val exit_code : strict:bool -> Finding.t list -> int
 (** 0 clean, 1 warnings remain under [strict], 2 errors. *)

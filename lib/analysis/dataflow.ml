@@ -253,39 +253,12 @@ let walk_assigns (s : Elab.estmt)
   in
   go [] s
 
-module Ids = Set.Make (Int)
-
-(* Nets assigned in full on every path through [s].  Partial writes
-   (bit/range selects) conservatively do not count: they still latch
-   the remaining bits. *)
-let rec must_assign_set (s : Elab.estmt) : Ids.t =
-  match s with
-  | Elab.Block ss ->
-    List.fold_left (fun acc s -> Ids.union acc (must_assign_set s)) Ids.empty
-      ss
-  | Elab.Blocking (lv, _) | Elab.Nonblocking (lv, _) ->
-    let rec full = function
-      | Elab.Lnet id -> Ids.singleton id
-      | Elab.Lindex _ | Elab.Lrange _ -> Ids.empty
-      | Elab.Lconcat ls ->
-        List.fold_left (fun acc l -> Ids.union acc (full l)) Ids.empty ls
-    in
-    full lv
-  | Elab.If (_, t, Some e) -> Ids.inter (must_assign_set t) (must_assign_set e)
-  | Elab.If (_, _, None) -> Ids.empty
-  | Elab.Case (_, items, Some dflt) ->
-    List.fold_left
-      (fun acc (_, body) -> Ids.inter acc (must_assign_set body))
-      (must_assign_set dflt) items
-  | Elab.Case (_, _, None) -> Ids.empty
-  | Elab.Nop -> Ids.empty
-
 (* A concrete witness: one branch path through [s] along which [net]
    is never fully assigned, or [None] when every path assigns it.
    Used by the latch pass so findings say {e which} branch latches. *)
 let missing_path (s : Elab.estmt) (net : int) : branch list option =
   let assigns_fully stmt =
-    Ids.mem net (must_assign_set stmt)
+    Avp_fsm.Latch.(Ids.mem net (must_assign_set stmt))
   in
   let rec search path s =
     match s with
@@ -382,17 +355,3 @@ let bv_has_xz v =
   let s = Avp_logic.Bv.to_string v in
   String.exists (fun c -> c = 'x' || c = 'z') s
 
-let bv_all_z v =
-  let s = Avp_logic.Bv.to_string v in
-  s <> "" && String.for_all (fun c -> c = 'z') s
-
-(* An expression that can release its drive: syntactically it can
-   evaluate to all-Z.  [cond ? e : 'bz] is the canonical tri-state
-   driver shape. *)
-let rec can_float (e : Elab.eexpr) : bool =
-  match e with
-  | Elab.Const v -> bv_all_z v
-  | Elab.Ternary (_, a, b) -> can_float a || can_float b
-  | Elab.Concat es -> es <> [] && List.for_all can_float es
-  | Elab.Repeat (_, e) -> can_float e
-  | _ -> false

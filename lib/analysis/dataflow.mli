@@ -15,7 +15,6 @@ type proc_info = {
   writes : int list;  (** nets written anywhere in the process *)
 }
 
-val proc_reads : Elab.process -> int list
 val proc_writes : Elab.process -> int list
 
 val net_loc : Elab.t -> int -> Ast.loc
@@ -44,9 +43,6 @@ val sccs : graph -> int list list
 
 val has_self_edge : graph -> int -> bool
 
-val pp_eexpr : Elab.t -> Format.formatter -> Elab.eexpr -> unit
-(** Expression printing with net names (long constants abbreviated). *)
-
 val expr_str : Elab.t -> Elab.eexpr -> string
 
 (** One step down a branch tree, innermost last. *)
@@ -55,8 +51,6 @@ type branch =
   | Else_of of Elab.eexpr
   | Case_arm of Elab.eexpr * Elab.eexpr list  (** selector, labels *)
   | Case_default of Elab.eexpr
-
-val pp_branch : Elab.t -> Format.formatter -> branch -> unit
 
 val path_str : Elab.t -> branch list -> string
 (** ["unconditionally"], or ["when c1 && !(c2)"]. *)
@@ -67,13 +61,6 @@ val walk_assigns :
   unit
 (** Visit every assignment with the stack of branches guarding it. *)
 
-module Ids : Set.S with type elt = int
-
-val must_assign_set : Elab.estmt -> Ids.t
-(** Nets assigned in full on every path.  Partial writes (bit/range
-    selects) conservatively do not count: they still latch the
-    remaining bits. *)
-
 val missing_path : Elab.estmt -> int -> branch list option
 (** A concrete witness: one branch path along which the net is never
     fully assigned, or [None] when every path assigns it. *)
@@ -81,16 +68,8 @@ val missing_path : Elab.estmt -> int -> branch list option
 val expr_consts_acc :
   Avp_logic.Bv.t list -> Elab.eexpr -> Avp_logic.Bv.t list
 
-val stmt_exprs_acc : Elab.eexpr list -> Elab.estmt -> Elab.eexpr list
-
 val proc_exprs : Elab.process -> Elab.eexpr list
 (** Every expression a process contains (rhs, conditions, selectors,
     labels, lvalue indices). *)
 
 val bv_has_xz : Avp_logic.Bv.t -> bool
-val bv_all_z : Avp_logic.Bv.t -> bool
-
-val can_float : Elab.eexpr -> bool
-(** The expression can release its drive: syntactically it can
-    evaluate to all-Z.  [cond ? e : 'bz] is the canonical tri-state
-    driver shape. *)

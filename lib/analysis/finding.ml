@@ -15,6 +15,7 @@ type t = {
 let make ?(net_id = -1) ?net ?loc ?(path = []) severity rule message =
   { severity; rule; net; net_id; loc; message; path }
 
+(* Errors sort first. *)
 let severity_rank = function Error -> 0 | Warning -> 1
 
 let severity_string = function Warning -> "warning" | Error -> "error"

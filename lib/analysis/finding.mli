@@ -26,9 +26,6 @@ val make :
   t
 (** [make severity rule message]. *)
 
-val severity_rank : severity -> int
-(** Errors first: [Error] is 0, [Warning] is 1. *)
-
 val severity_string : severity -> string
 
 val compare : t -> t -> int
@@ -42,8 +39,6 @@ val pp : ?file:string -> Format.formatter -> t -> unit
 (** [file:LINE: severity: [rule] net message (path: a -> b)]. *)
 
 val json_escape : string -> string
-
-val to_json_object : ?file:string -> t -> string
 
 val to_json : ?file:string -> t list -> string
 (** An object with a ["findings"] array plus ["errors"]/["warnings"]

@@ -89,7 +89,7 @@ let latch (d : Elab.t) (infos : Dataflow.proc_info array) : Finding.t list =
           | Elab.Comb body -> body
           | _ -> assert false
         in
-        let complete = Dataflow.must_assign_set body in
+        let complete = Avp_fsm.Latch.must_assign_set body in
         List.iter
           (fun id ->
             let net = d.Elab.nets.(id) in
@@ -102,7 +102,7 @@ let latch (d : Elab.t) (infos : Dataflow.proc_info array) : Finding.t list =
                 net.Elab.attrs
             in
             if
-              (not (Dataflow.Ids.mem id complete)) && not annotated_state
+              (not (Avp_fsm.Latch.Ids.mem id complete)) && not annotated_state
             then begin
               let why =
                 match Dataflow.missing_path body id with

@@ -195,6 +195,7 @@ let vectors ?top ?limit ~out:dir file =
   let tr = Front.translation ?top file in
   let _, t = Front.tours ?instr_limit:limit tr.Translate.model in
   let vecs = Replay.vectors tr t in
+  Report.mkdir_p dir;
   Array.iteri
     (fun i v ->
       write_file

@@ -36,6 +36,8 @@ val tour :
 val vectors :
   ?top:string -> ?limit:int -> out:string -> string ->
   Avp_vectors.Vector.t array t
+(** Writes [out/traceNNNN.vec], creating [out] as {!Avp_obs.Report.write}
+    creates its directory. *)
 
 val replay :
   ?top:string -> ?limit:int -> ?trace:string -> ?metrics:string ->

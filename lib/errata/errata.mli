@@ -22,7 +22,6 @@ type entry = {
   description : string;
 }
 
-val class_name : bug_class -> string
 val all : entry list
 val count : bug_class -> int
 val total : unit -> int

@@ -43,8 +43,6 @@ let rec must_assign_set (s : Elab.estmt) : Ids.t =
   | Elab.Case (_, _, None) -> Ids.empty
   | Elab.Nop -> Ids.empty
 
-let must_assign s = Ids.elements (must_assign_set s)
-
 let analyze (d : Elab.t) : latch list =
   let out = ref [] in
   Array.iteri

@@ -25,5 +25,9 @@ val analyze : Avp_hdl.Elab.t -> latch list
 (** All inferred latches in combinational processes, ordered by
     process. *)
 
-val must_assign : Avp_hdl.Elab.estmt -> Avp_hdl.Elab.uid list
-(** Nets assigned (in full) on every path through the statement. *)
+module Ids : Set.S with type elt = int
+
+val must_assign_set : Avp_hdl.Elab.estmt -> Ids.t
+(** Nets assigned in full on every path through the statement.
+    Partial writes (bit/range selects) conservatively do not count:
+    they still latch the remaining bits. *)

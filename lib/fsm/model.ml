@@ -8,6 +8,7 @@ let var name values =
 let bool_var name = var name [| "0"; "1" |]
 let card v = Array.length v.values
 
+(* Bits needed to encode a domain of the given cardinality. *)
 let bits_for n =
   if n <= 1 then 1
   else

@@ -21,9 +21,6 @@ val bool_var : string -> var
 
 val card : var -> int
 
-val bits_for : int -> int
-(** Bits needed to encode a domain of the given cardinality. *)
-
 type t = {
   model_name : string;
   state_vars : var array;

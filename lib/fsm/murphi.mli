@@ -11,5 +11,3 @@
 
 val emit : Translate.result -> string
 
-val pp_expr : Avp_hdl.Elab.t -> Format.formatter -> Avp_hdl.Elab.eexpr -> unit
-val pp_stmt : Avp_hdl.Elab.t -> Format.formatter -> Avp_hdl.Elab.estmt -> unit

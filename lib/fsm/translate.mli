@@ -73,4 +73,3 @@ val value_of_bv : Avp_logic.Bv.t -> int
 (** Encode a defined vector as a domain value.
     @raise Unsupported on undefined bits. *)
 
-val bv_of_value : width:int -> int -> Avp_logic.Bv.t

@@ -47,6 +47,9 @@ let pool_lines = 16
 let line_words = Rtl.default_config.Rtl.line_words
 let mem_init () = List.init (pool_lines * line_words) (fun a -> (a, 0x100 + a))
 
+(* Appends [Halt], builds the cyclic ready schedule from the masks,
+   and provisions the Inbox and memory pool exactly as the random
+   baseline does. *)
 let stimulus_of_entry (e : entry) : Drive.stimulus =
   let program = Array.append e.program [| Isa.Halt |] in
   let im = max 2 e.inbox_mask and om = max 2 e.outbox_mask in

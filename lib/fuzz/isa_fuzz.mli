@@ -49,11 +49,6 @@ type result = {
   instructions : int;  (** total instructions across executed candidates *)
 }
 
-val stimulus_of_entry : entry -> Avp_harness.Drive.stimulus
-(** Appends [Halt], builds the cyclic ready schedule from the masks,
-    and provisions the Inbox and memory pool exactly as the random
-    baseline does. *)
-
 val run :
   ?rtl_config:Avp_pp.Rtl.config ->
   ?progress:Avp_obs.Progress.t ->

@@ -93,8 +93,6 @@ let window sp rng e =
   done;
   e
 
-let num_ops = 6
-
 (* Extension dominates: a kept entry's walk ends at a frontier state
    that fresh random walks (always restarting from reset) rarely
    reach, so appending a random suffix is the op that discovers new

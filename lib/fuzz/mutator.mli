@@ -19,4 +19,3 @@ val mutate :
 (** One mutation of [e], drawing the operator and its parameters from
     the PRNG; [corpus] supplies splice partners. *)
 
-val num_ops : int

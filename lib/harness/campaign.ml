@@ -20,6 +20,8 @@ let run_stimulus ?config ?(max_cycles = 20_000) (stim : Drive.stimulus) =
     ~mem_init:stim.Drive.mem_init ~program:stim.Drive.program
     ~inbox:stim.Drive.inbox ()
 
+(* Run stimuli in list order until one exposes a mismatch; [progress]
+   ticks once per stimulus run. *)
 let detect_with ?max_cycles ?progress config stimuli =
   let rec scan runs instructions = function
     | [] -> { detected = false; runs; instructions }

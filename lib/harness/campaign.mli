@@ -28,15 +28,6 @@ val run_stimulus :
   Compare.verdict
 (** One stimulus through RTL-vs-spec comparison. *)
 
-val detect_with :
-  ?max_cycles:int ->
-  ?progress:Avp_obs.Progress.t ->
-  Avp_pp.Rtl.config ->
-  Drive.stimulus list ->
-  method_result
-(** Run stimuli in list order until one exposes a mismatch.
-    [progress] ticks once per stimulus run. *)
-
 val table_2_1 :
   ?seed:int ->
   ?max_cycles:int ->

@@ -62,6 +62,8 @@ let run ?config ?(max_cycles = 20_000) acc (stim : Drive.stimulus) =
   in
   loop ()
 
+(* O(1) snapshot of the running counters: one taken before and one
+   after a run give that run's coverage delta. *)
 let counts acc = Avp_obs.Coverage.counts acc.counter
 
 let run_delta ?config ?max_cycles acc stim =

@@ -43,10 +43,6 @@ val run :
 (** Accumulates coverage from one stimulus run (coverage composes
     across runs, like the union of tour traces). *)
 
-val counts : accumulator -> Avp_obs.Coverage.counts
-(** O(1) snapshot of the running counters — take one before and one
-    after a run to get an incremental coverage delta. *)
-
 val run_delta :
   ?config:Avp_pp.Rtl.config ->
   ?max_cycles:int ->

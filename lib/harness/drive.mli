@@ -25,13 +25,6 @@ type stimulus = {
   source_edges : int;  (** trace length the stimulus came from *)
 }
 
-val of_trace :
-  ?seed:int ->
-  Avp_pp.Control_model.cfg ->
-  Avp_enum.State_graph.t ->
-  Avp_tour.Tour_gen.trace ->
-  stimulus
-
 val of_traces :
   ?seed:int ->
   ?seeds_per_trace:int ->

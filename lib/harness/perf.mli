@@ -16,11 +16,6 @@ type report = {
   elapsed_s : float;  (** wall-clock time of the run, {!Avp_obs.Obs.Timer} *)
 }
 
-val measure :
-  ?config:Avp_pp.Rtl.config -> ?max_cycles:int -> Drive.stimulus -> report
-(** Runs under an {!Avp_obs.Obs.Timer} (the telemetry clock) and, when
-    a tracer is installed, emits a [perf.measure] span. *)
-
 type verdict = {
   reference : report;
   dut : report;

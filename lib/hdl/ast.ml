@@ -232,52 +232,11 @@ let dedup names =
       end)
     names
 
-let rec expr_idents_acc acc = function
-  | Literal _ -> acc
-  | Ident s -> s :: acc
-  | Index (s, e) -> expr_idents_acc (s :: acc) e
-  | Range (s, _, _) -> s :: acc
-  | Unop (_, e) -> expr_idents_acc acc e
-  | Binop (_, a, b) -> expr_idents_acc (expr_idents_acc acc a) b
-  | Ternary (c, a, b) ->
-    expr_idents_acc (expr_idents_acc (expr_idents_acc acc c) a) b
-  | Concat es -> List.fold_left expr_idents_acc acc es
-  | Repeat (_, e) -> expr_idents_acc acc e
-
-let expr_idents e = dedup (List.rev (expr_idents_acc [] e))
-
 let rec lvalue_targets = function
   | Lident s -> [ s ]
   | Lindex (s, _) -> [ s ]
   | Lrange (s, _, _) -> [ s ]
   | Lconcat ls -> dedup (List.concat_map lvalue_targets ls)
-
-let rec lvalue_reads_acc acc = function
-  | Lident _ -> acc
-  | Lindex (_, e) -> expr_idents_acc acc e
-  | Lrange (_, _, _) -> acc
-  | Lconcat ls -> List.fold_left lvalue_reads_acc acc ls
-
-let rec stmt_reads_acc acc = function
-  | Block stmts -> List.fold_left stmt_reads_acc acc stmts
-  | Blocking (l, e, _) | Nonblocking (l, e, _) ->
-    expr_idents_acc (lvalue_reads_acc acc l) e
-  | If (c, t, e) ->
-    let acc = expr_idents_acc acc c in
-    let acc = stmt_reads_acc acc t in
-    (match e with None -> acc | Some s -> stmt_reads_acc acc s)
-  | Case (sel, items, dflt) ->
-    let acc = expr_idents_acc acc sel in
-    let acc =
-      List.fold_left
-        (fun acc (labels, body) ->
-          stmt_reads_acc (List.fold_left expr_idents_acc acc labels) body)
-        acc items
-    in
-    (match dflt with None -> acc | Some s -> stmt_reads_acc acc s)
-  | Nop -> acc
-
-let stmt_reads s = dedup (List.rev (stmt_reads_acc [] s))
 
 let rec stmt_writes_acc acc = function
   | Block stmts -> List.fold_left stmt_writes_acc acc stmts

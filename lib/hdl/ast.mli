@@ -110,8 +110,6 @@ val binop_str : binop -> string
 val pp_expr : Format.formatter -> expr -> unit
 val pp_lvalue : Format.formatter -> lvalue -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
-val pp_item : Format.formatter -> item -> unit
-val pp_module : Format.formatter -> module_decl -> unit
 val pp_design : Format.formatter -> design -> unit
 
 val find_module : design -> string -> module_decl option
@@ -120,16 +118,6 @@ val equal_design : design -> design -> bool
 (** Structural equality, including source positions.  [Bv.t] values
     are in canonical form, so per-bit (case) equality coincides with
     the structural one. *)
-
-val expr_idents : expr -> string list
-(** All identifiers read by an expression, without duplicates. *)
-
-val lvalue_targets : lvalue -> string list
-(** Base names written by an lvalue. *)
-
-val stmt_reads : stmt -> string list
-(** Identifiers a statement may read (including index expressions and
-    condition selectors), without duplicates. *)
 
 val stmt_writes : stmt -> string list
 (** Base names a statement may write, without duplicates. *)

@@ -466,20 +466,6 @@ let net_id t name = (net t name).id
 (* Analysis helpers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec expr_width t = function
-  | Const v -> Avp_logic.Bv.width v
-  | Net id -> t.nets.(id).width
-  | Index _ -> 1
-  | Range (_, hi, lo) -> hi - lo + 1
-  | Unop ((Ast.Not | Ast.Uand | Ast.Uor | Ast.Uxor), _) -> 1
-  | Unop ((Ast.Bnot | Ast.Neg), e) -> expr_width t e
-  | Binop ((Ast.Eq | Ast.Neq | Ast.Ceq | Ast.Cneq | Ast.Lt | Ast.Le
-           | Ast.Gt | Ast.Ge | Ast.Land | Ast.Lor), _, _) -> 1
-  | Binop (_, a, b) -> max (expr_width t a) (expr_width t b)
-  | Ternary (_, a, b) -> max (expr_width t a) (expr_width t b)
-  | Concat es -> List.fold_left (fun acc e -> acc + expr_width t e) 0 es
-  | Repeat (n, e) -> n * expr_width t e
-
 let dedup_ids ids =
   let seen = Hashtbl.create 16 in
   List.filter

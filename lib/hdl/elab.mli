@@ -80,7 +80,6 @@ val net : t -> string -> enet
 (** Look up a net by full hierarchical name.  @raise Not_found. *)
 
 val net_id : t -> string -> uid
-val expr_width : t -> eexpr -> int
 val expr_nets : eexpr -> uid list
 val lv_nets : elv -> uid list
 val stmt_reads : estmt -> uid list

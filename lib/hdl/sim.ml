@@ -327,9 +327,7 @@ let edge_step ~edge t clock_id =
 (* ------------------------------------------------------------------ *)
 
 let design t = t.d
-let time t = t.time
 let set_observer t obs = t.obs <- obs
-let observer t = t.obs
 
 let lookup_id t name =
   match Hashtbl.find_opt t.d.Elab.by_name name with
@@ -338,7 +336,6 @@ let lookup_id t name =
 
 let get_id t id = t.values.(id)
 let get t name = get_id t (lookup_id t name)
-let eval t e = eval_with (get_id t) t.d e
 
 let poke_id t id v =
   match t.forces.(id) with
@@ -373,8 +370,6 @@ let release t name =
   mark_net_changed t id;
   settle t;
   match t.obs with Some o -> o.on_release name | None -> ()
-
-let forced t name = t.forces.(lookup_id t name) <> None
 
 let step ?(edge = Ast.Posedge) t clock =
   edge_step ~edge t (lookup_id t clock);

@@ -26,9 +26,6 @@ val create : Elab.t -> t
 
 val design : t -> Elab.t
 
-val time : t -> int
-(** Number of clock edges stepped so far. *)
-
 val get : t -> string -> Avp_logic.Bv.t
 (** Current value of a net by hierarchical name.  @raise Not_found. *)
 
@@ -43,7 +40,6 @@ val force : t -> string -> Avp_logic.Bv.t -> unit
 (** Pin a net, overriding any driver, until {!release}. *)
 
 val release : t -> string -> unit
-val forced : t -> string -> bool
 
 val settle : t -> unit
 (** Settle combinational logic without a clock edge.
@@ -52,10 +48,7 @@ val settle : t -> unit
 val step : ?edge:Ast.edge -> t -> string -> unit
 (** [step t clk] settles, fires every sequential block sensitive to
     the given edge (default [Posedge]) of [clk], commits nonblocking
-    updates, advances {!time} and settles again. *)
-
-val eval : t -> Elab.eexpr -> Avp_logic.Bv.t
-(** Evaluate an expression against current values. *)
+    updates, counts the edge and settles again. *)
 
 val poke_id : t -> Elab.uid -> Avp_logic.Bv.t -> unit
 (** Write a net's value {e without} settling.  Used by batch drivers
@@ -74,8 +67,8 @@ val rerun_unit : t -> int -> unit
 
     A single observer, so waveform dumpers and telemetry see every
     step, force and release.  [on_step] fires after each completed
-    clock edge (with the post-edge {!time}); [on_force]/[on_release]
-    fire after the pin/unpin takes effect. *)
+    clock edge (with the number of edges stepped so far);
+    [on_force]/[on_release] fire after the pin/unpin takes effect. *)
 
 type observer = {
   on_step : time:int -> unit;
@@ -84,4 +77,3 @@ type observer = {
 }
 
 val set_observer : t -> observer option -> unit
-val observer : t -> observer option

@@ -416,7 +416,7 @@ let rec cexpr st ~seq (e : xe) : unit -> Sl.t =
       dst
   | XRange (id, hi, lo) ->
     if lo < 0 || hi < lo || hi >= st.widths.(id) then
-      invalid_arg "Bv_sliced.select: bad range";
+      invalid_arg "Sliced.select: bad range";
     let rd = read_net st ~seq id in
     let dst = Sl.create (hi - lo + 1) in
     fun () ->
@@ -497,7 +497,7 @@ let rec cexpr st ~seq (e : xe) : unit -> Sl.t =
           parts;
         dst)
   | XRepeat (n, e) ->
-    if n <= 0 then invalid_arg "Bv_sliced.repeat: count must be positive";
+    if n <= 0 then invalid_arg "Sliced.repeat: count must be positive";
     let g = cexpr st ~seq e in
     let w = xe_width st.d e in
     let dst = Sl.create (n * w) in

@@ -129,7 +129,3 @@ let serialize ?(timescale = "1 ns") ?(top = "top") t =
   Buffer.add_buffer header t.buf;
   Buffer.contents header
 
-let write ?timescale ?top t path =
-  let oc = open_out path in
-  output_string oc (serialize ?timescale ?top t);
-  close_out oc

@@ -27,5 +27,3 @@ val detach : t -> unit
 (** Remove the observer installed by {!attach}; the accumulated dump
     remains serializable. *)
 
-val write : ?timescale:string -> ?top:string -> t -> string -> unit
-(** [write t path] serializes to a file. *)

@@ -5,8 +5,6 @@ let equal a b =
   | L0, L0 | L1, L1 | X, X | Z, Z -> true
   | (L0 | L1 | X | Z), _ -> false
 
-let rank = function L0 -> 0 | L1 -> 1 | X -> 2 | Z -> 3
-let compare a b = Int.compare (rank a) (rank b)
 let to_char = function L0 -> '0' | L1 -> '1' | X -> 'x' | Z -> 'z'
 let pp ppf b = Format.pp_print_char ppf (to_char b)
 

@@ -8,7 +8,6 @@
 type t = L0 | L1 | X | Z
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_char : t -> char
 

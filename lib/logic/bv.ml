@@ -10,7 +10,7 @@
    Wider vectors fall back to the original representation, an array of
    [Bit.t] with index 0 the least significant bit.  The packed form is
    canonical: any vector of width <= [packed_width_limit] is [P],
-   anything wider is [W], so [equal]/[compare] never mix forms at the
+   anything wider is [W], so [equal] never mixes forms at the
    same width. *)
 
 type t =
@@ -211,23 +211,6 @@ let get t i =
   | P { v; u; _ } -> planes_bit ((v lsr i) land 1) ((u lsr i) land 1)
   | W a -> a.(i)
 
-let set t i b =
-  if i < 0 || i >= width t then invalid_arg "Bv.set: index out of range";
-  match t with
-  | P { w; v; u } ->
-    let bv, bu = bit_planes b in
-    let clear = lnot (1 lsl i) in
-    P
-      {
-        w;
-        v = (v land clear) lor (bv lsl i);
-        u = (u land clear) lor (bu lsl i);
-      }
-  | W a ->
-    let a' = Array.copy a in
-    a'.(i) <- b;
-    W a'
-
 let to_string t =
   let w = width t in
   String.init w (fun i -> Bit.to_char (get t (w - 1 - i)))
@@ -239,37 +222,6 @@ let equal a b =
   | P a, P b -> a.w = b.w && a.v = b.v && a.u = b.u
   | W a, W b -> A.equal_arr a b
   | P _, W _ | W _, P _ -> false (* canonical: widths necessarily differ *)
-
-let bit_rank v u = if u = 0 then v else if v = 1 then 2 else 3
-
-let compare a b =
-  let c = Int.compare (width a) (width b) in
-  if c <> 0 then c
-  else
-    match a, b with
-    | P a, P b ->
-      let diff = a.v lxor b.v lor (a.u lxor b.u) in
-      if diff = 0 then 0
-      else begin
-        (* Highest differing bit decides, as in the array path. *)
-        let i = ref (a.w - 1) in
-        while (diff lsr !i) land 1 = 0 do
-          decr i
-        done;
-        let i = !i in
-        Int.compare
-          (bit_rank ((a.v lsr i) land 1) ((a.u lsr i) land 1))
-          (bit_rank ((b.v lsr i) land 1) ((b.u lsr i) land 1))
-      end
-    | _ ->
-      let a = to_arr a and b = to_arr b in
-      let rec loop i =
-        if i < 0 then 0
-        else
-          let c = Bit.compare a.(i) b.(i) in
-          if c <> 0 then c else loop (i - 1)
-      in
-      loop (Array.length a - 1)
 
 let is_defined = function P { u; _ } -> u = 0 | W a -> A.is_defined a
 

@@ -39,13 +39,9 @@ val to_string : t -> string
 val get : t -> int -> Bit.t
 (** @raise Invalid_argument when out of range. *)
 
-val set : t -> int -> Bit.t -> t
-(** Functional update. *)
-
 val equal : t -> t -> bool
 (** Case equality ([===]): exact per-bit match including X and Z. *)
 
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val is_defined : t -> bool
 

@@ -31,8 +31,6 @@ let lmask = (1 lsl lanes_limit) - 1
 
 type t = { w : int; v : int array; u : int array }
 
-let width t = t.w
-
 (* ------------------------------------------------------------------ *)
 (* Construction and lane access                                       *)
 (* ------------------------------------------------------------------ *)
@@ -92,14 +90,6 @@ let lane t l =
          else if v = 0 then Bit.Z
          else Bit.X))
 
-let equal a b =
-  a.w = b.w
-  && (let ok = ref true in
-      for j = 0 to a.w - 1 do
-        if a.v.(j) <> b.v.(j) || a.u.(j) <> b.u.(j) then ok := false
-      done;
-      !ok)
-
 (* ------------------------------------------------------------------ *)
 (* Word access helpers                                                *)
 (* ------------------------------------------------------------------ *)
@@ -120,12 +110,11 @@ let unknown_lanes t =
 (* Structural ops                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The ops below come in two forms: an [*_into dst] primitive that
-   fills a caller-owned destination, and an allocating wrapper.  The
-   batched engine compiles one destination buffer per expression node
-   (widths are static), so a settle pass allocates nothing in its
-   inner loop — the per-op [make]/[map2] closures this replaces were
-   the dominant cost of a fully-live word pass. *)
+(* The ops below (all but [resize] and [resolve]) fill a caller-owned
+   destination.  The batched engine compiles one destination buffer
+   per expression node (widths are static), so a settle pass allocates
+   nothing in its inner loop — the per-op [make]/[map2] closures this
+   replaces were the dominant cost of a fully-live word pass. *)
 
 let create w =
   if w <= 0 then invalid_arg "Bv_sliced.create: width must be positive";
@@ -150,39 +139,6 @@ let select_into dst t ~lo =
   Array.blit t.v lo dst.v 0 dst.w;
   Array.blit t.u lo dst.u 0 dst.w
 
-let select t ~hi ~lo =
-  if lo < 0 || hi < lo || hi >= t.w then
-    invalid_arg "Bv_sliced.select: bad range";
-  let dst = create (hi - lo + 1) in
-  select_into dst t ~lo;
-  dst
-
-let concat hi lo =
-  let w = hi.w + lo.w in
-  let v = Array.make w 0 and u = Array.make w 0 in
-  Array.blit lo.v 0 v 0 lo.w;
-  Array.blit lo.u 0 u 0 lo.w;
-  Array.blit hi.v 0 v lo.w hi.w;
-  Array.blit hi.u 0 u lo.w hi.w;
-  { w; v; u }
-
-let insert t ~lo src =
-  if lo < 0 || lo + src.w > t.w then invalid_arg "Bv_sliced.insert: bad range";
-  let v = Array.copy t.v and u = Array.copy t.u in
-  Array.blit src.v 0 v lo src.w;
-  Array.blit src.u 0 u lo src.w;
-  { w = t.w; v; u }
-
-let repeat n t =
-  if n <= 0 then invalid_arg "Bv_sliced.repeat: count must be positive";
-  let w = n * t.w in
-  let v = Array.make w 0 and u = Array.make w 0 in
-  for i = 0 to n - 1 do
-    Array.blit t.v 0 v (i * t.w) t.w;
-    Array.blit t.u 0 u (i * t.w) t.w
-  done;
-  { w; v; u }
-
 (* Lane-masked merge: lanes in [mask] from [a], the rest from [b] —
    the mutant-schemata select. *)
 let merge_into ~mask dst a b =
@@ -192,11 +148,6 @@ let merge_into ~mask dst a b =
     dst.v.(j) <- ((vw a j land mask) lor (vw b j land nm)) land lmask;
     dst.u.(j) <- ((uw a j land mask) lor (uw b j land nm)) land lmask
   done
-
-let merge ~mask a b =
-  let dst = create (max a.w b.w) in
-  merge_into ~mask dst a b;
-  dst
 
 (* ------------------------------------------------------------------ *)
 (* Bitwise logic (Bv's plane formulas, applied per design bit)        *)
@@ -214,11 +165,6 @@ let logand_into dst a b =
     dst.u.(j) <- rx
   done
 
-let logand a b =
-  let dst = create (max a.w b.w) in
-  logand_into dst a b;
-  dst
-
 let logor_into dst a b =
   if dst.w <> max a.w b.w then bad_dst "logor_into";
   for j = 0 to dst.w - 1 do
@@ -231,11 +177,6 @@ let logor_into dst a b =
     dst.u.(j) <- rx
   done
 
-let logor a b =
-  let dst = create (max a.w b.w) in
-  logor_into dst a b;
-  dst
-
 let logxor_into dst a b =
   if dst.w <> max a.w b.w then bad_dst "logxor_into";
   for j = 0 to dst.w - 1 do
@@ -246,11 +187,6 @@ let logxor_into dst a b =
     dst.u.(j) <- rx
   done
 
-let logxor a b =
-  let dst = create (max a.w b.w) in
-  logxor_into dst a b;
-  dst
-
 let lognot_into dst t =
   if dst.w <> t.w then bad_dst "lognot_into";
   for j = 0 to dst.w - 1 do
@@ -258,11 +194,6 @@ let lognot_into dst t =
     dst.v.(j) <- (lnot tv land lnot tu land lmask) lor tu;
     dst.u.(j) <- tu
   done
-
-let lognot t =
-  let dst = create t.w in
-  lognot_into dst t;
-  dst
 
 let resolve a b =
   let w = max a.w b.w in
@@ -303,11 +234,6 @@ let reduce_and_into dst t =
   let r0 = !r0 in
   scalar_into dst (lmask land lnot r0) (!xl land lnot r0)
 
-let reduce_and t =
-  let dst = create 1 in
-  reduce_and_into dst t;
-  dst
-
 let reduce_or_into dst t =
   let r1 = ref 0 and xl = ref 0 in
   for j = 0 to t.w - 1 do
@@ -317,11 +243,6 @@ let reduce_or_into dst t =
   let rx = !xl land lnot !r1 in
   scalar_into dst (!r1 lor rx) rx
 
-let reduce_or t =
-  let dst = create 1 in
-  reduce_or_into dst t;
-  dst
-
 let reduce_xor_into dst t =
   let par = ref 0 and xl = ref 0 in
   for j = 0 to t.w - 1 do
@@ -329,11 +250,6 @@ let reduce_xor_into dst t =
     xl := !xl lor t.u.(j)
   done;
   scalar_into dst ((!par land lnot !xl) lor !xl) !xl
-
-let reduce_xor t =
-  let dst = create 1 in
-  reduce_xor_into dst t;
-  dst
 
 (* Truth value of a vector as a condition, per lane:
    [t1] = lanes where some bit is 1, [t0] = lanes where all bits are
@@ -365,11 +281,6 @@ let add_into dst a b =
     carry := (va land vb) lor (!carry land axb)
   done
 
-let add a b =
-  let dst = create (max a.w b.w) in
-  add_into dst a b;
-  dst
-
 let sub_into dst a b =
   if dst.w <> max a.w b.w then bad_dst "sub_into";
   let xl = unknown_lanes a lor unknown_lanes b in
@@ -383,11 +294,6 @@ let sub_into dst a b =
     carry := (va land nb) lor (!carry land axb)
   done
 
-let sub a b =
-  let dst = create (max a.w b.w) in
-  sub_into dst a b;
-  dst
-
 (* 0 - t, with the zero operand folded away. *)
 let neg_into dst t =
   if dst.w <> t.w then bad_dst "neg_into";
@@ -399,11 +305,6 @@ let neg_into dst t =
     dst.u.(j) <- xl;
     carry := !carry land nb
   done
-
-let neg t =
-  let dst = create t.w in
-  neg_into dst t;
-  dst
 
 let mul_into dst a b =
   if dst.w <> max a.w b.w then bad_dst "mul_into";
@@ -431,11 +332,6 @@ let mul_into dst a b =
     dst.u.(j) <- xl
   done
 
-let mul a b =
-  let dst = create (max a.w b.w) in
-  mul_into dst a b;
-  dst
-
 (* ------------------------------------------------------------------ *)
 (* Relational (scalar result per lane; X on any undefined input bit)  *)
 (* ------------------------------------------------------------------ *)
@@ -455,19 +351,9 @@ let eq_into dst a b =
   let xl = unknown_lanes a lor unknown_lanes b in
   rel_scalar_into dst xl (lmask land lnot (diff_lanes a b))
 
-let eq a b =
-  let dst = create 1 in
-  eq_into dst a b;
-  dst
-
 let neq_into dst a b =
   let xl = unknown_lanes a lor unknown_lanes b in
   rel_scalar_into dst xl (diff_lanes a b)
-
-let neq a b =
-  let dst = create 1 in
-  neq_into dst a b;
-  dst
 
 (* Lanes where a < b unsigned, by ripple from the LSB: at each bit,
    strictly-less is "this bit says less" or "equal here and less
@@ -485,24 +371,12 @@ let lt_into dst a b =
   let xl = unknown_lanes a lor unknown_lanes b in
   rel_scalar_into dst xl (lt_lanes a b)
 
-let lt a b =
-  let dst = create 1 in
-  lt_into dst a b;
-  dst
-
 let ge_into dst a b =
   let xl = unknown_lanes a lor unknown_lanes b in
   rel_scalar_into dst xl (lmask land lnot (lt_lanes a b))
 
-let ge a b =
-  let dst = create 1 in
-  ge_into dst a b;
-  dst
-
 let gt_into dst a b = lt_into dst b a
 let le_into dst a b = ge_into dst b a
-let gt a b = lt b a
-let le a b = ge b a
 
 (* Verilog ===: exact per-bit match including X and Z; always
    defined. *)
@@ -517,17 +391,7 @@ let case_diff_lanes a b =
 let case_eq_into dst a b =
   scalar_into dst (lmask land lnot (case_diff_lanes a b)) 0
 
-let case_eq a b =
-  let dst = create 1 in
-  case_eq_into dst a b;
-  dst
-
 let case_neq_into dst a b = scalar_into dst (case_diff_lanes a b) 0
-
-let case_neq a b =
-  let dst = create 1 in
-  case_neq_into dst a b;
-  dst
 
 (* ------------------------------------------------------------------ *)
 (* Logical && / || (full truth evaluation of both sides, as the       *)
@@ -541,11 +405,6 @@ let logical_and_into dst a b =
   let und = lmask land lnot decided in
   scalar_into dst ((r1 land decided) lor und) und
 
-let logical_and a b =
-  let dst = create 1 in
-  logical_and_into dst a b;
-  dst
-
 let logical_or_into dst a b =
   let t1a, t0a, _ = truth a and t1b, t0b, _ = truth b in
   let decided = (t1a lor t0a) land (t1b lor t0b) in
@@ -553,19 +412,9 @@ let logical_or_into dst a b =
   let und = lmask land lnot decided in
   scalar_into dst ((r1 land decided) lor und) und
 
-let logical_or a b =
-  let dst = create 1 in
-  logical_or_into dst a b;
-  dst
-
 let logical_not_into dst a =
   let _, t0, tx = truth a in
   scalar_into dst (t0 lor tx) tx
-
-let logical_not a =
-  let dst = create 1 in
-  logical_not_into dst a;
-  dst
 
 (* ------------------------------------------------------------------ *)
 (* Ternary / mux with a per-lane select                               *)
@@ -586,11 +435,6 @@ let mux_into ~sel dst a b =
       land lmask;
     dst.u.(j) <- ((ua land s1) lor (ub land s0) lor rx) land lmask
   done
-
-let mux ~sel a b =
-  let dst = create (max a.w b.w) in
-  mux_into ~sel dst a b;
-  dst
 
 (* ------------------------------------------------------------------ *)
 (* Per-lane decoded index helpers                                     *)
@@ -643,11 +487,6 @@ let shift_left_into dst t amt =
       u.(j) <- u.(j) lor xl
     done
 
-let shift_left t amt =
-  let dst = create t.w in
-  shift_left_into dst t amt;
-  dst
-
 let shift_right_into dst t amt =
   if dst.w <> t.w then bad_dst "shift_right_into";
   let w = dst.w in
@@ -669,11 +508,6 @@ let shift_right_into dst t amt =
       u.(j) <- u.(j) lor xl
     done
 
-let shift_right t amt =
-  let dst = create t.w in
-  shift_right_into dst t amt;
-  dst
-
 (* Dynamic bit select [t[idx]]: out-of-range or undefined indices read
    X, per the interpreter. *)
 let index_into dst t idx =
@@ -688,8 +522,3 @@ let index_into dst t idx =
   done;
   let bad = lmask land lnot !covered in
   scalar_into dst (!rv lor bad) (!ru lor bad)
-
-let index t idx =
-  let dst = create 1 in
-  index_into dst t idx;
-  dst

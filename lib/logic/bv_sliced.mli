@@ -31,8 +31,6 @@ val lanes_limit : int
 val lmask : int
 (** All-lanes mask, [(1 lsl lanes_limit) - 1]. *)
 
-val width : t -> int
-
 (** {1 Construction and lane access} *)
 
 val make : int -> (int -> int * int) -> t
@@ -49,59 +47,40 @@ val of_lanes : Bv.t array -> t
 val lane : t -> int -> Bv.t
 (** Extract one lane as a scalar vector. *)
 
-val equal : t -> t -> bool
-
 val create : int -> t
 (** An all-zero (every lane defined 0) value of the given width — the
     destination-buffer constructor for the [*_into] ops. *)
 
 (** {1 Structural}
 
-    Ops with an [*_into dst] form fill a caller-owned destination
-    whose width must equal the natural result width (the allocating
-    form's), and [dst] must not alias an operand.  The batched engine
-    preallocates one destination per compiled expression node, so its
-    settle loop allocates nothing. *)
+    Every op but {!resize} and {!resolve} fills a caller-owned
+    destination [dst], its first argument, whose width must equal the
+    natural result width, and [dst] must not alias an operand.  The
+    batched engine preallocates one destination per compiled expression
+    node, so its settle loop allocates nothing. *)
 
 val resize : t -> int -> t
 (** Zero-extends or truncates, as {!Bv.resize}. *)
 
-val select : t -> hi:int -> lo:int -> t
-
 val select_into : t -> t -> lo:int -> unit
 (** [select_into dst t ~lo] extracts [dst.w] bits from [lo] up. *)
 
-val concat : t -> t -> t
-(** [concat hi lo]. *)
-
-val insert : t -> lo:int -> t -> t
-val repeat : int -> t -> t
-
-val merge : mask:int -> t -> t -> t
-(** [merge ~mask a b]: lanes in [mask] from [a], the rest from [b] —
-    the mutant-schemata select.  Operands are zero-extended to the
-    wider width. *)
-
 val merge_into : mask:int -> t -> t -> t -> unit
+(** [merge_into ~mask dst a b]: lanes in [mask] from [a], the rest from
+    [b] — the mutant-schemata select.  Operands are zero-extended to
+    the wider width. *)
 
 (** {1 Bitwise logic} (per-lane identical to the {!Bv} ops) *)
-
-val logand : t -> t -> t
-val logor : t -> t -> t
-val logxor : t -> t -> t
-val lognot : t -> t
-val resolve : t -> t -> t
 
 val logand_into : t -> t -> t -> unit
 val logor_into : t -> t -> t -> unit
 val logxor_into : t -> t -> t -> unit
 val lognot_into : t -> t -> unit
 
-(** {1 Reductions, truth and logical connectives} — 1-bit results *)
+val resolve : t -> t -> t
+(** Wire resolution of two drivers, as {!Bv.resolve}. *)
 
-val reduce_and : t -> t
-val reduce_or : t -> t
-val reduce_xor : t -> t
+(** {1 Reductions, truth and logical connectives} — 1-bit results *)
 
 val reduce_and_into : t -> t -> unit
 val reduce_or_into : t -> t -> unit
@@ -112,23 +91,14 @@ val truth : t -> int * int * int
     condition: some bit 1 / all bits 0 / undecidable.  The three masks
     partition {!lmask}. *)
 
-val logical_and : t -> t -> t
+val logical_and_into : t -> t -> t -> unit
 (** [&&] with both sides fully evaluated (no short circuit), X when
     either side is undecided — the interpreter's semantics. *)
 
-val logical_or : t -> t -> t
-val logical_not : t -> t
-
-val logical_and_into : t -> t -> t -> unit
 val logical_or_into : t -> t -> t -> unit
 val logical_not_into : t -> t -> unit
 
 (** {1 Arithmetic} — any undefined bit makes that lane all-X *)
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val mul : t -> t -> t
-val neg : t -> t
 
 val add_into : t -> t -> t -> unit
 val sub_into : t -> t -> t -> unit
@@ -137,13 +107,6 @@ val neg_into : t -> t -> unit
 
 (** {1 Relational} — 1-bit results, X on any undefined input bit *)
 
-val eq : t -> t -> t
-val neq : t -> t -> t
-val lt : t -> t -> t
-val le : t -> t -> t
-val gt : t -> t -> t
-val ge : t -> t -> t
-
 val eq_into : t -> t -> t -> unit
 val neq_into : t -> t -> t -> unit
 val lt_into : t -> t -> t -> unit
@@ -151,47 +114,34 @@ val le_into : t -> t -> t -> unit
 val gt_into : t -> t -> t -> unit
 val ge_into : t -> t -> t -> unit
 
-val case_eq : t -> t -> t
+val case_eq_into : t -> t -> t -> unit
 (** Verilog [===]: always defined. *)
 
-val case_neq : t -> t -> t
-val case_eq_into : t -> t -> t -> unit
 val case_neq_into : t -> t -> t -> unit
 
 (** {1 Mux} *)
 
-val mux : sel:t -> t -> t -> t
-(** Per-lane ternary on [sel]'s truth value: true lanes take the
-    first operand, false lanes the second, undecided lanes the
-    X-select mux (bits where both operands agree defined survive). *)
-
 val mux_into : sel:t -> t -> t -> t -> unit
+(** [mux_into ~sel dst a b]: per-lane ternary on [sel]'s truth value:
+    true lanes take [a], false lanes [b], undecided lanes the X-select
+    mux (bits where both operands agree defined survive). *)
 
 (** {1 Per-lane shifts and dynamic index} *)
 
-val shift_left : t -> t -> t
-(** Result width is the first operand's; lanes with an undefined
-    amount are all-X, amounts >= width shift to zero.  An amount wider
-    than {!Bv.packed_width_limit} counts as undefined, matching
-    [Bv.to_int] on the wide representation (the scalar engines'
-    behaviour). *)
-
-val shift_right : t -> t -> t
-
 val shift_left_into : t -> t -> t -> unit
+(** [shift_left_into dst t amt]: [dst] is [t]'s width; lanes with an
+    undefined amount are all-X, amounts >= width shift to zero.  An
+    amount wider than {!Bv.packed_width_limit} counts as undefined,
+    matching [Bv.to_int] on the wide representation (the scalar
+    engines' behaviour). *)
+
 val shift_right_into : t -> t -> t -> unit
 
-val index : t -> t -> t
-(** [index t i]: 1-bit dynamic bit-select [t[i]]; undefined or
-    out-of-range lanes read X. *)
-
 val index_into : t -> t -> t -> unit
+(** [index_into dst t i]: 1-bit dynamic bit-select [t[i]]; undefined
+    or out-of-range lanes read X. *)
 
 val eq_const_lanes : t -> int -> int
 (** Lanes where the value equals the constant with every bit defined
     (an index/amount wider than {!Bv.packed_width_limit} never
     matches).  The building block for decoded per-lane writes. *)
-
-val defined_lanes : t -> int
-(** Lanes with every bit defined (0 for over-wide indices, as
-    {!eq_const_lanes}). *)

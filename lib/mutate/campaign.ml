@@ -310,10 +310,7 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
       | States tours ->
         let predict ti cycle vi =
           let trace = tours.Avp_tour.Tour_gen.traces.(ti) in
-          let state =
-            if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
-            else trace.(cycle).Avp_tour.Tour_gen.dst
-          in
+          let state = Avp_vectors.Replay.predicted_state trace cycle in
           graph.State_graph.states.(state).(vi)
         in
         { o_ids = state_ids; o_names = state_names; o_predict = predict }

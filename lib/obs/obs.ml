@@ -382,6 +382,9 @@ let chrome_flow_events (e : event) =
   (match flow_arg "flow_out" e with Some id -> [ mk "s" id ] | None -> [])
   @ match flow_arg "flow_in" e with Some id -> [ mk "f" id ] | None -> []
 
+(* Chrome trace_event JSON, loadable in [chrome://tracing] and
+   Perfetto, with the flow events above after the spans that carry
+   them. *)
 let to_chrome t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";

@@ -108,21 +108,7 @@ val event_of_json : Json.t -> event option
     trace file's [traceEvents] array holds (the profiler reads both
     formats back). *)
 
-val normalize_events : event list -> event list
-(** Drops run-varying fields (timestamps, domain ids, ticks, depth)
-    and sorts by stable identity — after this, runs that did the same
-    work serialize byte-identically. *)
-
 val to_jsonl : ?normalize:bool -> t -> string
-val to_chrome : t -> string
-(** Chrome trace_event JSON ([{"traceEvents": [...]}]), loadable in
-    [chrome://tracing] and Perfetto.  Spans carrying a [flow_out] /
-    [flow_in] integer arg additionally emit [ph:"s"] / [ph:"f"] flow
-    events (matched on category and id), so fan-outs — a replay to
-    its per-trace spans — render as arrows. *)
-
-val metrics_json : t -> string
-(** The counters as deterministic pretty JSON. *)
 
 val write_trace : t -> string -> unit
 (** JSONL when the path ends in [.jsonl], Chrome trace JSON otherwise. *)

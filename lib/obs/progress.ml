@@ -67,8 +67,6 @@ let tick ?(n = 1) t =
     end
   end
 
-let count t = t.count
-
 let finish t =
   if t.enabled && t.printed_width > 0 then begin
     (* Clear the line: later ordinary output starts clean. *)

@@ -20,7 +20,6 @@ val create :
   t
 
 val tick : ?n:int -> t -> unit
-val count : t -> int
 
 val finish : t -> unit
 (** Clears the progress line so subsequent output starts clean. *)

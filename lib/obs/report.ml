@@ -294,6 +294,7 @@ let kv_table buf title rows =
   html_table buf
     { table_title = title; header = [ "metric"; "value" ]; rows }
 
+(* A self-contained single-file page: inline CSS, no external assets. *)
 let to_html t =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf

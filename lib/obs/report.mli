@@ -105,9 +105,9 @@ val empty : title:string -> design:string -> t
 val to_json : t -> string
 (** Deterministic pretty-printed JSON. *)
 
-val to_html : t -> string
-(** Self-contained single-file HTML page (inline CSS, no external
-    assets). *)
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents.
+    @raise Sys_error ["DIR: reason"] when one cannot be created. *)
 
 val write : t -> dir:string -> unit
 (** Create [dir] (and parents) and write [report.json] and

@@ -185,5 +185,3 @@ let disassemble program =
     program;
   Buffer.contents buf
 
-let pp_program ppf program =
-  Format.pp_print_string ppf (disassemble program)

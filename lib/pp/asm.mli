@@ -21,4 +21,3 @@ val disassemble : Isa.t array -> string
 (** Round-trips through {!assemble} (labels are synthesized for branch
     targets). *)
 
-val pp_program : Format.formatter -> Isa.t array -> unit

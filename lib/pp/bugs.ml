@@ -52,39 +52,6 @@ let summary = function
     "Cache conflict stall with D-Cache hit and simultaneous I-stall \
      results in stale data being loaded."
 
-let explanation = function
-  | Bug1 ->
-    "Qualification of an interface signal was needed, but the two units \
-     thought that the other would perform it.  The bug manifested itself \
-     as incorrect data being returned to the I-Cache."
-  | Bug2 ->
-    "On a simultaneous I & D Cache miss, the latch holding the data that \
-     was to be returned after the D-Cache refill was not qualified on the \
-     I-Stall and lost its data by the time the I-Cache miss was serviced."
-  | Bug3 ->
-    "The address used in the load of a conflict stall was not held during \
-     the stall.  If the load in the conflict stall was followed by another \
-     load/store instruction, the address of the following load/store was \
-     erroneously used."
-  | Bug4 ->
-    "The I-Cache refill machine takes a cycle to restore the correct \
-     values to the instruction registers after an I-Stall, but it was not \
-     qualified on MemStall, so the fix-up was lost if the I-Stall \
-     condition arose after MemStall was asserted (a switch or send \
-     waiting on the Inbox or Outbox)."
-  | Bug5 ->
-    "With critical-word-first restart the first word returned from memory \
-     is driven onto the Membus.  A following load/store caused a glitch \
-     on the Membus-valid signal after the critical word, overwriting it \
-     with garbage (the bus is at high impedance).  The older restart \
-     policy redrove the data, masking the glitch — unless an external \
-     stall arose in the window between the glitch and the second write."
-  | Bug6 ->
-    "A conflict stall occurs because of the split store operation when a \
-     load follows a store to the same line.  With a simultaneous \
-     externally-caused I-stall, the load received the stale data instead \
-     of the newly written data."
-
 let trigger = function
   | Bug1 -> "I-cache refill and D-cache refill in flight simultaneously"
   | Bug2 -> "D-cache refill completes while an I-stall is pending"

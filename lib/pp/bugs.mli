@@ -23,7 +23,6 @@ val enabled : t -> id -> bool
 val all_ids : id list
 val number : id -> int
 val summary : id -> string
-val explanation : id -> string
 val trigger : id -> string
 (** Informal statement of the event conjunction that fires the bug. *)
 

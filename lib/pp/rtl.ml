@@ -837,14 +837,3 @@ let run ?(max_cycles = 100_000) ?(ready = fun _ -> (true, true)) t =
     end
   in
   loop ()
-
-let mem_word t a =
-  (* Architectural memory view: cache contents override memory, and
-     the spill buffer overrides both. *)
-  let line = line_of t a in
-  if (t.spill <> Sp_empty) && t.spill_line = line then
-    t.spill_data.(offset_of t a)
-  else
-    match dcache_lookup t line with
-    | Some (set, way) -> t.ddata.(set).(way).(offset_of t a)
-    | None -> mem_word t a

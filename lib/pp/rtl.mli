@@ -66,7 +66,6 @@ val run :
 val cycle : t -> int
 val halted : t -> bool
 val reg : t -> Isa.reg -> int
-val mem_word : t -> int -> int
 val effects : t -> Spec.effect_ list
 (** Register writes in program order, interleaved with memory writes
     and sends (each stream individually in program order; split stores

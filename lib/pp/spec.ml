@@ -42,11 +42,9 @@ let create ?(mem_init = []) ~program ~inbox () =
   }
 
 let halted t = t.halted_
-let pc t = t.pc
 let reg t r = t.regs.(r)
 let mem_word t a = Option.value ~default:0 (Hashtbl.find_opt t.mem a)
 let effects t = List.rev t.effects_rev
-let instructions_executed t = t.icount
 let inbox_underflow t = t.underflow
 
 let outbox t =
@@ -73,6 +71,8 @@ let write_reg t r v =
     t.effects_rev <- Reg_write (r, mask32 v) :: t.effects_rev
   end
 
+(* Execute one instruction; false once halted (or the PC runs off the
+   program). *)
 let step t =
   if t.halted_ || t.pc < 0 || t.pc >= Array.length t.program then begin
     t.halted_ <- true;

@@ -22,14 +22,9 @@ val create :
   unit ->
   t
 
-val step : t -> bool
-(** Execute one instruction; false once halted (or the PC runs off the
-    program). *)
-
 val run : ?max_steps:int -> t -> unit
 
 val halted : t -> bool
-val pc : t -> int
 val reg : t -> Isa.reg -> int
 val mem_word : t -> int -> int
 val effects : t -> effect_ list
@@ -37,8 +32,6 @@ val effects : t -> effect_ list
 
 val outbox : t -> int list
 (** Values sent, in order. *)
-
-val instructions_executed : t -> int
 
 val inbox_underflow : t -> bool
 (** A [switch] executed with an empty Inbox (the harness should

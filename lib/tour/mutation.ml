@@ -149,10 +149,3 @@ let score ?(uio_max_len = 8) (m : Mealy.t) =
     { total = 0; equivalent = 0; tour_killed = 0; checking_killed = 0 }
     all
 
-let pp_score ppf s =
-  let detectable = s.total - s.equivalent in
-  Format.fprintf ppf
-    "%d mutants (%d equivalent): tour kills %d/%d, checking experiment \
-     kills %d/%d"
-    s.total s.equivalent s.tour_killed detectable s.checking_killed
-    detectable

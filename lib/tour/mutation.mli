@@ -49,4 +49,3 @@ val score : ?uio_max_len:int -> Uio.Mealy.t -> score
 (** Runs both methods over every mutant.
     @raise Checking.No_uio if the machine lacks UIOs. *)
 
-val pp_score : Format.formatter -> score -> unit

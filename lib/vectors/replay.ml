@@ -111,6 +111,10 @@ let cycles_until (vectors : Vector.t array) (m : mismatch) =
   done;
   !acc + max 0 (m.cycle + 1)
 
+let predicted_state (trace : Avp_tour.Tour_gen.trace) cycle =
+  if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
+  else trace.(cycle).Avp_tour.Tour_gen.dst
+
 let check ?dut ?progress ?vectors:vecs (tr : Translate.result)
     (graph : Avp_enum.State_graph.t) (tours : Avp_tour.Tour_gen.t) =
   let design = Option.value ~default:tr.Translate.elab dut in
@@ -121,11 +125,7 @@ let check ?dut ?progress ?vectors:vecs (tr : Translate.result)
   replay_all ?progress ~n (fun ti ->
       let trace = traces.(ti) in
       let predict cycle vi =
-        let state =
-          if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
-          else trace.(cycle).Avp_tour.Tour_gen.dst
-        in
-        graph.Avp_enum.State_graph.states.(state).(vi)
+        graph.Avp_enum.State_graph.states.(predicted_state trace cycle).(vi)
       in
       run_nets ~design ~tr ~nets ~predict ti vectors.(ti))
 
@@ -150,11 +150,7 @@ let check_lanes ~dut (tr : Translate.result)
     let states = graph.Avp_enum.State_graph.states in
     let failures = Array.make n None in
     let check ids ~slot t cycle =
-      let trace = traces.(t) in
-      let predicted =
-        states.(if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
-                else trace.(cycle).Avp_tour.Tour_gen.dst)
-      in
+      let predicted = states.(predicted_state traces.(t) cycle) in
       let rec net vi =
         if vi < Array.length ids then begin
           let id = ids.(vi) and p = predicted.(vi) in

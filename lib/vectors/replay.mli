@@ -35,6 +35,13 @@ val vectors :
 val state_nets : Avp_fsm.Translate.result -> string array
 (** Names of the annotated state nets, in state-binding order. *)
 
+val predicted_state : Avp_tour.Tour_gen.trace -> int -> int
+(** [predicted_state trace cycle]: the graph state a trace predicts
+    after [cycle] — its first step's source at reset release (cycle
+    [-1]), else step [cycle]'s destination.  Every state oracle
+    ({!check}, {!check_lanes} and the mutation campaign's) reads its
+    predictions here. *)
+
 val check :
   ?dut:Avp_hdl.Elab.t ->
   ?progress:Avp_obs.Progress.t ->

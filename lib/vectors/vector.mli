@@ -15,9 +15,6 @@ type cycle = { actions : action list }
 type t = cycle array
 (** One trace of vectors, applied from reset. *)
 
-val pp_action : Format.formatter -> action -> unit
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
 (** Textual vector-file format: one line per command, [step] lines
     separating cycles. *)

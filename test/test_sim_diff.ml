@@ -276,6 +276,9 @@ let gen_expr ~names =
           (1,
            map2 (fun a b -> Ast.Concat [ a; b ]) (expr (depth - 1))
              (expr (depth - 1)));
+          (1,
+           map2 (fun n e -> Ast.Repeat (n, e)) (int_range 1 3)
+             (expr (depth - 1)));
         ]
   in
   expr 3

@@ -67,25 +67,37 @@ let lanes_agree name expected (batch : Sl.t) =
 
 let bit1 b = Bv.of_bits [ b ]
 
+(* Every op runs through its [_into] form on a destination of the
+   natural width that already holds garbage: the kernel reuses one
+   destination per expression node across steps, so an op must
+   overwrite every bit of it. *)
+let into w f =
+  let dst =
+    Sl.make w (fun j -> (0x2545F4914F6CDD1D * (j + 1), 0x5DEECE66D * (j + 3)))
+  in
+  f dst;
+  dst
+
 let prop_bitwise =
   prop "sliced bitwise ops = per-lane Bv" gen_batch_pair (fun (xs, ys) ->
       let sx = Sl.of_lanes xs and sy = Sl.of_lanes ys in
+      let w = max sx.Sl.w sy.Sl.w in
       List.for_all
-        (fun (name, slf, bvf) ->
+        (fun (name, w, slf, bvf) ->
           lanes_agree name
             (Array.map2 bvf xs ys)
-            (slf sx sy))
+            (into w (fun d -> slf d sx sy)))
         [
-          ("logand", Sl.logand, Bv.logand);
-          ("logor", Sl.logor, Bv.logor);
-          ("logxor", Sl.logxor, Bv.logxor);
-          ("resolve", Sl.resolve, Bv.resolve);
-          ("add", Sl.add, Bv.add);
-          ("sub", Sl.sub, Bv.sub);
-          ("mul", Sl.mul, Bv.mul);
-          ("shl", Sl.shift_left, Bv.shift_left);
-          ("shr", Sl.shift_right, Bv.shift_right);
-        ])
+          ("logand", w, Sl.logand_into, Bv.logand);
+          ("logor", w, Sl.logor_into, Bv.logor);
+          ("logxor", w, Sl.logxor_into, Bv.logxor);
+          ("add", w, Sl.add_into, Bv.add);
+          ("sub", w, Sl.sub_into, Bv.sub);
+          ("mul", w, Sl.mul_into, Bv.mul);
+          ("shl", sx.Sl.w, Sl.shift_left_into, Bv.shift_left);
+          ("shr", sx.Sl.w, Sl.shift_right_into, Bv.shift_right);
+        ]
+      && lanes_agree "resolve" (Array.map2 Bv.resolve xs ys) (Sl.resolve sx sy))
 
 let prop_relational =
   prop "sliced relational ops = per-lane Bv" gen_batch_pair (fun (xs, ys) ->
@@ -94,17 +106,17 @@ let prop_relational =
         (fun (name, slf, bvf) ->
           lanes_agree name
             (Array.map2 (fun a b -> bit1 (bvf a b)) xs ys)
-            (slf sx sy))
+            (into 1 (fun d -> slf d sx sy)))
         [
-          ("eq", Sl.eq, Bv.eq);
-          ("neq", Sl.neq, Bv.neq);
-          ("lt", Sl.lt, Bv.lt);
-          ("le", Sl.le, Bv.le);
-          ("gt", Sl.gt, Bv.gt);
-          ("ge", Sl.ge, Bv.ge);
-          ("case_eq", Sl.case_eq, fun a b -> Bv.case_eq a b);
+          ("eq", Sl.eq_into, Bv.eq);
+          ("neq", Sl.neq_into, Bv.neq);
+          ("lt", Sl.lt_into, Bv.lt);
+          ("le", Sl.le_into, Bv.le);
+          ("gt", Sl.gt_into, Bv.gt);
+          ("ge", Sl.ge_into, Bv.ge);
+          ("case_eq", Sl.case_eq_into, fun a b -> Bv.case_eq a b);
           ( "case_neq",
-            Sl.case_neq,
+            Sl.case_neq_into,
             fun a b ->
               match Bv.case_eq a b with
               | Bit.L1 -> Bit.L0
@@ -114,17 +126,20 @@ let prop_relational =
 let prop_unary =
   prop "sliced unary ops = per-lane Bv" gen_batch (fun xs ->
       let sx = Sl.of_lanes xs in
-      lanes_agree "lognot" (Array.map Bv.lognot xs) (Sl.lognot sx)
-      && lanes_agree "neg" (Array.map Bv.neg xs) (Sl.neg sx)
+      let w = sx.Sl.w in
+      lanes_agree "lognot" (Array.map Bv.lognot xs)
+        (into w (fun d -> Sl.lognot_into d sx))
+      && lanes_agree "neg" (Array.map Bv.neg xs)
+           (into w (fun d -> Sl.neg_into d sx))
       && lanes_agree "reduce_and"
            (Array.map (fun x -> bit1 (Bv.reduce_and x)) xs)
-           (Sl.reduce_and sx)
+           (into 1 (fun d -> Sl.reduce_and_into d sx))
       && lanes_agree "reduce_or"
            (Array.map (fun x -> bit1 (Bv.reduce_or x)) xs)
-           (Sl.reduce_or sx)
+           (into 1 (fun d -> Sl.reduce_or_into d sx))
       && lanes_agree "reduce_xor"
            (Array.map (fun x -> bit1 (Bv.reduce_xor x)) xs)
-           (Sl.reduce_xor sx))
+           (into 1 (fun d -> Sl.reduce_xor_into d sx)))
 
 (* The interpreter's logical connectives: both sides evaluated, X
    when either side's truth value is undecidable. *)
@@ -139,10 +154,10 @@ let prop_logical =
       let sx = Sl.of_lanes xs and sy = Sl.of_lanes ys in
       lanes_agree "logical_and"
         (Array.map2 (ref_logical2 ( && )) xs ys)
-        (Sl.logical_and sx sy)
+        (into 1 (fun d -> Sl.logical_and_into d sx sy))
       && lanes_agree "logical_or"
            (Array.map2 (ref_logical2 ( || )) xs ys)
-           (Sl.logical_or sx sy)
+           (into 1 (fun d -> Sl.logical_or_into d sx sy))
       && lanes_agree "logical_not"
            (Array.map
               (fun x ->
@@ -150,7 +165,7 @@ let prop_logical =
                 | Some b -> bit1 (if b then Bit.L0 else Bit.L1)
                 | None -> bit1 Bit.X)
               xs)
-           (Sl.logical_not sx)
+           (into 1 (fun d -> Sl.logical_not_into d sx))
       && lanes_agree "truth-as-masks"
            (Array.map
               (fun x ->
@@ -175,7 +190,11 @@ let gen_mux =
 
 let prop_mux =
   prop "sliced mux = interpreter ternary" gen_mux (fun (cs, xs, ys) ->
-      let r = Sl.mux ~sel:(Sl.of_lanes cs) (Sl.of_lanes xs) (Sl.of_lanes ys) in
+      let r =
+        into (Bv.width xs.(0)) (fun d ->
+            Sl.mux_into ~sel:(Sl.of_lanes cs) d (Sl.of_lanes xs)
+              (Sl.of_lanes ys))
+      in
       let expected =
         Array.init (Array.length cs) (fun l ->
             match Bv.to_bool cs.(l) with
@@ -186,8 +205,8 @@ let prop_mux =
       lanes_agree "mux" expected r)
 
 let prop_structural =
-  prop "sliced structural ops = per-lane Bv" gen_batch_pair (fun (xs, ys) ->
-      let sx = Sl.of_lanes xs and sy = Sl.of_lanes ys in
+  prop "sliced structural ops = per-lane Bv" gen_batch (fun xs ->
+      let sx = Sl.of_lanes xs in
       let w = Bv.width xs.(0) in
       let hi = (w - 1) / 2 and lo = 0 in
       lanes_agree "resize+4"
@@ -198,13 +217,7 @@ let prop_structural =
            (Sl.resize sx (max 1 (w - 1)))
       && lanes_agree "select"
            (Array.map (fun x -> Bv.select x ~hi ~lo) xs)
-           (Sl.select sx ~hi ~lo)
-      && lanes_agree "concat"
-           (Array.map2 Bv.concat xs ys)
-           (Sl.concat sx sy)
-      && lanes_agree "repeat"
-           (Array.map (fun x -> Bv.repeat 3 x) xs)
-           (Sl.repeat 3 sx))
+           (into (hi - lo + 1) (fun d -> Sl.select_into d sx ~lo)))
 
 (* Dynamic index against the interpreter's rule: undefined or
    out-of-range index reads X. *)
@@ -212,7 +225,9 @@ let prop_index =
   prop "sliced dynamic index = interpreter rule" gen_batch_pair
     (fun (xs, is) ->
       let w = Bv.width xs.(0) in
-      let r = Sl.index (Sl.of_lanes xs) (Sl.of_lanes is) in
+      let r =
+        into 1 (fun d -> Sl.index_into d (Sl.of_lanes xs) (Sl.of_lanes is))
+      in
       let expected =
         Array.map2
           (fun x i ->
@@ -230,12 +245,55 @@ let prop_merge =
       let wa = Bv.width xs.(0) and wb = Bv.width ys.(0) in
       let w = max wa wb in
       let mask = 0b1011 land ((1 lsl k) - 1) in
-      let r = Sl.merge ~mask (Sl.of_lanes xs) (Sl.of_lanes ys) in
+      let r =
+        into w (fun d ->
+            Sl.merge_into ~mask d (Sl.of_lanes xs) (Sl.of_lanes ys))
+      in
       let expected =
         Array.init k (fun l ->
             Bv.resize (if (mask lsr l) land 1 = 1 then xs.(l) else ys.(l)) w)
       in
       lanes_agree "merge" expected r)
+
+(* A destination one bit wider than the natural width is rejected,
+   not half-filled. *)
+let test_dst_width () =
+  let a = Sl.create 5 and b = Sl.create 3 in
+  List.iter
+    (fun (name, w, f) ->
+      match f (Sl.create (w + 1)) with
+      | () -> Alcotest.failf "%s accepted a %d-bit destination" name (w + 1)
+      | exception Invalid_argument _ -> ())
+    [
+      ("select_into", 5, fun d -> Sl.select_into d a ~lo:0);
+      ("merge_into", 5, fun d -> Sl.merge_into ~mask:1 d a b);
+      ("logand_into", 5, fun d -> Sl.logand_into d a b);
+      ("logor_into", 5, fun d -> Sl.logor_into d a b);
+      ("logxor_into", 5, fun d -> Sl.logxor_into d a b);
+      ("lognot_into", 5, fun d -> Sl.lognot_into d a);
+      ("reduce_and_into", 1, fun d -> Sl.reduce_and_into d a);
+      ("reduce_or_into", 1, fun d -> Sl.reduce_or_into d a);
+      ("reduce_xor_into", 1, fun d -> Sl.reduce_xor_into d a);
+      ("logical_and_into", 1, fun d -> Sl.logical_and_into d a b);
+      ("logical_or_into", 1, fun d -> Sl.logical_or_into d a b);
+      ("logical_not_into", 1, fun d -> Sl.logical_not_into d a);
+      ("add_into", 5, fun d -> Sl.add_into d a b);
+      ("sub_into", 5, fun d -> Sl.sub_into d a b);
+      ("mul_into", 5, fun d -> Sl.mul_into d a b);
+      ("neg_into", 5, fun d -> Sl.neg_into d a);
+      ("eq_into", 1, fun d -> Sl.eq_into d a b);
+      ("neq_into", 1, fun d -> Sl.neq_into d a b);
+      ("lt_into", 1, fun d -> Sl.lt_into d a b);
+      ("le_into", 1, fun d -> Sl.le_into d a b);
+      ("gt_into", 1, fun d -> Sl.gt_into d a b);
+      ("ge_into", 1, fun d -> Sl.ge_into d a b);
+      ("case_eq_into", 1, fun d -> Sl.case_eq_into d a b);
+      ("case_neq_into", 1, fun d -> Sl.case_neq_into d a b);
+      ("mux_into", 5, fun d -> Sl.mux_into ~sel:b d a a);
+      ("shift_left_into", 5, fun d -> Sl.shift_left_into d a b);
+      ("shift_right_into", 5, fun d -> Sl.shift_right_into d a b);
+      ("index_into", 1, fun d -> Sl.index_into d a b);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Batched engine vs one scalar simulator per lane                    *)
@@ -847,6 +905,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_structural;
     QCheck_alcotest.to_alcotest prop_index;
     QCheck_alcotest.to_alcotest prop_merge;
+    Alcotest.test_case "_into forms reject a wrong-width destination" `Quick
+      test_dst_width;
     Alcotest.test_case "control design: sliced vs per-lane interpreter" `Quick
       test_engine_differential;
     Alcotest.test_case "mutant schemata: each lane tracks its mutant" `Quick
