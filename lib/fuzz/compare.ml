@@ -28,12 +28,14 @@ module Campaign = Avp_mutate.Campaign
 
    Kill scoring goes through the mutation campaign's replay path
    ({!Avp_mutate.Campaign.detect}) on the fuzz run's engine.  On the
-   sliced engine the sampled mutants leave lanes spare (16 mutants take
-   16 of 62), so each phase runs in slots that replay different traces
-   side by side (3 slots of 16), and the pristine output rows of all
-   three sets are recorded in one lane pass ({!Avp_vectors.Replay.record}).
-   An x/z escape on a checked net counts as a kill at vector cost 1
-   (the scalar oracle does not localize the escape cycle).
+   sliced engine the sampled mutants leave lanes spare (16 mutants and
+   the pristine golden lane take 17 of 62), so the tour, random and
+   fuzz traces share one queue of 3 slots that replay different traces
+   side by side: the tour's one long trace overlaps the short ones, and
+   each set is simulated once, against the state and output oracles at
+   the same time, with no recording pass.  An x/z escape on a checked
+   net counts as a kill at vector cost 1 (the scalar oracle does not
+   localize the escape cycle).
 
    Everything reported is deterministic: detection outcomes are the
    same for any engine, and no timings appear in the JSON. *)
@@ -119,20 +121,21 @@ let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
   let rvecs = Replay.vectors tr rtours in
   let fvecs = Replay.vectors tr ftours in
   let outs = Campaign.output_ports design ~top in
-  let rows = Replay.record tr ~nets:outs [| tvecs; rvecs; fvecs |] in
-  (* Five single-oracle phases.  A method's cost is the earlier of
-     its oracles' detections, so they must not chain: a chain stops
-     the output oracle on the mutants the state oracle flagged. *)
-  let phase vectors oracle = { Campaign.vectors; chain = [| oracle |] } in
+  (* Three phases of five single-oracle chains.  A method's cost is the
+     earlier of its oracles' detections, so its two oracles must not
+     chain (a chain stops the output oracle on the mutants the state
+     oracle flagged); as independent chains they watch one replay. *)
+  let phase vectors chains =
+    { Campaign.vectors; chains = Array.map (fun o -> [| o |]) chains }
+  in
   let phases =
     [|
-      phase tvecs (Campaign.States tours);
-      phase tvecs (Campaign.Nets (outs, rows.(0)));
-      phase rvecs (Campaign.Nets (outs, rows.(1)));
-      phase fvecs (Campaign.States ftours);
-      phase fvecs (Campaign.Nets (outs, rows.(2)));
+      phase tvecs [| Campaign.States tours; Campaign.Outputs outs |];
+      phase rvecs [| Campaign.Outputs outs |];
+      phase fvecs [| Campaign.States ftours; Campaign.Outputs outs |];
     |]
   in
+  let chain_vectors = [| tvecs; tvecs; rvecs; fvecs; fvecs |] in
   (* Mutants. *)
   let mutants =
     let all = Avp_mutate.Gen.all design in
@@ -156,11 +159,11 @@ let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
          (fun i -> Option.map (fun dut -> (i, dut)) vetted.(i))
          (List.init n Fun.id))
   in
-  (* First-detection vector cost of phase [k]'s outcome, or None if
+  (* First-detection vector cost of chain [k]'s outcome, or None if
      clean. *)
   let cost k = function
     | Campaign.Clean -> None
-    | Campaign.Mismatch m -> Some (Replay.cycles_until phases.(k).vectors m)
+    | Campaign.Mismatch m -> Some (Replay.cycles_until chain_vectors.(k) m)
     | Campaign.Escape _ -> Some 1
   in
   let costs = Array.make n (None, None, None) in

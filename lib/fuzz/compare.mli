@@ -20,12 +20,14 @@
 
     Kill scoring goes through the mutation campaign's replay path,
     {!Avp_mutate.Campaign.detect}, on the fuzz run's engine
-    ([config.engine]): five single-oracle phases (tour states, tour
-    outputs, random outputs, fuzz states, fuzz outputs), so on the
-    sliced engine each chunk of up to 62 mutants costs one schemata
-    pass of five phases, each in ⌊62/chunk⌋ slots that replay
-    different traces side by side.  A method's vectors-to-kill is the earlier of its
-    oracles' detections; an x/z escape costs 1.
+    ([config.engine]): three phases (tour, random, fuzz) of five
+    independent single-oracle chains (tour states, tour outputs,
+    random outputs, fuzz states, fuzz outputs), so on the sliced engine
+    each chunk of up to 61 mutants costs one schemata pass that
+    replays every set once, in ⌊62/(chunk + 1)⌋ slots that take the
+    three sets' traces side by side, each slot's golden lane
+    supplying the pristine outputs.  A method's vectors-to-kill is the
+    earlier of its oracles' detections; an x/z escape costs 1.
 
     Deterministic: the outcomes are identical for any engine, and the
     JSON carries no timings. *)

@@ -316,7 +316,16 @@ type st = {
   ov_set : Bytes.t;
   touched : int array;
   mutable n_touched : int;
-  mutable nba : (unit -> unit) list;  (** reversed commit closures *)
+  (* The nonblocking writes of this step, in program order: four ints
+     each in [nba] (net, low bit, width, enable mask), their captured
+     value words back to back in [nba_v]/[nba_u].  The arrays grow to
+     the largest step seen and are reused, so a step allocates
+     nothing. *)
+  mutable nba : int array;
+  mutable nba_n : int;
+  mutable nba_v : int array;
+  mutable nba_u : int array;
+  mutable nba_words : int;
   queue : int array;
   mutable qh : int;
   mutable qt : int;
@@ -330,8 +339,13 @@ type st = {
 type t = {
   st : st;
   units_fn : (unit -> unit) array;  (** per unit id, [fun () -> ()] when idle *)
-  seq_fn : ((Ast.edge * Elab.uid) list * (unit -> unit)) array;
+  seq_fn : (unit -> unit) array;
+  fires : int array array;
+      (** per {!trigger} key, the sequential blocks it fires, in order *)
 }
+
+let trigger edge id =
+  (id lsl 1) lor match edge with Ast.Posedge -> 0 | Ast.Negedge -> 1
 
 let lanes t = t.st.lanes
 let amask t = t.st.amask
@@ -482,19 +496,20 @@ let rec cexpr st ~seq (e : xe) : unit -> Sl.t =
       let dst = Sl.create total in
       let parts =
         let off = ref total in
-        List.map
-          (fun (g, w) ->
-            off := !off - w;
-            (g, w, !off))
-          parts
+        Array.of_list
+          (List.map
+             (fun (g, w) ->
+               off := !off - w;
+               (g, w, !off))
+             parts)
       in
       fun () ->
-        List.iter
-          (fun (g, w, off) ->
-            let p = g () in
-            Array.blit p.Sl.v 0 dst.Sl.v off w;
-            Array.blit p.Sl.u 0 dst.Sl.u off w)
-          parts;
+        for i = 0 to Array.length parts - 1 do
+          let g, w, off = parts.(i) in
+          let p = g () in
+          Array.blit p.Sl.v 0 dst.Sl.v off w;
+          Array.blit p.Sl.u 0 dst.Sl.u off w
+        done;
         dst)
   | XRepeat (n, e) ->
     if n <= 0 then invalid_arg "Sliced.repeat: count must be positive";
@@ -605,34 +620,61 @@ let commit_overlay st id ~lo ~w (value : Sl.t) ~voff en =
     done
   end
 
+let grown a need =
+  let b = Array.make (max need (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 (* Nonblocking write: capture the words now, commit at the end of the
    step, checking forced lanes at commit time (wrn). *)
 let commit_nba st id ~lo ~w (value : Sl.t) ~voff en =
   if en <> 0 then begin
-    let vs = Array.init w (fun k ->
-        if voff + k < value.Sl.w then value.Sl.v.(voff + k) else 0)
-    and us = Array.init w (fun k ->
-        if voff + k < value.Sl.w then value.Sl.u.(voff + k) else 0) in
-    st.nba <-
-      (fun () ->
-        let en = en land lnot st.forced.(id) land lnot st.frozen in
-        if en <> 0 then begin
-          let nv = st.nv.(id) and nu = st.nu.(id) in
-          let changed = ref false in
-          for k = 0 to w - 1 do
-            let j = lo + k in
-            let v' = (nv.(j) land lnot en) lor (vs.(k) land en)
-            and u' = (nu.(j) land lnot en) lor (us.(k) land en) in
-            if v' <> nv.(j) || u' <> nu.(j) then begin
-              nv.(j) <- v';
-              nu.(j) <- u';
-              changed := true
-            end
-          done;
-          if !changed then mark_readers st id
-        end)
-      :: st.nba
+    let i = 4 * st.nba_n and o = st.nba_words in
+    if i + 4 > Array.length st.nba then st.nba <- grown st.nba (i + 4);
+    if o + w > Array.length st.nba_v then begin
+      st.nba_v <- grown st.nba_v (o + w);
+      st.nba_u <- grown st.nba_u (o + w)
+    end;
+    st.nba.(i) <- id;
+    st.nba.(i + 1) <- lo;
+    st.nba.(i + 2) <- w;
+    st.nba.(i + 3) <- en;
+    for k = 0 to w - 1 do
+      let b = voff + k in
+      st.nba_v.(o + k) <- (if b < value.Sl.w then value.Sl.v.(b) else 0);
+      st.nba_u.(o + k) <- (if b < value.Sl.w then value.Sl.u.(b) else 0)
+    done;
+    st.nba_n <- st.nba_n + 1;
+    st.nba_words <- o + w
   end
+
+(* Commit the queued nonblocking writes in program order and empty the
+   queue. *)
+let flush_nba st =
+  let o = ref 0 in
+  for i = 0 to st.nba_n - 1 do
+    let id = st.nba.(4 * i) and lo = st.nba.((4 * i) + 1)
+    and w = st.nba.((4 * i) + 2) in
+    let en = st.nba.((4 * i) + 3) land lnot st.forced.(id) land lnot st.frozen in
+    if en <> 0 then begin
+      let nv = st.nv.(id) and nu = st.nu.(id) in
+      let changed = ref false in
+      for k = 0 to w - 1 do
+        let j = lo + k in
+        let v' = (nv.(j) land lnot en) lor (st.nba_v.(!o + k) land en)
+        and u' = (nu.(j) land lnot en) lor (st.nba_u.(!o + k) land en) in
+        if v' <> nv.(j) || u' <> nu.(j) then begin
+          nv.(j) <- v';
+          nu.(j) <- u';
+          changed := true
+        end
+      done;
+      if !changed then mark_readers st id
+    end;
+    o := !o + w
+  done;
+  st.nba_n <- 0;
+  st.nba_words <- 0
 
 type write_mode = Direct | Overlay | Nba
 
@@ -683,11 +725,16 @@ let clv st ~seq ~mode (lv : Elab.elv) : int -> Sl.t -> unit =
     (match lv with
     | Elab.Lconcat ls -> List.fold_left (fun off l -> walk l off) 0 (List.rev ls)
     | _ -> walk lv 0);
-  let writers = List.rev !writers in
   (* No resize: the commit paths zero-extend reads past the value's
      width, and the component windows never read past the lvalue's
      total width — the same result resizing would produce. *)
-  fun en value -> List.iter (fun wr -> wr en value) writers
+  match Array.of_list (List.rev !writers) with
+  | [| wr |] -> wr
+  | writers ->
+    fun en value ->
+      for i = 0 to Array.length writers - 1 do
+        writers.(i) en value
+      done
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation (predicated control flow)                    *)
@@ -697,8 +744,11 @@ let rec cstmt st ~seq (s : xs) : int -> unit =
   match s with
   | XNop -> fun _ -> ()
   | XBlock ss ->
-    let fs = List.map (cstmt st ~seq) ss in
-    fun en -> List.iter (fun f -> f en) fs
+    let fs = Array.of_list (List.map (cstmt st ~seq) ss) in
+    fun en ->
+      for i = 0 to Array.length fs - 1 do
+        fs.(i) en
+      done
   | XDrop (mask, s) ->
     let f = cstmt st ~seq s in
     fun en -> f (en land lnot mask)
@@ -721,16 +771,18 @@ let rec cstmt st ~seq (s : xs) : int -> unit =
         (* Lanes with a definitely-true condition take the then
            branch; false AND undecided lanes take the else branch,
            matching the interpreter. *)
-        let t1, t0, tx = Sl.truth (gc ()) in
+        let t1 = Sl.true_lanes (gc ()) in
         ft (en land t1);
-        fe (en land (t0 lor tx))
+        fe (en land lnot t1)
       end
   | XCase (sel, items, dflt) ->
     let gsel = cexpr st ~seq sel in
     let citems =
-      List.map
-        (fun (ls, s) -> (List.map (cexpr st ~seq) ls, cstmt st ~seq s))
-        items
+      Array.of_list
+        (List.map
+           (fun (ls, s) ->
+             (Array.of_list (List.map (cexpr st ~seq) ls), cstmt st ~seq s))
+           items)
     in
     let fd =
       match dflt with Some s -> cstmt st ~seq s | None -> fun _ -> ()
@@ -742,23 +794,21 @@ let rec cstmt st ~seq (s : xs) : int -> unit =
         (* First matching item claims the lane ([===] labels, always
            defined); remaining lanes fall through to the default. *)
         let rem = ref en in
-        List.iter
-          (fun (gls, body) ->
-            if !rem <> 0 then begin
-              let m =
-                List.fold_left
-                  (fun acc gl ->
-                    Sl.case_eq_into ceq vs (gl ());
-                    acc lor ceq.Sl.v.(0))
-                  0 gls
-              in
-              let m = !rem land m in
-              if m <> 0 then begin
-                body m;
-                rem := !rem land lnot m
-              end
-            end)
-          citems;
+        for i = 0 to Array.length citems - 1 do
+          if !rem <> 0 then begin
+            let gls, body = citems.(i) in
+            let m = ref 0 in
+            for l = 0 to Array.length gls - 1 do
+              Sl.case_eq_into ceq vs (gls.(l) ());
+              m := !m lor ceq.Sl.v.(0)
+            done;
+            let m = !rem land !m in
+            if m <> 0 then begin
+              body m;
+              rem := !rem land lnot m
+            end
+          end
+        done;
         fd !rem
       end
 
@@ -902,17 +952,13 @@ let clear_overlay st =
 let step ?(edge = Ast.Posedge) t clock =
   let st = t.st in
   settle t;
-  Array.iter
-    (fun (edges, fn) ->
-      if List.exists (fun (e, id) -> e = edge && id = clock) edges then begin
-        clear_overlay st;
-        fn ()
-      end)
-    t.seq_fn;
+  let blocks = t.fires.(trigger edge clock) in
+  for i = 0 to Array.length blocks - 1 do
+    clear_overlay st;
+    t.seq_fn.(blocks.(i)) ()
+  done;
   clear_overlay st;
-  let pending = List.rev st.nba in
-  st.nba <- [];
-  List.iter (fun commit -> commit ()) pending;
+  flush_nba st;
   st.time <- st.time + 1;
   let module Obs = Avp_obs.Obs in
   if Obs.enabled () then begin
@@ -1086,25 +1132,42 @@ let get_ints t id (dst : int array) =
     !bad land st.amask
   end
 
-(* Per-lane divergence against a predicted value: the first mask has
-   the lanes whose value cannot encode an int (an undefined bit, or a
-   net wider than the packed limit — [Bv.to_int]'s wide behaviour);
-   the second the defined lanes whose value differs. *)
-let check_net ?mask t id ~predicted =
+(* Per-lane divergence against a predicted value: the lanes whose value
+   cannot encode an int (an undefined bit, or a net wider than the
+   packed limit — [Bv.to_int]'s wide behaviour) or differs.  One mask,
+   not a pair, and no optional argument, so that a check allocates
+   nothing; a caller tells the two apart on the rare lane it flags. *)
+let check_net t id ~mask ~predicted =
   let st = t.st in
-  let mask = Option.value ~default:st.amask mask land st.amask in
+  let mask = mask land st.amask in
   let w = st.widths.(id) in
-  if w > Bv.packed_width_limit then (mask, 0)
+  if w > Bv.packed_width_limit then mask
   else begin
     let nv = st.nv.(id) and nu = st.nu.(id) in
-    let bad = ref 0 and neq = ref 0 in
+    let diff = ref 0 in
     for j = 0 to w - 1 do
-      bad := !bad lor nu.(j);
       let p = if (predicted lsr j) land 1 = 1 then lmask else 0 in
-      neq := !neq lor (nv.(j) lxor p)
+      diff := !diff lor nu.(j) lor (nv.(j) lxor p)
     done;
-    let bad = !bad land mask in
-    (bad, !neq land mask land lnot bad)
+    !diff land mask
+  end
+
+(* [check_net] against the value lane [lane] holds, read bit by bit
+   from the words in place: the lanes of a slot against the slot's
+   golden lane. *)
+let check_lane t id ~mask ~lane =
+  let st = t.st in
+  let mask = mask land st.amask in
+  let w = st.widths.(id) in
+  if w > Bv.packed_width_limit then mask
+  else begin
+    let nv = st.nv.(id) and nu = st.nu.(id) in
+    let diff = ref 0 in
+    for j = 0 to w - 1 do
+      let p = if (nv.(j) lsr lane) land 1 = 1 then lmask else 0 in
+      diff := !diff lor nu.(j) lor (nv.(j) lxor p)
+    done;
+    !diff land mask
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1136,7 +1199,8 @@ let reinit ?mask t =
   if mask = None then begin
     Bytes.fill st.ov_set 0 (Bytes.length st.ov_set) '\000';
     st.n_touched <- 0;
-    st.nba <- [];
+    st.nba_n <- 0;
+    st.nba_words <- 0;
     st.qh <- 0;
     st.qt <- 0;
     Bytes.fill st.in_queue 0 (Bytes.length st.in_queue) '\000';
@@ -1177,7 +1241,11 @@ let build ?u ~lanes (d : Elab.t) (procs : xp array) =
       ov_set = Bytes.make n '\000';
       touched = Array.make (max n 1) 0;
       n_touched = 0;
-      nba = [];
+      nba = [||];
+      nba_n = 0;
+      nba_v = [||];
+      nba_u = [||];
+      nba_words = 0;
       queue = Array.make (u.Compile.unit_count + 1) 0;
       qh = 0;
       qt = 0;
@@ -1229,12 +1297,24 @@ let build ?u ~lanes (d : Elab.t) (procs : xp array) =
   in
   let seq_fn =
     Array.map
-      (fun (edges, s) ->
+      (fun (_, s) ->
         let body = cstmt st ~seq:true s in
-        (edges, fun () -> body (st.amask land lnot st.frozen)))
+        fun () -> body (st.amask land lnot st.frozen))
       seqs
   in
-  let t = { st; units_fn; seq_fn } in
+  (* Which blocks a clock edge fires, decided here once rather than by
+     scanning every block's event list on every step. *)
+  let fires = Array.make (2 * max n 1) [||] in
+  Array.iteri
+    (fun b (edges, _) ->
+      List.iter
+        (fun (e, id) ->
+          let key = trigger e id in
+          if not (Array.mem b fires.(key)) then
+            fires.(key) <- Array.append fires.(key) [| b |])
+        edges)
+    seqs;
+  let t = { st; units_fn; seq_fn; fires } in
   reinit t;
   t
 

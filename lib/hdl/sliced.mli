@@ -39,8 +39,10 @@ val create_schemata :
     simulate the pristine base and must be handled by the scalar
     fallback.  Lanes given the same (physically equal) elaboration
     share one merge, so a chunk of mutants repeated across the lanes
-    costs the chunk's selects once.  [None] when the base itself is
-    not supported. *)
+    costs the chunk's selects once.  A lane given [base] itself, or an
+    elaboration identical to it, simulates the pristine design: the
+    golden lane a campaign's slot carries next to its mutants.  [None]
+    when the base itself is not supported. *)
 
 val reinit : ?mask:int -> t -> unit
 (** Reset every lane to power-on state (regs all-X, wires all-Z,
@@ -75,7 +77,9 @@ val settle : t -> unit
 val step : ?edge:Ast.edge -> t -> Elab.uid -> unit
 (** Settle, fire sequential blocks on the clock edge, commit
     nonblocking updates, advance time, settle again — all lanes in
-    lockstep.  Default edge: posedge. *)
+    lockstep.  Default edge: posedge.  Once the nonblocking-write queue
+    has grown to the design's largest step, a step allocates nothing,
+    except to resolve a net with several drivers. *)
 
 (** {1 Per-lane access} — [?mask] defaults to all active lanes *)
 
@@ -127,10 +131,19 @@ val rerun_unit : t -> int -> unit
     at the next settle in every live lane, as if one of its inputs had
     changed. *)
 
-val check_net : ?mask:int -> t -> Elab.uid -> predicted:int -> int * int
-(** [(bad, neq)] lane masks against a broadcast predicted value:
-    [bad] has the lanes whose value cannot encode a state (an
-    undefined bit, or a net wider than the packed limit — matching
-    the scalar checker's failure), [neq] the remaining lanes whose
-    defined value differs from [predicted].  The masks are disjoint
-    and confined to [?mask] (default: all active lanes). *)
+val check_net : t -> Elab.uid -> mask:int -> predicted:int -> int
+(** The lanes of [mask] that diverge from a broadcast predicted value:
+    those whose value cannot encode a state (an undefined bit, or a net
+    wider than the packed limit — matching the scalar checker's
+    failure) and those whose defined value differs from [predicted].
+    It allocates nothing; a caller reads a flagged lane ({!get_lane})
+    to tell the two apart. *)
+
+val check_lane : t -> Elab.uid -> mask:int -> lane:int -> int
+(** {!check_net} with the value lane [lane] holds as the prediction,
+    read from the net's words without building a vector: a slot's
+    lanes against its golden lane, the pristine design riding in the
+    same word.  The comparison means something only while lane [lane]
+    itself can encode an int; include it in [mask] to learn whether it
+    can (a defined lane equals itself, so it is flagged only when it
+    cannot). *)

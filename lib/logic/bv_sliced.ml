@@ -251,18 +251,19 @@ let reduce_xor_into dst t =
   done;
   scalar_into dst ((!par land lnot !xl) lor !xl) !xl
 
-(* Truth value of a vector as a condition, per lane:
-   [t1] = lanes where some bit is 1, [t0] = lanes where all bits are
-   0, [tx] = lanes where undefined bits prevent deciding. *)
-let truth t =
-  let r1 = ref 0 and xl = ref 0 in
+(* The lanes where a vector is definitely true as a condition: some bit
+   is a defined 1.  Every other lane is false or undecidable, and an
+   [if] sends both to its else branch. *)
+let true_lanes t =
+  let r1 = ref 0 in
   for j = 0 to t.w - 1 do
-    r1 := !r1 lor (t.v.(j) land lnot t.u.(j));
-    xl := !xl lor t.u.(j)
+    r1 := !r1 lor (t.v.(j) land lnot t.u.(j))
   done;
-  let t1 = !r1 in
-  let tx = !xl land lnot t1 in
-  (t1, lmask land lnot (t1 lor tx), tx)
+  !r1
+
+(* The lanes where it is definitely false, given its true lanes [t1]:
+   every bit a defined 0.  The lanes in neither mask are undecidable. *)
+let false_lanes t ~t1 = lmask land lnot (t1 lor unknown_lanes t)
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic (ripple carry across design bits; any undefined bit in  *)
@@ -399,21 +400,25 @@ let case_neq_into dst a b = scalar_into dst (case_diff_lanes a b) 0
 (* ------------------------------------------------------------------ *)
 
 let logical_and_into dst a b =
-  let t1a, t0a, _ = truth a and t1b, t0b, _ = truth b in
+  let t1a = true_lanes a and t1b = true_lanes b in
+  let t0a = false_lanes a ~t1:t1a and t0b = false_lanes b ~t1:t1b in
   let decided = (t1a lor t0a) land (t1b lor t0b) in
   let r1 = t1a land t1b in
   let und = lmask land lnot decided in
   scalar_into dst ((r1 land decided) lor und) und
 
 let logical_or_into dst a b =
-  let t1a, t0a, _ = truth a and t1b, t0b, _ = truth b in
+  let t1a = true_lanes a and t1b = true_lanes b in
+  let t0a = false_lanes a ~t1:t1a and t0b = false_lanes b ~t1:t1b in
   let decided = (t1a lor t0a) land (t1b lor t0b) in
   let r1 = t1a lor t1b in
   let und = lmask land lnot decided in
   scalar_into dst ((r1 land decided) lor und) und
 
 let logical_not_into dst a =
-  let _, t0, tx = truth a in
+  let t1 = true_lanes a in
+  let t0 = false_lanes a ~t1 in
+  let tx = lmask land lnot (t1 lor t0) in
   scalar_into dst (t0 lor tx) tx
 
 (* ------------------------------------------------------------------ *)
@@ -425,7 +430,9 @@ let logical_not_into dst a =
    X-select mux (defined-and-agreeing bits survive, the rest X). *)
 let mux_into ~sel dst a b =
   if dst.w <> max a.w b.w then bad_dst "mux_into";
-  let s1, s0, sx = truth sel in
+  let s1 = true_lanes sel in
+  let s0 = false_lanes sel ~t1:s1 in
+  let sx = lmask land lnot (s1 lor s0) in
   for j = 0 to dst.w - 1 do
     let va = vw a j and ua = uw a j and vb = vw b j and ub = uw b j in
     let d = lnot ua land lnot ub land lnot (va lxor vb) land lmask in

@@ -86,10 +86,10 @@ val reduce_and_into : t -> t -> unit
 val reduce_or_into : t -> t -> unit
 val reduce_xor_into : t -> t -> unit
 
-val truth : t -> int * int * int
-(** [(t1, t0, tx)] lane masks of the vector's truth value as a
-    condition: some bit 1 / all bits 0 / undecidable.  The three masks
-    partition {!lmask}. *)
+val true_lanes : t -> int
+(** The mask of the lanes where the vector is definitely true as a
+    condition: some bit is a defined 1.  The other lanes are false (all
+    bits 0) or undecidable. *)
 
 val logical_and_into : t -> t -> t -> unit
 (** [&&] with both sides fully evaluated (no short circuit), X when

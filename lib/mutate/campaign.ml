@@ -80,9 +80,12 @@ let output_ports (design : Avp_hdl.Ast.design) ~top =
 
 type oracle =
   | States of Avp_tour.Tour_gen.t
-  | Nets of string array * int array array array
+  | Outputs of string array
 
-type phase = { vectors : Avp_vectors.Vector.t array; chain : oracle array }
+type phase = {
+  vectors : Avp_vectors.Vector.t array;
+  chains : oracle array array;
+}
 
 type outcome =
   | Clean
@@ -101,9 +104,10 @@ let guard f =
     escaped msg
   | exception e -> Escape ("replay raised: " ^ Printexc.to_string e)
 
-(* One phase on the scalar engine: the chain's oracles replay in
-   order, and the first issue ends the chain. *)
-let check_phase ~tr ~graph dut { vectors; chain } =
+(* One chain on the scalar engine: its oracles replay in order, and the
+   first issue ends the chain.  [rows ()] are the pristine outputs'
+   recorded rows for [vectors]. *)
+let check_chain ~tr ~graph ~rows dut vectors chain =
   Array.fold_left
     (fun acc oracle ->
       match acc with
@@ -112,8 +116,9 @@ let check_phase ~tr ~graph dut { vectors; chain } =
             match oracle with
             | States tours ->
               Avp_vectors.Replay.check ~dut ~vectors tr graph tours
-            | Nets (nets, predicted) ->
-              Avp_vectors.Replay.check_nets ~dut tr ~nets ~predicted vectors)
+            | Outputs nets ->
+              Avp_vectors.Replay.check_nets ~dut tr ~nets ~predicted:(rows ())
+                vectors)
       | issue -> issue)
     Clean chain
 
@@ -137,98 +142,119 @@ let verdict ~max_equiv_states ~graph ~dut tour random =
 (* Bit-sliced schemata passes                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* One phase on the sliced engine: one replay of its vector set on the
-   chunk's kernel, serving its CHAIN of oracles.  The kernel's lanes
-   form slots of [k] lanes, lane [s * k + j] carrying mutant [j], and
-   each slot replays its own trace ({!Avp_vectors.Slots}): the stimulus
-   is broadcast within a slot (every mutant sees the same vectors),
-   the slots take the set's traces side by side, and only the checks
-   are per lane.  [need] names the mutants whose outcome the caller
-   will consume at all; the rest never simulate.  Returns, per mutant,
-   the outcome the scalar [check_phase] would have produced.
+(* One pass of a chunk of [k] mutants: every phase's traces in one
+   queue on the chunk's kernel.  The kernel's lanes form slots of
+   [k + 1] lanes, lane [s * (k + 1) + j] carrying mutant [j] and the
+   slot's last lane the pristine design (its golden lane), and each
+   slot replays its own trace ({!Avp_vectors.Slots}): the stimulus is
+   broadcast within a slot, the slots take the queued traces side by
+   side, and only the checks are per lane.  An output oracle compares
+   each mutant lane with its slot's golden lane in the same step.
+   [need] names the mutants whose outcome the caller will consume at
+   all; the rest never simulate.  Returns, per chain (in phase order,
+   then chain order) and mutant, the outcome the scalar [check_chain]
+   would have produced, and the lowest (phase, trace) at which a golden
+   lane read an output that cannot encode an int.
 
    Traces finish out of order, so outcomes are combined by trace index,
-   per (mutant, oracle), after the scalar replay, which runs every
-   trace in order, stops a trace at its first issue, and lets an
+   per (chain, oracle, mutant), after the scalar replay, which runs
+   every trace in order, stops a trace at its first issue, and lets an
    [Unsupported] escape end the whole replay:
    - a trace's first issue is at its lowest cycle, then at the first
      checked net; the lane is not checked again within that trace;
    - the lowest-trace escape wins over every mismatch, otherwise the
      lowest-trace mismatch wins, so a trace after a recorded escape no
      longer matters;
-   - an oracle counts only while every earlier oracle of the chain is
-     clean (the [check_phase] chain), so once one of them has an issue
-     the mutant stops checking in every oracle after it.
+   - an oracle counts only while every earlier oracle of its chain is
+     clean, so once one of them has an issue the mutant stops checking
+     in every oracle after it.
 
-   The pass exploits those rules for speed: a lane whose every oracle
-   is done with its trace is frozen in the kernel (its nets stop
-   toggling, so a chunk of dead mutants costs only the live lanes'
-   settle activity), and a slot whose lanes are all frozen takes the
-   next trace — the batched analogue of the scalar replay's
-   first-mismatch early exit.  Chaining two oracles in one phase also
-   halves the passes: both watch the same simulation, which is sound
-   because checks never perturb it. *)
+   The pass exploits those rules for speed: a mutant lane that every
+   chain of its phase is done with for the trace is frozen in the
+   kernel (its nets stop toggling, so a chunk of dead mutants costs
+   only the live lanes' settle activity).  In a phase with an output
+   oracle the golden lane replays every trace and is never frozen, so
+   the trace runs to its end and an x/z on a pristine output is seen
+   wherever the interpreter's recording would raise it; a slot replaying
+   a phase without one takes the next trace as soon as its mutant lanes
+   are all frozen.  Independent chains and chained oracles
+   alike watch the same simulation, which is sound because checks
+   never perturb it. *)
 type lane_oracle = {
   o_ids : Avp_hdl.Elab.uid array;
   o_names : string array;
-  o_predict : int -> int -> int -> int;  (* trace -> cycle -> net -> value *)
+  o_predict : (int -> int -> int -> int) option;
+      (* trace -> cycle -> net -> value; [None]: the golden lane's *)
 }
 
-let sliced_phase sim tr ~k ~need ~traces (oracles : lane_oracle array)
+let sliced_pass sim tr ~k ~need ~traces ~chain_phase
+    ~(chains : lane_oracle array array) ~has_outputs ~qphase ~qtrace
     (vectors : Avp_vectors.Vector.t array) =
   let module S = Avp_hdl.Sliced in
-  let slots = S.lanes sim / k in
-  let no = Array.length oracles in
-  (* Per (oracle, mutant): the lowest-trace escape and mismatch. *)
-  let escape = Array.init no (fun _ -> Array.make k None) in
-  let mismatch = Array.init no (fun _ -> Array.make k None) in
-  let issue = Array.make no 0 in  (* per oracle: mutants with an issue *)
-  (* Per oracle: lanes done with their slot's current trace. *)
-  let stopped = Array.make no 0 in
-  let slot_trace = Array.make slots (-1) in
-  let escaped_before o j t =
-    match escape.(o).(j) with Some (t', _) -> t' < t | None -> false
+  let w = k + 1 in
+  let slots = S.lanes sim / w in
+  let nc = Array.length chains in
+  let per_oracle f = Array.map (Array.map (fun _ -> f ())) chains in
+  (* Per (chain, oracle, mutant): the lowest-trace escape and mismatch. *)
+  let escape = per_oracle (fun () -> Array.make k None) in
+  let mismatch = per_oracle (fun () -> Array.make k None) in
+  let issue = per_oracle (fun () -> 0) in  (* mutants with an issue *)
+  (* Per (chain, oracle): lanes done with their slot's current trace. *)
+  let stopped = per_oracle (fun () -> 0) in
+  let slot_q = Array.make slots (-1) in
+  let golden_x = ref None in
+  let escaped_before c o j t =
+    match escape.(c).(o).(j) with Some (t', _) -> t' < t | None -> false
   in
-  (* Mutant [j]'s lanes in the slots replaying a trace after [after]
-     stop checking oracle [o]. *)
-  let stop_mutant o j ~after =
+  (* Mutant [j]'s lanes in the slots replaying a trace of chain [c]'s
+     phase after [after] stop checking oracle [o]. *)
+  let stop_mutant c o j ~after =
     for s = 0 to slots - 1 do
-      if slot_trace.(s) > after then
-        stopped.(o) <- stopped.(o) lor (1 lsl ((s * k) + j))
+      let q = slot_q.(s) in
+      if q >= 0 && qphase.(q) = chain_phase.(c) && qtrace.(q) > after then
+        stopped.(c).(o) <- stopped.(c).(o) lor (1 lsl ((s * w) + j))
     done
   in
-  let start ~slot t =
-    slot_trace.(slot) <- t;
-    let live = ref 0 and blocked = ref (lnot need) in
-    for o = 0 to no - 1 do
-      for j = 0 to k - 1 do
-        let bit = 1 lsl ((slot * k) + j) in
-        if (!blocked lsr j) land 1 = 1 || escaped_before o j t then
-          stopped.(o) <- stopped.(o) lor bit
-        else begin
-          stopped.(o) <- stopped.(o) land lnot bit;
-          live := !live lor bit
-        end
-      done;
-      blocked := !blocked lor issue.(o)
+  let start ~slot q =
+    slot_q.(slot) <- q;
+    let p = qphase.(q) and t = qtrace.(q) in
+    let lanes = ((1 lsl w) - 1) lsl (slot * w) in
+    let live = ref (if has_outputs.(p) then 1 lsl ((slot * w) + k) else 0) in
+    for c = 0 to nc - 1 do
+      let stop = stopped.(c) in
+      if chain_phase.(c) <> p then
+        Array.iteri (fun o s -> stop.(o) <- s lor lanes) stop
+      else begin
+        let blocked = ref (lnot need) in
+        for o = 0 to Array.length stop - 1 do
+          stop.(o) <- stop.(o) land lnot lanes;
+          for j = 0 to k - 1 do
+            let bit = 1 lsl ((slot * w) + j) in
+            if (!blocked lsr j) land 1 = 1 || escaped_before c o j t then
+              stop.(o) <- stop.(o) lor bit
+            else live := !live lor bit
+          done;
+          blocked := !blocked lor issue.(c).(o)
+        done
+      end
     done;
     if !live <> 0 then incr traces;
     !live
   in
   (* The first issue of lanes [flagged] of [slot] (trace [t]) in oracle
-     [o], at net [vi] of [cycle]. *)
-  let record_issue o ~slot t cycle vi ~predicted flagged =
-    let oc = oracles.(o) in
-    stopped.(o) <- stopped.(o) lor flagged;
+     [o] of chain [c], at net [vi] of [cycle]. *)
+  let record_issue c o ~slot t cycle vi ~predicted flagged =
+    let oc = chains.(c).(o) in
+    stopped.(c).(o) <- stopped.(c).(o) lor flagged;
     for j = 0 to k - 1 do
-      let lane = (slot * k) + j in
+      let lane = (slot * w) + j in
       if (flagged lsr lane) land 1 = 1 then begin
         (match Translate.value_of_bv (S.get_lane sim ~lane oc.o_ids.(vi)) with
          | actual -> (
-           match mismatch.(o).(j) with
+           match mismatch.(c).(o).(j) with
            | Some (m : Avp_vectors.Replay.mismatch) when m.trace < t -> ()
            | _ ->
-             mismatch.(o).(j) <-
+             mismatch.(c).(o).(j) <-
                Some
                  {
                    Avp_vectors.Replay.trace = t;
@@ -238,74 +264,148 @@ let sliced_phase sim tr ~k ~need ~traces (oracles : lane_oracle array)
                    predicted;
                  })
          | exception Translate.Unsupported msg ->
-           if not (escaped_before o j t) then begin
-             escape.(o).(j) <- Some (t, msg);
-             stop_mutant o j ~after:t
+           if not (escaped_before c o j t) then begin
+             escape.(c).(o).(j) <- Some (t, msg);
+             stop_mutant c o j ~after:t
            end);
-        issue.(o) <- issue.(o) lor (1 lsl j);
-        for o' = o + 1 to no - 1 do
-          stop_mutant o' j ~after:min_int
+        issue.(c).(o) <- issue.(c).(o) lor (1 lsl j);
+        for o' = o + 1 to Array.length chains.(c) - 1 do
+          stop_mutant c o' j ~after:min_int
         done
       end
     done
   in
-  let check ~slot t cycle =
-    let lanes = ((1 lsl k) - 1) lsl (slot * k) in
+  let check ~slot q cycle =
+    let p = qphase.(q) and t = qtrace.(q) in
+    let lanes = ((1 lsl k) - 1) lsl (slot * w) and g = (slot * w) + k in
     let newly = ref false in
-    for o = 0 to no - 1 do
-      let oc = oracles.(o) in
-      for vi = 0 to Array.length oc.o_ids - 1 do
-        let m = lanes land lnot stopped.(o) in
-        if m <> 0 then begin
-          let predicted = oc.o_predict t cycle vi in
-          let bad, neq = S.check_net ~mask:m sim oc.o_ids.(vi) ~predicted in
-          if bad lor neq <> 0 then begin
-            newly := true;
-            record_issue o ~slot t cycle vi ~predicted (bad lor neq)
-          end
-        end
-      done
+    for c = 0 to nc - 1 do
+      if chain_phase.(c) = p then
+        for o = 0 to Array.length chains.(c) - 1 do
+          let oc = chains.(c).(o) in
+          for vi = 0 to Array.length oc.o_ids - 1 do
+            let m = lanes land lnot stopped.(c).(o) and id = oc.o_ids.(vi) in
+            match oc.o_predict with
+            | Some predict ->
+              if m <> 0 then begin
+                let predicted = predict t cycle vi in
+                let flagged = S.check_net sim id ~mask:m ~predicted in
+                if flagged <> 0 then begin
+                  newly := true;
+                  record_issue c o ~slot t cycle vi ~predicted flagged
+                end
+              end
+            | None ->
+              (* The golden lane is checked even when no mutant lane is:
+                 an x/z there must not depend on the mutants. *)
+              let flagged =
+                S.check_lane sim id ~mask:(m lor (1 lsl g)) ~lane:g
+              in
+              if (flagged lsr g) land 1 = 1 then begin
+                match !golden_x with
+                | Some (p', t') when p' < p || (p' = p && t' <= t) -> ()
+                | _ -> golden_x := Some (p, t)
+              end
+              else if flagged <> 0 then begin
+                newly := true;
+                let predicted =
+                  Translate.value_of_bv (S.get_lane sim ~lane:g id)
+                in
+                record_issue c o ~slot t cycle vi ~predicted flagged
+              end
+          done
+        done
     done;
     if !newly then
-      S.freeze sim ~mask:(Array.fold_left ( land ) (S.amask sim) stopped)
+      S.freeze sim
+        ~mask:(Array.fold_left (Array.fold_left ( land )) (S.amask sim) stopped)
   in
-  Avp_vectors.Slots.run sim tr ~width:k vectors ~start
-    ~on_reset:(fun ~slot t -> check ~slot t (-1))
-    ~on_cycle:(fun ~slot t i -> check ~slot t i);
-  Array.init k (fun j ->
-      let rec first o =
-        if o = no then Clean
-        else
-          match (escape.(o).(j), mismatch.(o).(j)) with
-          | Some (_, msg), _ -> escaped msg
-          | None, Some m -> Mismatch m
-          | None, None -> first (o + 1)
-      in
-      first 0)
+  Avp_vectors.Slots.run sim tr ~width:w vectors ~start
+    ~on_reset:(fun ~slot q -> check ~slot q (-1))
+    ~on_cycle:(fun ~slot q i -> check ~slot q i);
+  let outcomes =
+    Array.mapi
+      (fun c oracles ->
+        Array.init k (fun j ->
+            let rec first o =
+              if o = Array.length oracles then Clean
+              else
+                match (escape.(c).(o).(j), mismatch.(c).(o).(j)) with
+                | Some (_, msg), _ -> escaped msg
+                | None, Some m -> Mismatch m
+                | None, None -> first (o + 1)
+            in
+            first 0))
+      chains
+  in
+  (outcomes, !golden_x)
 
 let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
     (duts : Avp_hdl.Elab.t array) =
   let module Obs = Avp_obs.Obs in
   let n = Array.length duts in
+  (* The nets the output oracles read: one array for all of them. *)
+  let outs = ref None in
+  let has_outputs =
+    Array.map
+      (fun p ->
+        let found = ref false in
+        Array.iter
+          (Array.iter (function
+            | States _ -> ()
+            | Outputs nets ->
+              if Option.fold ~none:false ~some:(( <> ) nets) !outs then
+                invalid_arg "Campaign.detect: output oracles name different nets";
+              outs := Some nets;
+              found := true))
+          p.chains;
+        !found)
+      phases
+  in
+  let outs = Option.value ~default:[||] !outs in
+  (* The pristine outputs' rows, recorded on the interpreter: the scalar
+     engine's input, and the fallback's.  The sets are the phases with
+     an output oracle, in phase order. *)
+  let out_phases =
+    List.filter (Array.get has_outputs) (List.init (Array.length phases) Fun.id)
+  in
+  let set_of = Array.make (Array.length phases) (-1) in
+  List.iteri (fun i p -> set_of.(p) <- i) out_phases;
+  let record sets = Avp_vectors.Replay.record tr ~nets:outs sets in
+  let recorded =
+    lazy
+      (record
+         (Array.of_list (List.map (fun p -> phases.(p).vectors) out_phases)))
+  in
   (* Mutant by mutant: the scalar engine's whole run, and the sliced
      engine's leftovers (unschedulable mutants, chunks the kernel
-     aborted on). *)
+     rejected or aborted on). *)
   let check_scalar j =
     let t0 = Obs.Clock.now_s () in
-    on_done ~t0 j (Array.map (check_phase ~tr ~graph duts.(j)) phases)
+    let outcomes =
+      Array.mapi
+        (fun p { vectors; chains } ->
+          let rows () = (Lazy.force recorded).(set_of.(p)) in
+          Array.map (check_chain ~tr ~graph ~rows duts.(j) vectors) chains)
+        phases
+    in
+    on_done ~t0 j (Array.concat (Array.to_list outcomes))
   in
-  match engine with
-  | `Scalar ->
+  let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
+  (* A slot needs a mutant lane and its golden lane. *)
+  if engine = `Scalar || lanes < 2 || n = 0 then begin
+    ignore (Lazy.force recorded);
     for j = 0 to n - 1 do
       check_scalar j
     done
-  | `Sliced ->
-    let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
+  end
+  else begin
     let base = tr.Translate.elab in
     let units = Avp_hdl.Compile.units base in
     let net_id nm = (Avp_hdl.Elab.net base nm).Avp_hdl.Elab.id in
     let state_names = Avp_vectors.Replay.state_nets tr in
     let state_ids = Array.map net_id state_names in
+    let out_ids = Array.map net_id outs in
     let lane_oracle = function
       | States tours ->
         let predict ti cycle vi =
@@ -313,25 +413,26 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
           let state = Avp_vectors.Replay.predicted_state trace cycle in
           graph.State_graph.states.(state).(vi)
         in
-        { o_ids = state_ids; o_names = state_names; o_predict = predict }
-      | Nets (names, rows) ->
-        {
-          o_ids = Array.map net_id names;
-          o_names = names;
-          o_predict = (fun ti cycle vi -> rows.(ti).(cycle + 1).(vi));
-        }
+        { o_ids = state_ids; o_names = state_names; o_predict = Some predict }
+      | Outputs _ -> { o_ids = out_ids; o_names = outs; o_predict = None }
     in
-    let lane_phases =
-      Array.map (fun p -> (p.vectors, Array.map lane_oracle p.chain)) phases
-    in
+    (* Every phase's chains, flattened in the order of [on_done]'s
+       outcomes, and every phase's traces in one queue, in phase
+       order. *)
+    let flat f = Array.concat (Array.to_list (Array.mapi f phases)) in
+    let chain_phase = flat (fun p ph -> Array.map (fun _ -> p) ph.chains) in
+    let chains = flat (fun _ ph -> Array.map (Array.map lane_oracle) ph.chains) in
+    let qphase = flat (fun p ph -> Array.map (fun _ -> p) ph.vectors) in
+    let qtrace = flat (fun _ ph -> Array.mapi (fun t _ -> t) ph.vectors) in
+    let queue = flat (fun _ ph -> ph.vectors) in
     let fallback = ref [] in
-    let chunks = (n + lanes - 1) / lanes in
-    for ci = 0 to chunks - 1 do
-      let c0 = ci * lanes in
-      let k = min lanes (n - c0) in
-      (* The lanes a chunk leaves spare carry it again, so ⌊lanes/k⌋
+    let chunk = lanes - 1 in
+    for ci = 0 to ((n + chunk - 1) / chunk) - 1 do
+      let c0 = ci * chunk in
+      let k = min chunk (n - c0) in
+      (* The lanes a chunk leaves spare carry it again, so ⌊lanes/(k+1)⌋
          slots replay different traces side by side. *)
-      let slots = lanes / k in
+      let slots = lanes / (k + 1) in
       let tc0 = Obs.Clock.now_s () in
       let scheduled_n = ref 0 and traces = ref 0 in
       (* The pass span covers the word-parallel replay only; the
@@ -343,7 +444,7 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
             ~args:
               [
                 ("pass", Obs.Int ci);
-                ("lanes", Obs.Int (slots * k));
+                ("lanes", Obs.Int (slots * (k + 1)));
                 ("slots", Obs.Int slots);
                 ("scheduled", Obs.Int !scheduled_n);
                 ("traces", Obs.Int !traces);
@@ -356,7 +457,9 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
       in
       match
         Avp_hdl.Sliced.create_schemata ~u:units ~base
-          (Array.init (slots * k) (fun l -> duts.(c0 + (l mod k))))
+          (Array.init (slots * (k + 1)) (fun l ->
+               let j = l mod (k + 1) in
+               if j = k then base else duts.(c0 + j)))
       with
       | None ->
         pass_span ();
@@ -372,12 +475,18 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
           end
         done;
         match
-          Array.map
-            (fun (vectors, oracles) ->
-              sliced_phase sim tr ~k ~need:!need ~traces oracles vectors)
-            lane_phases
+          sliced_pass sim tr ~k ~need:!need ~traces ~chain_phase ~chains
+            ~has_outputs ~qphase ~qtrace queue
         with
-        | outcomes ->
+        | _, Some (p, t) ->
+          (* A golden lane read an x/z output: the interpreter's
+             recording of that trace raises the message recording every
+             set up front would.  Should it not, the interpreter is the
+             oracle, and the chunk falls back. *)
+          pass_span ();
+          ignore (record [| [| phases.(p).vectors.(t) |] |]);
+          fall_back ()
+        | outcomes, None ->
           pass_span ();
           for j = 0 to k - 1 do
             if not scheduled.(j) then fallback := (c0 + j) :: !fallback
@@ -395,6 +504,7 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
           fall_back ())
     done;
     List.iter check_scalar (List.rev !fallback)
+  end
 
 (* ---------------------------------------------------------------- *)
 (* The campaign                                                     *)
@@ -419,8 +529,6 @@ let run ?families ?(seed = 1) ?budget ?domains:_
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
   let outs = output_ports design ~top:tr.Translate.elab.Avp_hdl.Elab.top in
-  let rows = Avp_vectors.Replay.record tr ~nets:outs [| tvecs; rvecs |] in
-  let tour_out = rows.(0) and rand_out = rows.(1) in
   (* Pristine invariants, proven once; each vetted mutant is re-analysed
      and pruned when its invariants provably diverge on a checked net.
      The prune runs at vet time on BOTH engines, so scalar and sliced
@@ -476,13 +584,13 @@ let run ?families ?(seed = 1) ?budget ?domains:_
       | None -> cands := (i, dut) :: !cands)
   done;
   let cands = Array.of_list (List.rev !cands) in
-  (* One fused replay of the tour vectors serves both tour oracles —
-     the output oracle chains behind the state oracle — then one
-     replay of the random vectors. *)
+  (* One replay of the tour vectors serves both tour oracles — the
+     output oracle chains behind the state oracle — and the random
+     vectors run in the same queue. *)
   detect ~engine ~lanes ~tr ~graph
     [|
-      { vectors = tvecs; chain = [| States tours; Nets (outs, tour_out) |] };
-      { vectors = rvecs; chain = [| Nets (outs, rand_out) |] };
+      { vectors = tvecs; chains = [| [| States tours; Outputs outs |] |] };
+      { vectors = rvecs; chains = [| [| Outputs outs |] |] };
     |]
     (Array.map snd cands)
     ~on_done:(fun ~t0 j o ->

@@ -85,17 +85,23 @@ type oracle =
   | States of Avp_tour.Tour_gen.t
       (** every annotated state net against the walk's predicted state,
           per cycle ({!Avp_vectors.Replay.check}) *)
-  | Nets of string array * int array array array
-      (** the named nets against rows recorded on the pristine design
-          ({!Avp_vectors.Replay.check_nets}) *)
+  | Outputs of string array
+      (** the named nets against the pristine design under the same
+          vectors, per cycle: on the sliced engine its golden lane, on
+          the scalar engine its recorded rows
+          ({!Avp_vectors.Replay.record}, {!Avp_vectors.Replay.check_nets}).
+          Every output oracle of one {!detect} call names the same
+          nets. *)
 
 type phase = {
   vectors : Avp_vectors.Vector.t array;
       (** realized once from the pristine model; one trace per walk of
           every [States] oracle *)
-  chain : oracle array;
-      (** checked in order: an oracle's outcome counts only for mutants
-          every earlier oracle passed clean *)
+  chains : oracle array array;
+      (** independent chains, all watching one replay of [vectors].
+          Within a chain the oracles are checked in order: an oracle's
+          outcome counts only for mutants every earlier oracle of the
+          chain passed clean *)
 }
 
 type outcome =
@@ -116,28 +122,43 @@ val detect :
   unit
 (** Replay every phase against every vetted mutant elaboration (each
     an elaboration of a mutant of the design [tr] was translated from)
-    and report, per mutant, each phase's first issue.
+    and report, per mutant, each chain's first issue.
     [on_done ~t0 j outcomes] runs exactly once per mutant [j], with
-    one outcome per phase; [t0] is when work attributable to that
-    mutant alone began.
+    one outcome per chain, in phase order and then chain order; [t0]
+    is when work attributable to that mutant alone began.
 
-    [`Sliced] compiles [tr]'s design {e once} per chunk of [k] ≤
-    [lanes] (clamped to 1..62) mutants as mutant schemata
-    ({!Avp_hdl.Sliced.create_schemata}) over the chunk repeated
-    ⌊[lanes]/[k]⌋ times, and replays each phase in that many slots of
-    [k] lanes ({!Avp_vectors.Slots}): each slot replays its own trace,
-    so 16 mutants run 3 traces side by side, while a chunk of 32 or
-    more runs one slot.  Each chunk emits one [mutate.pass] span with
-    its [lanes], [slots], [scheduled] mutants and [traces] replayed.
-    Traces finish out of order, so outcomes are combined by trace
-    index: per (mutant, oracle) the lowest-trace escape wins over every
-    mismatch, otherwise the lowest-trace mismatch wins, and a chained
-    oracle counts only when every earlier oracle is clean.  Mutants
-    the schemata kernel cannot carry (structural divergence beyond one
-    expression site, or a mutation-induced comb loop that aborts the
-    shared word) fall back to the scalar path.  [`Scalar] replays
-    mutant by mutant.  Outcomes — escape texts included — are
-    identical for any engine and lane count. *)
+    [`Sliced] simulates each chunk of [k] ≤ [lanes] − 1 mutants
+    ([lanes] clamped to 1..62) once: it compiles [tr]'s design as
+    mutant schemata ({!Avp_hdl.Sliced.create_schemata}) over slots of
+    [k + 1] lanes, the chunk plus the pristine design as the slot's
+    golden lane, ⌊[lanes]/([k] + 1)⌋ slots, and replays every phase's
+    traces through one queue ({!Avp_vectors.Slots}): each slot replays
+    its own trace, so 16 mutants run 3 traces side by side, and a
+    phase's long trace overlaps the other phases' short ones.  An
+    output oracle compares each mutant lane with its slot's golden lane
+    in the same step, so nothing is recorded.  Each chunk emits one
+    [mutate.pass] span with its [lanes], [slots], [scheduled] mutants
+    and [traces] replayed.  Traces finish out of order, so outcomes are
+    combined by trace index: per (chain, oracle, mutant) the
+    lowest-trace escape wins over every mismatch, otherwise the
+    lowest-trace mismatch wins, and a chained oracle counts only when
+    every earlier oracle of its chain is clean.  Mutants the schemata
+    kernel cannot carry (structural divergence beyond one expression
+    site, or a mutation-induced comb loop that aborts the shared word)
+    fall back to the scalar path.
+
+    [`Scalar] — and the sliced engine when [lanes] < 2 leaves no room
+    for a golden lane, or there is no mutant — records the pristine
+    outputs of every phase with an output oracle on the interpreter up
+    front ({!Avp_vectors.Replay.record}, in phase order), then replays
+    mutant by mutant.  Outcomes — escape texts included — are identical
+    for any engine and lane count.
+    @raise Avp_fsm.Translate.Unsupported on either engine, before it
+    reports any outcome, when the pristine design drives an output x/z:
+    the interpreter recording's message, from the first such trace in
+    phase and trace order.
+    @raise Invalid_argument when two output oracles name different
+    nets. *)
 
 val run :
   ?families:Op.family list ->
@@ -161,11 +182,11 @@ val run :
 
     [engine] (default [`Sliced]) selects the replay backend.
     Mutants are vetted up front; the survivors go through {!detect}
-    in two phases: the tour vectors with the state oracle chained
-    before the output oracle (one fused pass), and the random vectors
-    with the output oracle.  [`Sliced] classifies up to [lanes]
-    (default 62) mutants word-parallel per pass —
-    ceil(candidates/lanes) chunks instead of one full replay per
+    in two phases: the tour vectors with one chain, the state oracle
+    before the output oracle, and the random vectors with the output
+    oracle.  [`Sliced] classifies up to [lanes] − 1 (default 61)
+    mutants word-parallel per pass, next to the golden lane —
+    ceil(candidates/(lanes − 1)) chunks instead of one full replay per
     mutant.  Classifications — including kill details and x/z escape
     messages — are byte-identical between engines and for any [lanes]
     value; {!to_json} is the equality witness the test suite checks. *)

@@ -154,10 +154,8 @@ let check_lanes ~dut (tr : Translate.result)
       let rec net vi =
         if vi < Array.length ids then begin
           let id = ids.(vi) and p = predicted.(vi) in
-          let bad, neq =
-            Avp_hdl.Sliced.check_net ~mask:(1 lsl slot) sim id ~predicted:p
-          in
-          if bad lor neq = 0 then net (vi + 1)
+          if Avp_hdl.Sliced.check_net sim id ~mask:(1 lsl slot) ~predicted:p = 0
+          then net (vi + 1)
           else begin
             failures.(t) <-
               Some
@@ -197,8 +195,7 @@ let check_lanes ~dut (tr : Translate.result)
       in
       Some (first 0))
 
-(* One trace's rows on a scalar simulator: the oracle of the lane
-   recording below, and its fallback. *)
+(* One trace's rows on a fresh interpreter. *)
 let record_trace (tr : Translate.result) ~(nets : string array)
     (v : Vector.t) =
   let rows = Array.make_matrix (Array.length v + 1) (Array.length nets) 0 in
@@ -215,75 +212,10 @@ let record_trace (tr : Translate.result) ~(nets : string array)
     ~on_cycle:(fun i -> snap (i + 1));
   rows
 
-(* Every trace on one kernel of the pristine design, one trace per
-   one-lane slot.  After each step every net is read across all lanes
-   at once; a lane whose net cannot encode an int stops its trace, which
-   [record] then re-records on the scalar engine.  [None] when the
-   kernel rejects the design or a step raised. *)
-let record_lanes (tr : Translate.result) ~(nets : string array)
-    (vectors : Vector.t array) =
-  let design = tr.Translate.elab in
-  let lanes = min Avp_logic.Bv_sliced.lanes_limit (max 1 (Array.length vectors)) in
-  match Avp_hdl.Sliced.create ~lanes design with
-  | None -> None
-  | Some sim -> (
-    let rows =
-      Array.map
-        (fun v -> Array.make_matrix (Array.length v + 1) (Array.length nets) 0)
-        vectors
-    in
-    let scalar = Array.make (Array.length vectors) false in
-    let values = Array.make_matrix (Array.length nets) lanes 0 in
-    let undefined = ref 0 in
-    let snap ~slot t row =
-      if (!undefined lsr slot) land 1 = 1 then begin
-        scalar.(t) <- true;
-        Avp_hdl.Sliced.freeze sim ~mask:(1 lsl slot)
-      end
-      else
-        for vi = 0 to Array.length nets - 1 do
-          rows.(t).(row).(vi) <- values.(vi).(slot)
-        done
-    in
-    match
-      let ids =
-        Array.map (fun nm -> (Avp_hdl.Elab.net design nm).Avp_hdl.Elab.id) nets
-      in
-      Slots.run sim tr ~width:1 vectors
-        ~on_step:(fun () ->
-          undefined := 0;
-          Array.iteri
-            (fun vi id ->
-              undefined :=
-                !undefined lor Avp_hdl.Sliced.get_ints sim id values.(vi))
-            ids)
-        ~on_reset:(fun ~slot t -> snap ~slot t 0)
-        ~on_cycle:(fun ~slot t i -> snap ~slot t (i + 1))
-    with
-    | () -> Some (rows, scalar)
-    | exception _ -> None)
-
+(* Set by set, trace by trace, so the first undefined value raises. *)
 let record (tr : Translate.result) ~(nets : string array)
     (sets : Vector.t array array) =
-  let vectors = Array.concat (Array.to_list sets) in
-  let scalar v = record_trace tr ~nets v in
-  let rows =
-    match record_lanes tr ~nets vectors with
-    | None -> Array.map scalar vectors
-    | Some (rows, redo) ->
-      (* In trace order, so the first undefined value raises the
-         scalar recording's message. *)
-      Array.iteri (fun t r -> if r then rows.(t) <- scalar vectors.(t)) redo;
-      rows
-  in
-  let off = ref 0 in
-  Array.map
-    (fun set ->
-      let n = Array.length set in
-      let r = Array.sub rows !off n in
-      off := !off + n;
-      r)
-    sets
+  Array.map (Array.map (record_trace tr ~nets)) sets
 
 let check_nets ~dut ?progress (tr : Translate.result)
     ~(nets : string array) ~(predicted : int array array array)

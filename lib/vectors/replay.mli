@@ -96,22 +96,17 @@ val record :
   Vector.t array array ->
   int array array array array
 (** [record tr ~nets sets] plays every trace of every vector set
-    against the pristine design once and records the value of every
-    named net: in trace [t]'s rows of a set, row 0 holds the
-    post-reset values and row [i + 1] the values after cycle [i] — the
-    golden trajectories a lockstep comparison checks against.  One
-    result per set, in order.
-
-    All the sets' traces run in one pass on the bit-sliced kernel, one
-    trace per one-lane slot ({!Slots}), 62 at a time.  The scalar
-    recording, one {!Avp_hdl.Sim} run per trace, stays the fallback and
-    the oracle in three cases:
-    - a design {!Avp_hdl.Sliced.create} rejects: every trace;
-    - a trace whose lane reads a net that cannot encode an int: that
-      trace, in trace order, so the message raised is the scalar's;
-    - a kernel step that raises: every trace.
-    @raise Avp_fsm.Translate.Unsupported if a recorded net carries
-    x/z bits. *)
+    against the pristine design on the interpreter ({!Avp_hdl.Sim}),
+    one run per trace, and records the value of every named net: in
+    trace [t]'s rows of a set, row 0 holds the post-reset values and
+    row [i + 1] the values after cycle [i] — the golden trajectories a
+    lockstep comparison checks against.  One result per set, in order.
+    The mutation campaign's sliced passes compare outputs against a
+    golden lane instead; this recording is their oracle, the scalar
+    engine's input and the fallback's, and it raises the message of a
+    golden lane that read an x/z output.
+    @raise Avp_fsm.Translate.Unsupported at the first recorded value,
+    in set, trace, cycle and net order, that carries x/z bits. *)
 
 val check_nets :
   dut:Avp_hdl.Elab.t ->

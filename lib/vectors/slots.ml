@@ -2,8 +2,8 @@ module Sliced = Avp_hdl.Sliced
 module Bv = Avp_logic.Bv
 
 (* The lane scheduler behind every sliced replay: the mutation
-   campaign's detect passes, the pristine output recording and the fuzz
-   loop's candidate checks.
+   campaign's detect passes and the lane checks of the fuzz loop's
+   candidates and of [avp replay].
 
    Per slot it keeps the trace it replays (-1 when idle) and the cycle
    whose stimulus the next step applies (-1: the reset step).  A step
@@ -11,7 +11,7 @@ module Bv = Avp_logic.Bv
    all lanes, and clocks the kernel; the slots that took their reset
    step then release it together with one settle. *)
 
-let run ?start ?(on_step = fun () -> ()) ~on_reset ~on_cycle sim
+let run ?start ~on_reset ~on_cycle sim
     (tr : Avp_fsm.Translate.result) ~width (vectors : Vector.t array) =
   let design = tr.Avp_fsm.Translate.elab in
   let net_id = Avp_hdl.Elab.net_id design in
@@ -139,7 +139,6 @@ let run ?start ?(on_step = fun () -> ()) ~on_reset ~on_cycle sim
       end
     done;
     if !released then Sliced.settle sim;
-    on_step ();
     for s = 0 to nslots - 1 do
       let t = trace.(s) and c = cycle.(s) in
       if t >= 0 then begin

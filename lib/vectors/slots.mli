@@ -23,7 +23,6 @@
 
 val run :
   ?start:(slot:int -> int -> int) ->
-  ?on_step:(unit -> unit) ->
   on_reset:(slot:int -> int -> unit) ->
   on_cycle:(slot:int -> int -> int -> unit) ->
   Avp_hdl.Sliced.t ->
@@ -39,9 +38,6 @@ val run :
       returns the lanes that replay it (default: all); the slot's other
       lanes stay frozen for the trace, and [0] skips the trace — no
       slot replays it.
-    - [on_step ()] runs after every kernel step, once the reset of the
-      slots that just took it is released and settled, before the
-      slots' callbacks.
     - [on_reset ~slot t] runs at trace [t]'s reset release, the point
       {!Condition_map.apply}'s [on_reset] observes.
     - [on_cycle ~slot t i] runs after cycle [i] of trace [t].

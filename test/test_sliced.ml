@@ -166,18 +166,11 @@ let prop_logical =
                 | None -> bit1 Bit.X)
               xs)
            (into 1 (fun d -> Sl.logical_not_into d sx))
-      && lanes_agree "truth-as-masks"
+      && lanes_agree "true lanes"
            (Array.map
-              (fun x ->
-                bit1
-                  (match Bv.to_bool x with
-                   | Some true -> Bit.L1
-                   | Some false -> Bit.L0
-                   | None -> Bit.X))
+              (fun x -> bit1 (if Bv.to_bool x = Some true then Bit.L1 else Bit.L0))
               xs)
-           (let t1, t0, tx = Sl.truth sx in
-            ignore t0;
-            Sl.make 1 (fun _ -> (t1 lor tx, tx))))
+           (Sl.make 1 (fun _ -> (Sl.true_lanes sx, 0))))
 
 (* Mux with equal arm widths (the only shape the engines accept). *)
 let gen_mux =
@@ -567,17 +560,57 @@ let pp_outcome = function
     Format.asprintf "mismatch: %a" Avp_vectors.Replay.pp_mismatch m
   | Avp_mutate.Campaign.Escape d -> "escape: " ^ d
 
-(* Single-oracle phases, unchained — the shape the fuzz generator
-   comparison scores with — over vetted pp mutants, a mix of killed,
-   escaping and X-escaping ones: every mutant must get the same outcome
-   per phase on both engines, whatever the lane count.  The tour is
-   segmented so that the replays span many traces, like the fuzz corpus
-   and the random baseline.  Three inputs: the first 25 mutants at 7
-   and 62 lanes (one and two slots per chunk), and two that leave lanes
-   spare — 16 mutants at 62 lanes (3 slots of 16) and 3 at 62 (20 slots
-   of 3), where the slots replay different traces side by side, so
-   issues come in out of trace order.  Each input holds a clean mutant,
-   an escaping one and one whose first mismatch is in a later trace. *)
+(* Hand-written traces of one 2-bit free input [a]. *)
+let traces_of_a (values : int list list) =
+  Array.of_list
+    (List.map
+       (fun vs ->
+         Array.of_list
+           (List.map
+              (fun v ->
+                {
+                  Avp_vectors.Vector.actions =
+                    [ Avp_vectors.Vector.Force ("a", Bv.of_int ~width:2 v) ];
+                })
+              vs))
+       values)
+
+let detect_all ~engine ~lanes ~tr ~graph phases duts =
+  let got = Array.make (Array.length duts) [||] in
+  Avp_mutate.Campaign.detect ~engine ~lanes ~tr ~graph
+    ~on_done:(fun ~t0:_ j o -> got.(j) <- o)
+    phases duts;
+  got
+
+let same_outcomes ~what ~ids scalar sliced =
+  Array.iteri
+    (fun j id ->
+      Array.iteri
+        (fun c o ->
+          if o <> sliced.(j).(c) then
+            Alcotest.failf "%s, mutant %d chain %d: scalar %s but sliced %s"
+              what id c (pp_outcome o)
+              (pp_outcome sliced.(j).(c)))
+        scalar.(j))
+    ids
+
+(* Three phases in one queue, with independent chains and a chained
+   one — the shapes the fuzz generator comparison and the campaign
+   score with — over vetted pp mutants, a mix of killed, escaping and
+   X-escaping ones: every mutant must get the same outcome per chain on
+   both engines, whatever the lane count.  The output oracles compare
+   against the golden lane on the sliced engine and against the
+   interpreter's recorded rows on the scalar one, and a mismatch names
+   the predicted value, so equal outcomes mean golden lanes = the
+   interpreter's rows.  The tour is segmented so that the replays span
+   many traces, like the fuzz corpus and the random baseline.  Three
+   inputs: 25 mutants (ids 0-23 and 73) at 7 and 62 lanes (chunks of 6
+   in one slot of 7, then one in 3 slots of 2; one chunk in 2 slots of
+   26), and two that leave lanes spare — 16 mutants at 62 lanes (3
+   slots of 17) and 3 at 62 (15 slots of 4), where the slots replay
+   different traces side by side, so issues come in out of trace
+   order.  Each input holds a clean mutant, an escaping one and one
+   whose first mismatch is in a later trace. *)
 let test_detect_engines () =
   let module C = Avp_mutate.Campaign in
   let design = Avp_pp.Control_hdl.parse () in
@@ -588,20 +621,46 @@ let test_detect_engines () =
   let tvecs = Avp_vectors.Replay.vectors tr tours in
   let rvecs = Avp_vectors.Replay.vectors tr rtours in
   let outs = C.output_ports design ~top:tr.Avp_fsm.Translate.elab.Elab.top in
-  let rows = Avp_vectors.Replay.record tr ~nets:outs [| tvecs; rvecs |] in
-  let phase vectors oracle = { C.vectors; chain = [| oracle |] } in
+  (* A wrong reset state in trace 0 makes every mutant mismatch at
+     once, on [irefill], the first state net; a mutant that leaves the
+     defined domain in a later trace must still report the escape, as
+     the scalar replay of every trace does.  Mutant 73 drops the reset
+     of [head], a later state net, which is X at every reset release.
+     Next to the random walks' output oracle, such a chain also checks
+     that chains are independent: the trace-0 mismatch must not stop
+     the output oracle, whose first issue is in a later trace for some
+     mutants. *)
+  let drop_head_reset = 73 in
+  let doctored (tours : Avp_tour.Tour_gen.t) =
+    let traces = Array.copy tours.Avp_tour.Tour_gen.traces in
+    let t0 = Array.copy traces.(0) in
+    let s = t0.(0) in
+    t0.(0) <-
+      { s with
+        Avp_tour.Tour_gen.src =
+          (s.Avp_tour.Tour_gen.src + 1)
+          mod Avp_enum.State_graph.num_states graph };
+    traces.(0) <- t0;
+    Avp_tour.Tour_gen.of_traces traces
+  in
+  (* The last phase has no output oracle, so its slots carry no live
+     golden lane and skip what no mutant needs. *)
   let phases =
     [|
-      phase tvecs (C.States tours);
-      phase tvecs (C.Nets (outs, rows.(0)));
-      phase rvecs (C.Nets (outs, rows.(1)));
-      (* A wrong post-reset prediction in trace 0 makes every mutant
-         mismatch at once; a mutant that leaves the defined domain in
-         a later trace must still report the escape, as the scalar
-         replay of every trace does. *)
-      (let r = Array.map (Array.map Array.copy) rows.(0) in
-       r.(0).(0).(0) <- r.(0).(0).(0) + 1;
-       phase tvecs (C.Nets (outs, r)));
+      {
+        C.vectors = tvecs;
+        chains =
+          [|
+            [| C.States tours |];
+            [| C.Outputs outs |];
+            [| C.States tours; C.Outputs outs |];
+          |];
+      };
+      {
+        C.vectors = rvecs;
+        chains = [| [| C.Outputs outs |]; [| C.States (doctored rtours) |] |];
+      };
+      { C.vectors = tvecs; chains = [| [| C.States (doctored tours) |] |] };
     |]
   in
   let muts =
@@ -610,15 +669,11 @@ let test_detect_engines () =
         match Avp_mutate.Filter.vet m.Avp_mutate.Gen.design with
         | `Ok dut -> Some (m.Avp_mutate.Gen.id, dut)
         | `Stillborn _ | `Static _ -> None)
-    |> List.filteri (fun i _ -> i < 25)
+    |> List.filter (fun (id, _) -> id < 24 || id = drop_head_reset)
     |> Array.of_list
   in
   let detect engine ~lanes muts =
-    let got = Array.make (Array.length muts) [||] in
-    C.detect ~engine ~lanes ~tr ~graph
-      ~on_done:(fun ~t0:_ j o -> got.(j) <- o)
-      phases (Array.map snd muts);
-    got
+    detect_all ~engine ~lanes ~tr ~graph phases (Array.map snd muts)
   in
   let kind = function
     | C.Clean -> "clean"
@@ -637,97 +692,132 @@ let test_detect_engines () =
         (what ^ ": clean, mismatch and escape outcomes all occur")
         3 (Hashtbl.length kinds);
       Alcotest.(check bool)
+        (what ^ ": an output oracle reports a mismatch")
+        true
+        (Array.exists (fun o -> kind o.(1) = "mismatch") scalar);
+      Alcotest.(check bool)
         (what ^ ": a later-trace escape preempts the trace-0 mismatch")
         true
-        (Array.exists (fun o -> kind o.(3) = "escape") scalar);
+        (Array.exists (fun o -> kind o.(4) = "escape" && kind o.(5) = "escape")
+           scalar);
       List.iter
         (fun lanes ->
-          let sliced = detect `Sliced ~lanes muts in
-          Array.iteri
-            (fun j (mid, _) ->
-              Array.iteri
-                (fun k o ->
-                  if o <> sliced.(j).(k) then
-                    Alcotest.failf
-                      "%s, lanes=%d mutant %d phase %d: scalar %s but \
-                       sliced %s"
-                      what lanes mid k (pp_outcome o)
-                      (pp_outcome sliced.(j).(k)))
-                scalar.(j))
-            muts)
+          same_outcomes
+            ~what:(Printf.sprintf "%s, lanes=%d" what lanes)
+            ~ids:(Array.map fst muts) scalar
+            (detect `Sliced ~lanes muts))
         lanes_list)
     [
       (muts, [ 7; 62 ]);
-      (Array.sub muts 6 16, [ 62 ]);
-      (Array.map (Array.get muts) [| 2; 14; 18 |], [ 62 ]);
+      (Array.sub muts 9 16, [ 62 ]);
+      (Array.map (Array.get muts) [| 14; 18; 24 |], [ 62 ]);
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Output recording on lanes vs the scalar per-trace recording        *)
+(* Output recording on golden lanes vs the interpreter's recording    *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-trace recording on a scalar simulator, as [Replay.record]
-   did before it ran on lanes. *)
-let scalar_record (tr : Avp_fsm.Translate.result) ~nets vectors =
-  Array.map
-    (fun (v : Avp_vectors.Vector.t) ->
-      let rows = Array.make_matrix (Array.length v + 1) (Array.length nets) 0 in
-      let sim = Sim.create tr.Avp_fsm.Translate.elab in
-      let snap row =
-        Array.iteri
-          (fun vi net ->
-            rows.(row).(vi) <-
-              Avp_fsm.Translate.value_of_bv (Sim.get sim net))
-          nets
-      in
-      Avp_vectors.Condition_map.apply v sim ~clock:tr.Avp_fsm.Translate.clock
-        ~reset:tr.Avp_fsm.Translate.reset
-        ~on_reset:(fun () -> snap 0)
-        ~on_cycle:(fun i -> snap (i + 1));
-      rows)
-    vectors
+(* A golden lane records the pristine outputs next to its mutants.  On
+   pp at 62 lanes, 16 vetted mutants plus the pristine design as the
+   last lane of each of 3 slots of 17 — the chunk shape of the fuzz
+   generator comparison — replay the full tour, a segmented tour and
+   random walks through one queue, and a mutant lane is frozen at its
+   first output that differs from its golden lane, as a detect pass
+   freezes a lane once it has its answer.  The outputs read on each
+   slot's golden lane must equal the interpreter's recording
+   ([Replay.record]) of the same traces, row for row.
 
-let outcome f =
-  match f () with
-  | rows -> Ok rows
-  | exception Avp_fsm.Translate.Unsupported msg -> Error msg
-
-(* Hand-written traces of one 2-bit free input [a]. *)
-let traces_of_a (values : int list list) =
-  Array.of_list
-    (List.map
-       (fun vs ->
-         Array.of_list
-           (List.map
-              (fun v ->
-                {
-                  Avp_vectors.Vector.actions =
-                    [ Avp_vectors.Vector.Force ("a", Bv.of_int ~width:2 v) ];
-                })
-              vs))
-       values)
-
+   Two more designs run against the scalar path: one whose pristine
+   output goes X, where both engines raise the interpreter's message
+   for the first such trace in phase and trace order before reporting
+   any outcome, and one the kernel rejects, where the sliced engine
+   falls back to the scalar replays. *)
 let test_record_lanes () =
+  let module C = Avp_mutate.Campaign in
   let design = Avp_pp.Control_hdl.parse () in
   let tr = Avp_fsm.Translate.translate (Elab.elaborate design) in
+  let base = tr.Avp_fsm.Translate.elab in
   let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
-  let module C = Avp_mutate.Campaign in
-  let outs = C.output_ports design ~top:tr.Avp_fsm.Translate.elab.Elab.top in
+  let outs = C.output_ports design ~top:base.Elab.top in
   let tour = Avp_tour.Tour_gen.generate graph in
   let segmented = Avp_tour.Tour_gen.generate ~instr_limit:100 graph in
   let walks = C.random_tours ~seed:1 graph segmented in
   let sets =
     Array.map (Avp_vectors.Replay.vectors tr) [| tour; segmented; walks |]
   in
-  let lanes = Avp_vectors.Replay.record tr ~nets:outs sets in
+  let queue = Array.concat (Array.to_list sets) in
+  let duts =
+    Avp_mutate.Gen.all design
+    |> List.filter_map (fun (m : Avp_mutate.Gen.mutant) ->
+        match Avp_mutate.Filter.vet m.Avp_mutate.Gen.design with
+        | `Ok dut -> Some dut
+        | `Stillborn _ | `Static _ -> None)
+    |> List.filteri (fun i _ -> i < 16)
+    |> Array.of_list
+  in
+  let k = Array.length duts in
+  let w = k + 1 in
+  let sim =
+    match
+      Sliced.create_schemata ~base
+        (Array.init (Sl.lanes_limit / w * w) (fun l ->
+             if l mod w = k then base else duts.(l mod w)))
+    with
+    | Some (sim, _) -> sim
+    | None -> Alcotest.fail "sliced engine rejected the control design"
+  in
+  let ids = Array.map (Elab.net_id base) outs in
+  let rows =
+    Array.map
+      (fun v -> Array.make_matrix (Array.length v + 1) (Array.length outs) 0)
+      queue
+  in
+  let values = Array.make (Sliced.lanes sim) 0 in
+  let frozen = ref 0 in
+  let snap ~slot t row =
+    let golden = (slot * w) + k in
+    Array.iteri
+      (fun vi id ->
+        let undefined = Sliced.get_ints sim id values in
+        if (undefined lsr golden) land 1 = 1 then
+          Alcotest.failf "trace %d row %d: the golden lane reads %s undefined"
+            t row outs.(vi);
+        rows.(t).(row).(vi) <- values.(golden);
+        for l = slot * w to golden - 1 do
+          if (undefined lsr l) land 1 = 1 || values.(l) <> values.(golden)
+          then begin
+            incr frozen;
+            Sliced.freeze sim ~mask:(1 lsl l)
+          end
+        done)
+      ids
+  in
+  Avp_vectors.Slots.run sim tr ~width:w queue
+    ~on_reset:(fun ~slot t -> snap ~slot t 0)
+    ~on_cycle:(fun ~slot t i -> snap ~slot t (i + 1));
+  let off = ref 0 in
   Array.iteri
-    (fun k set ->
-      if lanes.(k) <> scalar_record tr ~nets:outs set then
-        Alcotest.failf "set %d: lane rows differ from the scalar recording" k)
-    sets;
-  (* [q] goes X under a = 2 or a = 3, with different X patterns: the
-     scalar recording raises at the first trace that does, whose
-     message the lane recording must raise too. *)
+    (fun s recorded ->
+      Array.iteri
+        (fun t r ->
+          if rows.(!off + t) <> r then
+            Alcotest.failf
+              "set %d trace %d: golden lane rows differ from the \
+               interpreter's recording"
+              s t)
+        recorded;
+      off := !off + Array.length recorded)
+    (Avp_vectors.Replay.record tr ~nets:outs sets);
+  Alcotest.(check bool) "mutant lanes diverge from their golden lane" true
+    (!frozen > 0);
+  (* [q] goes X under a = 2 or a = 3, with different X patterns, while
+     the state net stays defined under every other input.  The first
+     X in phase and trace order is in the first phase's second trace,
+     though the second phase's first trace goes X at an earlier cycle:
+     every engine raises the interpreter's message for the former, with
+     or without mutants, and reports no outcome.  The mutant pins [y]
+     to 1, so its lanes mismatch at every reset release, before any X:
+     the golden lanes must replay on alone. *)
   let xsrc =
     {|
 module xout (clk, rst, a, y);
@@ -749,18 +839,42 @@ endmodule
 |}
   in
   let xtr = Avp_fsm.Translate.translate (Elab.elaborate (Parser.parse xsrc)) in
-  let xvecs = traces_of_a [ [ 0; 1 ]; [ 1; 0; 1; 3; 0 ]; [ 2; 0 ]; [ 1 ] ] in
-  let expected = outcome (fun () -> scalar_record xtr ~nets:[| "y" |] xvecs) in
-  Alcotest.(check (result unit string))
-    "undefined output: the scalar message" (Error "undefined value 0x cannot encode a state")
-    (Result.map ignore expected);
-  Alcotest.(check (result unit string))
-    "undefined output: lanes raise the scalar message"
-    (Result.map ignore expected)
-    (Result.map ignore
-       (outcome (fun () -> Avp_vectors.Replay.record xtr ~nets:[| "y" |] [| xvecs |])));
+  let xmut =
+    Elab.elaborate
+      (Parser.parse (Str_replace.replace xsrc "assign y = q;" "assign y = 2'b01;"))
+  in
+  let xsets =
+    [| traces_of_a [ [ 0; 1 ]; [ 1; 0; 1; 3; 0 ] ]; traces_of_a [ [ 2; 0 ]; [ 1 ] ] |]
+  in
+  let raised f =
+    match f () with
+    | _ -> None
+    | exception Avp_fsm.Translate.Unsupported msg -> Some msg
+  in
+  Alcotest.(check (option string))
+    "undefined output: the interpreter's message"
+    (Some "undefined value 0x cannot encode a state")
+    (raised (fun () -> Avp_vectors.Replay.record xtr ~nets:[| "y" |] xsets));
+  let xphases =
+    Array.map (fun v -> { C.vectors = v; chains = [| [| C.Outputs [| "y" |] |] |] }) xsets
+  in
+  List.iter
+    (fun (engine, lanes, n) ->
+      let reported = ref 0 in
+      Alcotest.(check (option string))
+        (Printf.sprintf "undefined output, %s engine, %d lanes, %d mutants"
+           (match engine with `Scalar -> "scalar" | `Sliced -> "sliced")
+           lanes n)
+        (Some "undefined value 0x cannot encode a state")
+        (raised (fun () ->
+             C.detect ~engine ~lanes ~tr:xtr ~graph
+               ~on_done:(fun ~t0:_ _ _ -> incr reported)
+               xphases (Array.make n xmut)));
+      Alcotest.(check int) "no outcome reported" 0 !reported)
+    [ (`Scalar, 62, 2); (`Sliced, 62, 2); (`Sliced, 62, 0); (`Sliced, 3, 5);
+      (`Sliced, 1, 2) ];
   (* Unequal ternary arm widths: the kernel rejects the design, and the
-     scalar recording runs instead. *)
+     sliced engine's chunks fall back to the scalar replays. *)
   let usrc =
     {|
 module uneq (clk, rst, a, y);
@@ -781,15 +895,47 @@ module uneq (clk, rst, a, y);
 endmodule
 |}
   in
-  let ud = Elab.elaborate (Parser.parse usrc) in
+  let udesign = Parser.parse usrc in
+  let ud = Elab.elaborate udesign in
   Alcotest.(check bool) "Sliced.create rejects the design" true
     (Sliced.create ~lanes:2 ud = None);
   let utr = Avp_fsm.Translate.translate ud in
+  let ugraph = Avp_enum.State_graph.enumerate utr.Avp_fsm.Translate.model in
   let uvecs = traces_of_a [ [ 1; 1; 1; 0; 1 ]; [ 3; 2; 1 ] ] in
-  let rows = Avp_vectors.Replay.record utr ~nets:[| "y" |] [| uvecs |] in
-  Alcotest.(check bool) "rejected design: rows = the scalar recording" true
-    (rows.(0) = scalar_record utr ~nets:[| "y" |] uvecs);
-  Alcotest.(check int) "rejected design: q counts" 3 rows.(0).(0).(3).(0)
+  Alcotest.(check int) "rejected design: q counts" 3
+    (Avp_vectors.Replay.record utr ~nets:[| "y" |] [| uvecs |]).(0).(0).(3).(0);
+  let umuts =
+    Avp_mutate.Gen.all udesign
+    |> List.filter_map (fun (m : Avp_mutate.Gen.mutant) ->
+        match Avp_mutate.Filter.vet m.Avp_mutate.Gen.design with
+        | `Ok dut -> Some (m.Avp_mutate.Gen.id, dut)
+        | `Stillborn _ | `Static _ -> None)
+    |> Array.of_list
+  in
+  let uphases =
+    [| { C.vectors = uvecs; chains = [| [| C.Outputs [| "y" |] |] |] } |]
+  in
+  let udetect engine =
+    detect_all ~engine ~lanes:62 ~tr:utr ~graph:ugraph uphases
+      (Array.map snd umuts)
+  in
+  let scalar = udetect `Scalar in
+  Alcotest.(check bool) "rejected design: a mutant is killed" true
+    (Array.exists (fun o -> o.(0) <> C.Clean) scalar);
+  same_outcomes ~what:"rejected design" ~ids:(Array.map fst umuts) scalar
+    (udetect `Sliced);
+  Alcotest.check_raises "output oracles naming different nets"
+    (Invalid_argument "Campaign.detect: output oracles name different nets")
+    (fun () ->
+      ignore
+        (detect_all ~engine:`Sliced ~lanes:62 ~tr:utr ~graph:ugraph
+           [|
+             {
+               C.vectors = uvecs;
+               chains = [| [| C.Outputs [| "y" |] |]; [| C.Outputs [||] |] |];
+             };
+           |]
+           (Array.map snd umuts)))
 
 (* ------------------------------------------------------------------ *)
 (* Lanes that restart traces while others run                          *)
@@ -850,16 +996,19 @@ let test_lane_reset () =
   let clock = tr.Avp_fsm.Translate.clock in
   let pin = "istall_out" and one = Bv.of_int ~width:1 1 in
   let replays = Array.make n None in
-  let starts = Array.make n (-1) and step = ref 0 in
+  (* A slot stays busy from the first step until the traces run out,
+     one callback per step, so counting its callbacks gives the step
+     at which it starts a trace. *)
+  let starts = Array.make n (-1) and steps = Array.make Sl.lanes_limit 0 in
   let pinned = ref 0 and frozen = ref 0 in
   let check ~slot t ~what =
     replay_nets_agree d sim ~lane:slot (Option.get replays.(t))
       ~what:(Printf.sprintf "trace %d %s" t what)
   in
   Avp_vectors.Slots.run sim tr ~width:1 vectors
-    ~on_step:(fun () -> incr step)
     ~on_reset:(fun ~slot t ->
-      starts.(t) <- !step;
+      steps.(slot) <- steps.(slot) + 1;
+      starts.(t) <- steps.(slot);
       let s = Sim.create d in
       Sim.set s tr.Avp_fsm.Translate.reset one;
       Sim.step s clock;
@@ -867,6 +1016,7 @@ let test_lane_reset () =
       replays.(t) <- Some s;
       check ~slot t ~what:"at reset release")
     ~on_cycle:(fun ~slot t i ->
+      steps.(slot) <- steps.(slot) + 1;
       let s = Option.get replays.(t) in
       List.iter
         (function
@@ -895,6 +1045,49 @@ let test_lane_reset () =
   Alcotest.(check bool) "lanes reset after a pin and after a freeze" true
     (!pinned > 0 && !frozen > 0)
 
+(* A kernel step allocates nothing once the kernel's queues have grown
+   to the design: after a reset, lane [l] of a 62-lane pp kernel holds
+   the stimulus of cycle [l] of the tour, and 1,000 further steps stay
+   within 1 word each by [Gc.minor_words]. *)
+let test_step_allocation () =
+  let tr = Avp_pp.Control_hdl.translate () in
+  let d = tr.Avp_fsm.Translate.elab in
+  let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
+  let vectors =
+    Avp_vectors.Replay.vectors tr (Avp_tour.Tour_gen.generate graph)
+  in
+  let sim =
+    match Sliced.create ~lanes:Sl.lanes_limit d with
+    | Some s -> s
+    | None -> Alcotest.fail "sliced engine rejected the control design"
+  in
+  let clock = Elab.net_id d tr.Avp_fsm.Translate.clock
+  and reset = Elab.net_id d tr.Avp_fsm.Translate.reset in
+  Sliced.poke_id sim reset (Bv.of_int ~width:1 1);
+  Sliced.step sim clock;
+  Sliced.poke_id sim reset (Bv.of_int ~width:1 0);
+  for l = 0 to Sliced.lanes sim - 1 do
+    List.iter
+      (function
+        | Avp_vectors.Vector.Force (n, v) ->
+          Sliced.force_id ~mask:(1 lsl l) sim (Elab.net_id d n) v
+        | Avp_vectors.Vector.Release n ->
+          Sliced.release_id ~mask:(1 lsl l) sim (Elab.net_id d n))
+      vectors.(0).(l).Avp_vectors.Vector.actions
+  done;
+  for _ = 1 to 10 do
+    Sliced.step sim clock
+  done;
+  let steps = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to steps do
+    Sliced.step sim clock
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > float_of_int steps then
+    Alcotest.failf "%d steps allocated %.0f words (%.1f per step)" steps words
+      (words /. float_of_int steps)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_bitwise;
@@ -921,4 +1114,6 @@ let suite =
       test_lane_reset;
     Alcotest.test_case "record on lanes = scalar recording" `Quick
       test_record_lanes;
+    Alcotest.test_case "a kernel step allocates nothing" `Quick
+      test_step_allocation;
   ]
