@@ -222,6 +222,40 @@ let expander (model : Model.t) (index : index) ~all_conditions =
     done;
     !leaves
 
+(* A model with a whole-state entry point ([Model.t.successor_keys])
+   fills every slot from one call: each choice index is a leaf of its
+   own, in both modes.  Slots whose key repeats an earlier slot's copy
+   its answer, so the intern table is probed once per distinct
+   successor, and a new successor is unpacked and copied once per
+   state.  [first_slot] maps a key to the first slot holding it. *)
+let key_expander (model : Model.t) (index : index) successor_keys =
+  let num_choices = Model.num_choices model in
+  let keys = Array.make num_choices 0 in
+  let v = Array.make (Array.length model.Model.reset) 0 in
+  let key = Bytes.create index.key_size in
+  let first_slot : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  fun cur dst_ids new_vals ->
+    successor_keys cur keys;
+    Hashtbl.clear first_slot;
+    for c = 0 to num_choices - 1 do
+      let k = keys.(c) in
+      match Hashtbl.find first_slot k with
+      | slot ->
+        let id = dst_ids.(slot) in
+        dst_ids.(c) <- id;
+        if id = fresh then new_vals.(c) <- new_vals.(slot)
+      | exception Not_found ->
+        Hashtbl.add first_slot k c;
+        Model.unpack model k v;
+        index.pack_into v key;
+        (match index_find index key with
+         | Some id -> dst_ids.(c) <- id
+         | None ->
+           dst_ids.(c) <- fresh;
+           new_vals.(c) <- Array.copy v)
+    done;
+    num_choices
+
 let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
     ?progress (model : Model.t) =
   let t0 = Obs.Clock.now_s () in
@@ -333,7 +367,11 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
   in
   (* BFS in id order, each source expanded and merged before the next,
      so successors append at the end and ids are discovery order. *)
-  let expand = expander model index ~all_conditions in
+  let expand =
+    match model.Model.successor_keys with
+    | Some keys -> key_expander model index keys
+    | None -> expander model index ~all_conditions
+  in
   let dst_ids = Array.make num_choices unset in
   let new_vals = Array.make num_choices [||] in
   let frontier = ref 0 in

@@ -5,6 +5,12 @@
     the discovery of all reachable states, no matter how improbable a
     sequence of interactions is needed to reach it".
 
+    A model with a whole-state entry point ({!Model.t.successor_keys},
+    a translated HDL model) answers each state in one call: the packed
+    successor key of every choice, from which the enumerator fills the
+    state's slots, probing its intern table once per distinct
+    successor.  Every other model is expanded as below.
+
     The permutation is a decision tree per state rather than one
     transition evaluation per combination.  The transition reads its
     choices through a function ({!Model.t.next_into}); the enumerator
@@ -28,7 +34,7 @@
 
     The enumeration keeps a {e successor row} for every state whose
     decision tree gave each choice index a leaf of its own (every state
-    of a translated HDL model, which reads every choice): byte [c] of
+    of a model answered by its whole-state entry point): byte [c] of
     the row is the position in [adj.(s)] of the edge to choice [c]'s
     successor.  Equal rows are stored once.  {!successor} answers
     model walks from the rows.  A state keeps no row when a leaf

@@ -371,10 +371,9 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
   in
   let set_of = Array.make (Array.length phases) (-1) in
   List.iteri (fun i p -> set_of.(p) <- i) out_phases;
-  let record sets = Avp_vectors.Replay.record tr ~nets:outs sets in
   let recorded =
     lazy
-      (record
+      (Avp_vectors.Replay.record tr ~nets:outs
          (Array.of_list (List.map (fun p -> phases.(p).vectors) out_phases)))
   in
   (* Mutant by mutant: the scalar engine's whole run, and the sliced
@@ -484,7 +483,9 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
              set up front would.  Should it not, the interpreter is the
              oracle, and the chunk falls back. *)
           pass_span ();
-          ignore (record [| [| phases.(p).vectors.(t) |] |]);
+          ignore
+            (Avp_vectors.Replay.record_trace tr ~nets:outs ~trace:t
+               phases.(p).vectors.(t));
           fall_back ()
         | outcomes, None ->
           pass_span ();

@@ -195,15 +195,27 @@ let check_lanes ~dut (tr : Translate.result)
       in
       Some (first 0))
 
-(* One trace's rows on a fresh interpreter. *)
-let record_trace (tr : Translate.result) ~(nets : string array)
+let record_trace (tr : Translate.result) ~(nets : string array) ~trace
     (v : Vector.t) =
   let rows = Array.make_matrix (Array.length v + 1) (Array.length nets) 0 in
   let sim = Avp_hdl.Sim.create tr.Translate.elab in
   let snap row =
     Array.iteri
       (fun vi net ->
-        rows.(row).(vi) <- Translate.value_of_bv (Avp_hdl.Sim.get sim net))
+        let bv = Avp_hdl.Sim.get sim net in
+        match Avp_logic.Bv.to_int bv with
+        | Some x -> rows.(row).(vi) <- x
+        | None ->
+          raise
+            (Translate.Unsupported
+               (Printf.sprintf
+                  "the pristine design drives output %s to %s %s of trace \
+                   %d, but an output comparison needs a reference of at \
+                   most %d defined bits"
+                  net (Avp_logic.Bv.to_string bv)
+                  (if row = 0 then "at reset release"
+                   else Printf.sprintf "after cycle %d" (row - 1))
+                  trace Avp_logic.Bv.packed_width_limit)))
       nets
   in
   Condition_map.apply v sim ~clock:tr.Translate.clock
@@ -215,7 +227,7 @@ let record_trace (tr : Translate.result) ~(nets : string array)
 (* Set by set, trace by trace, so the first undefined value raises. *)
 let record (tr : Translate.result) ~(nets : string array)
     (sets : Vector.t array array) =
-  Array.map (Array.map (record_trace tr ~nets)) sets
+  Array.map (Array.mapi (fun trace -> record_trace tr ~nets ~trace)) sets
 
 let check_nets ~dut ?progress (tr : Translate.result)
     ~(nets : string array) ~(predicted : int array array array)

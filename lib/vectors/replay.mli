@@ -103,10 +103,23 @@ val record :
     lockstep comparison checks against.  One result per set, in order.
     The mutation campaign's sliced passes compare outputs against a
     golden lane instead; this recording is their oracle, the scalar
-    engine's input and the fallback's, and it raises the message of a
-    golden lane that read an x/z output.
+    engine's input and the fallback's.
     @raise Avp_fsm.Translate.Unsupported at the first recorded value,
-    in set, trace, cycle and net order, that carries x/z bits. *)
+    in set, trace, cycle and net order, that cannot encode an int (x/z
+    bits, or a net wider than {!Avp_logic.Bv.packed_width_limit}):
+    [record_trace]'s message. *)
+
+val record_trace :
+  Avp_fsm.Translate.result ->
+  nets:string array ->
+  trace:int ->
+  Vector.t ->
+  int array array
+(** One trace's rows of {!record}, for trace [trace] of its set: the
+    re-record that raises the message of a golden lane that read an
+    output it cannot encode, naming the net, its value, [trace], and
+    the cycle (or reset release).
+    @raise Avp_fsm.Translate.Unsupported as {!record}. *)
 
 val check_nets :
   dut:Avp_hdl.Elab.t ->

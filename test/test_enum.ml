@@ -335,25 +335,53 @@ let test_control_matches_reference () =
     [ ("tiny", tiny); ("default", default);
       ("default with branches", { default with with_branches = true }) ]
 
-(* Transition evaluations, counted the way perfbench counts them. *)
+(* Transition evaluations: one per [next_into] call, and one per choice
+   of each [successor_keys] call, which answers a whole state.  Also
+   the [next_into] calls alone. *)
 let evaluations (m : Model.t) =
-  let n = ref 0 in
+  let calls = ref 0 and bulk = ref 0 in
   let counted =
-    { m with Model.next_into = (fun s c d -> incr n; m.Model.next_into s c d) }
+    {
+      m with
+      Model.next_into = (fun s c d -> incr calls; m.Model.next_into s c d);
+      successor_keys =
+        Option.map
+          (fun keys s d ->
+            bulk := !bulk + Model.num_choices m;
+            keys s d)
+          m.Model.successor_keys;
+    }
   in
   ignore (State_graph.enumerate counted);
-  !n
+  (!calls + !bulk, !calls)
 
 let test_evaluation_counts () =
   (* idle and ack read [req]: two leaves each; req reads nothing. *)
   Alcotest.(check int) "handshake: one per leaf" 5
-    (evaluations (handshake_model ()));
+    (fst (evaluations (handshake_model ())));
   Alcotest.(check int) "pp-model-medium: choices read where they matter"
     68_052
-    (evaluations Avp_pp.Control_model.(model medium));
-  (* An HDL step needs all its inputs: 121 states x 1,024 choices. *)
-  Alcotest.(check int) "translated pp: every choice" 123_904
-    (evaluations (Avp_pp.Control_hdl.translate ()).Translate.model)
+    (fst (evaluations Avp_pp.Control_model.(model medium)));
+  (* An HDL step needs all its inputs: 121 states x 1,024 choices,
+     answered a state at a time. *)
+  let evals, calls =
+    evaluations (Avp_pp.Control_hdl.translate ()).Translate.model
+  in
+  Alcotest.(check int) "translated pp: every choice" 123_904 evals;
+  Alcotest.(check int) "translated pp: no call per choice" 0 calls
+
+(* Enumerating translated pp, its kernel and choice stimulus built on
+   the way, stays within 500,000 words by [Gc.minor_words]: about
+   335,000, of which the merge's interning of new successors is most.
+   Evaluated one leaf at a time, through [next_into], it took 1.9 M. *)
+let test_enumeration_allocation () =
+  let m = (Avp_pp.Control_hdl.translate ()).Translate.model in
+  let before = Gc.minor_words () in
+  let g = State_graph.enumerate m in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "states" 121 (State_graph.num_states g);
+  if words > 500_000. then
+    Alcotest.failf "enumerating translated pp allocated %.0f words" words
 
 (* ------------------------------------------------------------------ *)
 (* Successor rows                                                      *)
@@ -480,6 +508,8 @@ let suite =
     Alcotest.test_case "control models match the reference" `Quick
       test_control_matches_reference;
     Alcotest.test_case "evaluation counts" `Quick test_evaluation_counts;
+    Alcotest.test_case "enumerating translated pp allocates at most 500,000 words"
+      `Quick test_enumeration_allocation;
     Alcotest.test_case "successor rows answer as the model" `Quick
       test_successor_rows;
     Alcotest.test_case "successor without rows asks the model" `Quick

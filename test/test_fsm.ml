@@ -48,6 +48,43 @@ let test_choice_encoding () =
     Alcotest.(check int) "roundtrip" i (Model.index_of_choice m c)
   done
 
+(* State keys are mixed radix, variable 0 most significant, and dense:
+   the interlock model's 3 x 2 states take keys 0..5.  A model keeps
+   its whole-state entry point only while every key fits in an int. *)
+let test_state_keys () =
+  let m = interlock_model () in
+  let keys = ref [] in
+  for req = 0 to 2 do
+    for srv = 0 to 1 do
+      let k = Model.pack m [| req; srv |] in
+      let back = Array.make 2 (-1) in
+      Model.unpack m k back;
+      Alcotest.(check (array int)) "unpack inverts pack" [| req; srv |] back;
+      keys := k :: !keys
+    done
+  done;
+  Alcotest.(check (list int)) "dense keys" [ 0; 1; 2; 3; 4; 5 ]
+    (List.rev !keys);
+  (match Model.pack m [| 3; 0 |] with
+   | _ -> Alcotest.fail "a value outside its domain must not pack"
+   | exception Invalid_argument _ -> ());
+  let with_keys vars =
+    let m =
+      Model.create ~name:"wide" ~state_vars:vars ~choice_vars:[]
+        ~reset:(List.map (fun _ -> 0) vars)
+        ~next:(fun s _ -> s)
+        ~successor_keys:(fun _ keys -> keys.(0) <- 0)
+        ()
+    in
+    m.Model.successor_keys <> None
+  in
+  let bits n = List.init n (fun i -> Model.bool_var (Printf.sprintf "b%d" i)) in
+  Alcotest.(check bool) "62 bits keep the entry point" true
+    (with_keys (bits 62));
+  Alcotest.(check bool) "63 bits drop it" false (with_keys (bits 63));
+  Alcotest.(check bool) "3 x 2^61 drops it" false
+    (with_keys (Model.var "t" [| "0"; "1"; "2" |] :: bits 61))
+
 let test_builder_double_assign () =
   let b = Model.Builder.create "bad" in
   let s = Model.Builder.state_bool b "s" () in
@@ -322,6 +359,7 @@ let suite =
   [
     Alcotest.test_case "builder model" `Quick test_builder_model;
     Alcotest.test_case "choice encoding" `Quick test_choice_encoding;
+    Alcotest.test_case "state keys" `Quick test_state_keys;
     Alcotest.test_case "builder double assign" `Quick
       test_builder_double_assign;
     Alcotest.test_case "latch inference" `Quick test_latch_inference;
@@ -382,8 +420,9 @@ endmodule
 
 module G = Avp_enum.State_graph
 
-(* A copy of [m] with [next] only: [Model.create]'s default [next_into]
-   then steps the scalar simulator once per choice. *)
+(* A copy of [m] with [next] only: no whole-state entry point, and
+   [Model.create]'s default [next_into], which steps the scalar
+   simulator once per choice. *)
 let next_only (m : Model.t) =
   Model.create ~name:m.Model.model_name
     ~state_vars:(Array.to_list m.Model.state_vars)
@@ -391,41 +430,69 @@ let next_only (m : Model.t) =
     ~reset:(Array.to_list m.Model.reset)
     ~next:m.Model.next ()
 
-(* The graph (or the exception) of enumerating [m], with every
-   successor its [next_into] returned, in call order: a bounded run
-   that stops at [max_states] still compares the transitions it made. *)
-let logged_enumerate ?max_states (m : Model.t) =
-  let log = ref [] in
+(* The graph (or the exception) of enumerating [m], and the packed
+   successor of every (state, choice) the enumeration evaluated, in
+   call order: a state's keys from [successor_keys], or one [next_into]
+   per choice.  A bounded run that stops at [max_states] still compares
+   the transitions it made; a state whose evaluation raised is left
+   out, since the keys of a raising call are never seen. *)
+let logged_enumerate ?all_conditions ?max_states (m : Model.t) =
+  let log = ref [] and partial = ref [] and npartial = ref 0 in
+  let nchoices = Model.num_choices m in
   let logged =
     {
       m with
       Model.next_into =
         (fun state read dst ->
           m.Model.next_into state read dst;
-          log := Array.copy dst :: !log);
+          partial := Model.pack m dst :: !partial;
+          incr npartial;
+          if !npartial = nchoices then begin
+            log := !partial @ !log;
+            partial := [];
+            npartial := 0
+          end);
+      successor_keys =
+        Option.map
+          (fun keys state dst ->
+            keys state dst;
+            for c = 0 to nchoices - 1 do
+              log := dst.(c) :: !log
+            done)
+          m.Model.successor_keys;
     }
   in
   let outcome =
-    match G.enumerate ?max_states logged with
+    match G.enumerate ?all_conditions ?max_states logged with
     | g -> Ok (g.G.states, g.G.adj)
     | exception e -> Error (Printexc.to_string e)
   in
   (outcome, List.rev !log)
 
-let check_same_enumeration ?max_states what (m : Model.t) =
-  let lanes = logged_enumerate ?max_states m
-  and scalar = logged_enumerate ?max_states (next_only m) in
+(* [m] enumerates as its [next]-only copy: the same graph or exception,
+   and every key [successor_keys] wrote equals [Model.pack] of the
+   scalar [next] on the same (state, choice). *)
+let check_same_enumeration ?all_conditions ?max_states what (m : Model.t) =
+  if m.Model.successor_keys = None then
+    Alcotest.failf "%s: no whole-state entry point" what;
+  let lanes = logged_enumerate ?all_conditions ?max_states m
+  and scalar = logged_enumerate ?all_conditions ?max_states (next_only m) in
   if fst lanes <> fst scalar then
-    Alcotest.failf "%s: next_into and next enumerate different graphs" what;
+    Alcotest.failf "%s: successor_keys and next enumerate different graphs"
+      what;
   if snd lanes <> snd scalar then
-    Alcotest.failf "%s: next_into and next make different transitions" what
+    Alcotest.failf "%s: successor_keys and next make different transitions"
+      what
 
-(* The whole pp graph both ways, and each pp mutant that vets and
+(* The whole pp graph both ways, one edge per successor and every
+   condition as its own edge, and each pp mutant that vets and
    translates up to 8 states: the whole graph of the small ones, the
    first expansions from reset of the others.  The bound keeps the
    scalar side near a second; unbounded it takes about a minute. *)
 let test_lanes_enumerate_as_scalar () =
-  check_same_enumeration "pp" (Avp_pp.Control_hdl.translate ()).Translate.model;
+  let pp = (Avp_pp.Control_hdl.translate ()).Translate.model in
+  check_same_enumeration "pp" pp;
+  check_same_enumeration ~all_conditions:true "pp, all conditions" pp;
   let design = Avp_pp.Control_hdl.parse () in
   let translated =
     Avp_mutate.Gen.all design
@@ -444,13 +511,13 @@ let test_lanes_enumerate_as_scalar () =
       check_same_enumeration ~max_states:8 (Printf.sprintf "mutant %d" id) m)
     translated
 
-(* Every reachable (state, choice) of pp, one [next_into] against one
-   [next]: blocks of choices in shuffled order, within a block every
-   state in shuffled order, within a (block, state) its choices in
-   shuffled order.  Consecutive calls thus often share a block but not
-   a state, and the caller's state buffer is overwritten after each
-   call, so a block cache keyed by less than a copy of the state and
-   the block answers from the wrong state. *)
+(* Every reachable (state, choice) of pp: each state's keys from one
+   [successor_keys] call against one [next_into] per choice, which on a
+   translated model is [Model.create]'s default, the scalar [next].
+   The states go in shuffled order, each state's choices in shuffled
+   order, and the caller's state buffer is overwritten after each
+   call, so keys that depend on the previous call's state (or on its
+   buffer) fail. *)
 let test_next_into_matches_next () =
   let m = (Avp_pp.Control_hdl.translate ()).Translate.model in
   let g = G.enumerate m in
@@ -467,33 +534,30 @@ let test_next_into_matches_next () =
   in
   let nchoices = Model.num_choices m in
   let choices = Array.init nchoices (Model.choice_of_index m) in
-  let lanes = Avp_logic.Bv_sliced.lanes_limit in
+  let keys_of = Option.get m.Model.successor_keys in
   let nvars = Array.length m.Model.reset in
   let state = Array.make nvars 0 and dst = Array.make nvars 0 in
+  let keys = Array.make nchoices (-1) in
   let checked = ref 0 in
   Array.iter
-    (fun b ->
+    (fun s ->
+      Array.blit g.G.states.(s) 0 state 0 nvars;
+      keys_of state keys;
+      Array.fill state 0 nvars 0;
       Array.iter
-        (fun s ->
-          let first = b * lanes in
-          Array.iter
-            (fun l ->
-              let c = first + l in
-              Array.blit g.G.states.(s) 0 state 0 nvars;
-              m.Model.next_into state (Array.get choices.(c)) dst;
-              Array.fill state 0 nvars 0;
-              let expected = m.Model.next g.G.states.(s) choices.(c) in
-              if dst <> expected then
-                Alcotest.failf "state %d choice %d: next_into gives %a, next %a"
-                  s c (Model.pp_state m) dst (Model.pp_state m) expected;
-              incr checked)
-            (shuffled (min lanes (nchoices - first))))
-        (shuffled (G.num_states g)))
-    (shuffled ((nchoices + lanes - 1) / lanes));
+        (fun c ->
+          m.Model.next_into g.G.states.(s) (Array.get choices.(c)) dst;
+          if keys.(c) <> Model.pack m dst then
+            Alcotest.failf "state %d choice %d: key %d, next %a (key %d)" s c
+              keys.(c) (Model.pp_state m) dst (Model.pack m dst);
+          incr checked)
+        (shuffled nchoices))
+    (shuffled (G.num_states g));
   Alcotest.(check int) "every reachable (state, choice)" 123_904 !checked
 
 (* Choice a = 2 drives q to X: the enumeration stops there with the
-   scalar step's message, through [next_into] as through [next]. *)
+   scalar step's message, through [successor_keys] and [next_into] as
+   through [next]. *)
 let test_undefined_lane_message () =
   let src =
     {|
@@ -533,6 +597,12 @@ endmodule
     (first_failure (fun cv -> ignore (m.Model.next m.Model.reset cv)));
   Alcotest.check pair "through next_into" expected
     (first_failure (fun cv -> m.Model.next_into m.Model.reset (Array.get cv) dst));
+  let keys = Array.make (Array.length choices) 0 in
+  Alcotest.(check (option string)) "through successor_keys"
+    (Option.map snd expected)
+    (match Option.get m.Model.successor_keys m.Model.reset keys with
+     | () -> None
+     | exception Translate.Unsupported msg -> Some msg);
   match G.enumerate m with
   | _ -> Alcotest.fail "enumeration of an X successor must raise"
   | exception Translate.Unsupported msg ->
@@ -566,6 +636,7 @@ endmodule
     (Sliced.create ~lanes:2 d = None);
   let m = (Translate.translate d).Translate.model in
   check_same_enumeration "uneq" m;
+  check_same_enumeration ~all_conditions:true "uneq, all conditions" m;
   Alcotest.(check int) "states" 4 (G.num_states (G.enumerate m))
 
 (* [held] latched from [d] while [en], [q <= held]: the latch's stored
@@ -613,9 +684,25 @@ let test_latch_successor () =
     (show first);
   ignore (m.Model.next s1 c);
   Alcotest.(check string) "same successor after a call on another state"
-    (show first) (show (m.Model.next s0 c))
+    (show first) (show (m.Model.next s0 c));
+  (* The same on the lanes, whose kernel keeps its nets between calls. *)
+  let keys_of = Option.get m.Model.successor_keys in
+  let keys state =
+    let k = Array.make (Model.num_choices m) 0 in
+    keys_of state k;
+    k
+  in
+  let from_s0 = keys s0 in
+  Alcotest.(check int) "lanes: transparent latch passes d" (Model.pack m first)
+    from_s0.(Model.index_of_choice m c);
+  ignore (keys s1);
+  Alcotest.(check (array int)) "lanes: same keys after a call on another state"
+    from_s0 (keys s0)
 
-let test_latch_lanes () = check_same_enumeration "latch" (latch_model ())
+let test_latch_lanes () =
+  let m = latch_model () in
+  check_same_enumeration "latch" m;
+  check_same_enumeration ~all_conditions:true "latch, all conditions" m
 
 let suite =
   suite
