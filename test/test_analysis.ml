@@ -328,6 +328,73 @@ end
          f.Finding.rule = "fsm-dead-choice" && f.Finding.net = Some "used")
        fs)
 
+(* A counter [r] that [go] steps from 500 to 502, where it stays,
+   beside [npad] 9-bit registers that hold their reset 511, and an
+   unused free input.  With six pads the state is 63 bits wide, and
+   its values are high enough that no state packs into an int. *)
+let wide_src npad =
+  let pads = List.init npad (Printf.sprintf "p%d") in
+  String.concat "\n"
+    ([ "module wide(clk, rst, go, spare);"; "  input clk, rst;";
+       "  input go; // avp free"; "  input spare; // avp free";
+       "  reg [8:0] r; // avp state" ]
+    @ List.map (Printf.sprintf "  reg [8:0] %s; // avp state") pads
+    @ [ "  // avp clock clk"; "  // avp reset rst";
+        "  always @(posedge clk)"; "    if (rst) begin";
+        "      r <= 9'd500;" ]
+    @ List.map (Printf.sprintf "      %s <= 9'd511;") pads
+    @ [ "    end else if (go && r != 9'd502) r <= r + 9'd1;"; "endmodule" ])
+
+(* A model whose states do not pack into an int has no whole-state
+   entry point, and the FSM checks read its successors one [next_into]
+   at a time: they find what they find on the narrow design, padded. *)
+let test_fsm_wider_than_int () =
+  let model npad = (Translate.translate (elab (wide_src npad))).Translate.model in
+  let narrow = model 0 and wide = model 6 in
+  Alcotest.(check int) "63 state bits" 63 (Model.state_bits wide);
+  Alcotest.(check bool) "the narrow model has the entry point" true
+    (narrow.Model.successor_keys <> None);
+  Alcotest.(check bool) "the wide model has none" true
+    (wide.Model.successor_keys = None);
+  let rn = Fsm_check.analyze narrow and rw = Fsm_check.analyze wide in
+  Alcotest.(check bool) "wide: not capped" false rw.Fsm_check.capped;
+  Alcotest.(check int) "same evaluations" rn.Fsm_check.evals
+    rw.Fsm_check.evals;
+  (* The state variables are in net order, which need not put [r]
+     first. *)
+  let r = ref (-1) in
+  Array.iteri
+    (fun i (v : Model.var) -> if v.Model.name = "r" then r := i)
+    wide.Model.state_vars;
+  let r = !r in
+  Array.iteri
+    (fun i reach ->
+      Alcotest.(check (array bool))
+        (Printf.sprintf "%s's reachable values"
+           wide.Model.state_vars.(i).Model.name)
+        (if i = r then rn.Fsm_check.reachable_values.(0)
+         else Array.init 512 (fun v -> v = 511))
+        reach)
+    rw.Fsm_check.reachable_values;
+  Alcotest.(check (list (array int))) "narrow sink" [ [| 502 |] ]
+    rn.Fsm_check.sinks;
+  Alcotest.(check (list (array int))) "wide sink"
+    [ Array.init 7 (fun i -> if i = r then 502 else 511) ]
+    rw.Fsm_check.sinks;
+  List.iter
+    (fun (what, r) ->
+      let fs = Fsm_check.findings r in
+      Alcotest.(check bool) (what ^ ": spare is a dead choice") true
+        (has ~net:"spare" "fsm-dead-choice" fs);
+      Alcotest.(check int) (what ^ ": one sink") 1
+        (List.length (find "fsm-sink" fs)))
+    [ ("narrow", rn); ("wide", rw) ];
+  Alcotest.(check int) "wide: r's and the pads' unreachable values"
+    (509 + (6 * 511))
+    (List.length (find "fsm-unreachable" (Fsm_check.findings rw)));
+  Alcotest.(check int) "the enumerator reaches 3 states" 3
+    (Array.length (State_graph.enumerate wide).State_graph.states)
+
 (* ------------------------------------------------------------------ *)
 (* Enumerator cross-check on pp_control                               *)
 (* ------------------------------------------------------------------ *)
@@ -491,6 +558,8 @@ let suite =
     Alcotest.test_case "fsm shadowed guard" `Quick test_fsm_shadowed_guard;
     Alcotest.test_case "fsm dead guard" `Quick test_fsm_dead_guard;
     Alcotest.test_case "fsm dead choice" `Quick test_fsm_dead_choice;
+    Alcotest.test_case "fsm checks on a state wider than an int" `Quick
+      test_fsm_wider_than_int;
     Alcotest.test_case "pp cross-check vs enumerator" `Slow
       test_pp_cross_check;
     QCheck_alcotest.to_alcotest prop_never_raises;
