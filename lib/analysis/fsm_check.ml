@@ -68,27 +68,27 @@ let analyze ?(max_evals = 2_000_000) (m : Model.t) : result =
           ids;
         Option.value ~default:(-1) (Hashtbl.find_opt ids (Model.pack m tuple))
     | None ->
-      let ids : (int array, int) Hashtbl.t = Hashtbl.create 64 in
+      let ids : int Model.Tbl.t = Model.Tbl.create 64 in
       let s = Array.make nvars 0 in
       fun tuple sid ->
-        Hashtbl.clear ids;
+        Model.Tbl.clear ids;
         for c = 0 to nchoices - 1 do
           m.Model.next_into tuple (Array.get choices.(c)) s;
           sid.(c) <-
-            (match Hashtbl.find ids s with
+            (match Model.Tbl.find ids s with
              | id -> id
              | exception Not_found ->
-               let id = Hashtbl.length ids in
-               Hashtbl.add ids (Array.copy s) id;
+               let id = Model.Tbl.length ids in
+               Model.Tbl.add ids (Array.copy s) id;
                id)
         done;
-        Hashtbl.iter
+        Model.Tbl.iter
           (fun s _ ->
             Array.iteri
               (fun i v -> if v >= 0 && v < card i then reach.(i).(v) <- true)
               s)
           ids;
-        Option.value ~default:(-1) (Hashtbl.find_opt ids tuple)
+        Option.value ~default:(-1) (Model.Tbl.find_opt ids tuple)
   in
   (* [zero_proj.(k).(c)]: choice index [c] with coordinate [k] forced
      to 0 — used to detect choice variables with no observable
@@ -100,7 +100,7 @@ let analyze ?(max_evals = 2_000_000) (m : Model.t) : result =
             cv.(k) <- 0;
             Model.index_of_choice m cv))
   in
-  let seen : (int array, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let seen : unit Model.Tbl.t = Model.Tbl.create 1024 in
   let capped = ref false in
   let evals = ref 0 in
   let var_affects = Array.make ncvars false in
@@ -169,8 +169,8 @@ let analyze ?(max_evals = 2_000_000) (m : Model.t) : result =
       for i = 0 to nvars - 1 do
         tuple.(i) <- values.(i).(idx.(i))
       done;
-      if not (Hashtbl.mem seen tuple) then begin
-        Hashtbl.replace seen (Array.copy tuple) ();
+      if not (Model.Tbl.mem seen tuple) then begin
+        Model.Tbl.replace seen (Array.copy tuple) ();
         progressed := true;
         expand tuple
       end;

@@ -10,77 +10,9 @@ type stats = {
   level_times : (int * float) array;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Packed state keys                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Pack a valuation into a byte buffer; one byte per variable when the
-   domain fits, two otherwise.  Returns the key size and an
-   allocation-free [pack_into]. *)
-let make_packer (model : Model.t) =
-  let wide =
-    Array.map
-      (fun v ->
-        let c = Model.card v in
-        if c > 65536 then
-          invalid_arg
-            (Printf.sprintf
-               "State_graph: variable %s has cardinality %d, beyond the \
-                two-byte packed-key limit of 65536"
-               v.Model.name c);
-        c > 256)
-      model.Model.state_vars
-  in
-  let key_size =
-    Array.fold_left (fun acc w -> acc + if w then 2 else 1) 0 wide
-  in
-  let pack_into (valuation : int array) (b : Bytes.t) =
-    let pos = ref 0 in
-    Array.iteri
-      (fun i v ->
-        if Array.unsafe_get wide i then begin
-          Bytes.unsafe_set b !pos (Char.unsafe_chr (v land 0xff));
-          Bytes.unsafe_set b (!pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-          pos := !pos + 2
-        end
-        else begin
-          Bytes.unsafe_set b !pos (Char.unsafe_chr (v land 0xff));
-          incr pos
-        end)
-      valuation
-  in
-  (key_size, pack_into)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded intern table                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Packed key -> state id.  Sharded by the top bits of the structural
-   hash (the low bits index buckets inside each [Hashtbl], so reusing
-   them for shard selection would leave most buckets empty). *)
-
-let shard_bits = 6
-
-type index = {
-  key_size : int;
-  pack_into : int array -> Bytes.t -> unit;
-  shards : (Bytes.t, int) Hashtbl.t array;
-}
-
-let index_create model =
-  let key_size, pack_into = make_packer model in
-  {
-    key_size;
-    pack_into;
-    shards = Array.init (1 lsl shard_bits) (fun _ -> Hashtbl.create 256);
-  }
-
-let shard_of idx key =
-  (* Hashtbl.hash yields 30 bits; take the top ones. *)
-  Array.unsafe_get idx.shards (Hashtbl.hash key lsr (30 - shard_bits))
-
-let index_find idx key = Hashtbl.find_opt (shard_of idx key) key
-let index_add idx key id = Hashtbl.replace (shard_of idx key) key id
+(* Valuation -> state id, keyed by the valuation arrays of [states]
+   themselves. *)
+type index = int Model.Tbl.t
 
 type t = {
   model : Model.t;
@@ -191,33 +123,29 @@ let expander (model : Model.t) (index : index) ~all_conditions =
     else write_cube dst_ids new_vals id v (i + 1) slot
   in
   let nxt = Array.make (Array.length model.Model.reset) 0 in
-  let key = Bytes.create index.key_size in
   (* This expansion's successors the index does not know yet, so that
      each is copied once per state rather than once per leaf. *)
-  let new_succs : (Bytes.t, int array) Hashtbl.t = Hashtbl.create 16 in
-  let leaf_val = ref [||] in
+  let new_succs : int array Model.Tbl.t = Model.Tbl.create 16 in
   fun cur dst_ids new_vals ->
     Array.fill dst_ids 0 num_choices unset;
-    Hashtbl.clear new_succs;
+    Model.Tbl.clear new_succs;
     let leaves = ref 0 in
     let more = ref true in
     while !more do
       incr leaves;
       model.Model.next_into cur read nxt;
-      index.pack_into nxt key;
-      let id =
-        match index_find index key with
-        | Some id -> id
-        | None ->
-          (match Hashtbl.find_opt new_succs key with
-           | Some v -> leaf_val := v
-           | None ->
+      (match Model.Tbl.find index nxt with
+       | id -> write_cube dst_ids new_vals id [||] 0 0
+       | exception Not_found ->
+         let v =
+           match Model.Tbl.find new_succs nxt with
+           | v -> v
+           | exception Not_found ->
              let v = Array.copy nxt in
-             Hashtbl.add new_succs (Bytes.copy key) v;
-             leaf_val := v);
-          fresh
-      in
-      write_cube dst_ids new_vals id !leaf_val 0 0;
+             Model.Tbl.add new_succs v v;
+             v
+         in
+         write_cube dst_ids new_vals fresh v 0 0);
       more := backtrack ()
     done;
     !leaves
@@ -232,7 +160,6 @@ let key_expander (model : Model.t) (index : index) successor_keys =
   let num_choices = Model.num_choices model in
   let keys = Array.make num_choices 0 in
   let v = Array.make (Array.length model.Model.reset) 0 in
-  let key = Bytes.create index.key_size in
   let first_slot : (int, int) Hashtbl.t = Hashtbl.create 64 in
   fun cur dst_ids new_vals ->
     successor_keys cur keys;
@@ -247,10 +174,9 @@ let key_expander (model : Model.t) (index : index) successor_keys =
       | exception Not_found ->
         Hashtbl.add first_slot k c;
         Model.unpack model k v;
-        index.pack_into v key;
-        (match index_find index key with
-         | Some id -> dst_ids.(c) <- id
-         | None ->
+        (match Model.Tbl.find index v with
+         | id -> dst_ids.(c) <- id
+         | exception Not_found ->
            dst_ids.(c) <- fresh;
            new_vals.(c) <- Array.copy v)
     done;
@@ -259,8 +185,7 @@ let key_expander (model : Model.t) (index : index) successor_keys =
 let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
     ?progress (model : Model.t) =
   let t0 = Obs.Clock.now_s () in
-  let index = index_create model in
-  let key_size = index.key_size and pack_into = index.pack_into in
+  let index = Model.Tbl.create 256 in
   let states = Dyn.create [||] in
   let adj = Dyn.create [||] in
   let num_choices = Model.num_choices model in
@@ -268,11 +193,8 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
   let level_times = ref [] in
   (* Intern the reset state as id 0. *)
   let reset = Array.copy model.Model.reset in
-  let reset_key = Bytes.create key_size in
-  pack_into reset reset_key;
-  index_add index reset_key 0;
+  Model.Tbl.add index reset 0;
   Dyn.push states reset;
-  let merge_key = Bytes.create key_size in
   (* dst -> its edge's position in the source's row, first-condition
      mode only. *)
   let seen_dst : (int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -307,15 +229,15 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
     end
   in
   (* Intern a freshly discovered valuation during a merge; takes
-     ownership of [valuation] (already a private copy). *)
+     ownership of [valuation] (already a private copy), which becomes
+     both the state and its key. *)
   let intern_new valuation =
-    pack_into valuation merge_key;
-    match index_find index merge_key with
-    | Some id -> id
-    | None ->
+    match Model.Tbl.find index valuation with
+    | id -> id
+    | exception Not_found ->
       let id = states.Dyn.len in
       if id >= max_states then raise (Too_many_states max_states);
-      index_add index (Bytes.copy merge_key) id;
+      Model.Tbl.add index valuation id;
       Dyn.push states valuation;
       id
   in
@@ -440,20 +362,7 @@ let reset_id _ = 0
 let num_states t = Array.length t.states
 let num_edges t = t.stats.num_edges
 
-let find_state t valuation =
-  let vars = t.model.Model.state_vars in
-  (* The packed key masks each value to its bytes and trusts the
-     length, so anything outside the state space would alias a state. *)
-  if Array.length valuation <> Array.length vars
-     || not
-          (Array.for_all2 (fun var v -> v >= 0 && v < Model.card var) vars
-             valuation)
-  then None
-  else begin
-    let key = Bytes.create t.index.key_size in
-    t.index.pack_into valuation key;
-    index_find t.index key
-  end
+let find_state t valuation = Model.Tbl.find_opt t.index valuation
 
 let bad_choice t c =
   invalid_arg

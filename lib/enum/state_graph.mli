@@ -55,8 +55,9 @@ type stats = {
 }
 
 type index
-(** Packed-valuation -> state-id hash index, built during
-    enumeration. *)
+(** Valuation -> state id, built during enumeration: a {!Model.Tbl}
+    whose keys are the valuation arrays of [states] themselves, not
+    copies. *)
 
 type t = {
   model : Model.t;
@@ -84,9 +85,7 @@ val enumerate :
 (** [domains] is ignored, kept because perfbench/main.ml passes it.
 
     @raise Too_many_states when the [max_states] bound (default
-    5_000_000) is exceeded.
-    @raise Invalid_argument when a state variable's cardinality
-    exceeds the packed-key limit of 65536. *)
+    5_000_000) is exceeded. *)
 
 val reset_id : t -> int
 (** Always 0. *)

@@ -100,6 +100,30 @@ let unpack t key dst =
     key := !key / c
   done
 
+(* Whether [a] and [b] agree on their entries [0..i].  Defined at top
+   level so that [Tbl.equal] builds no closure per call. *)
+let rec agree_upto (a : int array) (b : int array) i =
+  i < 0
+  || (Array.unsafe_get a i = Array.unsafe_get b i && agree_upto a b (i - 1))
+
+module Tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    Array.length a = Array.length b && agree_upto a b (Array.length a - 1)
+
+  (* Every entry feeds the hash, where [Hashtbl.hash] stops at the
+     tenth.  The table picks a bucket from the low bits, which a
+     multiplication only carries upwards, so the high half is folded
+     back in. *)
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h + Array.unsafe_get a i) * 0x2545F4914F6CDD1D
+    done;
+    (!h lxor (!h lsr 32)) land max_int
+end)
+
 let state_bits t =
   Array.fold_left (fun acc v -> acc + bits_for (card v)) 0 t.state_vars
 

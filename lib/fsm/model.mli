@@ -98,6 +98,15 @@ val unpack : t -> int -> int array -> unit
 (** [unpack t key dst] writes into [dst] the valuation [pack] maps to
     [key]. *)
 
+(** Hash tables keyed by valuations: the enumerator's state index, the
+    FSM checks' tuples and the product machine's visited pairs.  Two
+    keys are equal when their lengths and all their entries are, so a
+    valuation of the wrong length or with a value outside its domain
+    matches no state, and the hash reads every entry (a polymorphic
+    [Hashtbl] hashes only the first 10 of an array).  A table holds its
+    keys, not copies: a key must not be mutated while it is in one. *)
+module Tbl : Hashtbl.S with type key = int array
+
 val state_bits : t -> int
 (** Sum of per-variable encoding bits — the paper's "bits per state". *)
 

@@ -24,13 +24,6 @@ let check_choices (impl : Model.t) (spec : Model.t) =
                 va.Model.name (Model.card va) vb.Model.name (Model.card vb))))
     a
 
-let key pair =
-  let impl, spec = pair in
-  String.concat ","
-    (List.map string_of_int (Array.to_list impl))
-  ^ "|"
-  ^ String.concat "," (List.map string_of_int (Array.to_list spec))
-
 let compare ~(impl : Model.t) ~(spec : Model.t) ~impl_obs ~spec_obs
     ?(max_states = 1_000_000) () =
   check_choices impl spec;
@@ -38,16 +31,20 @@ let compare ~(impl : Model.t) ~(spec : Model.t) ~impl_obs ~spec_obs
   let choices =
     Array.init num_choices (fun i -> Model.choice_of_index impl i)
   in
-  (* BFS over the product space with parent pointers for witnesses. *)
-  let seen = Hashtbl.create 4096 in
-  let parents = Hashtbl.create 4096 in
+  (* BFS over the product space with parent pointers for witnesses:
+     every visited pair has an entry, the start pair's without a
+     parent.  A pair's key is its two valuations end to end, which
+     keys each pair once since every impl valuation has impl's
+     length. *)
+  let key (si, ss) = Array.append si ss in
+  let parents = Model.Tbl.create 4096 in
   let queue = Queue.create () in
   let start = (impl.Model.reset, spec.Model.reset) in
-  Hashtbl.replace seen (key start) ();
+  Model.Tbl.add parents (key start) None;
   Queue.add start queue;
   let witness_of pair =
     let rec build pair acc =
-      match Hashtbl.find_opt parents (key pair) with
+      match Model.Tbl.find parents (key pair) with
       | None -> acc
       | Some (prev, choice) -> build prev (choice :: acc)
     in
@@ -67,11 +64,10 @@ let compare ~(impl : Model.t) ~(spec : Model.t) ~impl_obs ~spec_obs
       let ns = spec.Model.next ss choice in
       let nxt = (ni, ns) in
       let k = key nxt in
-      if not (Hashtbl.mem seen k) then begin
-        if Hashtbl.length seen >= max_states then
+      if not (Model.Tbl.mem parents k) then begin
+        if Model.Tbl.length parents >= max_states then
           failwith "Product.compare: state bound exceeded";
-        Hashtbl.replace seen k ();
-        Hashtbl.replace parents k (cur, choice);
+        Model.Tbl.add parents k (Some (cur, choice));
         if impl_obs ni <> spec_obs ns then
           divergence :=
             Some

@@ -111,7 +111,8 @@ let test_find_state_index () =
   in
   Alcotest.(check (option int)) "bogus valuation absent" None
     (State_graph.find_state g bogus);
-  (* Valuations the packed key would alias onto a state. *)
+  (* Valuations that a key truncating values or lengths would alias
+     onto a state. *)
   let s3 = g.State_graph.states.(3) in
   Alcotest.(check (option int)) "state 3 without its last variable" None
     (State_graph.find_state g (Array.sub s3 0 (Array.length s3 - 1)));
@@ -122,19 +123,22 @@ let test_find_state_index () =
     [ ("handshake: empty", [||]); ("handshake: 256", [| 256 |]);
       ("handshake: -255", [| -255 |]); ("handshake: too long", [| 0; 0 |]) ]
 
-(* Regression: cardinalities beyond the two-byte packed key must be
-   rejected loudly, not silently truncated. *)
-let test_packer_cardinality_limit () =
-  let huge = Model.var "huge" (Array.init 65_537 string_of_int) in
+(* A variable may take more values than two bytes hold: a 65,537-value
+   counter has 65,537 states, and its last value is a state of its own,
+   where a key truncated to two bytes would alias it to state 0. *)
+let test_wide_variable () =
+  let n = 65_537 in
+  let cnt = Model.var "cnt" (Array.init n string_of_int) in
   let m =
-    Model.create ~name:"overflow" ~state_vars:[ huge ] ~choice_vars:[]
+    Model.create ~name:"counter" ~state_vars:[ cnt ] ~choice_vars:[]
       ~reset:[ 0 ]
-      ~next:(fun s _ -> s)
+      ~next:(fun s _ -> [| (s.(0) + 1) mod n |])
       ()
   in
-  match State_graph.enumerate m with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument for cardinality 65537"
+  let g = State_graph.enumerate m in
+  Alcotest.(check int) "states" n (State_graph.num_states g);
+  Alcotest.(check (option int)) "the last value" (Some 65_536)
+    (State_graph.find_state g [| 65_536 |])
 
 (* Enumerating a translated HDL design agrees with enumerating an
    equivalent hand model. *)
@@ -370,18 +374,31 @@ let test_evaluation_counts () =
   Alcotest.(check int) "translated pp: every choice" 123_904 evals;
   Alcotest.(check int) "translated pp: no call per choice" 0 calls
 
-(* Enumerating translated pp, its kernel and choice stimulus built on
-   the way, stays within 500,000 words by [Gc.minor_words]: about
-   335,000, of which the merge's interning of new successors is most.
-   Evaluated one leaf at a time, through [next_into], it took 1.9 M. *)
-let test_enumeration_allocation () =
-  let m = (Avp_pp.Control_hdl.translate ()).Translate.model in
+(* Enumerate [m]: it must have [states] states, and the enumeration
+   allocate at most [bound] words by [Gc.minor_words]. *)
+let enumerates_within what (m : Model.t) ~states ~bound =
   let before = Gc.minor_words () in
   let g = State_graph.enumerate m in
   let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "states" 121 (State_graph.num_states g);
-  if words > 500_000. then
-    Alcotest.failf "enumerating translated pp allocated %.0f words" words
+  Alcotest.(check int) (what ^ ": states") states (State_graph.num_states g);
+  if words > bound then
+    Alcotest.failf "enumerating %s allocated %.0f words, above %.0f" what
+      words bound
+
+(* Enumerating translated pp, its kernel and choice stimulus built on
+   the way, stays within 150,000 words: about 40,000.  Evaluated one
+   leaf at a time, through [next_into], it took 1.9 M, and with a
+   second, byte-string key packed for every new successor 335,000. *)
+let test_enumeration_allocation () =
+  enumerates_within "translated pp"
+    (Avp_pp.Control_hdl.translate ()).Translate.model ~states:121
+    ~bound:150_000.
+
+(* The expander's path, on [Control_model.medium]: within 3,800,000
+   words, about 3,391,000 (4,205,000 with the byte-string keys). *)
+let test_expander_allocation () =
+  enumerates_within "pp-model-medium"
+    Avp_pp.Control_model.(model medium) ~states:3801 ~bound:3_800_000.
 
 (* ------------------------------------------------------------------ *)
 (* Successor rows                                                      *)
@@ -499,8 +516,8 @@ let suite =
     Alcotest.test_case "edge offsets" `Quick test_edge_offsets;
     Alcotest.test_case "find state" `Quick test_find_state;
     Alcotest.test_case "find_state via index" `Quick test_find_state_index;
-    Alcotest.test_case "packer cardinality limit" `Quick
-      test_packer_cardinality_limit;
+    Alcotest.test_case "a variable beyond two bytes enumerates" `Quick
+      test_wide_variable;
     Alcotest.test_case "hdl and hand model agree" `Quick
       test_hdl_and_hand_model_agree;
     QCheck_alcotest.to_alcotest prop_edges_are_consistent;
@@ -508,8 +525,12 @@ let suite =
     Alcotest.test_case "control models match the reference" `Quick
       test_control_matches_reference;
     Alcotest.test_case "evaluation counts" `Quick test_evaluation_counts;
-    Alcotest.test_case "enumerating translated pp allocates at most 500,000 words"
-      `Quick test_enumeration_allocation;
+    Alcotest.test_case
+      "enumerating translated pp allocates at most 150,000 words" `Quick
+      test_enumeration_allocation;
+    Alcotest.test_case
+      "enumerating pp-model-medium allocates at most 3,800,000 words" `Quick
+      test_expander_allocation;
     Alcotest.test_case "successor rows answer as the model" `Quick
       test_successor_rows;
     Alcotest.test_case "successor without rows asks the model" `Quick

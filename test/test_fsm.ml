@@ -85,6 +85,38 @@ let test_state_keys () =
   Alcotest.(check bool) "3 x 2^61 drops it" false
     (with_keys (Model.var "t" [| "0"; "1"; "2" |] :: bits 61))
 
+(* A valuation table hashes every entry: 1,000 valuations of 20 entries
+   that agree on their first 10 spread over the buckets, where a
+   polymorphic [Hashtbl], which hashes the first 10 only, puts them all
+   in one.  A key and its proper prefix are distinct keys. *)
+let test_valuation_table () =
+  let valuation k =
+    Array.init 20 (fun i -> if i < 10 then 1 else (k lsr (i - 10)) land 1)
+  in
+  let t = Model.Tbl.create 16 and poly = Hashtbl.create 16 in
+  for k = 0 to 999 do
+    Model.Tbl.add t (valuation k) k;
+    Hashtbl.add poly (valuation k) k
+  done;
+  for k = 0 to 999 do
+    Alcotest.(check (option int)) "found" (Some k)
+      (Model.Tbl.find_opt t (valuation k))
+  done;
+  let longest = (Model.Tbl.stats t).Hashtbl.max_bucket_length in
+  if longest > 16 then Alcotest.failf "a bucket holds %d keys" longest;
+  Alcotest.(check int) "polymorphic Hashtbl: one bucket" 1000
+    (Hashtbl.stats poly).Hashtbl.max_bucket_length;
+  let p = Model.Tbl.create 4 in
+  Model.Tbl.add p [| 1; 2; 3 |] 3;
+  Alcotest.(check (option int)) "a prefix is not the key" None
+    (Model.Tbl.find_opt p [| 1; 2 |]);
+  Model.Tbl.add p [| 1; 2 |] 2;
+  Model.Tbl.add p [||] 0;
+  Alcotest.(check (list (option int))) "each its own key"
+    [ Some 3; Some 2; Some 0; None ]
+    (List.map (Model.Tbl.find_opt p)
+       [ [| 1; 2; 3 |]; [| 1; 2 |]; [||]; [| 1 |] ])
+
 let test_builder_double_assign () =
   let b = Model.Builder.create "bad" in
   let s = Model.Builder.state_bool b "s" () in
@@ -360,6 +392,8 @@ let suite =
     Alcotest.test_case "builder model" `Quick test_builder_model;
     Alcotest.test_case "choice encoding" `Quick test_choice_encoding;
     Alcotest.test_case "state keys" `Quick test_state_keys;
+    Alcotest.test_case "valuation tables hash every entry" `Quick
+      test_valuation_table;
     Alcotest.test_case "builder double assign" `Quick
       test_builder_double_assign;
     Alcotest.test_case "latch inference" `Quick test_latch_inference;
