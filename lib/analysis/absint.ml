@@ -11,8 +11,8 @@
      values, mid-settle transients and seq-blocking overlays included.
 
    - [run]: holds at every settled observation point of the
-     translate/replay protocol (reset held for [reset_cycles] posedge
-     steps, then pinned 0; only the clock is ever stepped).  Sharper —
+     translate/replay protocol (reset held for one posedge step, then
+     pinned 0; only the clock is ever stepped).  Sharper —
      reset constants survive — and exactly what the state enumerator
      and the mutant divergence check observe.
 
@@ -783,42 +783,6 @@ type invariants = {
           tighter than [all] *)
 }
 
-(* The subset of [Translate.parse_directives] this pass needs, without
-   its hard failures: clock/reset names, frees and ties. *)
-let controls (d : Elab.t) =
-  let clock = ref None and reset = ref None in
-  let frees = Hashtbl.create 8 and ties = Hashtbl.create 8 in
-  let words s = String.split_on_char ' ' s |> List.filter (( <> ) "") in
-  let handle prefix payload =
-    let qualify n = if prefix = "" then n else prefix ^ "." ^ n in
-    match words payload with
-    | [ "clock"; n ] -> if !clock = None then clock := Some (qualify n)
-    | [ "reset"; n ] -> if !reset = None then reset := Some (qualify n)
-    | [ "free"; n ] -> Hashtbl.replace frees (qualify n) ()
-    | [ "tie"; n; _ ] -> Hashtbl.replace ties (qualify n) ()
-    | _ -> ()
-  in
-  List.iter
-    (fun payload ->
-      match String.index_opt payload ':' with
-      | Some i when i + 1 < String.length payload && payload.[i + 1] = ' ' ->
-        handle
-          (String.sub payload 0 i)
-          (String.sub payload (i + 2) (String.length payload - i - 2))
-      | Some _ | None -> handle "" payload)
-    d.Elab.directives;
-  Array.iter
-    (fun (net : Elab.enet) ->
-      List.iter
-        (fun attr ->
-          match words attr with
-          | [ "free" ] -> Hashtbl.replace frees net.Elab.name ()
-          | [ "tie"; _ ] -> Hashtbl.replace ties net.Elab.name ()
-          | _ -> ())
-        net.Elab.attrs)
-    d.Elab.nets;
-  (!clock, !reset, frees, ties)
-
 let power_on (d : Elab.t) tops =
   Array.map
     (fun (net : Elab.enet) ->
@@ -861,20 +825,20 @@ let fixpoint env (step : unit -> bool) =
     if not changed then continue_ := false
   done
 
-let analyze ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
+let analyze (d : Elab.t) =
   let n = nets_count d in
   let u = Compile.units d in
-  let dclock, dreset, frees, ties = controls d in
-  let clock = match clock with Some _ -> clock | None -> dclock in
-  let reset = match reset with Some _ -> reset | None -> dreset in
+  (* Tie values are not read: a tied net is unconstrained here. *)
+  let ann = Elab.annotations d in
   let find name = Hashtbl.find_opt d.Elab.by_name name in
-  let clock_id = Option.bind clock find in
-  let reset_id = Option.bind reset find in
+  let clock_id = Option.bind ann.Elab.clock find in
+  let reset_id = Option.bind ann.Elab.reset find in
   let tops = Array.make n false in
   Array.iteri (fun i b -> if b then tops.(i) <- true) d.Elab.top_inputs;
   Array.iter
     (fun (net : Elab.enet) ->
-      if Hashtbl.mem frees net.Elab.name || Hashtbl.mem ties net.Elab.name
+      let name = net.Elab.name in
+      if List.mem name ann.Elab.frees || List.mem_assoc name ann.Elab.ties
       then tops.(net.Elab.id) <- true)
     d.Elab.nets;
   Option.iter (fun id -> tops.(id) <- true) clock_id;
@@ -964,15 +928,13 @@ let analyze ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
       in
       let fire_def = List.map (fun pi -> (pi, true)) clocked in
       let env = power_on d tops in
-      (* Phase A: reset held high for [reset_cycles] posedge steps. *)
+      (* Phase A: reset held high for one posedge step. *)
       pins.(reset_id) <- Some (Bv.of_int ~width:1 1);
       ignore (settle ctx env ~frontier:true);
-      for _ = 1 to reset_cycles do
-        ignore
-          (fire_seq ctx env ~procs:fire_def ~overwrite:true
-             ~record_blocking:false);
-        ignore (settle ctx env ~frontier:true)
-      done;
+      ignore
+        (fire_seq ctx env ~procs:fire_def ~overwrite:true
+           ~record_blocking:false);
+      ignore (settle ctx env ~frontier:true);
       (* Reset release: the protocol pins it low from here on. *)
       pins.(reset_id) <- Some (Bv.of_int ~width:1 0);
       ignore (settle ctx env ~frontier:true);

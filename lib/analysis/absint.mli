@@ -71,11 +71,12 @@ type invariants = {
           [steady] overwrite-settle sound *)
 }
 
-val analyze :
-  ?clock:string -> ?reset:string -> ?reset_cycles:int -> Elab.t -> invariants
-(** Clock and reset default to the design's [// avp clock/reset]
-    directives; without both, only the [all] analysis runs.
-    [reset_cycles] (default 1) mirrors {!Avp_fsm.Translate.translate}. *)
+val analyze : Elab.t -> invariants
+(** Clock, reset, free and tied nets come from the design's annotations
+    ({!Elab.annotations}; tie values are not read, so a tied net is
+    unconstrained).  Without both a clock and a reset only the [all]
+    analysis runs.  The [run] protocol holds the reset for one posedge
+    step, as {!Avp_fsm.Translate.translate} does. *)
 
 val divergence :
   nets:string list -> invariants -> invariants -> (string * string) option

@@ -119,9 +119,8 @@ let run ?only ?ignore ?(absint = false) (d : Elab.t) : Finding.t list =
 (* FSM analysis                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_model ?only ?ignore ?max_evals (m : Avp_fsm.Model.t) :
-    Finding.t list =
-  let r = Fsm_check.analyze ?max_evals m in
+let run_model ?only ?ignore (m : Avp_fsm.Model.t) : Finding.t list =
+  let r = Fsm_check.analyze m in
   Finding.sort (filter ?only ?ignore (Fsm_check.findings r))
 
 let errors findings =

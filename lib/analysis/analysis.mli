@@ -28,11 +28,7 @@ val run :
     redundant-reset). *)
 
 val run_model :
-  ?only:string list ->
-  ?ignore:string list ->
-  ?max_evals:int ->
-  Avp_fsm.Model.t ->
-  Finding.t list
+  ?only:string list -> ?ignore:string list -> Avp_fsm.Model.t -> Finding.t list
 (** The abstract FSM checks of {!Fsm_check}, sorted and filtered. *)
 
 val errors : Finding.t list -> Finding.t list

@@ -26,7 +26,9 @@ type result = {
   findings : Finding.t list;
 }
 
-let analyze ?(max_evals = 2_000_000) (m : Model.t) : result =
+let max_evals = 2_000_000
+
+let analyze (m : Model.t) : result =
   let nvars = Array.length m.Model.state_vars in
   let ncvars = Array.length m.Model.choice_vars in
   let card i = Model.card m.Model.state_vars.(i) in

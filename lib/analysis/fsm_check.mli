@@ -38,8 +38,8 @@ type result = {
           [fsm-choice-overlap]; or [fsm-check-capped] alone *)
 }
 
-val analyze : ?max_evals:int -> Model.t -> result
-(** [max_evals] bounds total transition evaluations (default
-    2,000,000). *)
+val analyze : Model.t -> result
+(** At most 2,000,000 transition evaluations; past that the result is
+    [capped]. *)
 
 val findings : result -> Finding.t list

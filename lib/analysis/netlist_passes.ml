@@ -80,6 +80,7 @@ let comb_loop (d : Elab.t) (infos : Dataflow.proc_info array) :
    Nets annotated '// avp state' are excluded: the translator folds
    intentional latches into the FSM state (see [Latch]). *)
 let latch (d : Elab.t) (infos : Dataflow.proc_info array) : Finding.t list =
+  let states = lazy (Elab.annotations d).Elab.states in
   let out = ref [] in
   Array.iter
     (fun (info : Dataflow.proc_info) ->
@@ -93,16 +94,9 @@ let latch (d : Elab.t) (infos : Dataflow.proc_info array) : Finding.t list =
         List.iter
           (fun id ->
             let net = d.Elab.nets.(id) in
-            let annotated_state =
-              List.exists
-                (fun a ->
-                  String.split_on_char ' ' a
-                  |> List.filter (fun w -> w <> "")
-                  |> ( = ) [ "state" ])
-                net.Elab.attrs
-            in
             if
-              (not (Avp_fsm.Latch.Ids.mem id complete)) && not annotated_state
+              (not (Avp_fsm.Latch.Ids.mem id complete))
+              && not (Lazy.force states).(id)
             then begin
               let why =
                 match Dataflow.missing_path body id with

@@ -7,8 +7,8 @@ type report = {
   absorbing : int list;
 }
 
-let run ?clock ?reset ?all_conditions ?instr_limit ?progress ?dut elab =
-  let translation = Avp_fsm.Translate.translate ?clock ?reset elab in
+let run ?all_conditions ?instr_limit ?progress ?dut elab =
+  let translation = Avp_fsm.Translate.translate elab in
   let graph, tours =
     Front.tours ?all_conditions ?instr_limit
       translation.Avp_fsm.Translate.model
@@ -48,9 +48,9 @@ let run ?clock ?reset ?all_conditions ?instr_limit ?progress ?dut elab =
     absorbing = Avp_enum.State_graph.absorbing_states graph;
   }
 
-let run_source ?top ?clock ?reset ?all_conditions ?instr_limit src =
-  run ?clock ?reset ?all_conditions ?instr_limit
-    (Avp_hdl.Elab.elaborate ?top (Avp_hdl.Parser.parse src))
+let run_source ?all_conditions ?instr_limit src =
+  run ?all_conditions ?instr_limit
+    (Avp_hdl.Elab.elaborate (Avp_hdl.Parser.parse src))
 
 let passed r =
   Avp_tour.Tour_gen.covers_all_edges r.graph r.tours

@@ -21,15 +21,17 @@ type report = {
 }
 
 val run :
-  ?clock:string ->
-  ?reset:string ->
   ?all_conditions:bool ->
   ?instr_limit:int ->
   ?progress:(int -> Avp_obs.Progress.t) ->
   ?dut:Avp_hdl.Elab.t ->
   Avp_hdl.Elab.t ->
   report
-(** The replay runs on the bit-sliced kernel
+(** The clock, the reset, the free and tied inputs and the state nets
+    come from the design's [// avp] annotations
+    ({!Avp_hdl.Elab.annotations}).
+
+    The replay runs on the bit-sliced kernel
     ({!Avp_vectors.Replay.check_lanes}), every trace in a lane of its
     own.  When a trace fails there, when {!Avp_hdl.Sliced.create}
     rejects the design, or when a kernel step raises, the reference
@@ -42,15 +44,9 @@ val run :
     @raise Avp_fsm.Translate.Unsupported on missing annotations.
     @raise Avp_hdl.Sim.Comb_loop on unsettleable logic. *)
 
-val run_source :
-  ?top:string ->
-  ?clock:string ->
-  ?reset:string ->
-  ?all_conditions:bool ->
-  ?instr_limit:int ->
-  string ->
-  report
-(** Convenience: parse and elaborate Verilog text first.
+val run_source : ?all_conditions:bool -> ?instr_limit:int -> string -> report
+(** Convenience: parse Verilog text and elaborate its last module
+    first.
     @raise Avp_hdl.Parser.Error / Avp_hdl.Lexer.Error on bad input. *)
 
 val passed : report -> bool

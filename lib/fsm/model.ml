@@ -204,28 +204,21 @@ module Builder = struct
   type b = {
     b_name : string;
     mutable b_state : var list;  (* reverse *)
-    mutable b_reset : int list;  (* reverse *)
     mutable b_nstate : int;
     mutable b_choice : var list;  (* reverse *)
     mutable b_nchoice : int;
   }
 
   let create b_name =
-    { b_name; b_state = []; b_reset = []; b_nstate = 0; b_choice = [];
-      b_nchoice = 0 }
+    { b_name; b_state = []; b_nstate = 0; b_choice = []; b_nchoice = 0 }
 
-  let state b name ?(init = 0) values =
-    let v = var name values in
-    if init < 0 || init >= card v then
-      invalid_arg (Printf.sprintf "Builder.state: init for %s out of range"
-                     name);
-    b.b_state <- v :: b.b_state;
-    b.b_reset <- init :: b.b_reset;
+  let state b name values =
+    b.b_state <- var name values :: b.b_state;
     let idx = b.b_nstate in
     b.b_nstate <- idx + 1;
     idx
 
-  let state_bool b name ?(init = 0) () = state b name ~init [| "0"; "1" |]
+  let state_bool b name () = state b name [| "0"; "1" |]
 
   let choice b name values =
     let v = var name values in
@@ -285,6 +278,6 @@ module Builder = struct
     model_create ~name:b.b_name
       ~state_vars:(List.rev b.b_state)
       ~choice_vars:(List.rev b.b_choice)
-      ~reset:(List.rev b.b_reset)
+      ~reset:(List.init b.b_nstate (fun _ -> 0))
       ~next ~next_into ()
 end

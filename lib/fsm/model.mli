@@ -135,15 +135,16 @@ val validate : t -> (unit, string) result
 
     Declare variables, then provide a [step] function that reads
     current values and assigns next values; unassigned state variables
-    hold their current value, which keeps sub-FSM definitions local. *)
+    hold their current value, which keeps sub-FSM definitions local.
+    Every state variable resets to its first value. *)
 module Builder : sig
   type b
   type svar
   type cvar
 
   val create : string -> b
-  val state : b -> string -> ?init:int -> string array -> svar
-  val state_bool : b -> string -> ?init:int -> unit -> svar
+  val state : b -> string -> string array -> svar
+  val state_bool : b -> string -> unit -> svar
   val choice : b -> string -> string array -> cvar
   val choice_bool : b -> string -> cvar
 

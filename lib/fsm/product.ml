@@ -24,8 +24,7 @@ let check_choices (impl : Model.t) (spec : Model.t) =
                 va.Model.name (Model.card va) vb.Model.name (Model.card vb))))
     a
 
-let compare ~(impl : Model.t) ~(spec : Model.t) ~impl_obs ~spec_obs
-    ?(max_states = 1_000_000) () =
+let compare ~(impl : Model.t) ~(spec : Model.t) ~impl_obs ~spec_obs () =
   check_choices impl spec;
   let num_choices = Model.num_choices impl in
   let choices =
@@ -65,7 +64,7 @@ let compare ~(impl : Model.t) ~(spec : Model.t) ~impl_obs ~spec_obs
       let nxt = (ni, ns) in
       let k = key nxt in
       if not (Model.Tbl.mem parents k) then begin
-        if Model.Tbl.length parents >= max_states then
+        if Model.Tbl.length parents >= 1_000_000 then
           failwith "Product.compare: state bound exceeded";
         Model.Tbl.add parents k (Some (cur, choice));
         if impl_obs ni <> spec_obs ns then

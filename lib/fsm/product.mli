@@ -27,7 +27,6 @@ val compare :
   spec:Model.t ->
   impl_obs:(int array -> int) ->
   spec_obs:(int array -> int) ->
-  ?max_states:int ->
   unit ->
   divergence option
 (** [None] when every reachable product state agrees — the
@@ -36,5 +35,4 @@ val compare :
     never exercise.
 
     @raise Choice_mismatch when the models' choice variables differ.
-    @raise Avp_enum-style state explosion is bounded by [max_states]
-    (default 1_000_000); exceeding it raises [Failure]. *)
+    @raise Failure past 1,000,000 product states. *)

@@ -38,67 +38,6 @@ let var_of_net (net : Elab.enet) =
   Model.var net.Elab.name values
 
 (* ------------------------------------------------------------------ *)
-(* Directive parsing                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type annotations = {
-  mutable clock : string option;
-  mutable reset : string option;
-  frees : (string, unit) Hashtbl.t;
-  ties : (string, int) Hashtbl.t;
-}
-
-let split_words s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
-
-(* Module-level directives from child instances arrive as
-   "prefix: payload"; net names inside them are prefixed. *)
-let parse_directives (d : Elab.t) =
-  let ann =
-    { clock = None; reset = None; frees = Hashtbl.create 8;
-      ties = Hashtbl.create 8 }
-  in
-  let handle prefix payload =
-    let qualify n = if prefix = "" then n else prefix ^ "." ^ n in
-    match split_words payload with
-    | [ "clock"; n ] -> if ann.clock = None then ann.clock <- Some (qualify n)
-    | [ "reset"; n ] -> if ann.reset = None then ann.reset <- Some (qualify n)
-    | [ "free"; n ] -> Hashtbl.replace ann.frees (qualify n) ()
-    | [ "tie"; n; v ] ->
-      (match int_of_string_opt v with
-       | Some v -> Hashtbl.replace ann.ties (qualify n) v
-       | None -> fail "tie directive with non-integer value: %s" payload)
-    | _ -> ()
-  in
-  List.iter
-    (fun payload ->
-      match String.index_opt payload ':' with
-      | Some i
-        when i + 1 < String.length payload && payload.[i + 1] = ' ' ->
-        handle (String.sub payload 0 i)
-          (String.sub payload (i + 2) (String.length payload - i - 2))
-      | Some _ | None -> handle "" payload)
-    d.Elab.directives;
-  (* Declaration-line attributes. *)
-  Array.iter
-    (fun (net : Elab.enet) ->
-      List.iter
-        (fun attr ->
-          match split_words attr with
-          | [ "free" ] -> Hashtbl.replace ann.frees net.Elab.name ()
-          | [ "tie"; v ] ->
-            (match int_of_string_opt v with
-             | Some v -> Hashtbl.replace ann.ties net.Elab.name v
-             | None -> fail "bad tie attribute on %s" net.Elab.name)
-          | _ -> ())
-        net.Elab.attrs)
-    d.Elab.nets;
-  ann
-
-let is_state (net : Elab.enet) =
-  List.exists (fun a -> split_words a = [ "state" ]) net.Elab.attrs
-
-(* ------------------------------------------------------------------ *)
 (* Cone of influence                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -166,20 +105,26 @@ let compute_cone (d : Elab.t) ~(roots : int list) ~(stop : int -> bool) =
 (* Translation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
-  let ann = parse_directives d in
+let translate (d : Elab.t) =
+  let ann = Elab.annotations d in
+  let ties = Hashtbl.create 8 in
+  List.iter
+    (fun (name, value) ->
+      match value with
+      | Ok v -> Hashtbl.replace ties name v
+      | Error complaint -> fail "%s" complaint)
+    ann.Elab.ties;
   let clock =
-    match clock, ann.clock with
-    | Some c, _ -> c
-    | None, Some c -> c
-    | None, None -> fail "no clock: add a '// avp clock <net>' directive"
+    match ann.Elab.clock with
+    | Some c -> c
+    | None -> fail "no clock: add a '// avp clock <net>' directive"
   in
   let reset =
-    match reset, ann.reset with
-    | Some r, _ -> r
-    | None, Some r -> r
-    | None, None -> fail "no reset: add a '// avp reset <net>' directive"
+    match ann.Elab.reset with
+    | Some r -> r
+    | None -> fail "no reset: add a '// avp reset <net>' directive"
   in
+  let is_state (net : Elab.enet) = ann.Elab.states.(net.Elab.id) in
   let find_net name =
     match Hashtbl.find_opt d.Elab.by_name name with
     | Some id -> id
@@ -216,11 +161,11 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
   Array.iter
     (fun (net : Elab.enet) ->
       let id = net.Elab.id in
-      let is_free = Hashtbl.mem ann.frees net.Elab.name in
+      let is_free = List.mem net.Elab.name ann.Elab.frees in
       if is_free && not (stop id) then free_ids := id :: !free_ids;
       if cone.nets.(id) && not (stop id) then begin
         let annotated_state = Hashtbl.mem state_set id in
-        let is_tied = Hashtbl.mem ann.ties net.Elab.name in
+        let is_tied = Hashtbl.mem ties net.Elab.name in
         if cone.seq_written.(id) && not annotated_state then
           problems :=
             Printf.sprintf
@@ -264,7 +209,7 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
   in
   let sim = Sim.create d in
   let ties =
-    Hashtbl.fold (fun name v acc -> (find_net name, max v 0) :: acc) ann.ties []
+    Hashtbl.fold (fun name v acc -> (find_net name, max v 0) :: acc) ties []
     |> Array.of_list
   in
   let low = Bv.of_int ~width:1 0 in
@@ -326,9 +271,7 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
   Array.iter (fun (id, v) -> poke_value id v) ties;
   Sim.poke_id sim reset_id (Bv.of_int ~width:1 1);
   poke_choices (Array.make nfree 0);
-  for _ = 1 to reset_cycles do
-    Sim.step sim clock
-  done;
+  Sim.step sim clock;
   Sim.poke_id sim reset_id low;
   let reset_state = Array.make nstates 0 in
   read_states_into "reset" reset_state;

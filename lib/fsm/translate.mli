@@ -66,14 +66,14 @@ type result = {
 
 exception Unsupported of string
 
-val translate :
-  ?clock:string ->
-  ?reset:string ->
-  ?reset_cycles:int ->
-  Avp_hdl.Elab.t ->
-  result
-(** @raise Unsupported when annotations are missing or the cone is not
-    closed; the message lists the offending nets. *)
+val translate : Avp_hdl.Elab.t -> result
+(** The clock, the reset, the free and tied inputs and the state nets
+    come from the design's annotations ({!Avp_hdl.Elab.annotations});
+    the reset state is the state after one clock edge with the reset
+    high, every free input 0 and every tie applied.
+    @raise Unsupported when annotations are missing, a tie value is not
+    an integer, or the cone is not closed; the message lists the
+    offending nets. *)
 
 val value_of_bv : Avp_logic.Bv.t -> int
 (** Encode a defined vector as a domain value.

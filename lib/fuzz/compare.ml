@@ -110,8 +110,7 @@ let min_cost a b =
 let total_cycles vecs =
   Array.fold_left (fun acc v -> acc + Array.length v) 0 vecs
 
-let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
-    ?progress ~(design : Avp_hdl.Ast.design) ~(tr : Translate.result)
+let run ?(seed = 0) ?mutant_budget ?domains:_ ?progress ~(design : Avp_hdl.Ast.design) ~(tr : Translate.result)
     ~(graph : Avp_enum.State_graph.t) ~(tours : Avp_tour.Tour_gen.t) ~(fuzz : Loop.result) () =
   let top = tr.Translate.elab.Avp_hdl.Elab.top in
   (* The three vector sets, realized once. *)
@@ -167,8 +166,12 @@ let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
     | Campaign.Escape _ -> Some 1
   in
   let costs = Array.make n (None, None, None) in
-  Campaign.detect ~engine:fuzz.Loop.config.Loop.engine
-    ~lanes:Avp_logic.Bv_sliced.lanes_limit ~tr ~graph phases
+  let lanes =
+    match fuzz.Loop.config.Loop.engine with
+    | `Scalar -> 1
+    | `Sliced -> Avp_logic.Bv_sliced.lanes_limit
+  in
+  Campaign.detect ~lanes ~tr ~graph phases
     (Array.map snd cands)
     ~on_done:(fun ~t0 j o ->
       let i = fst cands.(j) in
@@ -197,10 +200,7 @@ let run ?(seed = 0) ?mutant_budget ?domains:_ ?(max_equiv_states = 10_000)
     (fun i dut ->
       match (dut, costs.(i)) with
       | Some dut, (None, None, None) -> (
-        match
-          Avp_mutate.Filter.equivalent ~max_states:max_equiv_states
-            ~pristine:graph dut
-        with
+        match Avp_mutate.Filter.equivalent ~pristine:graph dut with
         | `Equivalent -> equivalent.(i) <- true
         | `Different _ | `Unknown _ -> ())
       | _ -> ())

@@ -20,7 +20,8 @@
 
     Kill scoring goes through the mutation campaign's replay path,
     {!Avp_mutate.Campaign.detect}, on the fuzz run's engine
-    ([config.engine]): three phases (tour, random, fuzz) of five
+    ([config.engine]; 62 lanes, or one on the scalar engine): three
+    phases (tour, random, fuzz) of five
     independent single-oracle chains (tour states, tour outputs,
     random outputs, fuzz states, fuzz outputs), so on the sliced engine
     each chunk of up to 61 mutants costs one schemata pass that
@@ -63,7 +64,6 @@ val run :
   ?seed:int ->
   ?mutant_budget:int ->
   ?domains:int ->
-  ?max_equiv_states:int ->
   ?progress:Avp_obs.Progress.t ->
   design:Avp_hdl.Ast.design ->
   tr:Avp_fsm.Translate.result ->

@@ -161,7 +161,7 @@ let mutate rng ~max_len (corpus : entry array) (seed : entry) : entry =
     else { seed with outbox_mask = bump seed.outbox_mask }
   | _ -> point seed
 
-let run ?rtl_config ?progress ~(config : config) cfg graph =
+let run ?progress ~(config : config) cfg graph =
   let rng = Random.State.make [| 0x69736166; config.seed |] in
   let acc = Coverage.create cfg graph in
   let keeps = ref [] in
@@ -196,7 +196,7 @@ let run ?rtl_config ?progress ~(config : config) cfg graph =
     instructions := !instructions + Array.length cand.program + 1;
     let t0 = Obs.Clock.now_s () in
     let gain =
-      Coverage.run_delta ?config:rtl_config ~max_cycles:config.max_cycles acc
+      Coverage.run_delta ~max_cycles:config.max_cycles acc
         (stimulus_of_entry cand)
     in
     if Obs.enabled () then

@@ -50,14 +50,13 @@ type result = {
 }
 
 val run :
-  ?rtl_config:Avp_pp.Rtl.config ->
   ?progress:Avp_obs.Progress.t ->
   config:config ->
   Avp_pp.Control_model.cfg ->
   Avp_enum.State_graph.t ->
   result
-(** Emits one [fuzz.exec] span per candidate; [progress] ticks once
-    per candidate. *)
+(** Runs every candidate on the bug-free RTL.  Emits one [fuzz.exec]
+    span per candidate; [progress] ticks once per candidate. *)
 
 val stimuli : result -> Avp_harness.Drive.stimulus list
 (** The kept corpus, realized — feed to

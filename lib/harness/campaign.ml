@@ -15,14 +15,14 @@ type bug_row = {
       (** coverage-guided fuzz corpus, when one was supplied *)
 }
 
-let run_stimulus ?config ?(max_cycles = 20_000) (stim : Drive.stimulus) =
-  Compare.run ?config ~max_cycles ~ready:stim.Drive.ready
+let run_stimulus ?config (stim : Drive.stimulus) =
+  Compare.run ?config ~max_cycles:20_000 ~ready:stim.Drive.ready
     ~mem_init:stim.Drive.mem_init ~program:stim.Drive.program
     ~inbox:stim.Drive.inbox ()
 
 (* Run stimuli in list order until one exposes a mismatch; [progress]
    ticks once per stimulus run. *)
-let detect_with ?max_cycles ?progress config stimuli =
+let detect_with ?progress config stimuli =
   let rec scan runs instructions = function
     | [] -> { detected = false; runs; instructions }
     | stim :: rest -> (
@@ -31,14 +31,13 @@ let detect_with ?max_cycles ?progress config stimuli =
        | None -> ());
       let runs = runs + 1
       and instructions = instructions + Array.length stim.Drive.program - 1 in
-      match run_stimulus ~config ?max_cycles stim with
+      match run_stimulus ~config stim with
       | Compare.Mismatch _ -> { detected = true; runs; instructions }
       | Compare.Match -> scan runs instructions rest)
   in
   scan 0 0 stimuli
 
-let table_2_1 ?(seed = 1) ?max_cycles ?progress ?fuzz ~cfg ~graph
-    ~tours () =
+let table_2_1 ?(seed = 1) ?progress ?fuzz ~cfg ~graph ~tours () =
   let generated_stimuli = Drive.of_traces ~seed cfg graph tours in
   let generated_budget =
     List.fold_left
@@ -60,19 +59,10 @@ let table_2_1 ?(seed = 1) ?max_cycles ?progress ?fuzz ~cfg ~graph
       let row =
         {
           bug;
-          generated =
-            detect_with ?max_cycles ?progress config
-              generated_stimuli;
-          random =
-            detect_with ?max_cycles ?progress config random_stimuli;
-          directed =
-            detect_with ?max_cycles ?progress config
-              directed_stimuli;
-          fuzz =
-            Option.map
-              (fun stimuli ->
-                detect_with ?max_cycles ?progress config stimuli)
-              fuzz;
+          generated = detect_with ?progress config generated_stimuli;
+          random = detect_with ?progress config random_stimuli;
+          directed = detect_with ?progress config directed_stimuli;
+          fuzz = Option.map (detect_with ?progress config) fuzz;
         }
       in
       if Avp_obs.Obs.enabled () then

@@ -21,16 +21,12 @@ type bug_row = {
       (** coverage-guided fuzz corpus, when one was supplied *)
 }
 
-val run_stimulus :
-  ?config:Avp_pp.Rtl.config ->
-  ?max_cycles:int ->
-  Drive.stimulus ->
-  Compare.verdict
-(** One stimulus through RTL-vs-spec comparison. *)
+val run_stimulus : ?config:Avp_pp.Rtl.config -> Drive.stimulus -> Compare.verdict
+(** One stimulus through RTL-vs-spec comparison, at most 20,000
+    cycles. *)
 
 val table_2_1 :
   ?seed:int ->
-  ?max_cycles:int ->
   ?progress:Avp_obs.Progress.t ->
   ?fuzz:Drive.stimulus list ->
   cfg:Avp_pp.Control_model.cfg ->
@@ -40,7 +36,8 @@ val table_2_1 :
   bug_row list
 (** Generated vectors come from the tours; the random method gets the
     same instruction budget as the generated vectors consumed; the
-    directed method runs the fixed hand-written suite.  [?fuzz]
+    directed method runs the fixed hand-written suite.  Every stimulus
+    goes through {!run_stimulus}.  [?fuzz]
     supplies a fourth stimulus set — a coverage-guided fuzz corpus
     (e.g. [Avp_fuzz.Isa_fuzz.stimuli]) — scored the same way and
     reported per row in [fuzz]. *)

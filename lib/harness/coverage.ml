@@ -30,9 +30,9 @@ let create cfg graph =
     counter = Avp_obs.Coverage.of_graph graph.Avp_enum.State_graph.adj;
   }
 
-let run ?config ?(max_cycles = 20_000) acc (stim : Drive.stimulus) =
+let run ?(max_cycles = 20_000) acc (stim : Drive.stimulus) =
   let rtl =
-    Rtl.create ?config ~mem_init:stim.Drive.mem_init
+    Rtl.create ~mem_init:stim.Drive.mem_init
       ~program:stim.Drive.program ~inbox:stim.Drive.inbox ()
   in
   let prev = ref None in
@@ -66,9 +66,9 @@ let run ?config ?(max_cycles = 20_000) acc (stim : Drive.stimulus) =
    after a run give that run's coverage delta. *)
 let counts acc = Avp_obs.Coverage.counts acc.counter
 
-let run_delta ?config ?max_cycles acc stim =
+let run_delta ?max_cycles acc stim =
   let before = counts acc in
-  run ?config ?max_cycles acc stim;
+  run ?max_cycles acc stim;
   Avp_obs.Coverage.delta ~before ~after:(counts acc)
 
 let result acc = Avp_obs.Coverage.summary acc.counter

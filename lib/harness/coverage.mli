@@ -34,21 +34,13 @@ type accumulator
 
 val create : Avp_pp.Control_model.cfg -> Avp_enum.State_graph.t -> accumulator
 
-val run :
-  ?config:Avp_pp.Rtl.config ->
-  ?max_cycles:int ->
-  accumulator ->
-  Drive.stimulus ->
-  unit
-(** Accumulates coverage from one stimulus run (coverage composes
-    across runs, like the union of tour traces). *)
+val run : ?max_cycles:int -> accumulator -> Drive.stimulus -> unit
+(** Accumulates coverage from one run of the stimulus on the bug-free
+    RTL (coverage composes across runs, like the union of tour traces);
+    [max_cycles] defaults to 20,000. *)
 
 val run_delta :
-  ?config:Avp_pp.Rtl.config ->
-  ?max_cycles:int ->
-  accumulator ->
-  Drive.stimulus ->
-  Avp_obs.Coverage.counts
+  ?max_cycles:int -> accumulator -> Drive.stimulus -> Avp_obs.Coverage.counts
 (** {!run} plus the counter movement the run caused
     ({!Avp_obs.Coverage.delta} of the before/after snapshots) — the
     keep-or-discard feedback signal of the coverage-guided fuzzing

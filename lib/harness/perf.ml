@@ -11,10 +11,12 @@ type report = {
 (* Every measurement runs under one {!Obs.Timer} — the same clock the
    tracing spans and the bench snapshots use, so wall-clock numbers
    from different tools are directly comparable. *)
-let measure ?config ?(max_cycles = 50_000) (stim : Drive.stimulus) =
+let max_cycles = 50_000
+
+let measure ~config (stim : Drive.stimulus) =
   let timer = Obs.Timer.start () in
   let rtl =
-    Rtl.create ?config ~mem_init:stim.Drive.mem_init
+    Rtl.create ~config ~mem_init:stim.Drive.mem_init
       ~program:stim.Drive.program ~inbox:stim.Drive.inbox ()
   in
   Rtl.run ~max_cycles ~ready:stim.Drive.ready rtl;
@@ -43,9 +45,9 @@ type verdict = {
   results_match : bool;
 }
 
-let compare ~reference ~dut ?(max_cycles = 50_000) (stim : Drive.stimulus) =
-  let ref_report = measure ~config:reference ~max_cycles stim in
-  let dut_report = measure ~config:dut ~max_cycles stim in
+let compare ~reference ~dut (stim : Drive.stimulus) =
+  let ref_report = measure ~config:reference stim in
+  let dut_report = measure ~config:dut stim in
   let results_match =
     match
       Compare.run ~config:dut ~max_cycles ~ready:stim.Drive.ready

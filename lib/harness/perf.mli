@@ -24,10 +24,7 @@ type verdict = {
 }
 
 val compare :
-  reference:Avp_pp.Rtl.config ->
-  dut:Avp_pp.Rtl.config ->
-  ?max_cycles:int ->
-  Drive.stimulus ->
-  verdict
+  reference:Avp_pp.Rtl.config -> dut:Avp_pp.Rtl.config -> Drive.stimulus -> verdict
+(** Each run stops after 50,000 cycles. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

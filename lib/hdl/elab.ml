@@ -463,6 +463,71 @@ let net t name =
 let net_id t name = (net t name).id
 
 (* ------------------------------------------------------------------ *)
+(* Annotations                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type annotations = {
+  clock : string option;
+  reset : string option;
+  frees : string list;
+  ties : (string * (int, string) result) list;
+  states : bool array;
+}
+
+let words s = String.split_on_char ' ' s |> List.filter (( <> ) "")
+
+(* Directives read in order, then declaration attributes in net order;
+   a child instance's directive arrives as "prefix: payload" (see
+   [instantiate]) and names its nets relative to the prefix. *)
+let annotations t =
+  let clock = ref None and reset = ref None in
+  let frees = ref [] and ties = ref [] in
+  let directive prefix payload =
+    let qualify n = if prefix = "" then n else prefix ^ "." ^ n in
+    match words payload with
+    | [ "clock"; n ] -> if !clock = None then clock := Some (qualify n)
+    | [ "reset"; n ] -> if !reset = None then reset := Some (qualify n)
+    | [ "free"; n ] -> frees := qualify n :: !frees
+    | [ "tie"; n; v ] ->
+      let value =
+        match int_of_string_opt v with
+        | Some v -> Ok v
+        | None ->
+          Error ("tie directive with non-integer value: " ^ payload)
+      in
+      ties := (qualify n, value) :: !ties
+    | _ -> ()
+  in
+  List.iter
+    (fun payload ->
+      match String.index_opt payload ':' with
+      | Some i when i + 1 < String.length payload && payload.[i + 1] = ' ' ->
+        directive (String.sub payload 0 i)
+          (String.sub payload (i + 2) (String.length payload - i - 2))
+      | Some _ | None -> directive "" payload)
+    t.directives;
+  let states = Array.make (Array.length t.nets) false in
+  Array.iter
+    (fun net ->
+      List.iter
+        (fun attr ->
+          match words attr with
+          | [ "state" ] -> states.(net.id) <- true
+          | [ "free" ] -> frees := net.name :: !frees
+          | [ "tie"; v ] ->
+            let value =
+              match int_of_string_opt v with
+              | Some v -> Ok v
+              | None -> Error ("bad tie attribute on " ^ net.name)
+            in
+            ties := (net.name, value) :: !ties
+          | _ -> ())
+        net.attrs)
+    t.nets;
+  { clock = !clock; reset = !reset; frees = List.rev !frees;
+    ties = List.rev !ties; states }
+
+(* ------------------------------------------------------------------ *)
 (* Analysis helpers                                                   *)
 (* ------------------------------------------------------------------ *)
 

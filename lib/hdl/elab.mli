@@ -80,6 +80,25 @@ val net : t -> string -> enet
 (** Look up a net by full hierarchical name.  @raise Not_found. *)
 
 val net_id : t -> string -> uid
+
+(** The design's [// avp] annotations, the one reader of their grammar.
+    Module-level directives: [clock NET], [reset NET], [free NET] and
+    [tie NET VALUE]; a child instance's arrive prefixed with its
+    instance path ([u0: free x]) and name [u0.x].  Declaration
+    attributes: [state], [free] and [tie VALUE].  Anything else is
+    ignored. *)
+type annotations = {
+  clock : string option;  (** the first [clock] directive's net *)
+  reset : string option;  (** the first [reset] directive's net *)
+  frees : string list;  (** nets declared free *)
+  ties : (string * (int, string) result) list;
+      (** each tie in directive order, then declaration order: the net
+          and its value, or the complaint about a value that is not an
+          integer *)
+  states : bool array;  (** net id -> declared [state] *)
+}
+
+val annotations : t -> annotations
 val expr_nets : eexpr -> uid list
 val lv_nets : elv -> uid list
 val stmt_reads : estmt -> uid list

@@ -949,10 +949,10 @@ let clear_overlay st =
   done;
   st.n_touched <- 0
 
-let step ?(edge = Ast.Posedge) t clock =
+let step t clock =
   let st = t.st in
   settle t;
-  let blocks = t.fires.(trigger edge clock) in
+  let blocks = t.fires.(trigger Ast.Posedge clock) in
   for i = 0 to Array.length blocks - 1 do
     clear_overlay st;
     t.seq_fn.(blocks.(i)) ()
@@ -1337,11 +1337,11 @@ let build ?u ~lanes (d : Elab.t) (procs : xp array) =
   reinit t;
   t
 
-let create ?u ~lanes (d : Elab.t) =
+let create ~lanes (d : Elab.t) =
   if lanes < 1 || lanes > Sl.lanes_limit then
     invalid_arg "Sliced.create: lane count out of range";
   let procs = Array.map inj_p d.Elab.processes in
-  match build ?u ~lanes d procs with
+  match build ~lanes d procs with
   | t -> Some t
   | exception Unsupported -> None
 

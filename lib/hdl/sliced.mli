@@ -22,13 +22,12 @@ open Avp_logic
 
 type t
 
-val create : ?u:Compile.units -> lanes:int -> Elab.t -> t option
+val create : lanes:int -> Elab.t -> t option
 (** A batched simulator with [lanes] identical copies of the design
     (1..62).  [None] when the design uses a construct the kernel does
     not cover (currently: ternaries with unequal arm widths, whose
     per-lane result widths would diverge); callers fall back to the
-    reference interpreter ({!Sim}).  Pass [?u] to reuse a static
-    analysis. *)
+    reference interpreter ({!Sim}). *)
 
 val create_schemata :
   ?u:Compile.units -> base:Elab.t -> Elab.t array -> (t * bool array) option
@@ -74,10 +73,10 @@ val amask : t -> int
 val settle : t -> unit
 (** @raise Compile.Comb_loop when no fixpoint is reached. *)
 
-val step : ?edge:Ast.edge -> t -> Elab.uid -> unit
-(** Settle, fire sequential blocks on the clock edge, commit
+val step : t -> Elab.uid -> unit
+(** Settle, fire sequential blocks on the clock's rising edge, commit
     nonblocking updates, advance time, settle again — all lanes in
-    lockstep.  Default edge: posedge.  Once the nonblocking-write queue
+    lockstep.  Once the nonblocking-write queue
     has grown to the design's largest step, a step allocates nothing,
     except to resolve a net with several drivers. *)
 

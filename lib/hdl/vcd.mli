@@ -13,8 +13,8 @@ val sample : t -> unit
 (** Record current values at the current simulation time (call once
     per clock cycle, after {!Sim.step}). *)
 
-val serialize : ?timescale:string -> ?top:string -> t -> string
-(** The complete VCD file contents. *)
+val serialize : ?top:string -> t -> string
+(** The complete VCD file contents, one clock cycle per 1 ns. *)
 
 val attach : Sim.t -> nets:string list -> t
 (** Install a {!Sim.observer} that samples after every clock edge and

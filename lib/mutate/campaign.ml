@@ -129,10 +129,10 @@ let detail = function
 
 (* Assemble the final classification from the two oracle outcomes
    ([Some detail] = caught). *)
-let verdict ~max_equiv_states ~graph ~dut tour random =
+let verdict ~graph ~dut tour random =
   match (tour, random) with
   | None, None -> (
-    match Filter.equivalent ~max_states:max_equiv_states ~pristine:graph dut with
+    match Filter.equivalent ~pristine:graph dut with
     | `Equivalent -> Equivalent
     | `Different why | `Unknown why -> Survived why)
   | Some d, r -> Killed { by_tour = true; by_random = r <> None; detail = d }
@@ -340,7 +340,7 @@ let sliced_pass sim tr ~k ~need ~traces ~chain_phase
   in
   (outcomes, !golden_x)
 
-let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
+let detect ~lanes ~tr ~graph ~on_done (phases : phase array)
     (duts : Avp_hdl.Elab.t array) =
   let module Obs = Avp_obs.Obs in
   let n = Array.length duts in
@@ -392,7 +392,7 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
   in
   let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
   (* A slot needs a mutant lane and its golden lane. *)
-  if engine = `Scalar || lanes < 2 || n = 0 then begin
+  if lanes < 2 || n = 0 then begin
     ignore (Lazy.force recorded);
     for j = 0 to n - 1 do
       check_scalar j
@@ -511,8 +511,7 @@ let detect ~engine ~lanes ~tr ~graph ~on_done (phases : phase array)
 (* The campaign                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let run ?families ?(seed = 1) ?budget ?domains:_
-    ?(max_equiv_states = 10_000) ?top ?progress
+let run ?families ?(seed = 1) ?budget ?domains:_ ?top ?progress
     ?(engine : [ `Scalar | `Sliced ] = `Sliced)
     ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ~design ~tr ~graph ~tours () =
   let mutants =
@@ -588,7 +587,7 @@ let run ?families ?(seed = 1) ?budget ?domains:_
   (* One replay of the tour vectors serves both tour oracles — the
      output oracle chains behind the state oracle — and the random
      vectors run in the same queue. *)
-  detect ~engine ~lanes ~tr ~graph
+  detect ~lanes:(if engine = `Scalar then 1 else lanes) ~tr ~graph
     [|
       { vectors = tvecs; chains = [| [| States tours; Outputs outs |] |] };
       { vectors = rvecs; chains = [| [| Outputs outs |] |] };
@@ -597,7 +596,7 @@ let run ?families ?(seed = 1) ?budget ?domains:_
     ~on_done:(fun ~t0 j o ->
       let i, dut = cands.(j) in
       finish ~t0 i
-        (verdict ~max_equiv_states ~graph ~dut (detail o.(0)) (detail o.(1))));
+        (verdict ~graph ~dut (detail o.(0)) (detail o.(1))));
   let results =
     Array.init n (fun i -> { mutant = mutants.(i); cls = out.(i) })
   in

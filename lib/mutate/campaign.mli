@@ -112,7 +112,6 @@ type outcome =
           string is the full detail text *)
 
 val detect :
-  engine:[ `Scalar | `Sliced ] ->
   lanes:int ->
   tr:Avp_fsm.Translate.result ->
   graph:Avp_enum.State_graph.t ->
@@ -127,9 +126,10 @@ val detect :
     one outcome per chain, in phase order and then chain order; [t0]
     is when work attributable to that mutant alone began.
 
-    [`Sliced] simulates each chunk of [k] ≤ [lanes] − 1 mutants
-    ([lanes] clamped to 1..62) once: it compiles [tr]'s design as
-    mutant schemata ({!Avp_hdl.Sliced.create_schemata}) over slots of
+    With [lanes] ≥ 2 ([lanes] clamped to 1..62) each chunk of [k] ≤
+    [lanes] − 1 mutants runs once on the sliced engine, which compiles
+    [tr]'s design as mutant schemata
+    ({!Avp_hdl.Sliced.create_schemata}) over slots of
     [k + 1] lanes, the chunk plus the pristine design as the slot's
     golden lane, ⌊[lanes]/([k] + 1)⌋ slots, and replays every phase's
     traces through one queue ({!Avp_vectors.Slots}): each slot replays
@@ -147,11 +147,11 @@ val detect :
     site, or a mutation-induced comb loop that aborts the shared word)
     fall back to the scalar path.
 
-    [`Scalar] — and the sliced engine when [lanes] < 2 leaves no room
-    for a golden lane, or there is no mutant — records the pristine
-    outputs of every phase with an output oracle on the interpreter up
-    front ({!Avp_vectors.Replay.record}, in phase order), then replays
-    mutant by mutant.  Outcomes — escape texts included — are identical
+    With [lanes] < 2, which leaves no room for a golden lane, or with
+    no mutant, the scalar engine records the pristine outputs of every
+    phase with an output oracle on the interpreter up front
+    ({!Avp_vectors.Replay.record}, in phase order), then replays mutant
+    by mutant.  Outcomes — escape texts included — are identical
     for any engine and lane count.
     @raise Avp_fsm.Translate.Unsupported on either engine, before it
     reports any outcome, when the pristine design drives an output x/z:
@@ -165,7 +165,6 @@ val run :
   ?seed:int ->
   ?budget:int ->
   ?domains:int ->
-  ?max_equiv_states:int ->
   ?top:string ->
   ?progress:Avp_obs.Progress.t ->
   ?engine:[ `Scalar | `Sliced ] ->
@@ -180,7 +179,8 @@ val run :
     baseline; [budget] bounds the number of mutants (default: all).
     [domains] is ignored, kept because perfbench/main.ml passes it.
 
-    [engine] (default [`Sliced]) selects the replay backend.
+    [engine] (default [`Sliced]) selects the replay backend; [`Scalar]
+    runs {!detect} on one lane.
     Mutants are vetted up front; the survivors go through {!detect}
     in two phases: the tour vectors with one chain, the state oracle
     before the output oracle, and the random vectors with the output

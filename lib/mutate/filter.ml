@@ -27,10 +27,9 @@ let prune ~checked ~(pristine : Absint.invariants) (elab : Avp_hdl.Elab.t) =
     | Some (net, why) -> Some (Printf.sprintf "%s: %s" net why)
     | None -> None)
 
-let equivalent ?(max_states = 10_000) ~(pristine : Avp_enum.State_graph.t)
-    (elab : Avp_hdl.Elab.t) =
+let equivalent ~(pristine : Avp_enum.State_graph.t) (elab : Avp_hdl.Elab.t) =
   let n = Avp_enum.State_graph.num_states pristine in
-  if n > max_states then
+  if n > 10_000 then
     `Unknown (Printf.sprintf "pristine graph too large (%d states)" n)
   else
     match Avp_fsm.Translate.translate elab with

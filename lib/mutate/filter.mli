@@ -36,12 +36,11 @@ val prune :
     [None] proves nothing either way. *)
 
 val equivalent :
-  ?max_states:int ->
   pristine:Avp_enum.State_graph.t ->
   Avp_hdl.Elab.t ->
   [ `Equivalent | `Different of string | `Unknown of string ]
 (** Compare the mutant's enumerated control graph against the
-    pristine one.  [max_states] (default 10000) bounds the pristine
-    graph size beyond which the check is skipped ([`Unknown]);
+    pristine one.  A pristine graph of more than 10,000 states skips
+    the check ([`Unknown]);
     mutants whose translation is rejected (e.g. a dropped assignment
     inferring a new latch) also report [`Unknown] with the reason. *)

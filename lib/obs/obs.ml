@@ -35,9 +35,8 @@ type event = {
   ph : ph;
   ts_ns : int;  (* nanoseconds since the tracer's epoch *)
   dur_ns : int;
-  dom : int;  (* emitting domain; 0 for every event this tracer emits *)
-  depth : int;  (* span-nesting depth within that domain *)
-  o : int;  (* per-domain tick at open... *)
+  depth : int;  (* span-nesting depth *)
+  o : int;  (* tick at open... *)
   c : int;  (* ...and at close; o = c for instants and
                retrospective spans *)
   args : (string * arg) list;
@@ -129,7 +128,6 @@ let span ?(cat = "avp") ?(args = []) name f =
             ph = Span;
             ts_ns = ns_of t t0;
             dur_ns = ns_of t t1 - ns_of t t0;
-            dom = 0;
             depth;
             o;
             c;
@@ -156,7 +154,6 @@ let complete ?(cat = "avp") ?(args = []) ~dur_s name =
         ph = Span;
         ts_ns = ns_of t t1 - dur_ns;
         dur_ns;
-        dom = 0;
         depth = t.depth;
         o = n;
         c = n;
@@ -177,7 +174,6 @@ let instant ?(cat = "avp") ?(args = []) name =
         ph = Instant;
         ts_ns = ns_of t (Clock.now_s ());
         dur_ns = 0;
-        dom = 0;
         depth = t.depth;
         o = n;
         c = n;
@@ -232,36 +228,28 @@ let counters t =
 (* Well-formedness (used by the tests)                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Within one domain, span tick-intervals [o, c] must either nest or
-   be disjoint, and a span's recorded depth must equal the number of
-   spans strictly enclosing it.  Bracketed [span] calls guarantee
-   this by construction; the check catches regressions in the
-   emission bookkeeping. *)
+(* Span tick-intervals [o, c] must either nest or be disjoint, and a
+   span's recorded depth must equal the number of spans strictly
+   enclosing it.  Bracketed [span] calls guarantee this by
+   construction; the check catches regressions in the emission
+   bookkeeping. *)
 let well_formed (evs : event list) =
-  let spans d = List.filter (fun e -> e.ph = Span && e.dom = d) evs in
-  let doms = List.sort_uniq compare (List.map (fun (e : event) -> e.dom) evs) in
+  let ss = List.filter (fun e -> e.ph = Span) evs in
   List.for_all
-    (fun d ->
-      let ss = spans d in
-      List.for_all
-        (fun a ->
-          let enclosing =
-            List.filter
-              (fun b -> b != a && b.o < a.o && a.c < b.c)
-              ss
-          in
-          let conflicting =
-            List.exists
-              (fun b ->
-                b != a
-                && ((b.o < a.o && a.o < b.c && b.c < a.c)
-                    || (a.o < b.o && b.o < a.c && a.c < b.c)))
-              ss
-          in
-          (not conflicting)
-          && (a.o = a.c || a.depth = List.length enclosing))
-        ss)
-    doms
+    (fun a ->
+      let enclosing =
+        List.filter (fun b -> b != a && b.o < a.o && a.c < b.c) ss
+      in
+      let conflicting =
+        List.exists
+          (fun b ->
+            b != a
+            && ((b.o < a.o && a.o < b.c && b.c < a.c)
+                || (a.o < b.o && b.o < a.c && a.c < b.c)))
+          ss
+      in
+      (not conflicting) && (a.o = a.c || a.depth = List.length enclosing))
+    ss
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                      *)
@@ -295,7 +283,7 @@ let json_of_event (e : event) =
       ("ts", Json.Float (float_of_int e.ts_ns /. 1000.));
       ("dur", Json.Float (float_of_int e.dur_ns /. 1000.));
       ("pid", Json.Int 0);
-      ("tid", Json.Int e.dom);
+      ("tid", Json.Int 0);
       ("ts_ns", Json.Int e.ts_ns);
       ("dur_ns", Json.Int e.dur_ns);
       ("o", Json.Int e.o);
@@ -315,7 +303,6 @@ let event_of_json j =
   in
   let* ts_ns = Option.bind (Json.member "ts_ns" j) Json.to_int in
   let* dur_ns = Option.bind (Json.member "dur_ns" j) Json.to_int in
-  let* dom = Option.bind (Json.member "tid" j) Json.to_int in
   let* o = Option.bind (Json.member "o" j) Json.to_int in
   let* c = Option.bind (Json.member "c" j) Json.to_int in
   let* depth = Option.bind (Json.member "depth" j) Json.to_int in
@@ -329,7 +316,7 @@ let event_of_json j =
         | _ -> None)
       kvs (Some [])
   in
-  Some { name; cat; ph; ts_ns; dur_ns; dom; depth; o; c; args }
+  Some { name; cat; ph; ts_ns; dur_ns; depth; o; c; args }
 
 let encode_event e = Json.to_string (json_of_event e)
 
@@ -339,12 +326,12 @@ let decode_event line =
   | Error _ -> None
 
 (* Sort-key normalization: drop everything that legitimately varies
-   across runs (timestamps, durations, domain ids, tick counters,
-   nesting depth) and order events by their stable identity.  Two
+   across runs (timestamps, durations, tick counters, nesting
+   depth) and order events by their stable identity.  Two
    runs that did the same work then serialize byte-identically. *)
 let normalize_events evs =
   let strip e =
-    { e with ts_ns = 0; dur_ns = 0; dom = 0; depth = 0; o = 0; c = 0 }
+    { e with ts_ns = 0; dur_ns = 0; depth = 0; o = 0; c = 0 }
   in
   let key e = (e.cat, e.name, ph_string e.ph, encode_event (strip e)) in
   List.map strip evs |> List.sort (fun a b -> compare (key a) (key b))
@@ -374,8 +361,8 @@ let chrome_flow_events (e : event) =
   let mk ph id =
     Printf.sprintf
       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"id\":%d,\"pid\":0,\
-       \"tid\":%d,\"ts\":%s%s}"
-      (Json.escape "flow") (Json.escape e.cat) ph id e.dom
+       \"tid\":0,\"ts\":%s%s}"
+      (Json.escape "flow") (Json.escape e.cat) ph id
       (Json.float_string (float_of_int e.ts_ns /. 1000.))
       (if ph = "f" then ",\"bp\":\"e\"" else "")
   in

@@ -34,11 +34,8 @@ type event = {
   ph : ph;
   ts_ns : int;  (** nanoseconds since the tracer's epoch *)
   dur_ns : int;
-  dom : int;
-      (** emitting domain: 0 for every event a tracer emits; traces
-          written by older versions may carry others *)
-  depth : int;  (** span-nesting depth within that domain *)
-  o : int;  (** per-domain tick at open... *)
+  depth : int;  (** span-nesting depth *)
+  o : int;  (** tick at open... *)
   c : int;  (** ...and close; [o = c] for instants and {!complete} *)
   args : (string * arg) list;
 }
@@ -90,14 +87,14 @@ val counters : t -> (string * int) list
 (** Sorted by name. *)
 
 val well_formed : event list -> bool
-(** Per domain, span tick-intervals [[o, c]] nest or are disjoint and
-    each span's [depth] equals its number of strict enclosers. *)
+(** Span tick-intervals [[o, c]] nest or are disjoint and each span's
+    [depth] equals its number of strict enclosers. *)
 
 (** {2 Serialization} *)
 
 val encode_event : event -> string
 (** One Chrome trace_event JSON object (single line): viewer fields
-    ([ts]/[dur] in microseconds, [tid] = domain) plus exact integer
+    ([ts]/[dur] in microseconds, [tid] 0) plus exact integer
     fields ([ts_ns], [dur_ns], [o], [c], [depth]) that viewers ignore
     and {!decode_event} reads back losslessly. *)
 

@@ -2,8 +2,8 @@
 
    All derived facts come from the events alone so the analysis is
    identical in-process (--profile) and offline (avp profile over a
-   --trace capture).  Nesting is reconstructed per domain from the
-   tick intervals [o, c] — the same relation Obs.well_formed checks —
+   --trace capture).  Nesting is reconstructed from the tick intervals
+   [o, c] — the same relation Obs.well_formed checks —
    and, for retrospective [complete] spans, which have no tick
    interval, from the time windows they enclose. *)
 
@@ -18,7 +18,6 @@ type span_stat = {
   s_p95_ns : int;
   s_max_ns : int;
   s_alloc_w : int;
-  s_by_dom : (int * int) list;
 }
 
 type t = {
@@ -45,7 +44,7 @@ let int_arg key (e : Obs.event) =
 (* Nesting: direct parents and self time                              *)
 (* ------------------------------------------------------------------ *)
 
-(* For every span, its direct parent within its domain (or -1).
+(* For every span, its direct parent (or -1).
 
    Bracketed spans nest by their tick intervals: spans sorted by open
    tick, a stack of currently-open spans; [p] encloses [e] iff
@@ -70,7 +69,7 @@ let compute_parents (spans : Obs.event array) =
   Array.sort
     (fun a b ->
       let ea = spans.(a) and eb = spans.(b) in
-      match compare (ea.Obs.dom, ea.Obs.o) (eb.Obs.dom, eb.Obs.o) with
+      match compare ea.Obs.o eb.Obs.o with
       | 0 -> compare eb.Obs.c ea.Obs.c
       | c -> c)
     order;
@@ -82,8 +81,7 @@ let compute_parents (spans : Obs.event array) =
       let rec unwind = function
         | p :: rest ->
           let pe = spans.(p) in
-          if pe.Obs.dom = e.Obs.dom && pe.Obs.o < e.Obs.o && e.Obs.c < pe.Obs.c
-          then p :: rest
+          if pe.Obs.o < e.Obs.o && e.Obs.c < pe.Obs.c then p :: rest
           else unwind rest
         | [] -> []
       in
@@ -91,7 +89,7 @@ let compute_parents (spans : Obs.event array) =
       (match !stack with p :: _ -> tick_parent.(i) <- p | [] -> ());
       stack := i :: !stack)
     order;
-  let key i = (spans.(i).Obs.dom, tick_parent.(i), spans.(i).Obs.c) in
+  let key i = (tick_parent.(i), spans.(i).Obs.c) in
   Array.sort (fun a b -> compare (key a) (key b)) order;
   let parent = Array.copy tick_parent in
   let encloses (e : Obs.event) (s : Obs.event) =
@@ -99,11 +97,11 @@ let compute_parents (spans : Obs.event array) =
     && s.Obs.ts_ns + 1 >= e.Obs.ts_ns
     && s.Obs.ts_ns + s.Obs.dur_ns > e.Obs.ts_ns
   in
-  let group = ref (-1, -2) and top = ref [] in
+  let group = ref (-2) and top = ref [] in
   Array.iter
     (fun i ->
       let e = spans.(i) in
-      let g = (e.Obs.dom, tick_parent.(i)) in
+      let g = tick_parent.(i) in
       if g <> !group then begin
         group := g;
         top := []
@@ -146,7 +144,7 @@ let of_events ?(counters = []) (evs : Obs.event list) =
      uncovered.  Totals and self times are unions: the per-lane spans
      of one sliced pass all cover the pass, and both the lanes' total
      and the round's self time count that window once.  A group of
-     spans (one label on one domain, or one folded stack) is worth the
+     spans (one label, or one folded stack) is worth the
      union of its windows minus the union of its children's, each child
      clamped to its parent's window. *)
   let children = Array.make n [] in
@@ -178,7 +176,7 @@ let of_events ?(counters = []) (evs : Obs.event list) =
     h
   in
   (* Aggregation per (cat, name): count and percentiles per span, total
-     and self per domain. *)
+     and self over the label's windows. *)
   let stats =
     Hashtbl.fold
       (fun (cat, name) members acc ->
@@ -188,27 +186,22 @@ let of_events ?(counters = []) (evs : Obs.event list) =
         Array.sort compare ds;
         let m = Array.length ds in
         let pct p = ds.(min (m - 1) (p * (m - 1) / 100 + if p * (m - 1) mod 100 = 0 then 0 else 1)) in
-        let on d = List.filter (fun i -> spans.(i).Obs.dom = d) members in
-        let by_dom =
-          List.sort_uniq compare (List.map (fun i -> spans.(i).Obs.dom) members)
-          |> List.map (fun d -> (d, total_self (on d)))
-        in
-        let sum f = List.fold_left (fun a x -> a + f x) 0 in
+        let total, self = total_self members in
         {
           s_cat = cat;
           s_name = name;
           s_count = m;
-          s_total_ns = sum (fun (_, (t, _)) -> t) by_dom;
-          s_self_ns = sum (fun (_, (_, s)) -> s) by_dom;
+          s_total_ns = total;
+          s_self_ns = self;
           s_min_ns = ds.(0);
           s_p50_ns = pct 50;
           s_p95_ns = pct 95;
           s_max_ns = ds.(m - 1);
           s_alloc_w =
-            sum
-              (fun i -> Option.value ~default:0 (int_arg "alloc_w" spans.(i)))
-              members;
-          s_by_dom = List.map (fun (d, (t, _)) -> (d, t)) by_dom;
+            List.fold_left
+              (fun a i ->
+                a + Option.value ~default:0 (int_arg "alloc_w" spans.(i)))
+              0 members;
         }
         :: acc)
       (group_by (fun i -> (spans.(i).Obs.cat, spans.(i).Obs.name)))
@@ -218,13 +211,12 @@ let of_events ?(counters = []) (evs : Obs.event list) =
            | 0 -> compare (a.s_cat, a.s_name) (b.s_cat, b.s_name)
            | c -> c)
   in
-  (* Folded stacks: each span's root chain, a dom<i> root frame keeping
-     the domains apart; a stack's value is its spans' self time. *)
+  (* Folded stacks: each span's root chain; a stack's value is its
+     spans' self time. *)
   let rec path i =
     let e = spans.(i) in
     let frame = label e.Obs.cat e.Obs.name in
-    if parent.(i) < 0 then Printf.sprintf "dom%d;%s" e.Obs.dom frame
-    else path parent.(i) ^ ";" ^ frame
+    if parent.(i) < 0 then frame else path parent.(i) ^ ";" ^ frame
   in
   let folded =
     Hashtbl.fold
@@ -311,11 +303,6 @@ let json_of_span ?(normalize = false) (s : span_stat) =
         ("p95_s", Json.Float (ns_s s.s_p95_ns));
         ("max_s", Json.Float (ns_s s.s_max_ns));
         ("alloc_words", Json.Int s.s_alloc_w);
-        ( "by_domain",
-          Json.Obj
-            (List.map
-               (fun (d, ns) -> (string_of_int d, Json.Float (ns_s ns)))
-               s.s_by_dom) );
       ]
 
 let to_json_value ?(normalize = false) t =

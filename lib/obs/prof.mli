@@ -4,22 +4,17 @@
     Two views over one event list:
 
     - {b span aggregation} — per (category, name) label: call count,
-      total and self time over the union of the label's windows on
-      each domain, exact p50/p95/max from the recorded durations,
-      allocation totals when the tracer sampled them, and a per-domain
-      busy breakdown.  Bracketed spans nest by their
-      per-domain tick intervals; a retrospective [Obs.complete] span
+      total and self time over the union of the label's windows, exact
+      p50/p95/max from the recorded durations, and allocation totals
+      when the tracer sampled them.  Bracketed spans nest by their
+      tick intervals; a retrospective [Obs.complete] span
       has no tick interval of its own and is parented to the innermost
       span whose time window contains it (never to another span of its
       own label, so per-lane spans of one pass stay siblings);
-    - {b folded stacks} — the per-domain nesting chains collapsed to
-      [dom0;parent;child self_ns] lines (the inferno / speedscope /
+    - {b folded stacks} — the nesting chains collapsed to
+      [parent;child self_ns] lines (the inferno / speedscope /
       flamegraph.pl input format) plus a self-contained static HTML
       flame view.
-
-    Domains are a property of the trace format: every event this
-    version emits is on domain 0, and traces written by older
-    versions may carry more.
 
     Everything is computed from the events alone, so the same analysis
     runs in-process (behind [--profile]) and offline over a [--trace]
@@ -30,18 +25,16 @@ type span_stat = {
   s_name : string;
   s_count : int;
   s_total_ns : int;
-      (** per domain, the union of the spans' windows, summed:
-          overlapping spans of the label count once *)
+      (** the union of the spans' windows: overlapping spans of the
+          label count once *)
   s_self_ns : int;
-      (** per domain, that union minus the union of the spans' direct
-          children, summed: never negative *)
+      (** that union minus the union of the spans' direct children:
+          never negative *)
   s_min_ns : int;
   s_p50_ns : int;
   s_p95_ns : int;
   s_max_ns : int;
   s_alloc_w : int;  (** summed [alloc_w] args; 0 unless GC-sampled *)
-  s_by_dom : (int * int) list;
-      (** domain id -> the union of the spans' windows there, sorted *)
 }
 
 type t = {
@@ -68,8 +61,7 @@ val read_trace : string -> (Obs.event list, string) result
 
 val to_json : ?normalize:bool -> t -> string
 (** Deterministic pretty JSON.  [~normalize:true] keeps only the
-    run-invariant skeleton — per-label event counts, no times, no
-    domain ids — which is byte-identical across runs of work whose
+    run-invariant skeleton — per-label event counts, no times — which is byte-identical across runs of work whose
     span set is deterministic (replay, mutation, fuzzing). *)
 
 val to_json_value : ?normalize:bool -> t -> Json.t

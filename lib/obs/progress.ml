@@ -8,9 +8,7 @@
 type t = {
   label : string;
   total : int option;
-  out : out_channel;
   enabled : bool;
-  interval_s : float;
   start : float;
   mutable count : int;
   mutable last_print : float;
@@ -19,16 +17,14 @@ type t = {
 
 let stderr_is_tty () = Unix.isatty Unix.stderr
 
-let create ?(out = stderr) ?(interval_s = 0.2) ?enabled ?total ~label () =
+let create ?enabled ?total ~label () =
   let enabled =
     match enabled with Some e -> e | None -> stderr_is_tty ()
   in
   {
     label;
     total;
-    out;
     enabled;
-    interval_s;
     start = Obs.Clock.now_s ();
     count = 0;
     last_print = 0.;
@@ -53,15 +49,14 @@ let render t now =
   in
   (* Pad over whatever the previous, possibly longer, line left. *)
   let pad = max 0 (t.printed_width - String.length line) in
-  Printf.fprintf t.out "\r%s%s" line (String.make pad ' ');
-  flush t.out;
+  Printf.eprintf "\r%s%s%!" line (String.make pad ' ');
   t.printed_width <- String.length line
 
 let tick ?(n = 1) t =
   t.count <- t.count + n;
   if t.enabled then begin
     let now = Obs.Clock.now_s () in
-    if now -. t.last_print >= t.interval_s then begin
+    if now -. t.last_print >= 0.2 then begin
       t.last_print <- now;
       render t now
     end
@@ -70,7 +65,6 @@ let tick ?(n = 1) t =
 let finish t =
   if t.enabled && t.printed_width > 0 then begin
     (* Clear the line: later ordinary output starts clean. *)
-    Printf.fprintf t.out "\r%s\r" (String.make t.printed_width ' ');
-    flush t.out;
+    Printf.eprintf "\r%s\r%!" (String.make t.printed_width ' ');
     t.printed_width <- 0
   end

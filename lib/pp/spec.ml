@@ -116,6 +116,6 @@ let step t =
     not t.halted_
   end
 
-let run ?(max_steps = 1_000_000) t =
+let run t =
   let rec loop n = if n > 0 && step t then loop (n - 1) in
-  loop max_steps
+  loop 1_000_000

@@ -22,7 +22,8 @@ val create :
   unit ->
   t
 
-val run : ?max_steps:int -> t -> unit
+val run : t -> unit
+(** Steps until the program halts, at most 1,000,000 steps. *)
 
 val halted : t -> bool
 val reg : t -> Isa.reg -> int

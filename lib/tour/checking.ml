@@ -10,7 +10,6 @@ type subtest = {
 
 type experiment = {
   spec : Mealy.t;
-  reset_state : int;
   subtests : subtest list;
 }
 
@@ -36,11 +35,11 @@ let preambles (m : Mealy.t) ~from =
   done;
   word
 
-let build ?(uio_max_len = 8) ?(reset_state = 0) (m : Mealy.t) =
-  let reach = preambles m ~from:reset_state in
+let build (m : Mealy.t) =
+  let reach = preambles m ~from:0 in
   let uios =
     Array.init m.Mealy.states (fun s ->
-        if reach.(s) = None then None else uio m ~state:s ~max_len:uio_max_len)
+        if reach.(s) = None then None else uio m ~state:s ~max_len:8)
   in
   let subtests = ref [] in
   for s = m.Mealy.states - 1 downto 0 do
@@ -63,7 +62,7 @@ let build ?(uio_max_len = 8) ?(reset_state = 0) (m : Mealy.t) =
           :: !subtests
       done
   done;
-  { spec = m; reset_state; subtests = !subtests }
+  { spec = m; subtests = !subtests }
 
 let total_inputs e =
   List.fold_left
@@ -101,7 +100,7 @@ let run (e : experiment) (impl : Mealy.t) =
           e.spec.Mealy.next
             (List.fold_left
                (fun s i -> e.spec.Mealy.next s i)
-               e.reset_state st.preamble)
+               0 st.preamble)
             st.input
         in
         let expected_sig = Mealy.output_trace e.spec spec_dst st.uio in

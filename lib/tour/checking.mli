@@ -24,7 +24,6 @@ type subtest = {
 
 type experiment = {
   spec : Uio.Mealy.t;
-  reset_state : int;
   subtests : subtest list;
 }
 
@@ -32,8 +31,10 @@ exception No_uio of int
 (** A destination state has no UIO within the length bound (the
     machine may not be minimal). *)
 
-val build : ?uio_max_len:int -> ?reset_state:int -> Uio.Mealy.t -> experiment
-(** @raise No_uio when some reachable destination lacks a UIO. *)
+val build : Uio.Mealy.t -> experiment
+(** Subtests start from state 0, the reset state, and verify each
+    destination with a UIO of at most 8 inputs.
+    @raise No_uio when some reachable destination lacks a UIO. *)
 
 val total_inputs : experiment -> int
 (** Total input symbols across all subtests (cost measure). *)

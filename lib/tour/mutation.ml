@@ -129,8 +129,8 @@ type score = {
   checking_killed : int;
 }
 
-let score ?(uio_max_len = 8) (m : Mealy.t) =
-  let experiment = Checking.build ~uio_max_len m in
+let score (m : Mealy.t) =
+  let experiment = Checking.build m in
   let sequences = tour_inputs m in
   let all = mutants m in
   List.fold_left

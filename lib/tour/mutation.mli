@@ -45,7 +45,7 @@ type score = {
   checking_killed : int;
 }
 
-val score : ?uio_max_len:int -> Uio.Mealy.t -> score
+val score : Uio.Mealy.t -> score
 (** Runs both methods over every mutant.
     @raise Checking.No_uio if the machine lacks UIOs. *)
 

@@ -229,11 +229,10 @@ let record (tr : Translate.result) ~(nets : string array)
     (sets : Vector.t array array) =
   Array.map (Array.mapi (fun trace -> record_trace tr ~nets ~trace)) sets
 
-let check_nets ~dut ?progress (tr : Translate.result)
-    ~(nets : string array) ~(predicted : int array array array)
-    (vectors : Vector.t array) =
+let check_nets ~dut (tr : Translate.result) ~(nets : string array)
+    ~(predicted : int array array array) (vectors : Vector.t array) =
   let n = Array.length vectors in
-  replay_all ?progress ~n (fun ti ->
+  replay_all ~n (fun ti ->
       let rows = predicted.(ti) in
       let predict cycle vi = rows.(cycle + 1).(vi) in
       run_nets ~design:dut ~tr ~nets ~predict ti vectors.(ti))
@@ -241,39 +240,34 @@ let check_nets ~dut ?progress (tr : Translate.result)
 (* Replay one trace's vectors with a VCD dump attached: the waveform
    artifact behind the CLI's [--vcd], showing state nets toggling
    under annotated force/release stimulus. *)
-let dump_vcd ?dut ?nets (tr : Translate.result) (vector : Vector.t) =
-  let design = Option.value ~default:tr.Translate.elab dut in
-  let nets =
-    match nets with
-    | Some ns -> ns
-    | None ->
-      (* Clock, reset, the annotated state nets, then every net the
-         vectors touch — deduplicated, first occurrence wins. *)
-      let forced = ref [] in
-      Array.iter
-        (fun (c : Vector.cycle) ->
-          List.iter
-            (function
-              | Vector.Force (n, _) -> forced := n :: !forced
-              | Vector.Release n -> forced := n :: !forced)
-            c.Vector.actions)
-        vector;
-      let candidates =
-        (tr.Translate.clock :: tr.Translate.reset
-         :: Array.to_list (state_nets tr))
-        @ List.rev !forced
-      in
-      let seen = Hashtbl.create 16 in
-      List.filter
-        (fun n ->
-          if Hashtbl.mem seen n then false
-          else begin
-            Hashtbl.add seen n ();
-            true
-          end)
-        candidates
+let dump_vcd (tr : Translate.result) (vector : Vector.t) =
+  (* Clock, reset, the annotated state nets, then every net the vectors
+     touch — deduplicated, first occurrence wins. *)
+  let forced = ref [] in
+  Array.iter
+    (fun (c : Vector.cycle) ->
+      List.iter
+        (function
+          | Vector.Force (n, _) -> forced := n :: !forced
+          | Vector.Release n -> forced := n :: !forced)
+        c.Vector.actions)
+    vector;
+  let candidates =
+    (tr.Translate.clock :: tr.Translate.reset :: Array.to_list (state_nets tr))
+    @ List.rev !forced
   in
-  let sim = Avp_hdl.Sim.create design in
+  let seen = Hashtbl.create 16 in
+  let nets =
+    List.filter
+      (fun n ->
+        if Hashtbl.mem seen n then false
+        else begin
+          Hashtbl.add seen n ();
+          true
+        end)
+      candidates
+  in
+  let sim = Avp_hdl.Sim.create tr.Translate.elab in
   let vcd = Avp_hdl.Vcd.attach sim ~nets in
   Condition_map.apply vector sim ~clock:tr.Translate.clock
     ~reset:tr.Translate.reset

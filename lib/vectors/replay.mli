@@ -123,7 +123,6 @@ val record_trace :
 
 val check_nets :
   dut:Avp_hdl.Elab.t ->
-  ?progress:Avp_obs.Progress.t ->
   Avp_fsm.Translate.result ->
   nets:string array ->
   predicted:int array array array ->
@@ -137,14 +136,9 @@ val check_nets :
     [nets] — the observability a golden-model random baseline has,
     in contrast to the tour's per-cycle state predictions. *)
 
-val dump_vcd :
-  ?dut:Avp_hdl.Elab.t ->
-  ?nets:string list ->
-  Avp_fsm.Translate.result ->
-  Vector.t ->
-  string
-(** Replay one trace's vectors with a {!Avp_hdl.Vcd} dump attached
-    and return the VCD file contents.  [nets] defaults to the clock,
-    reset, annotated state nets, and every net the vectors force or
-    release; force/release commands appear as [$comment] annotations
-    at the cycle where they took effect. *)
+val dump_vcd : Avp_fsm.Translate.result -> Vector.t -> string
+(** Replay one trace's vectors on the translated design with a
+    {!Avp_hdl.Vcd} dump attached and return the VCD file contents.  It
+    dumps the clock, the reset, the annotated state nets, and every net
+    the vectors force or release; force/release commands appear as
+    [$comment] annotations at the cycle where they took effect. *)

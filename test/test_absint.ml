@@ -359,6 +359,79 @@ let test_readme_rules_drift () =
     true
     (Str_replace.contains readme table)
 
+(* ------------------------------------------------------------------ *)
+(* One reading of the annotations                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every annotation sits in a child instance: its directives arrive as
+   "u0: payload" and its attributes on nets named u0.*.  The clock and
+   the reset name the child's ports, aliases of the top's nets. *)
+let child_annotations_src =
+  {|
+module ctl(clk, rst);
+  input clk;
+  input rst;
+  // avp clock clk
+  // avp reset rst
+  // avp free go
+  // avp tie mode 1
+  wire go;
+  wire [1:0] mode;
+  wire en; // avp free
+  wire [1:0] lim; // avp tie 2
+  reg [1:0] st; // avp state
+
+  always @(posedge clk) begin
+    if (rst) st <= 2'b00;
+    else if (go && en && mode != 2'b00)
+      st <= (st == lim) ? 2'b00 : st + 2'b01;
+  end
+endmodule
+
+module top(clk, rst);
+  input clk;
+  input rst;
+  ctl u0 (.clk(clk), .rst(rst));
+endmodule
+|}
+
+let test_child_annotations () =
+  let d = elab child_annotations_src in
+  let names ids =
+    List.sort compare (List.map (fun id -> d.Elab.nets.(id).Elab.name) ids)
+  in
+  let tr = Avp_fsm.Translate.translate d in
+  let bound bs =
+    names
+      (Array.to_list
+         (Array.map
+            (fun (b : Avp_fsm.Translate.binding) ->
+              b.Avp_fsm.Translate.net.Elab.id)
+            bs))
+  in
+  Alcotest.(check (list string)) "translate: the free nets are the choices"
+    [ "u0.en"; "u0.go" ] (bound tr.Avp_fsm.Translate.choice_bindings);
+  Alcotest.(check (list string)) "translate: the state attribute"
+    [ "u0.st" ] (bound tr.Avp_fsm.Translate.state_bindings);
+  (* The ties hold: mode 1 lets the counter run, lim 2 wraps it after
+     state 2. *)
+  Alcotest.(check int) "translate: the ties shape the graph" 3
+    (Avp_enum.State_graph.num_states
+       (Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model));
+  let inv = Absint.analyze d in
+  Alcotest.(check (list string))
+    "absint: unconstrained = top inputs, frees and ties"
+    [ "clk"; "rst"; "u0.en"; "u0.go"; "u0.lim"; "u0.mode" ]
+    (names
+       (List.filter (Array.get inv.Absint.tops)
+          (List.init (Array.length d.Elab.nets) Fun.id)));
+  Alcotest.(check (option string)) "same clock"
+    (Some (Elab.net d tr.Avp_fsm.Translate.clock).Elab.name)
+    (Option.map (fun id -> d.Elab.nets.(id).Elab.name) inv.Absint.clock);
+  Alcotest.(check (option string)) "same reset"
+    (Some (Elab.net d tr.Avp_fsm.Translate.reset).Elab.name)
+    (Option.map (fun id -> d.Elab.nets.(id).Elab.name) inv.Absint.reset)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_absq_sound;
@@ -373,4 +446,6 @@ let suite =
     Alcotest.test_case "dual-edge golden" `Quick test_dual_edge_golden;
     Alcotest.test_case "README rules table drift" `Quick
       test_readme_rules_drift;
+    Alcotest.test_case "child-instance annotations: translate = absint"
+      `Quick test_child_annotations;
   ]

@@ -56,14 +56,13 @@ let test_span_nesting () =
   Alcotest.(check (list (pair string int))) "counters" [ ("n", 1) ]
     (Obs.counters t)
 
-let ev ?(dom = 0) ?(depth = 0) ~o ~c name =
+let ev ?(depth = 0) ~o ~c name =
   {
     Obs.name;
     cat = "t";
     ph = Obs.Span;
     ts_ns = 0;
     dur_ns = 0;
-    dom;
     depth;
     o;
     c;
@@ -71,17 +70,14 @@ let ev ?(dom = 0) ?(depth = 0) ~o ~c name =
   }
 
 let test_well_formed_rejects () =
-  (* Partially overlapping tick intervals in one domain. *)
+  (* Partially overlapping tick intervals. *)
   Alcotest.(check bool) "overlap rejected" false
     (Obs.well_formed [ ev ~o:0 ~c:2 "a"; ev ~o:1 ~c:3 "b" ]);
   (* Nested span with a depth that ignores its encloser. *)
   Alcotest.(check bool) "bad depth rejected" false
     (Obs.well_formed [ ev ~o:0 ~c:3 "a"; ev ~o:1 ~c:2 "b" ]);
   Alcotest.(check bool) "good depth accepted" true
-    (Obs.well_formed [ ev ~o:0 ~c:3 "a"; ev ~depth:1 ~o:1 ~c:2 "b" ]);
-  (* The same ticks on different domains never interact. *)
-  Alcotest.(check bool) "domains independent" true
-    (Obs.well_formed [ ev ~o:0 ~c:2 "a"; ev ~dom:1 ~o:1 ~c:3 "b" ])
+    (Obs.well_formed [ ev ~o:0 ~c:3 "a"; ev ~depth:1 ~o:1 ~c:2 "b" ])
 
 (* {2 Normalized traces} *)
 
@@ -165,7 +161,6 @@ let event_gen =
     let* ph = oneofl [ Obs.Span; Obs.Instant ] in
     let* ts_ns = nat in
     let* dur_ns = nat in
-    let* dom = int_bound 8 in
     let* depth = int_bound 4 in
     let* o = nat in
     let* c = nat in
@@ -173,7 +168,7 @@ let event_gen =
       list_size (int_bound 4)
         (pair (string_size ~gen:printable (int_range 1 6)) arg_gen)
     in
-    return { Obs.name; cat; ph; ts_ns; dur_ns; dom; depth; o; c; args })
+    return { Obs.name; cat; ph; ts_ns; dur_ns; depth; o; c; args })
 
 let pp_event fmt e = Format.pp_print_string fmt (Obs.encode_event e)
 

@@ -8,14 +8,13 @@ module Prof = Avp_obs.Prof
 
 (* Synthetic span with consistent ticks and timestamps: ticks default
    to the nanosecond interval so nesting follows the timeline. *)
-let span ?(cat = "") ?(dom = 0) ?(args = []) ?o ?c ~ts ~dur name =
+let span ?(cat = "") ?(args = []) ?o ?c ~ts ~dur name =
   {
     Obs.name;
     cat;
     ph = Obs.Span;
     ts_ns = ts;
     dur_ns = dur;
-    dom;
     depth = 0;
     o = Option.value ~default:ts o;
     c = Option.value ~default:(ts + dur) c;
@@ -32,12 +31,10 @@ let test_folded_golden () =
     [
       span ~ts:0 ~dur:100 "outer";
       span ~ts:10 ~dur:20 "inner";
-      span ~dom:1 ~ts:0 ~dur:50 "other";
     ]
   in
   let prof = Prof.of_events evs in
-  Alcotest.(check string) "folded"
-    "dom0;outer 80\ndom0;outer;inner 20\ndom1;other 50\n"
+  Alcotest.(check string) "folded" "outer 80\nouter;inner 20\n"
     (Prof.folded_string prof);
   let outer = List.find (fun s -> s.Prof.s_name = "outer") prof.Prof.p_spans in
   Alcotest.(check int) "outer total" 100 outer.Prof.s_total_ns;
@@ -66,7 +63,7 @@ let test_point_span_nesting () =
   Alcotest.(check int) "run self = wall minus levels" 10 run.Prof.s_self_ns;
   Alcotest.(check int) "levels keep their self" 90 lvl.Prof.s_self_ns;
   Alcotest.(check string) "folded nests levels under run"
-    "dom0;enum.run 10\ndom0;enum.run;enum.level 90\n"
+    "enum.run 10\nenum.run;enum.level 90\n"
     (Prof.folded_string prof)
 
 (* The shape [avp mutate] emits, where the span table once showed
@@ -104,12 +101,12 @@ let test_retrospective_mutate_shape () =
       ("enum.level", 700);
     ];
   Alcotest.(check string) "folded"
-    "dom0;mutate.run 65\n\
-     dom0;mutate.run;mutate.classify 15\n\
-     dom0;mutate.run;mutate.classify;enum.run 10\n\
-     dom0;mutate.run;mutate.classify;enum.run;enum.level 700\n\
-     dom0;mutate.run;mutate.classify;hdl.compile 10\n\
-     dom0;mutate.run;mutate.pass 200\n"
+    "mutate.run 65\n\
+     mutate.run;mutate.classify 15\n\
+     mutate.run;mutate.classify;enum.run 10\n\
+     mutate.run;mutate.classify;enum.run;enum.level 700\n\
+     mutate.run;mutate.classify;hdl.compile 10\n\
+     mutate.run;mutate.pass 200\n"
     (Prof.folded_string prof)
 
 (* One sliced pass emits a span per lane, each covering the pass: the
@@ -140,7 +137,7 @@ let test_overlapping_lane_spans () =
       ]
   in
   Alcotest.(check string) "equal-start lanes are both children of the round"
-    "dom0;fuzz.round 15\ndom0;fuzz.round;fuzz.exec 85\n"
+    "fuzz.round 15\nfuzz.round;fuzz.exec 85\n"
     (Prof.folded_string equal_start);
   (* A full pass: 31 lanes share one window, whose length is the row's
      total. *)
@@ -170,7 +167,7 @@ let test_overlapping_lane_spans () =
    Returns the events plus the total duration of the roots — self time
    distributes the roots' time among the tree without inventing or
    losing any. *)
-let rec gen_forest ~dom ~lo ~hi ~depth st =
+let rec gen_forest ~lo ~hi ~depth st =
   if hi - lo < 4 || depth > 4 || QCheck.Gen.int_bound 3 st = 0 then ([], 0)
   else begin
     let a = QCheck.Gen.int_range lo (hi - 4) st in
@@ -180,22 +177,18 @@ let rec gen_forest ~dom ~lo ~hi ~depth st =
         [| "alpha"; "beta"; "gamma" |].(QCheck.Gen.int_bound 2 st)
         depth
     in
-    let kids, _ = gen_forest ~dom ~lo:(a + 1) ~hi:(b - 1) ~depth:(depth + 1) st in
+    let kids, _ = gen_forest ~lo:(a + 1) ~hi:(b - 1) ~depth:(depth + 1) st in
     let rest, rest_total =
-      if b + 1 >= hi then ([], 0)
-      else gen_forest ~dom ~lo:(b + 1) ~hi ~depth st
+      if b + 1 >= hi then ([], 0) else gen_forest ~lo:(b + 1) ~hi ~depth st
     in
     let e =
-      if QCheck.Gen.bool st then span ~dom ~ts:a ~dur:(b - a) ~o:b ~c:b name
-      else span ~dom ~ts:a ~dur:(b - a) name
+      if QCheck.Gen.bool st then span ~ts:a ~dur:(b - a) ~o:b ~c:b name
+      else span ~ts:a ~dur:(b - a) name
     in
     (e :: (kids @ rest), (b - a) + rest_total)
   end
 
-let forest_gen st =
-  let evs0, total0 = gen_forest ~dom:0 ~lo:0 ~hi:1000 ~depth:0 st in
-  let evs1, total1 = gen_forest ~dom:1 ~lo:0 ~hi:1000 ~depth:0 st in
-  (evs0 @ evs1, total0 + total1)
+let forest_gen st = gen_forest ~lo:0 ~hi:1000 ~depth:0 st
 
 let forest_arb =
   QCheck.make

@@ -594,9 +594,9 @@ let traces_of_a (values : int list list) =
               vs))
        values)
 
-let detect_all ~engine ~lanes ~tr ~graph phases duts =
+let detect_all ~lanes ~tr ~graph phases duts =
   let got = Array.make (Array.length duts) [||] in
-  Avp_mutate.Campaign.detect ~engine ~lanes ~tr ~graph
+  Avp_mutate.Campaign.detect ~lanes ~tr ~graph
     ~on_done:(fun ~t0:_ j o -> got.(j) <- o)
     phases duts;
   got
@@ -691,8 +691,8 @@ let test_detect_engines () =
     |> List.filter (fun (id, _) -> id < 24 || id = drop_head_reset)
     |> Array.of_list
   in
-  let detect engine ~lanes muts =
-    detect_all ~engine ~lanes ~tr ~graph phases (Array.map snd muts)
+  let detect ~lanes muts =
+    detect_all ~lanes ~tr ~graph phases (Array.map snd muts)
   in
   let kind = function
     | C.Clean -> "clean"
@@ -702,7 +702,7 @@ let test_detect_engines () =
   List.iter
     (fun (muts, lanes_list) ->
       let what = Printf.sprintf "%d mutants" (Array.length muts) in
-      let scalar = detect `Scalar ~lanes:1 muts in
+      let scalar = detect ~lanes:1 muts in
       let kinds = Hashtbl.create 3 in
       Array.iter
         (Array.iter (fun o -> Hashtbl.replace kinds (kind o) ()))
@@ -724,7 +724,7 @@ let test_detect_engines () =
           same_outcomes
             ~what:(Printf.sprintf "%s, lanes=%d" what lanes)
             ~ids:(Array.map fst muts) scalar
-            (detect `Sliced ~lanes muts))
+            (detect ~lanes muts))
         lanes_list)
     [
       (muts, [ 7; 62 ]);
@@ -881,21 +881,19 @@ endmodule
   let xphases =
     Array.map (fun v -> { C.vectors = v; chains = [| [| C.Outputs [| "y" |] |] |] }) xsets
   in
+  (* One lane is the scalar engine. *)
   List.iter
-    (fun (engine, lanes, n) ->
+    (fun (lanes, n) ->
       let reported = ref 0 in
       Alcotest.(check (option string))
-        (Printf.sprintf "undefined output, %s engine, %d lanes, %d mutants"
-           (match engine with `Scalar -> "scalar" | `Sliced -> "sliced")
-           lanes n)
+        (Printf.sprintf "undefined output, %d lanes, %d mutants" lanes n)
         xmsg
         (raised (fun () ->
-             C.detect ~engine ~lanes ~tr:xtr ~graph
+             C.detect ~lanes ~tr:xtr ~graph
                ~on_done:(fun ~t0:_ _ _ -> incr reported)
                xphases (Array.make n xmut)));
       Alcotest.(check int) "no outcome reported" 0 !reported)
-    [ (`Scalar, 62, 2); (`Sliced, 62, 2); (`Sliced, 62, 0); (`Sliced, 3, 5);
-      (`Sliced, 1, 2) ];
+    [ (62, 2); (62, 0); (3, 5); (1, 2) ];
   (* Unequal ternary arm widths: the kernel rejects the design, and the
      sliced engine's chunks fall back to the scalar replays. *)
   let usrc =
@@ -938,20 +936,19 @@ endmodule
   let uphases =
     [| { C.vectors = uvecs; chains = [| [| C.Outputs [| "y" |] |] |] } |]
   in
-  let udetect engine =
-    detect_all ~engine ~lanes:62 ~tr:utr ~graph:ugraph uphases
-      (Array.map snd umuts)
+  let udetect ~lanes =
+    detect_all ~lanes ~tr:utr ~graph:ugraph uphases (Array.map snd umuts)
   in
-  let scalar = udetect `Scalar in
+  let scalar = udetect ~lanes:1 in
   Alcotest.(check bool) "rejected design: a mutant is killed" true
     (Array.exists (fun o -> o.(0) <> C.Clean) scalar);
   same_outcomes ~what:"rejected design" ~ids:(Array.map fst umuts) scalar
-    (udetect `Sliced);
+    (udetect ~lanes:62);
   Alcotest.check_raises "output oracles naming different nets"
     (Invalid_argument "Campaign.detect: output oracles name different nets")
     (fun () ->
       ignore
-        (detect_all ~engine:`Sliced ~lanes:62 ~tr:utr ~graph:ugraph
+        (detect_all ~lanes:62 ~tr:utr ~graph:ugraph
            [|
              {
                C.vectors = uvecs;
