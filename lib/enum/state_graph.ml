@@ -63,22 +63,26 @@ end
    afterwards; depth-first order is not index order, so nothing is
    interned during the walk.  A slot holds a state id, [fresh] (the
    successor is not interned yet; its valuation is in the matching
-   [new_vals] slot) or [unset] (no cube starts there). *)
+   [new_vals] slot) or [unset] (no cube starts there), and the merge
+   leaves every slot [unset] again.  In first-condition mode a leaf
+   writes only its cube's lowest slot, and the expander also lists that
+   slot in [leaf_slots], so that the merge can visit the leaves instead
+   of every slot. *)
 let fresh = -1
 let unset = -2
 
-(* [expander model index ~all_conditions] returns [expand cur dst_ids
-   new_vals], which fills the [num_choices] slots for state [cur]
-   against the current contents of [index] and returns the number of
-   leaves. *)
-let expander (model : Model.t) (index : index) ~all_conditions =
+(* [expander model index ~all_conditions ~leaf_slots] returns [expand
+   cur dst_ids new_vals], which writes the leaves of state [cur] into
+   the [num_choices] slots against the current contents of [index] and
+   returns the number of leaves; [leaf_slots] has [num_choices] entries
+   in first-condition mode, and is unused under [all_conditions]. *)
+let expander (model : Model.t) (index : index) ~all_conditions ~leaf_slots =
   let card = Array.map Model.card model.Model.choice_vars in
   let nc = Array.length card in
   let stride = Array.make nc 1 in
   for i = nc - 2 downto 0 do
     stride.(i) <- stride.(i + 1) * card.(i + 1)
   done;
-  let num_choices = Model.num_choices model in
   let vals = Array.make nc 0 in
   let is_read = Array.make nc false in
   let order = Array.make nc 0 in
@@ -106,13 +110,15 @@ let expander (model : Model.t) (index : index) ~all_conditions =
       backtrack ()
     end
   in
+  let leaves = ref 0 in
   (* Write a leaf into its cube, from variable [i] on: into every index
      under [all_conditions], else into the lowest (unread variables at
-     0) only. *)
+     0) only, which becomes the leaf's entry in [leaf_slots]. *)
   let rec write_cube dst_ids new_vals id v i slot =
     if i = nc then begin
       dst_ids.(slot) <- id;
-      if id = fresh then new_vals.(slot) <- v
+      if id = fresh then new_vals.(slot) <- v;
+      if not all_conditions then leaf_slots.(!leaves - 1) <- slot
     end
     else if is_read.(i) then
       write_cube dst_ids new_vals id v (i + 1) (slot + (vals.(i) * stride.(i)))
@@ -127,9 +133,8 @@ let expander (model : Model.t) (index : index) ~all_conditions =
      each is copied once per state rather than once per leaf. *)
   let new_succs : int array Model.Tbl.t = Model.Tbl.create 16 in
   fun cur dst_ids new_vals ->
-    Array.fill dst_ids 0 num_choices unset;
     Model.Tbl.clear new_succs;
-    let leaves = ref 0 in
+    leaves := 0;
     let more = ref true in
     while !more do
       incr leaves;
@@ -149,6 +154,19 @@ let expander (model : Model.t) (index : index) ~all_conditions =
       more := backtrack ()
     done;
     !leaves
+
+(* Sort [a.(0)] .. [a.(n - 1)] in place, ascending, by insertion: at
+   most n^2/2 moves, 5 to 7 a leaf on the control model presets. *)
+let sort_prefix (a : int array) n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 (* A model with a whole-state entry point ([Model.t.successor_keys])
    fills every slot from one call: each choice index is a leaf of its
@@ -256,34 +274,59 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
       Hashtbl.add shared_rows r r;
       r
   in
+  let dst_ids = Array.make num_choices unset in
+  let new_vals = Array.make num_choices [||] in
+  let row_fits = ref false in
+  (* Merge slot [ci] into the source's rows and reset it. *)
+  let visit ci =
+    let d = dst_ids.(ci) in
+    if d <> unset then begin
+      dst_ids.(ci) <- unset;
+      let d =
+        if d <> fresh then d
+        else begin
+          let v = new_vals.(ci) in
+          new_vals.(ci) <- [||];
+          intern_new v
+        end
+      in
+      let pos = record_edge d ci in
+      if !row_fits then
+        if pos < 256 then Bytes.unsafe_set row ci (Char.unsafe_chr pos)
+        else row_fits := false
+    end
+  in
+  (* First-condition expansion lists each leaf's slot: the expander's
+     path only, since the whole-state entry point fills every slot. *)
+  let leaf_slots =
+    if all_conditions || model.Model.successor_keys <> None then [||]
+    else Array.make num_choices 0
+  in
   (* Turn one source's slots into its adjacency row, and into its
-     successor row when every choice had a leaf of its own
-     ([with_row]).  Walking the slots in choice-index order gives each
-     successor the lowest index reaching it and interns new states in
-     index order (DESIGN.md, "Enumeration"). *)
-  let merge_source ~with_row src dst_ids new_vals =
+     successor row when every choice had a leaf of its own.  Visiting
+     the slots in choice-index order gives each successor the lowest
+     index reaching it and interns new states in index order (DESIGN.md,
+     "Enumeration").  Where the leaves listed their slots, only those
+     are visited, sorted, unless sorting could cost more than two passes
+     over every slot; a scan is right either way, since a slot no leaf
+     wrote is [unset]. *)
+  let merge_source src ~leaves =
     Hashtbl.reset seen_dst;
     last_dst := unset;
     out := [];
     out_len := 0;
-    let row_fits = ref with_row in
-    for ci = 0 to num_choices - 1 do
-      let d = dst_ids.(ci) in
-      if d <> unset then begin
-        let d =
-          if d <> fresh then d
-          else begin
-            let v = new_vals.(ci) in
-            new_vals.(ci) <- [||];
-            intern_new v
-          end
-        in
-        let pos = record_edge d ci in
-        if !row_fits then
-          if pos < 256 then Bytes.unsafe_set row ci (Char.unsafe_chr pos)
-          else row_fits := false
-      end
-    done;
+    row_fits := leaves = num_choices;
+    if Array.length leaf_slots > 0 && leaves * leaves <= 4 * num_choices
+    then begin
+      sort_prefix leaf_slots leaves;
+      for k = 0 to leaves - 1 do
+        visit leaf_slots.(k)
+      done
+    end
+    else
+      for ci = 0 to num_choices - 1 do
+        visit ci
+      done;
     Dyn.push adj (Array.of_list (List.rev !out));
     if !row_fits then kept_rows := (src, share_row ()) :: !kept_rows
   in
@@ -292,10 +335,8 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
   let expand =
     match model.Model.successor_keys with
     | Some keys -> key_expander model index keys
-    | None -> expander model index ~all_conditions
+    | None -> expander model index ~all_conditions ~leaf_slots
   in
-  let dst_ids = Array.make num_choices unset in
-  let new_vals = Array.make num_choices [||] in
   let frontier = ref 0 in
   while !frontier < states.Dyn.len do
     let level_end = states.Dyn.len in
@@ -304,8 +345,7 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains:_
     while !frontier < level_end do
       let src = !frontier in
       incr frontier;
-      let leaves = expand (Dyn.get states src) dst_ids new_vals in
-      merge_source ~with_row:(leaves = num_choices) src dst_ids new_vals
+      merge_source src ~leaves:(expand (Dyn.get states src) dst_ids new_vals)
     done;
     let dt = Obs.Clock.now_s () -. lt0 in
     level_times := (level_size, dt) :: !level_times;

@@ -484,10 +484,18 @@ let annotations t =
   let frees = ref [] and ties = ref [] in
   let directive prefix payload =
     let qualify n = if prefix = "" then n else prefix ^ "." ^ n in
+    (* Frees and ties are matched by net name, so they name the net
+       itself: a child's port connected to a parent net is that net. *)
+    let resolve n =
+      let q = qualify n in
+      match Hashtbl.find_opt t.by_name q with
+      | Some id -> t.nets.(id).name
+      | None -> q
+    in
     match words payload with
     | [ "clock"; n ] -> if !clock = None then clock := Some (qualify n)
     | [ "reset"; n ] -> if !reset = None then reset := Some (qualify n)
-    | [ "free"; n ] -> frees := qualify n :: !frees
+    | [ "free"; n ] -> frees := resolve n :: !frees
     | [ "tie"; n; v ] ->
       let value =
         match int_of_string_opt v with
@@ -495,7 +503,7 @@ let annotations t =
         | None ->
           Error ("tie directive with non-integer value: " ^ payload)
       in
-      ties := (qualify n, value) :: !ties
+      ties := (resolve n, value) :: !ties
     | _ -> ()
   in
   List.iter

@@ -84,13 +84,14 @@ val net_id : t -> string -> uid
 (** The design's [// avp] annotations, the one reader of their grammar.
     Module-level directives: [clock NET], [reset NET], [free NET] and
     [tie NET VALUE]; a child instance's arrive prefixed with its
-    instance path ([u0: free x]) and name [u0.x].  Declaration
-    attributes: [state], [free] and [tie VALUE].  Anything else is
-    ignored. *)
+    instance path ([u0: free x]) and name [u0.x].  A free or tied net
+    is given by its own name, which for a child's port connected to a
+    parent net is the parent net's.  Declaration attributes: [state],
+    [free] and [tie VALUE].  Anything else is ignored. *)
 type annotations = {
   clock : string option;  (** the first [clock] directive's net *)
   reset : string option;  (** the first [reset] directive's net *)
-  frees : string list;  (** nets declared free *)
+  frees : string list;  (** nets declared free, by their own names *)
   ties : (string * (int, string) result) list;
       (** each tie in directive order, then declaration order: the net
           and its value, or the complaint about a value that is not an

@@ -219,30 +219,47 @@ let choice_vars cfg =
 (* Transition function                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* State variable [i], or 0 when the configuration leaves it out. *)
+let get (st : int array) i = if i < 0 then 0 else st.(i)
+
+(* Choice [i] through [read], or [default] when it is left out. *)
+let chg (read : int -> int) i default = if i < 0 then default else read i
+
+(* What fetch brings into the first freed pipe slot: a bubble while the
+   I-side stalls in this cycle or the next ([ifsm], [ifsm']) or lags
+   issue, the chosen class on an I-cache hit, and [miss] on a miss,
+   which fetches a bubble and starts the I-refill. *)
+let miss = -1
+
+let fetch (l : layout) read ~ifsm ~ifsm' =
+  if ifsm' <> 0 || ifsm <> 0 then 0
+  else if chg read l.c_gap 0 = 1 then 0 (* fetch lagging behind issue *)
+  else if read l.c_ihit = 1 then read l.c_instr + 1
+  else miss
+
 (* Writes the next state into [out] (same length as [st]) and returns
-   the number of instructions issued.  Pure up to [out].  Choice
-   [i] is [read i], read where it is used and only once the state
-   tests that make it matter have passed, so state enumeration
-   branches on as few choices as possible (see [Model.t.next_into]). *)
+   the number of instructions issued.  Pure up to [out], and allocates
+   nothing: enumeration runs it once per decision-tree leaf and tour
+   weighing once per arc.  Choice [i] is [read i], read where it is
+   used and only once the state tests that make it matter have passed,
+   so state enumeration branches on as few choices as possible (see
+   [Model.t.next_into]). *)
 let transition_into cfg (l : layout) (st : int array) (read : int -> int)
     ~(out : int array) : int =
   let fc = cfg.fill_counters in
   let ifsm_fixup = 3 + fc in
   let dfsm_last_bg = 3 + fc in
   let spill_last_wb = 2 + fc in
-  let get i default = if i < 0 then default else st.(i) in
-  (* An absent choice reads as [default]. *)
-  let chg i default = if i < 0 then default else read i in
   let ifsm = st.(l.ifsm) in
   let dfsm = st.(l.dfsm) in
-  let spill = get l.spill 0 in
-  let store = get l.store 0 in
-  let w = Array.length l.pipe in
-  let pipe = Array.map (fun i -> st.(i)) l.pipe in
-  let head = pipe.(0) in
-  let follow = if w >= 2 then pipe.(1) else 0 in
-  let inbox_occ = get l.inbox_occ 0 in
-  let outbox_occ = get l.outbox_occ 0 in
+  let spill = get st l.spill in
+  let store = get st l.store in
+  let pipe = l.pipe in
+  let w = Array.length pipe in
+  let head = st.(pipe.(0)) in
+  let follow = if w >= 2 then st.(pipe.(1)) else 0 in
+  let inbox_occ = get st l.inbox_occ in
+  let outbox_occ = get st l.outbox_occ in
   let credits = cfg.io_credits in
   (* next values *)
   let ifsm' = ref ifsm in
@@ -250,7 +267,6 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
   let spill' = ref spill in
   let store' = ref store in
   let conflict' = ref 0 in
-  let pipe' = Array.copy pipe in
   let inbox_occ' = ref inbox_occ in
   let outbox_occ' = ref outbox_occ in
   let issued = ref 0 in
@@ -259,8 +275,8 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
      arrival/drain events of the abstract Inbox/Outbox; otherwise they
      are direct ready lines, read at SWITCH and SEND. *)
   if credits > 0 then begin
-    if inbox_occ < credits && chg l.c_inbox 1 = 1 then incr inbox_occ';
-    if outbox_occ > 0 && chg l.c_outbox 1 = 1 then decr outbox_occ'
+    if inbox_occ < credits && chg read l.c_inbox 1 = 1 then incr inbox_occ';
+    if outbox_occ > 0 && chg read l.c_outbox 1 = 1 then decr outbox_occ'
   end;
   (* --- memory port: D-refill, then spill, then I-refill ----------- *)
   let port_busy_now =
@@ -268,14 +284,14 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
   in
   let d_finished = ref false in
   (if dfsm = 1 then begin
-     if (not port_busy_now) && chg l.c_memadv 1 = 1 then dfsm' := 2
+     if (not port_busy_now) && chg read l.c_memadv 1 = 1 then dfsm' := 2
    end
    else if dfsm = 2 then begin
      (* critical word delivered; restart *)
-     if chg l.c_memadv 1 = 1 then dfsm' := 3
+     if chg read l.c_memadv 1 = 1 then dfsm' := 3
    end
    else if dfsm >= 3 then
-     if chg l.c_memadv 1 = 1 then
+     if chg read l.c_memadv 1 = 1 then
        if dfsm = dfsm_last_bg then begin
          dfsm' := 0;
          d_finished := true
@@ -284,15 +300,15 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
   if !d_finished && spill = 1 then spill' := 2;
   (if spill >= 2 && cfg.with_spill then
      (* the write-back streams once the port is otherwise free *)
-     if dfsm < 2 && !dfsm' <> 2 && chg l.c_memadv 1 = 1 then
+     if dfsm < 2 && !dfsm' <> 2 && chg read l.c_memadv 1 = 1 then
        if spill = spill_last_wb then spill' := 0 else spill' := spill + 1);
   let d_granted = dfsm = 1 && !dfsm' = 2 in
   (if ifsm = 1 then begin
-     if (not port_busy_now) && (not d_granted) && chg l.c_memadv 1 = 1 then
-       ifsm' := 2
+     if (not port_busy_now) && (not d_granted) && chg read l.c_memadv 1 = 1
+     then ifsm' := 2
    end
    else if ifsm >= 2 && ifsm < ifsm_fixup then begin
-     if chg l.c_memadv 1 = 1 then
+     if chg read l.c_memadv 1 = 1 then
        if ifsm = 2 + fc then ifsm' := ifsm_fixup else ifsm' := ifsm + 1
    end
    else if ifsm = ifsm_fixup then ifsm' := 0);
@@ -305,12 +321,12 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
      | 1 (* ALU *) ->
        issued := 1;
        advanced := true;
-       if cfg.dual_issue && follow = 1 && chg l.c_pair 0 = 1 then
+       if cfg.dual_issue && follow = 1 && chg read l.c_pair 0 = 1 then
          issued := 2
      | 2 | 3 (* LD / SD *) ->
        let conflicts =
          cfg.with_conflict && store = 1
-         && (head = 3 || chg l.c_same 0 = 1)
+         && (head = 3 || chg read l.c_same 0 = 1)
        in
        if conflicts then begin
          conflict' := 1;
@@ -326,7 +342,7 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
            if head = 3 && cfg.with_conflict then store' := 1
          end
          else if dfsm = 0 then begin
-           if cfg.with_spill && chg l.c_dirty 0 = 1 then begin
+           if cfg.with_spill && chg read l.c_dirty 0 = 1 then begin
              if spill = 0 then begin
                spill' := 1;
                dfsm' := 1;
@@ -343,7 +359,7 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
        end
      | 4 (* SWITCH *) ->
        if (not cfg.with_interfaces)
-          || (if credits > 0 then inbox_occ > 0 else chg l.c_inbox 1 = 1)
+          || (if credits > 0 then inbox_occ > 0 else chg read l.c_inbox 1 = 1)
        then begin
          issued := 1;
          advanced := true;
@@ -352,7 +368,7 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
      | 5 (* SEND *) ->
        if (not cfg.with_interfaces)
           || (if credits > 0 then outbox_occ < credits
-              else chg l.c_outbox 1 = 1)
+              else chg read l.c_outbox 1 = 1)
        then begin
          issued := 1;
          advanced := true;
@@ -364,31 +380,23 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
      | _ -> ()
    end);
   if (not d_frozen) && head = 0 then advanced := true;
-  (* --- fetch / pipe shift ----------------------------------------- *)
+  (* --- fetch ------------------------------------------------------ *)
+  (* The pipe shifts by the slots issue consumed, and fetch fills the
+     first freed one; dual issue leaves the last slot empty.  A taken
+     squashing branch kills every younger instruction and fetches again
+     into the last slot: the abstract branch-outcome block decides,
+     after the first fetch, and a first fetch that missed leaves the
+     I-side stalled for the second. *)
+  let consumed = if !issued = 2 then 2 else 1 in
+  let fetched = ref 0 and squashed = ref false in
   if !advanced then begin
-    let fetch_new () =
-      if !ifsm' <> 0 || ifsm <> 0 then 0 (* the I-stall feeds bubbles *)
-      else if chg l.c_gap 0 = 1 then 0 (* fetch lagging behind issue *)
-      else if read l.c_ihit = 1 then read l.c_instr + 1
-      else begin
-        ifsm' := 1;
-        0
-      end
-    in
-    (* Shift by the number of consumed slots and fetch into the
-       first freed one; dual issue leaves the last slot empty. *)
-    let consumed = if !issued = 2 then 2 else 1 in
-    for i = 0 to w - 1 do
-      pipe'.(i) <- (if i + consumed < w then pipe.(i + consumed) else 0)
-    done;
-    pipe'.(w - consumed) <- fetch_new ();
-    (* A taken squashing branch kills every younger instruction and
-       redirects fetch; the abstract branch-outcome block decides. *)
-    if cfg.with_branches && head = 6 && chg l.c_taken 0 = 1 then begin
-      for i = 0 to w - 1 do
-        pipe'.(i) <- 0
-      done;
-      pipe'.(w - 1) <- fetch_new ()
+    fetched := fetch l read ~ifsm ~ifsm':!ifsm';
+    squashed := cfg.with_branches && head = 6 && chg read l.c_taken 0 = 1;
+    if !squashed && !fetched <> miss then
+      fetched := fetch l read ~ifsm ~ifsm':!ifsm';
+    if !fetched = miss then begin
+      ifsm' := 1;
+      fetched := 0
     end
   end;
   (* clamp occupancies *)
@@ -405,15 +413,22 @@ let transition_into cfg (l : layout) (st : int array) (read : int -> int)
   if l.spill >= 0 then out.(l.spill) <- !spill';
   if l.store >= 0 then out.(l.store) <- !store';
   if l.conflict >= 0 then out.(l.conflict) <- !conflict';
-  Array.iteri (fun i idx -> out.(idx) <- pipe'.(i)) l.pipe;
+  if !squashed then begin
+    for i = 0 to w - 2 do
+      out.(pipe.(i)) <- 0
+    done;
+    out.(pipe.(w - 1)) <- !fetched
+  end
+  else if !advanced then begin
+    for i = 0 to w - 1 do
+      out.(pipe.(i)) <-
+        (if i + consumed < w then st.(pipe.(i + consumed)) else 0)
+    done;
+    out.(pipe.(w - consumed)) <- !fetched
+  end;
   if l.inbox_occ >= 0 then out.(l.inbox_occ) <- !inbox_occ';
   if l.outbox_occ >= 0 then out.(l.outbox_occ) <- !outbox_occ';
   !issued
-
-let transition cfg l st ch =
-  let out = Array.make (Array.length st) 0 in
-  let issued = transition_into cfg l st (Array.get ch) ~out in
-  (out, issued)
 
 let model cfg =
   let l = layout cfg in
@@ -421,13 +436,40 @@ let model cfg =
   let reset = List.map (fun _ -> 0) svars in
   Model.create ~name:"pp_control" ~state_vars:svars
     ~choice_vars:(choice_vars cfg) ~reset
-    ~next:(fun st ch -> fst (transition cfg l st ch))
+    ~next:(fun st ch ->
+      let out = Array.make (Array.length st) 0 in
+      ignore (transition_into cfg l st (Array.get ch) ~out);
+      out)
     ~next_into:(fun st read dst ->
       ignore (transition_into cfg l st read ~out:dst))
     ()
 
+(* Weighing runs once per arc of a graph, so [instructions_of_edge]
+   keeps the layout of the last configuration it was given and a
+   scratch successor, and reads the edge's choices through one static
+   reader: a call allocates nothing. *)
+type weigher = {
+  mutable w_cfg : cfg;
+  mutable w_layout : layout;
+  mutable w_out : int array;
+  mutable w_choice : int array;
+}
+
+let weigher =
+  { w_cfg = tiny; w_layout = layout tiny; w_out = [||]; w_choice = [||] }
+
+let read_weighed_choice i = weigher.w_choice.(i)
+
 let instructions_of_edge cfg ~src ~choice =
-  snd (transition cfg (layout cfg) src choice)
+  if cfg != weigher.w_cfg then begin
+    weigher.w_cfg <- cfg;
+    weigher.w_layout <- layout cfg
+  end;
+  if Array.length weigher.w_out <> Array.length src then
+    weigher.w_out <- Array.make (Array.length src) 0;
+  weigher.w_choice <- choice;
+  transition_into cfg weigher.w_layout src read_weighed_choice
+    ~out:weigher.w_out
 
 let valuation_of_obs cfg (o : Rtl.control_obs) =
   let l = layout cfg in

@@ -66,7 +66,11 @@ val model : cfg -> Avp_fsm.Model.t
 val instructions_of_edge :
   cfg -> src:int array -> choice:int array -> int
 (** Instructions issued when taking the edge (0 on stall cycles, 2 on
-    dual-issue cycles). *)
+    dual-issue cycles).  Tours weigh every arc of a graph with it, so a
+    call allocates nothing: it keeps the layout of the last [cfg] it
+    was given (compared physically) and a scratch successor, and reads
+    [choice] through one static reader.  Not for two domains at
+    once. *)
 
 val valuation_of_obs : cfg -> Rtl.control_obs -> int array
 (** Map an RTL control observation onto the abstract state space, for

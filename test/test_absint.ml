@@ -432,6 +432,70 @@ let test_child_annotations () =
     (Some (Elab.net d tr.Avp_fsm.Translate.reset).Elab.name)
     (Option.map (fun id -> d.Elab.nets.(id).Elab.name) inv.Absint.reset)
 
+(* A child's free or tied port connected to a net of its parent: the
+   directive names u0.go, an alias of the top's wire go, which is the
+   net the translation and the analysis see. *)
+let child_port_src directive =
+  Printf.sprintf
+    {|
+module ctl(clk, rst, go, q);
+  input clk;
+  input rst;
+  input go;
+  output q;
+  // avp clock clk
+  // avp reset rst
+  // avp %s
+  reg st; // avp state
+
+  always @(posedge clk) begin
+    if (rst) st <= 1'b0;
+    else if (go) st <= ~st;
+  end
+  assign q = st;
+endmodule
+
+module top(clk, rst, q);
+  input clk;
+  input rst;
+  output q;
+  wire go;
+  ctl u0 (.clk(clk), .rst(rst), .go(go), .q(q));
+endmodule
+|}
+    directive
+
+(* The choice names and the edge count of the port's design, and
+   whether the analysis leaves go unconstrained. *)
+let child_port directive =
+  let d = elab (child_port_src directive) in
+  let tr = Avp_fsm.Translate.translate d in
+  let g = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
+  let choices =
+    Array.to_list
+      (Array.map
+         (fun (b : Avp_fsm.Translate.binding) ->
+           b.Avp_fsm.Translate.net.Elab.name)
+         tr.Avp_fsm.Translate.choice_bindings)
+  in
+  let inv = Absint.analyze d in
+  ( choices,
+    Avp_enum.State_graph.num_edges g,
+    inv.Absint.tops.(Elab.net_id d "go") )
+
+let test_child_free_port () =
+  let choices, edges, top = child_port "free go" in
+  Alcotest.(check (list string)) "the port's net is the choice" [ "go" ]
+    choices;
+  Alcotest.(check int) "go toggles or holds the state" 4 edges;
+  Alcotest.(check bool) "absint: go is unconstrained" true top
+
+let test_child_tie_port () =
+  let choices, edges, top = child_port "tie go 1" in
+  Alcotest.(check (list string)) "no choice" [] choices;
+  Alcotest.(check int) "go = 1 toggles the state" 2 edges;
+  Alcotest.(check bool) "absint: go is unconstrained" true top
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_absq_sound;
@@ -448,4 +512,8 @@ let suite =
       test_readme_rules_drift;
     Alcotest.test_case "child-instance annotations: translate = absint"
       `Quick test_child_annotations;
+    Alcotest.test_case "child-instance free port aliased to a parent net"
+      `Quick test_child_free_port;
+    Alcotest.test_case "child-instance tied port aliased to a parent net"
+      `Quick test_child_tie_port;
   ]

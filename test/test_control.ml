@@ -112,6 +112,133 @@ let test_obs_mapping_reaches_model () =
     (!mapped * 2 > !total)
 
 (* ---------------------------------------------------------------- *)
+(* The transition against its reference                             *)
+(* ---------------------------------------------------------------- *)
+
+(* Every preset, and each with the squashing branches (which fetch
+   twice in one cycle) and the fetch gaps switched on. *)
+let reference_configs =
+  let open Control_model in
+  [ ("tiny", tiny); ("default", default); ("medium", medium);
+    ("large", large) ]
+  |> List.concat_map (fun (name, cfg) ->
+         [ (name, cfg);
+           (name ^ " with branches", { cfg with with_branches = true });
+           (name ^ " with fetch gaps", { cfg with with_fetch_gaps = true });
+           ( name ^ " with both",
+             { cfg with with_branches = true; with_fetch_gaps = true } ) ])
+  |> List.map (fun (name, cfg) ->
+         (name, cfg, Control_model.model cfg, Control_reference.layout cfg))
+  |> Array.of_list
+
+(* A random in-range state and choice valuation of a random config: the
+   transition must write the reference's successor, issue its count and
+   ask [read] for the same choices in the same order. *)
+let prop_transition_matches_reference =
+  let open QCheck.Gen in
+  let values vars =
+    flatten_a (Array.map (fun v -> int_bound (Model.card v - 1)) vars)
+  in
+  let gen =
+    int_bound (Array.length reference_configs - 1) >>= fun k ->
+    let _, _, m, _ = reference_configs.(k) in
+    map2
+      (fun st ch -> (k, st, ch))
+      (values m.Model.state_vars) (values m.Model.choice_vars)
+  in
+  let print (k, st, ch) =
+    let name, _, _, _ = reference_configs.(k) in
+    let ints a =
+      String.concat "," (Array.to_list (Array.map string_of_int a))
+    in
+    Printf.sprintf "%s state [%s] choices [%s]" name (ints st) (ints ch)
+  in
+  QCheck.Test.make ~name:"transition matches the reference" ~count:5000
+    (QCheck.make gen ~print)
+    (fun (k, st, ch) ->
+      let _, cfg, m, l = reference_configs.(k) in
+      let reads = ref [] in
+      let read i =
+        reads := i :: !reads;
+        ch.(i)
+      in
+      let out = Array.make (Array.length st) (-1) in
+      m.Model.next_into st read out;
+      let got_reads = List.rev !reads in
+      reads := [];
+      let ref_out = Array.make (Array.length st) (-1) in
+      let ref_issued =
+        Control_reference.transition_into cfg l st read ~out:ref_out
+      in
+      out = ref_out
+      && got_reads = List.rev !reads
+      && m.Model.next st ch = ref_out
+      && Control_model.instructions_of_edge cfg ~src:st ~choice:ch
+         = ref_issued)
+
+(* Weighing every arc of medium, its choices decoded beforehand: within
+   16 words an arc, by [Gc.minor_words] (93.5 when each call rebuilt
+   the layout, a successor and a result tuple). *)
+let test_weighing_allocation () =
+  let cfg = Control_model.medium in
+  let m = Control_model.model cfg in
+  let g = State_graph.enumerate m in
+  let arcs =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun src out ->
+              Array.map
+                (fun (_, ci) ->
+                  (g.State_graph.states.(src), Model.choice_of_index m ci))
+                out)
+            g.State_graph.adj))
+  in
+  let l = Control_reference.layout cfg in
+  let expected =
+    Array.fold_left
+      (fun acc (src, choice) ->
+        let out = Array.make (Array.length src) 0 in
+        acc
+        + Control_reference.transition_into cfg l src (Array.get choice) ~out)
+      0 arcs
+  in
+  let issued = ref 0 in
+  let weigh (src, choice) =
+    issued := !issued + Control_model.instructions_of_edge cfg ~src ~choice
+  in
+  let before = Gc.minor_words () in
+  Array.iter weigh arcs;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "arcs" 67_710 (Array.length arcs);
+  Alcotest.(check int) "instructions as the reference" expected !issued;
+  let per_arc = words /. float_of_int (Array.length arcs) in
+  if per_arc > 16. then
+    Alcotest.failf "weighing allocated %.1f words per arc, above 16" per_arc
+
+(* Each of the enumerator's 68,052 [next_into] calls on medium, measured
+   on its own by [Gc.minor_words]: no words at all (35 a call when the
+   transition copied the pipe window and built closures). *)
+let test_next_into_allocation () =
+  let m = Control_model.model Control_model.medium in
+  let calls = ref 0 and words = ref 0. in
+  let measured =
+    {
+      m with
+      Model.next_into =
+        (fun st read dst ->
+          let before = Gc.minor_words () in
+          m.Model.next_into st read dst;
+          let after = Gc.minor_words () in
+          incr calls;
+          words := !words +. (after -. before));
+    }
+  in
+  ignore (State_graph.enumerate measured);
+  Alcotest.(check int) "calls" 68_052 !calls;
+  Alcotest.(check (float 0.)) "words allocated" 0. !words
+
+(* ---------------------------------------------------------------- *)
 (* Control logic in HDL                                              *)
 (* ---------------------------------------------------------------- *)
 
@@ -235,6 +362,11 @@ let suite =
     Alcotest.test_case "dual issue weights" `Quick test_dual_issue_weights;
     Alcotest.test_case "rtl observations map to model" `Quick
       test_obs_mapping_reaches_model;
+    QCheck_alcotest.to_alcotest prop_transition_matches_reference;
+    Alcotest.test_case "instructions_of_edge allocates at most 16 words per arc"
+      `Quick test_weighing_allocation;
+    Alcotest.test_case "next_into allocates nothing" `Quick
+      test_next_into_allocation;
     Alcotest.test_case "control hdl translates" `Quick
       test_control_hdl_translates;
     Alcotest.test_case "control hdl enumerates" `Slow
